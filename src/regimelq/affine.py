@@ -17,10 +17,17 @@ import numpy as np
 
 from . import matcore
 from .matcore import symmetrize
-from .model import ProblemSpec, TimeGrid, interp_nodes
-from .riccati import RiccatiSolution, _hats
+from .model import ProblemSpec, TimeGrid, _hats, interp_nodes
+from .riccati import RiccatiSolution, rk4_backward
 
-__all__ = ["AffineSolution", "solve_eta", "feedback_at", "value_function"]
+__all__ = [
+    "AffineSolution", "RangeConditionError", "solve_eta", "feedback_at", "value_function",
+]
+
+
+class RangeConditionError(RuntimeError):
+    """The offset left the range of the control weight composite although
+    the solution was classified strongly regular (a numerical failure)."""
 
 
 @dataclass(frozen=True)
@@ -77,33 +84,22 @@ def solve_eta(spec: ProblemSpec, ric: RiccatiSolution) -> AffineSolution:
 
     Requires a regular or strongly regular solution.  Produces the
     feedback offset ``v_star`` (minimum-norm representative) and the
-    regime-indexed value integral; a violated range condition on
-    ``rho_hat`` is recorded on the result rather than raised.
+    regime-indexed value integral.  A violated range condition on
+    ``rho_hat`` is recorded on the result for a regular solution; for a
+    strongly regular one the condition always holds in exact arithmetic,
+    so a violation is a numerical failure and raises
+    :class:`RangeConditionError`.
     """
     if not ric.classification.is_regular:
         raise ValueError(
             f"offset solve needs a regular solution, got {ric.classification}"
         )
-    grid = spec.grid
-    n_steps, h = grid.steps, grid.h
     names = ("A", "B", "C", "D", "S", "R", "sigma", "rho", "b", "q")
-    node = [getattr(spec, f) for f in names] + [spec.gen.rates, ric.P]
-    mid = [0.5 * (a[:-1] + a[1:]) for a in node]
-
-    eta_path = np.empty((n_steps + 1, spec.n_regimes, spec.n))
-    eta_path[n_steps] = spec.g
-    eta = spec.g.copy()
-    tol = ric.pinv_tol
-    for k in range(n_steps - 1, -1, -1):
-        c_lo, p_lo = tuple(a[k] for a in node[:-1]), node[-1][k]
-        c_md, p_md = tuple(a[k] for a in mid[:-1]), mid[-1][k]
-        c_hi, p_hi = tuple(a[k + 1] for a in node[:-1]), node[-1][k + 1]
-        k1 = _eta_rhs(c_hi, p_hi, eta, tol)
-        k2 = _eta_rhs(c_md, p_md, eta - 0.5 * h * k1, tol)
-        k3 = _eta_rhs(c_md, p_md, eta - 0.5 * h * k2, tol)
-        k4 = _eta_rhs(c_lo, p_lo, eta - h * k3, tol)
-        eta = eta - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta_path[k] = eta
+    tables = [getattr(spec, f) for f in names] + [spec.gen.rates, ric.P]
+    eta_path = rk4_backward(
+        lambda c, eta: _eta_rhs(c[:-1], c[-1], eta, ric.pinv_tol),
+        spec.g, tables, spec.grid,
+    )
 
     p_sig = np.einsum("kdij,kdj->kdi", ric.P, spec.sigma)
     rho_hat = (
@@ -122,34 +118,25 @@ def solve_eta(spec: ProblemSpec, ric: RiccatiSolution) -> AffineSolution:
     report = None
     if not range_ok:
         k, i = np.unravel_index(int((gap - bound).argmax()), gap.shape)
-        report = (
+        where = (
             f"offset range condition fails at node {k}, regime {i} "
-            f"(gap {gap[k, i]:.3e}); closed-loop construction downgraded"
+            f"(gap {gap[k, i]:.3e})"
         )
-    if ric.classification.kind == "strongly_regular" and not range_ok:
-        raise AssertionError(
-            "range condition must hold for a strongly regular solution"
-        )
+        if ric.classification.kind == "strongly_regular":
+            raise RangeConditionError(f"{where} for a strongly regular solution")
+        report = f"{where}; closed-loop construction downgraded"
 
     # running scalar term of the value function, then its chain expectation
     p_hat = np.einsum("kdi,kdi->kd", p_sig, spec.sigma)
     p_hat += 2.0 * np.einsum("kdi,kdi->kd", eta_path, spec.b)
     integrand = p_hat + np.einsum("kdi,kdi->kd", v_star, rho_hat)
-    integrand_mid = 0.5 * (integrand[:-1] + integrand[1:])
-    rates_mid = 0.5 * (spec.gen.rates[:-1] + spec.gen.rates[1:])
-
-    w_path = np.zeros((n_steps + 1, spec.n_regimes))
-    w = np.zeros(spec.n_regimes)
-    for k in range(n_steps - 1, -1, -1):
-        k1 = -(integrand[k + 1] + _coupling(spec.gen.rates[k + 1], w))
-        k2 = -(integrand_mid[k] + _coupling(rates_mid[k], w - 0.5 * h * k1))
-        k3 = -(integrand_mid[k] + _coupling(rates_mid[k], w - 0.5 * h * k2))
-        k4 = -(integrand[k] + _coupling(spec.gen.rates[k], w - h * k3))
-        w = w - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w_path[k] = w
+    w_path = rk4_backward(
+        lambda c, w: -(c[0] + _coupling(c[1], w)),
+        np.zeros(spec.n_regimes), [integrand, spec.gen.rates], spec.grid,
+    )
 
     return AffineSolution(
-        grid=grid, eta=eta_path, rho_hat=rho_hat, v_star=v_star,
+        grid=spec.grid, eta=eta_path, rho_hat=rho_hat, v_star=v_star,
         value_integral=w_path, range_ok=range_ok, range_report=report,
     )
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cli import write_problem
 from .model import Generator, ProblemSpec, TimeGrid
+from .problemfile import write_problem
 
 __all__ = [
     "scalar_benchmark",

@@ -75,7 +75,7 @@ def pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cutoff = rel_tol * np.max(s, axis=-1, keepdims=True)
-    inv_s = np.where(s > cutoff, np.divide(1.0, s, where=s > 0), 0.0)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return np.swapaxes(vt, -1, -2) @ (inv_s[..., None] * np.swapaxes(u, -1, -2))
 
 

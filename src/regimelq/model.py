@@ -289,6 +289,15 @@ def coeff_at(spec: ProblemSpec, t: float, i: int) -> CoeffAt:
     return CoeffAt(t=t, regime=i, **vals)
 
 
+def _hats(bk, dk, ck, sk, rk, p):
+    """Stacked (B^T P + D^T P C + S, sym(R + D^T P D)) over leading axes."""
+    bt_p = np.swapaxes(bk, -1, -2) @ p
+    dt_p = np.swapaxes(dk, -1, -2) @ p
+    s_hat = bt_p + dt_p @ ck + sk
+    r_hat = symmetrize(rk + dt_p @ dk)
+    return s_hat, r_hat
+
+
 def hat_terms(co: CoeffAt, p_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gain-side composites of the weights with a quadratic-value matrix P.
 
@@ -296,9 +305,7 @@ def hat_terms(co: CoeffAt, p_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetrized exactly.
     """
     p = matcore.as_matrix(p_i, rows=co.A.shape[0], cols=co.A.shape[0])
-    s_hat = co.B.T @ p + co.D.T @ p @ co.C + co.S
-    r_hat = symmetrize(co.R + co.D.T @ p @ co.D)
-    return s_hat, r_hat
+    return _hats(co.B, co.D, co.C, co.S, co.R, p)
 
 
 def validate(spec: ProblemSpec) -> list[str]:

@@ -1,12 +1,15 @@
 """Backward sweeps for the coupled per-regime matrix ODE systems.
 
-Two equations share one integrator core: the quadratic Riccati system
-(with the pseudo-inverse gain term) and the linear Lyapunov system for a
-frozen feedback gain.  Both run classic fixed-step RK4 backward from the
-terminal weights, all regimes advanced together because the generator
-couples them; iterates are re-symmetrized every step.  A constructive
-fixed-point iteration (repeated Lyapunov solves through the current gain)
-provides an independent route to the strongly regular solution.
+Every backward system of the package (the quadratic Riccati system with
+the pseudo-inverse gain term, the linear Lyapunov system for a frozen
+feedback gain, and the affine offset and value-integral systems) runs
+through one classic fixed-step RK4 core, :func:`rk4_backward`, from the
+terminal data, all regimes advanced together because the generator
+couples them; the matrix right-hand sides are exactly symmetric, so the
+iterates stay symmetric from a symmetric terminal value.  A
+constructive fixed-point iteration (repeated Lyapunov solves through the
+current gain) provides an independent route to the strongly regular
+solution.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import symmetrize
-from .model import CoeffAt, ProblemSpec, TimeGrid, interp_nodes
+from .model import CoeffAt, ProblemSpec, TimeGrid, _hats, interp_nodes
 
 __all__ = [
     "DivergenceError",
@@ -28,6 +31,7 @@ __all__ = [
     "RiccatiSolution",
     "solve_lyapunov",
     "riccati_rhs",
+    "rk4_backward",
     "solve_riccati_direct",
     "iterate_strongly_regular",
 ]
@@ -111,6 +115,7 @@ class RiccatiSolution:
     classification: Classification
     pinv_tol: float
     iteration_trace: list[float] | None = None
+    iterates: list[np.ndarray] | None = None  # fixed-point iterates, on request
 
     def value_matrix_at(self, t: float, i: int) -> np.ndarray:
         return interp_nodes(self.P, self.grid, t)[i]
@@ -130,25 +135,15 @@ def riccati_rhs(
 
     ``p_all`` stacks the current matrices of every regime (the generator
     row couples them); the quadratic term uses the pseudo-inverse of the
-    control weight composite.
+    control weight composite.  A single-regime view of the stacked RHS;
+    every regime's matrix is validated (finite, square).
     """
-    p_all = np.asarray(p_all, dtype=float)
-    p = matcore.sym_matrix(p_all[i])
-    s_hat = co.B.T @ p + co.D.T @ p @ co.C + co.S
-    r_hat = symmetrize(co.R + co.D.T @ p @ co.D)
-    coupling = np.einsum("k,kab->ab", np.asarray(lambda_row, dtype=float), p_all)
-    lin = p @ co.A + co.A.T @ p + co.C.T @ p @ co.C + co.Q + coupling
-    quad = s_hat.T @ (matcore.pinv(r_hat, pinv_tol) @ s_hat)
-    return symmetrize(quad - lin)
-
-
-def _hats(bk, dk, ck, sk, rk, p):
-    """Stacked (B^T P + D^T P C + S, sym(R + D^T P D)) over regimes."""
-    bt_p = np.swapaxes(bk, -1, -2) @ p
-    dt_p = np.swapaxes(dk, -1, -2) @ p
-    s_hat = bt_p + dt_p @ ck + sk
-    r_hat = symmetrize(rk + dt_p @ dk)
-    return s_hat, r_hat
+    p_all = np.stack([matcore.sym_matrix(p) for p in np.asarray(p_all, dtype=float)])
+    d = p_all.shape[0]
+    coef = [np.broadcast_to(a, (d, *a.shape))
+            for a in (co.A, co.B, co.C, co.D, co.Q, co.S, co.R)]
+    lam = np.broadcast_to(np.asarray(lambda_row, dtype=float), (d, d))
+    return _rhs_stack((*coef, lam), p_all, pinv_tol)[i]
 
 
 def _rhs_stack(coef, p, pinv_tol, theta=None):
@@ -172,41 +167,40 @@ def _rhs_stack(coef, p, pinv_tol, theta=None):
     return symmetrize(-(lin + gain_terms))
 
 
-def _coef_tables(spec: ProblemSpec):
-    """Node and midpoint samples of the fields the sweeps need."""
+def _sweep_coefs(spec: ProblemSpec) -> list[np.ndarray]:
+    """Node tables of the fields the matrix sweeps need, in _rhs_stack order."""
     names = ("A", "B", "C", "D", "Q", "S", "R")
-    node = [getattr(spec, f) for f in names] + [spec.gen.rates]
-    mid = [0.5 * (a[:-1] + a[1:]) for a in node]
-    return node, mid
+    return [getattr(spec, f) for f in names] + [spec.gen.rates]
 
 
-def _sweep_backward(spec: ProblemSpec, pinv_tol: float, theta: np.ndarray | None):
-    """RK4 backward pass shared by the quadratic and linear systems."""
-    grid = spec.grid
-    n_steps = grid.steps
-    h = grid.h
-    node, mid = _coef_tables(spec)
-    if theta is not None:
-        theta_mid = 0.5 * (theta[:-1] + theta[1:])
+def rk4_backward(rhs, terminal, tables, grid: TimeGrid) -> np.ndarray:
+    """Classic RK4 from ``terminal`` at T back to t0 over every grid step.
 
-    p_path = np.empty((n_steps + 1, spec.n_regimes, spec.n, spec.n))
-    p_path[n_steps] = spec.G
-    p = spec.G.copy()
+    ``rhs(coef, y)`` is the time derivative of ``y``; ``coef`` is a tuple
+    with one sample of each node table in ``tables`` (each shaped
+    ``(N + 1, ...)``): the node sample at an end of the step, or the
+    midpoint average inside it.  Returns the path, shape
+    ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
+    ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node.
+    """
+    n_steps, h = grid.steps, grid.h
+    mid = [0.5 * (a[:-1] + a[1:]) for a in tables]
+    y = np.array(terminal, dtype=float)
+    path = np.empty((n_steps + 1, *y.shape))
+    path[n_steps] = y
     for k in range(n_steps - 1, -1, -1):
-        c_lo = tuple(a[k] for a in node)
+        c_lo = tuple(a[k] for a in tables)
         c_mid = tuple(a[k] for a in mid)
-        c_hi = tuple(a[k + 1] for a in node)
-        th = (None, None, None) if theta is None else (
-            theta[k], theta_mid[k], theta[k + 1])
-        k1 = _rhs_stack(c_hi, p, pinv_tol, th[2])
-        k2 = _rhs_stack(c_mid, p - 0.5 * h * k1, pinv_tol, th[1])
-        k3 = _rhs_stack(c_mid, p - 0.5 * h * k2, pinv_tol, th[1])
-        k4 = _rhs_stack(c_lo, p - h * k3, pinv_tol, th[0])
-        p = symmetrize(p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.all(np.isfinite(p)) or np.max(np.abs(p)) > BLOWUP_LIMIT:
+        c_hi = tuple(a[k + 1] for a in tables)
+        k1 = rhs(c_hi, y)
+        k2 = rhs(c_mid, y - 0.5 * h * k1)
+        k3 = rhs(c_mid, y - 0.5 * h * k2)
+        k4 = rhs(c_lo, y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
             raise DivergenceError(k, grid.nodes()[k])
-        p_path[k] = p
-    return p_path
+        path[k] = y
+    return path
 
 
 def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> LyapunovSolution:
@@ -221,7 +215,10 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> Lyapun
     want = (spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n)
     if theta.shape != want:
         raise matcore.InvalidInputError(f"theta shape {theta.shape} != {want}")
-    p_path = _sweep_backward(spec, DEFAULT_PINV_TOL, theta)
+    p_path = rk4_backward(
+        lambda c, p: _rhs_stack(c[:-1], p, DEFAULT_PINV_TOL, c[-1]),
+        spec.G, [*_sweep_coefs(spec), theta], spec.grid,
+    )
     return LyapunovSolution(grid=spec.grid, P=p_path)
 
 
@@ -271,7 +268,7 @@ def _classify(
 
 
 def _build_solution(
-    spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol, trace=None,
+    spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
 ) -> RiccatiSolution:
     s_hat, r_hat, r_hat_pinv, theta, min_eig = _derived_tables(spec, p_path, pinv_tol)
     cls = _classify(s_hat, r_hat, r_hat_pinv, min_eig, strong_tol, psd_tol, range_tol)
@@ -279,6 +276,7 @@ def _build_solution(
         grid=spec.grid, P=p_path, S_hat=s_hat, R_hat=r_hat,
         R_hat_pinv=r_hat_pinv, Theta=theta, min_eig_R_hat=min_eig,
         classification=cls, pinv_tol=pinv_tol, iteration_trace=trace,
+        iterates=iterates,
     )
 
 
@@ -296,7 +294,10 @@ def solve_riccati_direct(
     indefinite problems raises :class:`DivergenceError` rather than
     propagating non-finite values into the classification.
     """
-    p_path = _sweep_backward(spec, pinv_tol, None)
+    p_path = rk4_backward(
+        lambda c, p: _rhs_stack(c, p, pinv_tol),
+        spec.G, _sweep_coefs(spec), spec.grid,
+    )
     return _build_solution(spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol)
 
 
@@ -319,7 +320,7 @@ def iterate_strongly_regular(
     aborts with :class:`NotStronglyRegularError`.
 
     When ``keep_iterates`` is set, all iterates are retained on the
-    returned solution as ``iterates`` (a plain attribute) for diagnosis.
+    returned solution as ``iterates`` for diagnosis (None otherwise).
     """
     p_n = solve_lyapunov(spec).P
     trace: list[float] = []
@@ -341,10 +342,8 @@ def iterate_strongly_regular(
             iterates.append(p_next)
         p_n = p_next
         if delta < conv_tol:
-            sol = _build_solution(
-                spec, p_n, pinv_tol, strong_tol, psd_tol, range_tol, trace=trace
+            return _build_solution(
+                spec, p_n, pinv_tol, strong_tol, psd_tol, range_tol,
+                trace=trace, iterates=iterates,
             )
-            if keep_iterates:
-                object.__setattr__(sol, "iterates", iterates)
-            return sol
     raise NonConvergenceError(len(trace), trace[-1] if trace else float("nan"))

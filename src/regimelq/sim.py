@@ -238,35 +238,20 @@ def _gather(field: np.ndarray, k: int, reg: np.ndarray) -> np.ndarray:
     return field[k][reg]
 
 
-def _integrate_open_loop(spec, alpha, u, x0, dw, k0=0):
-    """Euler-Maruyama under given control samples; returns X (P, N+1, n)."""
-    n_paths, n_steps = dw.shape
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, spec.n)).copy()
-    xs = np.zeros((n_paths, n_steps + 1, spec.n))
-    xs[:, k0] = x
-    h = spec.grid.h
+def _open_loop_table(spec: ProblemSpec, u) -> np.ndarray:
+    """Per-node control samples (N + 1, m) as a regime-broadcast offset
+    table (N + 1, D, m), so that u = v runs through the feedback
+    integrator with no gain."""
     u = np.asarray(u, dtype=float)
-    for k in range(k0, n_steps):
-        reg = alpha[:, k]
-        uk = np.broadcast_to(u[k] if u.ndim == 2 else u[:, k], (n_paths, spec.m))
-        drift = np.einsum("pij,pj->pi", _gather(spec.A, k, reg), x)
-        drift += np.einsum("pij,pj->pi", _gather(spec.B, k, reg), uk)
-        drift += _gather(spec.b, k, reg)
-        diff = np.einsum("pij,pj->pi", _gather(spec.C, k, reg), x)
-        diff += np.einsum("pij,pj->pi", _gather(spec.D, k, reg), uk)
-        diff += _gather(spec.sigma, k, reg)
-        x = x + h * drift + dw[:, k, None] * diff
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > BLOWUP_LIMIT:
-            raise DivergenceError(k + 1, spec.grid.nodes()[k + 1])
-        xs[:, k + 1] = x
-    return xs
+    return np.broadcast_to(u[:, None, :], (u.shape[0], spec.n_regimes, spec.m))
 
 
 def _integrate_policy(spec, alpha, theta, v, x0, dw, k0=0):
-    """Euler-Maruyama under the feedback law u = theta x + v.
+    """Euler-Maruyama under the affine control u = theta x + v.
 
-    ``theta``/``v`` are node- and regime-indexed tables; returns the state
-    and the realized controls.
+    ``theta``/``v`` are node- and regime-indexed tables; ``theta`` None is
+    open loop (u = v, see :func:`_open_loop_table`).  Returns the state
+    (P, N + 1, n) and the realized controls (P, N + 1, m).
     """
     n_paths, n_steps = dw.shape
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, spec.n)).copy()
@@ -274,10 +259,17 @@ def _integrate_policy(spec, alpha, theta, v, x0, dw, k0=0):
     us = np.zeros((n_paths, n_steps + 1, spec.m))
     xs[:, k0] = x
     h = spec.grid.h
-    for k in range(k0, n_steps):
-        reg = alpha[:, k]
+
+    def control(k, reg, x):
+        if theta is None:
+            return _gather(v, k, reg)
         uk = np.einsum("pij,pj->pi", _gather(theta, k, reg), x)
         uk += _gather(v, k, reg)
+        return uk
+
+    for k in range(k0, n_steps):
+        reg = alpha[:, k]
+        uk = control(k, reg, x)
         us[:, k] = uk
         drift = np.einsum("pij,pj->pi", _gather(spec.A, k, reg), x)
         drift += np.einsum("pij,pj->pi", _gather(spec.B, k, reg), uk)
@@ -286,13 +278,10 @@ def _integrate_policy(spec, alpha, theta, v, x0, dw, k0=0):
         diff += np.einsum("pij,pj->pi", _gather(spec.D, k, reg), uk)
         diff += _gather(spec.sigma, k, reg)
         x = x + h * drift + dw[:, k, None] * diff
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > BLOWUP_LIMIT:
+        if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
             raise DivergenceError(k + 1, spec.grid.nodes()[k + 1])
         xs[:, k + 1] = x
-    reg = alpha[:, n_steps]
-    us[:, n_steps] = np.einsum(
-        "pij,pj->pi", _gather(theta, n_steps, reg), x
-    ) + _gather(v, n_steps, reg)
+    us[:, n_steps] = control(n_steps, alpha[:, n_steps], x)
     return xs, us
 
 
@@ -322,22 +311,15 @@ def _cost_batch(spec, alpha, xs, us, k0=0):
 def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None, dw=None) -> StatePath:
     """Integrate one state path under given control samples per node."""
     u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    if dw is None:
-        dw = brownian_increments(spec.grid, rng, 1)
-    else:
-        dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
-    xs = _integrate_open_loop(spec, chain.alpha[None, :], u, x0, dw)
-    return StatePath(
-        grid=spec.grid, x0=np.asarray(x0, dtype=float),
-        X=xs[0], u=u.copy(), dw=dw[0],
-    )
+    return simulate_policy(spec, chain, None, _open_loop_table(spec, u), x0, rng, dw)
 
 
 def simulate_policy(
-    spec: ProblemSpec, chain: ChainPath, theta: np.ndarray, v: np.ndarray,
+    spec: ProblemSpec, chain: ChainPath, theta: np.ndarray | None, v: np.ndarray,
     x0, rng=None, dw=None,
 ) -> StatePath:
-    """Integrate one state path under a node/regime-indexed feedback law."""
+    """Integrate one state path under a node/regime-indexed feedback law
+    (``theta`` None: open loop u = v)."""
     if dw is None:
         dw = brownian_increments(spec.grid, rng, 1)
     else:
@@ -384,14 +366,11 @@ def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float
     )
 
 
-def _batch_ranges(n_paths: int):
-    starts = range(0, n_paths, BATCH_PATHS)
-    return [(b, min(b + BATCH_PATHS, n_paths) - b) for b in starts]
-
-
 def _run_batched(worker, n_paths: int, threads: int = 1):
-    """Run seed-addressed batch workers; reduce in batch order."""
-    batches = _batch_ranges(n_paths)
+    """Run seed-addressed batch workers ``worker(batch_start, size)`` over
+    ``BATCH_PATHS``-path batches; results come back in batch order."""
+    starts = range(0, n_paths, BATCH_PATHS)
+    batches = [(b, min(b + BATCH_PATHS, n_paths) - b) for b in starts]
     if threads <= 1 or len(batches) == 1:
         return [worker(b, size) for b, size in batches]
     with ThreadPoolExecutor(max_workers=threads) as pool:

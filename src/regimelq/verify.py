@@ -21,12 +21,12 @@ from .affine import AffineSolution, value_function
 from .model import ProblemSpec
 from .riccati import RiccatiSolution, solve_lyapunov
 from .sim import (
-    BATCH_PATHS,
     ChainPath,
     StatePath,
     _cost_batch,
-    _integrate_open_loop,
     _integrate_policy,
+    _open_loop_table,
+    _run_batched,
     _sample_regime_paths,
     brownian_increments,
     feynman_kac_M0,
@@ -150,11 +150,6 @@ def stationarity_residual(
     return res
 
 
-def _crn_worker_batches(n_paths: int):
-    starts = range(0, n_paths, BATCH_PATHS)
-    return [(b, min(b + BATCH_PATHS, n_paths) - b) for b in starts]
-
-
 def frechet_gradient_check(
     spec: ProblemSpec,
     t0: float,
@@ -165,6 +160,7 @@ def frechet_gradient_check(
     epsilons,
     n_paths: int,
     rng_seed: int,
+    threads: int = 1,
 ) -> VerificationReport:
     """Quadratic-expansion check of the cost along a control direction.
 
@@ -184,24 +180,22 @@ def frechet_gradient_check(
         sorted({0.0} | {e for e in e_pos} | {-e for e in e_pos})
     )
     hspec = spec.homogeneous()
+    v_tab, zero = _open_loop_table(hspec, v), np.zeros(spec.n)
 
-    cost_blocks, j0_blocks = [], []
-    for batch_start, size in _crn_worker_batches(n_paths):
+    def worker(batch_start, size):
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
         block = np.empty((size, eps_grid.size))
         for j, eps in enumerate(eps_grid):
-            xs = _integrate_open_loop(spec, alpha, u + eps * v, x0, dw, k0)
-            us = np.broadcast_to(u + eps * v, (size, *u.shape))
+            u_eps = _open_loop_table(spec, u + eps * v)
+            xs, us = _integrate_policy(spec, alpha, None, u_eps, x0, dw, k0)
             block[:, j] = _cost_batch(spec, alpha, xs, us, k0)
-        cost_blocks.append(block)
-        xs0 = _integrate_open_loop(hspec, alpha, v, np.zeros(spec.n), dw, k0)
-        j0_blocks.append(
-            _cost_batch(hspec, alpha, xs0, np.broadcast_to(v, (size, *v.shape)), k0)
-        )
-    costs = np.concatenate(cost_blocks)
-    j0 = np.concatenate(j0_blocks)
+        xs, us = _integrate_policy(hspec, alpha, None, v_tab, zero, dw, k0)
+        return block, _cost_batch(hspec, alpha, xs, us, k0)
+
+    blocks = _run_batched(worker, n_paths, threads)
+    costs, j0 = (np.concatenate(part) for part in zip(*blocks))
 
     means = costs.mean(axis=0)
     coef = np.polyfit(eps_grid, means, 2)
@@ -251,6 +245,7 @@ def convexity_probe(
     n_controls: int,
     n_paths: int,
     rng_seed: int,
+    threads: int = 1,
 ) -> VerificationReport:
     """Uniform-convexity probe of the homogeneous cost at zero state.
 
@@ -264,6 +259,7 @@ def convexity_probe(
     h = spec.grid.h
     ratios = np.empty(n_controls)
     ses = np.empty(n_controls)
+    zero = np.zeros(spec.n)
     for c in range(n_controls):
         crng = np.random.default_rng([rng_seed, 31337, c])
         u = crng.normal(size=(n_nodes, spec.m))
@@ -271,17 +267,16 @@ def convexity_probe(
         sq = np.einsum("ki,ki->k", u, u)
         energy = h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1]))
         u /= np.sqrt(energy)
+        u_tab = _open_loop_table(hspec, u)
 
-        blocks = []
-        for batch_start, size in _crn_worker_batches(n_paths):
+        def worker(batch_start, size):
             rng = np.random.default_rng([rng_seed, c, batch_start])
             alpha = _sample_regime_paths(hspec.gen, hspec.grid, i0, size, rng, k0)
             dw = brownian_increments(hspec.grid, rng, size, k0)
-            xs = _integrate_open_loop(hspec, alpha, u, np.zeros(spec.n), dw, k0)
-            blocks.append(
-                _cost_batch(hspec, alpha, xs, np.broadcast_to(u, (size, *u.shape)), k0)
-            )
-        vals = np.concatenate(blocks)
+            xs, us = _integrate_policy(hspec, alpha, None, u_tab, zero, dw, k0)
+            return _cost_batch(hspec, alpha, xs, us, k0)
+
+        vals = np.concatenate(_run_batched(worker, n_paths, threads))
         ratios[c] = vals.mean()
         ses[c] = vals.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
 
@@ -309,6 +304,7 @@ def value_consistency(
     n_perturbations: int = 5,
     perturbation_scale: float = 0.5,
     perturbation_paths: int | None = None,
+    threads: int = 1,
 ) -> VerificationReport:
     """Closed-loop value agreement plus no-improvement under perturbations.
 
@@ -320,7 +316,7 @@ def value_consistency(
     k0 = spec.grid.node_index(t0)
     report = VerificationReport()
 
-    est = mc_value(spec, ric, aff, t0, i0, x0, n_paths, rng_seed)
+    est = mc_value(spec, ric, aff, t0, i0, x0, n_paths, rng_seed, threads)
     v_fn = value_function(ric, aff, t0, i0, x0)
     budget = euler_bias_budget(spec.grid.h, scale=v_fn)
     report.add(
@@ -342,17 +338,16 @@ def value_consistency(
         theta_p = ric.Theta + d_theta
         v_p = aff.v_star + d_v
 
-        diffs = []
-        for batch_start, size in _crn_worker_batches(pert_paths):
+        def worker(batch_start, size):
             rng = np.random.default_rng([rng_seed, 888, p_id, batch_start])
             alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
             dw = brownian_increments(spec.grid, rng, size, k0)
             xs, us = _integrate_policy(spec, alpha, ric.Theta, aff.v_star, x0, dw, k0)
             base = _cost_batch(spec, alpha, xs, us, k0)
             xs, us = _integrate_policy(spec, alpha, theta_p, v_p, x0, dw, k0)
-            pert = _cost_batch(spec, alpha, xs, us, k0)
-            diffs.append(pert - base)
-        diff = np.concatenate(diffs)
+            return _cost_batch(spec, alpha, xs, us, k0) - base
+
+        diff = np.concatenate(_run_batched(worker, pert_paths, threads))
         gap = float(diff.mean())
         if pert_paths > 1 and not np.all(diff == diff[0]):
             se = float(diff.std(ddof=1) / np.sqrt(pert_paths))
@@ -371,10 +366,11 @@ def m0_crosscheck(
     i0: int,
     n_paths: int,
     rng_seed: int,
+    threads: int = 1,
 ) -> VerificationReport:
     """Path-functional vs backward-ODE form of the zero-control value matrix."""
     k0 = spec.grid.node_index(t0)
-    fk = feynman_kac_M0(spec, t0, i0, n_paths, rng_seed)
+    fk = feynman_kac_M0(spec, t0, i0, n_paths, rng_seed, threads)
     ode = solve_lyapunov(spec).P[k0, i0]
     budget = euler_bias_budget(
         spec.grid.h, scale=float(np.abs(ode).max())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regimelq import benchmarks
-from regimelq.affine import feedback_at, solve_eta, value_function
+from regimelq.affine import RangeConditionError, feedback_at, solve_eta, value_function
 from regimelq.model import Generator, GridRangeError, TimeGrid
 from regimelq.riccati import solve_riccati_direct
 
@@ -85,6 +85,15 @@ def test_range_condition_holds_when_strongly_regular():
     ric, aff = _solved(spec)
     assert ric.classification.kind == "strongly_regular"
     assert aff.range_ok and aff.range_report is None
+
+
+def test_range_failure_on_strongly_regular_solution_raises_typed_error():
+    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    ric = solve_riccati_direct(spec)
+    assert ric.classification.kind == "strongly_regular"
+    broken = dataclasses.replace(ric, R_hat_pinv=np.zeros_like(ric.R_hat_pinv))
+    with pytest.raises(RangeConditionError, match="strongly regular"):
+        solve_eta(spec, broken)
 
 
 def test_feedback_zero_state_homogeneous():

@@ -1,9 +1,12 @@
 """Problem-file round trip, CLI exit codes, output files, reproducibility."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
+from regimelq import affine, benchmarks, riccati
 from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
 
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
@@ -26,8 +29,6 @@ def test_round_trip_time_varying_field(tmp_path):
     spec = benchmarks.scalar_benchmark(steps=8)
     a_var = spec.A.copy()
     a_var[:, 0, 0, 0] = np.linspace(0.0, 1.0, 9)
-    import dataclasses
-
     spec = dataclasses.replace(spec, A=a_var)
     path = tmp_path / "varying.yaml"
     write_problem(path, spec)
@@ -84,8 +85,6 @@ def test_solve_writes_outputs_and_exits_zero(tmp_path):
 
 
 def test_solve_zero_weight_problem_writes_zero_columns(tmp_path):
-    import dataclasses
-
     spec = benchmarks.scalar_benchmark(steps=20)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
     problem = tmp_path / "zero.yaml"
@@ -210,3 +209,50 @@ def test_verify_reproducible_bodies(tmp_path):
         outs.append(out)
     for name in ("verification.csv", "riccati.csv", "affine.csv"):
         assert _non_comment_bytes(outs[0] / name) == _non_comment_bytes(outs[1] / name)
+
+
+def test_verify_threads_do_not_change_bodies(tmp_path):
+    # 4200 paths is two batches, so threads=2 runs them concurrently
+    problem = Path(__file__).resolve().parents[1] / "problems" / "standard.yaml"
+    codes, bodies = [], []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        codes.append(
+            main(_args("verify", problem, out, steps=50, paths=4200, seed=3,
+                       threads=threads))
+        )
+        bodies.append(_non_comment_bytes(out / "verification.csv"))
+    assert codes[0] == codes[1]
+    assert bodies[0] == bodies[1]
+
+
+def test_offset_range_failure_exit_code(tmp_path, monkeypatch, capsys):
+    real_solve = riccati.solve_riccati_direct
+
+    def solve_with_zero_pinv(spec, **kw):
+        sol = real_solve(spec, **kw)
+        return dataclasses.replace(sol, R_hat_pinv=np.zeros_like(sol.R_hat_pinv))
+
+    monkeypatch.setattr(riccati, "solve_riccati_direct", solve_with_zero_pinv)
+    problem = tmp_path / "tworeg.yaml"
+    benchmarks.write_example(problem, "two_regime")
+    assert main(_args("solve", problem, tmp_path / "out", steps=50)) == 2
+    err = capsys.readouterr().err
+    assert "range condition fails" in err
+    assert "Traceback" not in err
+    verdict = (tmp_path / "out" / "classification.txt").read_text()
+    assert verdict.startswith("not_regular: ")
+    assert "range condition fails" in verdict
+    assert not (tmp_path / "out" / "affine.csv").exists()
+
+
+def test_offset_divergence_recorded_in_classification(tmp_path, monkeypatch):
+    def diverging_eta(spec, sol):
+        raise riccati.DivergenceError(7, 0.25)
+
+    monkeypatch.setattr(affine, "solve_eta", diverging_eta)
+    problem = tmp_path / "scalar.yaml"
+    benchmarks.write_example(problem, "scalar")
+    assert main(_args("solve", problem, tmp_path / "out", steps=50)) == 3
+    verdict = (tmp_path / "out" / "classification.txt").read_text()
+    assert verdict.startswith("divergent: integration diverged at node 7")

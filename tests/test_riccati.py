@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from regimelq import benchmarks
+from regimelq.matcore import InvalidInputError
 from regimelq.model import Generator, TimeGrid, coeff_at
 from regimelq.riccati import (
     DivergenceError,
     NotStronglyRegularError,
     iterate_strongly_regular,
     riccati_rhs,
+    rk4_backward,
     solve_lyapunov,
     solve_riccati_direct,
 )
@@ -59,6 +61,20 @@ def test_rhs_all_zero_data():
     co = coeff_at(spec, 0.0, 0)
     got = riccati_rhs(co, np.zeros((1, 1, 1)), 0, np.array([0.0]))
     assert np.array_equal(got, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("regime", [0, 1])
+def test_rhs_rejects_non_finite_matrix(bad, regime):
+    # D = 0 keeps the control weight composite finite, so only the input
+    # check can catch the bad entry
+    spec = benchmarks.two_regime_standard(steps=4)
+    spec = dataclasses.replace(spec, D=np.zeros_like(spec.D))
+    co = coeff_at(spec, 0.25, 0)
+    p_all = np.stack([np.eye(2), np.eye(2)])
+    p_all[regime, 0, 1] = bad
+    with pytest.raises(InvalidInputError):
+        riccati_rhs(co, p_all, 0, spec.gen.rates[0, 0])
 
 
 # ---------------------------------------------------------- lyapunov
@@ -150,14 +166,28 @@ def test_direct_terminal_and_symmetry():
 
 
 def test_direct_rk4_order_on_oracle():
+    # against P(t) = 1/(1 + T - t), each halving of the step must divide
+    # the sup-norm error by about 2^4 (observed order 4)
     errs = []
-    for steps in (40, 80):
+    for steps in (10, 20, 40, 80):
         spec = benchmarks.scalar_benchmark(steps=steps)
         sol = solve_riccati_direct(spec)
         want = benchmarks.scalar_benchmark_solution(spec.grid.nodes())
         errs.append(np.abs(sol.P[:, 0, 0, 0] - want).max())
-    ratio = errs[0] / errs[1]
-    assert 8.0 < ratio < 32.0
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
+
+
+def test_rk4_backward_guards_every_sweep():
+    grid = TimeGrid(0.0, 1.0, 200)
+    # dy/dt = -y^2 from y(T) = 4 escapes backward at t = T - 1/4
+    with pytest.raises(DivergenceError) as err:
+        rk4_backward(lambda c, y: -y * y, np.array([4.0]), [], grid)
+    assert abs(err.value.t - 0.75) < 0.01
+    # a non-finite derivative is caught on the first step
+    with pytest.raises(DivergenceError) as err:
+        rk4_backward(lambda c, y: np.full_like(y, np.nan), np.zeros(3), [], grid)
+    assert err.value.node == grid.steps - 1
 
 
 def test_direct_blowup_reports_first_bad_node():
@@ -184,6 +214,7 @@ def test_iteration_scalar_matches_analytic():
     assert np.abs(sol.P[:, 0, 0, 0] - want).max() <= 1e-8
     deltas = sol.iteration_trace
     assert all(d1 > d2 for d1, d2 in zip(deltas, deltas[1:]))
+    assert sol.iterates is None
     assert np.array_equal(sol.P[-1], spec.G)
     assert np.array_equal(sol.P, np.swapaxes(sol.P, -1, -2))
 

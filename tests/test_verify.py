@@ -145,7 +145,12 @@ def test_convexity_flags_negative_control_weight():
 
 def test_homogeneous_cost_scales_quadratically_in_control():
     # underlying scale invariance of the probe's cost-to-energy ratio
-    from regimelq.sim import _cost_batch, _integrate_open_loop, _sample_regime_paths
+    from regimelq.sim import (
+        _cost_batch,
+        _integrate_policy,
+        _open_loop_table,
+        _sample_regime_paths,
+    )
 
     spec = benchmarks.two_regime_standard(steps=50).homogeneous()
     rng = np.random.default_rng(6)
@@ -154,8 +159,8 @@ def test_homogeneous_cost_scales_quadratically_in_control():
     dw = brownian_increments(spec.grid, np.random.default_rng(8), 100)
     costs = []
     for scale in (1.0, 3.0):
-        xs = _integrate_open_loop(spec, alpha, scale * u, np.zeros(2), dw)
-        us = np.broadcast_to(scale * u, (100, 51, 1))
+        table = _open_loop_table(spec, scale * u)
+        xs, us = _integrate_policy(spec, alpha, None, table, np.zeros(2), dw)
         costs.append(_cost_batch(spec, alpha, xs, us))
     assert np.abs(costs[1] - 9.0 * costs[0]).max() <= 1e-10 * np.abs(costs[1]).max()
 
