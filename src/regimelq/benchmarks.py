@@ -15,6 +15,7 @@ from .problemfile import write_problem
 __all__ = [
     "scalar_benchmark",
     "scalar_blowup",
+    "state_blowup",
     "negative_r",
     "two_regime_standard",
     "two_regime_inhomogeneous",
@@ -57,6 +58,21 @@ def scalar_blowup(steps: int = 1000, g_term: float = 4.0) -> ProblemSpec:
     gen = Generator.constant([[0.0]], grid)
     return ProblemSpec.from_regimes(
         grid, gen, A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=-1.0, G=g_term,
+    )
+
+
+def state_blowup(steps: int = 100) -> ProblemSpec:
+    """Scalar instance whose state escapes in forward simulation.
+
+    No weight on the state, so the backward solve is exactly zero and
+    the optimal control is u = 0; the uncontrolled drift 40 x then
+    grows past the blow-up limit before T, and Monte-Carlo simulation
+    must abort with a divergence error naming the first bad node.
+    """
+    grid = TimeGrid(0.0, 1.0, steps)
+    gen = Generator.constant([[0.0]], grid)
+    return ProblemSpec.from_regimes(
+        grid, gen, A=40.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=1.0, G=0.0,
     )
 
 

@@ -3,10 +3,11 @@
 Problem files are YAML; the schema is documented in
 :mod:`regimelq.problemfile`.
 
-Exit codes: 0 success, 1 problem-file/validation error, 2 solution not
-regular (or the iteration certifies non-convexity, or the offset breaks
-the range condition of a strongly regular solution), 3 integration
-divergence, 4 verification failure.
+Exit codes: 0 success, 1 problem-file/validation error or a run argument
+that does not fit the problem, 2 solution not regular (or the iteration
+certifies non-convexity, or the offset breaks the range condition of a
+strongly regular solution), 3 integration divergence, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def _load_and_solve(args):
     spec, _ = parse_problem(args.problem)
     if args.steps:
         spec = spec.with_steps(args.steps)
+    bad = _run_args_error(args, spec)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return spec, None, None, EXIT_PARSE
 
     try:
         if args.command == "iterate":
@@ -134,6 +139,22 @@ def _load_and_solve(args):
         return _solve_failed(out, spec, sol, "not_regular", exc, EXIT_NOT_REGULAR)
     _write_affine_csv(out, args, spec, aff)
     return spec, sol, aff, EXIT_OK
+
+
+def _run_args_error(args, spec) -> str | None:
+    """Why the Monte-Carlo arguments of simulate/verify do not fit the
+    problem, or None."""
+    if args.command not in ("simulate", "verify"):
+        return None
+    if args.x0 is not None and len(args.x0) != spec.n:
+        return f"--x0 has {len(args.x0)} entries, the problem has n = {spec.n}"
+    if not 1 <= args.i0 <= spec.n_regimes:
+        return f"--i0 {args.i0} is not a regime in 1..{spec.n_regimes}"
+    if args.paths < 1:
+        return f"--paths must be at least 1, got {args.paths}"
+    if args.command == "verify" and args.controls < 1:
+        return f"--controls must be at least 1, got {args.controls}"
+    return None
 
 
 def _solve_failed(out: Path, spec, sol, verdict: str, exc, code: int):

@@ -7,6 +7,17 @@ effect at the next grid node for the state integrator, consistent with
 the Euler-Maruyama order.  Batched internals carry all paths as leading
 axes; path streams are addressed by (seed, batch) so reductions are
 deterministic regardless of scheduling.
+
+Under an affine control u = Θx + v the drift, the diffusion and the
+running cost are affine or quadratic in the augmented state x̄ = [x, 1].
+Each Monte-Carlo call therefore builds, once, per-node tables that hold
+every regime's blocks side by side (:func:`_closed_loop_tables`; open
+loop is Θ = 0).  One Euler step is then one product x̄ W[k] for all
+paths and all regimes, a row select on the path's regime, and the
+trapezoidal cost added in the loop.  The estimators keep no
+trajectories, only per-path costs; states are recorded only for the
+single paths of :func:`simulate_policy`.  Since each step multiplies by
+every regime's block, its cost grows with the number of regimes D.
 """
 
 from __future__ import annotations
@@ -234,78 +245,118 @@ def _sample_regime_paths(
     return alpha
 
 
-def _gather(field: np.ndarray, k: int, reg: np.ndarray) -> np.ndarray:
-    return field[k][reg]
-
-
 def _open_loop_table(spec: ProblemSpec, u) -> np.ndarray:
-    """Per-node control samples (N + 1, m) as a regime-broadcast offset
-    table (N + 1, D, m), so that u = v runs through the feedback
-    integrator with no gain."""
+    """Per-node control samples (..., N + 1, m) as a regime-broadcast
+    offset table (..., N + 1, D, m), so that u = v runs through the
+    feedback tables with no gain."""
     u = np.asarray(u, dtype=float)
-    return np.broadcast_to(u[:, None, :], (u.shape[0], spec.n_regimes, spec.m))
+    shape = (*u.shape[:-1], spec.n_regimes, spec.m)
+    return np.broadcast_to(u[..., None, :], shape)
 
 
-def _integrate_policy(spec, alpha, theta, v, x0, dw, k0=0):
-    """Euler-Maruyama under the affine control u = theta x + v.
+def _running_form(spec: ProblemSpec) -> np.ndarray:
+    """Running cost as a quadratic form in z = [x, u, 1], (N + 1, D, l, l)
+    with l = n + m + 1: zᵀ L z = xᵀQx + 2uᵀSx + uᵀRu + 2qᵀx + 2ρᵀu."""
+    n, m = spec.n, spec.m
+    form = np.zeros((*spec.Q.shape[:2], n + m + 1, n + m + 1))
+    form[..., :n, :n] = spec.Q
+    form[..., n:-1, :n] = spec.S
+    form[..., :n, n:-1] = np.swapaxes(spec.S, -1, -2)
+    form[..., n:-1, n:-1] = spec.R
+    form[..., :n, -1] = form[..., -1, :n] = spec.q
+    form[..., n:-1, -1] = form[..., -1, n:-1] = spec.rho
+    return form
 
-    ``theta``/``v`` are node- and regime-indexed tables; ``theta`` None is
-    open loop (u = v, see :func:`_open_loop_table`).  Returns the state
-    (P, N + 1, n) and the realized controls (P, N + 1, m).
+
+def _terminal_form(spec: ProblemSpec) -> np.ndarray:
+    """Terminal cost as a quadratic form in [x, 1], (D, n + 1, n + 1)."""
+    n = spec.n
+    form = np.zeros((spec.n_regimes, n + 1, n + 1))
+    form[:, :n, :n] = spec.G
+    form[:, :n, n] = form[:, n, :n] = spec.g
+    return form
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Closed-loop Euler tables over the augmented state x̄ = [x, 1].
+
+    ``W[k]`` is (n + 1, R (3n + 1)): for table regime r its columns are
+    [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so one product
+    x̄ W[k] gives every regime's x + h drift, diffusion and h M x̄,
+    with M = KᵀLK the running-cost form of the closed loop.
     """
+
+    W: np.ndarray         # (N + 1, n + 1, R * (3n + 1))
+    terminal: np.ndarray  # (R, n + 1, n + 1)
+    grid: TimeGrid
+
+
+def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
+    """Tables of the affine control u = Θx + v (``theta`` None: Θ = 0).
+
+    ``v`` is (..., N + 1, D, m); leading axes stack further laws along the
+    regime axis, law c taking regimes D c .. D c + D - 1.
+    """
+    n, m, h = spec.n, spec.m, spec.grid.h
+    v = np.asarray(v, dtype=float)
+    # z = [x, u, 1] = K x̄ with K = [[I, 0], [Θ, v], [0, 1]]
+    k_map = np.zeros((*v.shape[:-1], n + m + 1, n + 1))
+    k_map[..., :n, :n] = np.eye(n)
+    if theta is not None:
+        k_map[..., n:-1, :n] = theta
+    k_map[..., n:-1, n] = v
+    k_map[..., -1, n] = 1.0
+    drift = np.concatenate([spec.A, spec.B, spec.b[..., None]], axis=-1) @ k_map
+    diff = np.concatenate([spec.C, spec.D, spec.sigma[..., None]], axis=-1) @ k_map
+    cost = np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map
+    step = np.eye(n + 1, n) + h * np.swapaxes(drift, -1, -2)
+    w = np.concatenate([step, np.swapaxes(diff, -1, -2), h * cost], axis=-1)
+    # (..., N + 1, D, n + 1, 3n + 1) -> (N + 1, n + 1, ... * D * (3n + 1))
+    w = np.moveaxis(w, (-4, -2), (0, 1))
+    w = np.ascontiguousarray(w).reshape(w.shape[0], n + 1, -1)
+    laws = int(np.prod(v.shape[:-3]))
+    terminal = np.tile(_terminal_form(spec), (laws, 1, 1))
+    return _Tables(W=w, terminal=terminal, grid=spec.grid)
+
+
+def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
+    """Euler-Maruyama from node ``k0`` with the cost accumulated in the loop.
+
+    ``alpha`` (P, N + 1) indexes the table regimes.  Returns the per-path
+    cost: trapezoidal running cost plus terminal term.  ``states``, if
+    given as (P, N + 1, n), receives the state at every node from k0.
+    """
+    w = tables.W
     n_paths, n_steps = dw.shape
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, spec.n)).copy()
-    xs = np.zeros((n_paths, n_steps + 1, spec.n))
-    us = np.zeros((n_paths, n_steps + 1, spec.m))
-    xs[:, k0] = x
-    h = spec.grid.h
+    n = w.shape[1] - 1
+    width = 3 * n + 1
+    rows = np.arange(n_paths) * (w.shape[2] // width)
+    xbar = np.ones((n_paths, n + 1))
+    xbar[:, :n] = x0
+    x = xbar[:, :n]
+    if states is not None:
+        states[:, k0] = x
 
-    def control(k, reg, x):
-        if theta is None:
-            return _gather(v, k, reg)
-        uk = np.einsum("pij,pj->pi", _gather(theta, k, reg), x)
-        uk += _gather(v, k, reg)
-        return uk
+    def at(k):
+        return (xbar @ w[k]).reshape(-1, width).take(rows + alpha[:, k], axis=0)
 
+    cost = np.zeros(n_paths)
     for k in range(k0, n_steps):
-        reg = alpha[:, k]
-        uk = control(k, reg, x)
-        us[:, k] = uk
-        drift = np.einsum("pij,pj->pi", _gather(spec.A, k, reg), x)
-        drift += np.einsum("pij,pj->pi", _gather(spec.B, k, reg), uk)
-        drift += _gather(spec.b, k, reg)
-        diff = np.einsum("pij,pj->pi", _gather(spec.C, k, reg), x)
-        diff += np.einsum("pij,pj->pi", _gather(spec.D, k, reg), uk)
-        diff += _gather(spec.sigma, k, reg)
-        x = x + h * drift + dw[:, k, None] * diff
+        sel = at(k)
+        run = np.einsum("pi,pi->p", xbar, sel[:, 2 * n:])
+        cost += 0.5 * run if k == k0 else run
+        np.multiply(dw[:, k, None], sel[:, n:2 * n], out=x)
+        x += sel[:, :n]
         if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
-            raise DivergenceError(k + 1, spec.grid.nodes()[k + 1])
-        xs[:, k + 1] = x
-    us[:, n_steps] = control(n_steps, alpha[:, n_steps], x)
-    return xs, us
-
-
-def _cost_batch(spec, alpha, xs, us, k0=0):
-    """Trapezoidal running cost plus terminal term, one value per path."""
-    n_paths = xs.shape[0]
-    n_steps = spec.grid.steps
-    h = spec.grid.h
-    integrand = np.zeros((n_paths, n_steps + 1 - k0))
-    for k in range(k0, n_steps + 1):
-        reg = alpha[:, k]
-        xk, uk = xs[:, k], us[:, k]
-        qx = np.einsum("pij,pj->pi", _gather(spec.Q, k, reg), xk)
-        term = np.einsum("pi,pi->p", qx + 2.0 * _gather(spec.q, k, reg), xk)
-        sx = np.einsum("pij,pj->pi", _gather(spec.S, k, reg), xk)
-        term += 2.0 * np.einsum("pi,pi->p", sx, uk)
-        ru = np.einsum("pij,pj->pi", _gather(spec.R, k, reg), uk)
-        term += np.einsum("pi,pi->p", ru + 2.0 * _gather(spec.rho, k, reg), uk)
-        integrand[:, k - k0] = term
-    run = h * (integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1]))
-    reg = alpha[:, n_steps]
-    gx = np.einsum("pij,pj->pi", spec.G[reg], xs[:, n_steps])
-    terminal = np.einsum("pi,pi->p", gx + 2.0 * spec.g[reg], xs[:, n_steps])
-    return run + terminal
+            raise DivergenceError(k + 1, tables.grid.nodes()[k + 1])
+        if states is not None:
+            states[:, k + 1] = x
+    if k0 < n_steps:
+        cost += 0.5 * np.einsum("pi,pi->p", xbar, at(n_steps)[:, 2 * n:])
+    g_bar = tables.terminal[alpha[:, n_steps]]
+    cost += np.einsum("pi,pij,pj->p", xbar, g_bar, xbar)
+    return cost
 
 
 def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None, dw=None) -> StatePath:
@@ -324,10 +375,15 @@ def simulate_policy(
         dw = brownian_increments(spec.grid, rng, 1)
     else:
         dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
-    xs, us = _integrate_policy(spec, chain.alpha[None, :], theta, v, x0, dw)
+    xs = np.zeros((1, spec.grid.steps + 1, spec.n))
+    tables = _closed_loop_tables(spec, theta, v)
+    _integrate_policy(tables, chain.alpha[None, :], x0, dw, states=xs)
+    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
+    u = v[idx, reg]
+    if theta is not None:
+        u += np.einsum("kij,kj->ki", theta[idx, reg], xs[0])
     return StatePath(
-        grid=spec.grid, x0=np.asarray(x0, dtype=float),
-        X=xs[0], u=us[0], dw=dw[0],
+        grid=spec.grid, x0=np.asarray(x0, dtype=float), X=xs[0], u=u, dw=dw[0],
     )
 
 
@@ -360,10 +416,15 @@ def simulate_closed_loop(
 
 
 def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float:
-    """Quadratic cost of one realized (chain, state, control) trajectory."""
-    return float(
-        _cost_batch(spec, chain.alpha[None, :], path.X[None], path.u[None])[0]
-    )
+    """Quadratic cost of one realized (chain, state, control) trajectory:
+    the running form in [x, u, 1] at every node at once, trapezoidal in
+    time, plus the terminal form in [x, 1]."""
+    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
+    z = np.column_stack([path.X, path.u, np.ones(idx.size)])
+    integrand = np.einsum("ki,kij,kj->k", z, _running_form(spec)[idx, reg], z)
+    run = spec.grid.h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+    x_bar = np.append(path.X[-1], 1.0)
+    return float(run + x_bar @ _terminal_form(spec)[reg[-1]] @ x_bar)
 
 
 def _run_batched(worker, n_paths: int, threads: int = 1):
@@ -391,13 +452,13 @@ def mc_value(
 ) -> MCEstimate:
     """Closed-loop cost estimate from (t0, x0, i0) over independent paths."""
     k0 = spec.grid.node_index(t0)
+    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
 
     def worker(batch_start, size):
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        xs, us = _integrate_policy(spec, alpha, ric.Theta, aff.v_star, x0, dw, k0)
-        return _cost_batch(spec, alpha, xs, us, k0)
+        return _integrate_policy(tables, alpha, x0, dw, k0)
 
     costs = np.concatenate(_run_batched(worker, n_paths, threads))
     if n_paths > 1 and not np.all(costs == costs[0]):
@@ -435,14 +496,14 @@ def feynman_kac_M0(
         acc = np.zeros((size, n, n))
 
         def weighted(k, reg):
-            qphi = np.einsum("pij,pjk->pik", _gather(spec.Q, k, reg), phi)
+            qphi = np.einsum("pij,pjk->pik", spec.Q[k][reg], phi)
             return np.einsum("pji,pjk->pik", phi, qphi)
 
         w_prev = weighted(k0, alpha[:, k0])
         for k in range(k0, n_steps):
             reg = alpha[:, k]
-            a_phi = np.einsum("pij,pjk->pik", _gather(spec.A, k, reg), phi)
-            c_phi = np.einsum("pij,pjk->pik", _gather(spec.C, k, reg), phi)
+            a_phi = np.einsum("pij,pjk->pik", spec.A[k][reg], phi)
+            c_phi = np.einsum("pij,pjk->pik", spec.C[k][reg], phi)
             phi = phi + h * a_phi + dw[:, k, None, None] * c_phi
             w_next = weighted(k + 1, alpha[:, k + 1])
             acc += 0.5 * h * (w_prev + w_next)

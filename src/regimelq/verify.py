@@ -23,7 +23,7 @@ from .riccati import RiccatiSolution, solve_lyapunov
 from .sim import (
     ChainPath,
     StatePath,
-    _cost_batch,
+    _closed_loop_tables,
     _integrate_policy,
     _open_loop_table,
     _run_batched,
@@ -48,6 +48,11 @@ __all__ = [
 # observed closed-loop Euler/quadrature bias there is below h, so a
 # factor of 5 leaves ample headroom while still scaling out with h.
 BIAS_BUDGET_COEFF = 5.0
+
+# Most paths the convexity probe puts in one fused Euler call.  Stacked
+# controls multiply the per-step product, and all their Brownian paths
+# are held at once, so the cap keeps both near one small batch.
+STACK_PATHS = 1024
 
 
 def euler_bias_budget(h: float, scale: float = 1.0) -> float:
@@ -180,19 +185,21 @@ def frechet_gradient_check(
         sorted({0.0} | {e for e in e_pos} | {-e for e in e_pos})
     )
     hspec = spec.homogeneous()
-    v_tab, zero = _open_loop_table(hspec, v), np.zeros(spec.n)
+    eps_tables = [
+        _closed_loop_tables(spec, None, _open_loop_table(spec, u + eps * v))
+        for eps in eps_grid
+    ]
+    v_tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, v))
+    zero = np.zeros(spec.n)
 
     def worker(batch_start, size):
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        block = np.empty((size, eps_grid.size))
-        for j, eps in enumerate(eps_grid):
-            u_eps = _open_loop_table(spec, u + eps * v)
-            xs, us = _integrate_policy(spec, alpha, None, u_eps, x0, dw, k0)
-            block[:, j] = _cost_batch(spec, alpha, xs, us, k0)
-        xs, us = _integrate_policy(hspec, alpha, None, v_tab, zero, dw, k0)
-        return block, _cost_batch(hspec, alpha, xs, us, k0)
+        block = np.column_stack(
+            [_integrate_policy(t, alpha, x0, dw, k0) for t in eps_tables]
+        )
+        return block, _integrate_policy(v_tables, alpha, zero, dw, k0)
 
     blocks = _run_batched(worker, n_paths, threads)
     costs, j0 = (np.concatenate(part) for part in zip(*blocks))
@@ -257,28 +264,41 @@ def convexity_probe(
     hspec = spec.homogeneous()
     n_nodes = spec.grid.steps + 1
     h = spec.grid.h
-    ratios = np.empty(n_controls)
-    ses = np.empty(n_controls)
-    zero = np.zeros(spec.n)
+    u = np.empty((n_controls, n_nodes, spec.m))
     for c in range(n_controls):
         crng = np.random.default_rng([rng_seed, 31337, c])
-        u = crng.normal(size=(n_nodes, spec.m))
-        u[:k0] = 0.0
-        sq = np.einsum("ki,ki->k", u, u)
-        energy = h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1]))
-        u /= np.sqrt(energy)
-        u_tab = _open_loop_table(hspec, u)
+        u[c] = crng.normal(size=(n_nodes, spec.m))
+        u[c, :k0] = 0.0
+        sq = np.einsum("ki,ki->k", u[c], u[c])
+        u[c] /= np.sqrt(h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1])))
+
+    # Controls share fused Euler calls, each control on its own regime
+    # block and its own seeded chain and Brownian stream.
+    d, zero = spec.n_regimes, np.zeros(spec.n)
+    per_call = max(1, STACK_PATHS // n_paths)
+    vals = np.empty((n_controls, n_paths))
+    for first in range(0, n_controls, per_call):
+        group = range(first, min(first + per_call, n_controls))
+        tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u[group]))
 
         def worker(batch_start, size):
-            rng = np.random.default_rng([rng_seed, c, batch_start])
-            alpha = _sample_regime_paths(hspec.gen, hspec.grid, i0, size, rng, k0)
-            dw = brownian_increments(hspec.grid, rng, size, k0)
-            xs, us = _integrate_policy(hspec, alpha, None, u_tab, zero, dw, k0)
-            return _cost_batch(hspec, alpha, xs, us, k0)
+            alpha = np.empty((len(group) * size, n_nodes), dtype=np.int64)
+            dw = np.empty((len(group) * size, n_nodes - 1))
+            for j, c in enumerate(group):
+                rng = np.random.default_rng([rng_seed, c, batch_start])
+                rows = slice(j * size, (j + 1) * size)
+                alpha[rows] = _sample_regime_paths(
+                    hspec.gen, hspec.grid, i0, size, rng, k0) + d * j
+                dw[rows] = brownian_increments(hspec.grid, rng, size, k0)
+            costs = _integrate_policy(tables, alpha, zero, dw, k0)
+            return costs.reshape(len(group), size)
 
-        vals = np.concatenate(_run_batched(worker, n_paths, threads))
-        ratios[c] = vals.mean()
-        ses[c] = vals.std(ddof=1) / np.sqrt(n_paths) if n_paths > 1 else 0.0
+        vals[group] = np.concatenate(_run_batched(worker, n_paths, threads), axis=1)
+    ratios = vals.mean(axis=1)
+    if n_paths > 1:
+        ses = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
+    else:
+        ses = np.zeros(n_controls)
 
     eps_hat = float(ratios.min())
     worst = float((-ratios - 3.0 * ses).max())
@@ -331,21 +351,19 @@ def value_consistency(
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([rng_seed, 777])
+    optimal = _closed_loop_tables(spec, ric.Theta, aff.v_star)
     for p_id in range(n_perturbations):
         d_theta = perturbation_scale * scale_theta * prng.uniform(
             -1.0, 1.0, (spec.m, spec.n))
         d_v = perturbation_scale * scale_v * prng.uniform(-1.0, 1.0, spec.m)
-        theta_p = ric.Theta + d_theta
-        v_p = aff.v_star + d_v
+        perturbed = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
 
         def worker(batch_start, size):
             rng = np.random.default_rng([rng_seed, 888, p_id, batch_start])
             alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
             dw = brownian_increments(spec.grid, rng, size, k0)
-            xs, us = _integrate_policy(spec, alpha, ric.Theta, aff.v_star, x0, dw, k0)
-            base = _cost_batch(spec, alpha, xs, us, k0)
-            xs, us = _integrate_policy(spec, alpha, theta_p, v_p, x0, dw, k0)
-            return _cost_batch(spec, alpha, xs, us, k0) - base
+            base = _integrate_policy(optimal, alpha, x0, dw, k0)
+            return _integrate_policy(perturbed, alpha, x0, dw, k0) - base
 
         diff = np.concatenate(_run_batched(worker, pert_paths, threads))
         gap = float(diff.mean())

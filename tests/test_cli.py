@@ -125,6 +125,31 @@ def test_parse_error_exit_code(tmp_path):
     assert main(_args("solve", problem, tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize(
+    "cmd, flags, message",
+    [
+        ("simulate", {"x0": [1.0, 2.0, 3.0]}, "--x0 has 3 entries"),
+        ("simulate", {"i0": 5}, "--i0 5 is not a regime in 1..2"),
+        ("simulate", {"paths": 0}, "--paths must be at least 1"),
+        ("verify", {"controls": 0}, "--controls must be at least 1"),
+    ],
+)
+def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):
+    problem = Path(__file__).resolve().parents[1] / "problems" / "standard.yaml"
+    assert main(_args(cmd, problem, tmp_path / "out", steps=50, **flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def test_simulate_state_divergence_exit_code(tmp_path, capsys):
+    problem = tmp_path / "exploding.yaml"
+    write_problem(problem, benchmarks.state_blowup())
+    assert main(_args("simulate", problem, tmp_path / "out", paths=16, x0=1.0)) == 3
+    err = capsys.readouterr().err
+    assert "error: integration diverged at node" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_writes_value_csv_and_paths(tmp_path):
     problem = tmp_path / "scalar.yaml"
     benchmarks.write_example(problem, "scalar")

@@ -1,22 +1,30 @@
 """Chain sampling, state integration, cost evaluation, MC estimators."""
 
 import dataclasses
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from regimelq import benchmarks
 from regimelq.affine import solve_eta, value_function
-from regimelq.model import Generator, TimeGrid
-from regimelq.riccati import solve_riccati_direct
+from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
+from regimelq.problemfile import parse_problem
+from regimelq.riccati import DivergenceError, solve_riccati_direct
 from regimelq.sim import (
     StatePath,
+    _closed_loop_tables,
+    _integrate_policy,
+    _open_loop_table,
+    _sample_regime_paths,
     brownian_increments,
     evaluate_cost,
     feynman_kac_M0,
     mc_value,
     simulate_chain,
     simulate_closed_loop,
+    simulate_policy,
     simulate_state,
 )
 
@@ -289,6 +297,74 @@ def test_mc_value_threads_match_serial():
     serial = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
     pooled = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
     assert serial.mean == pooled.mean
+
+
+def test_mc_value_raises_on_exploding_state():
+    spec = benchmarks.state_blowup()
+    ric, aff = _solved(spec)
+    with pytest.raises(DivergenceError, match="diverged at node"):
+        mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 8, 0)
+
+
+# ------------------------------------------------ fused loop vs path form
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def _tail(spec, k0):
+    """The problem restricted to nodes k0..N."""
+    grid = TimeGrid(float(spec.grid.nodes()[k0]), spec.grid.T, spec.grid.steps - k0)
+    return dataclasses.replace(
+        spec, grid=grid, gen=Generator(spec.gen.rates[k0:]),
+        **{name: getattr(spec, name)[k0:] for name in _RUNNING_FIELDS},
+    )
+
+
+def _reference_states(spec, alpha, theta, v, x0, dw, k0):
+    """Plain per-node Euler-Maruyama of one path under u = theta x + v."""
+    xs = [np.asarray(x0, dtype=float)]
+    for k in range(k0, spec.grid.steps):
+        i, x = alpha[k], xs[-1]
+        u = v[k, i] + (0.0 if theta is None else theta[k, i] @ x)
+        drift = spec.A[k, i] @ x + spec.B[k, i] @ u + spec.b[k, i]
+        diff = spec.C[k, i] @ x + spec.D[k, i] @ u + spec.sigma[k, i]
+        xs.append(x + spec.grid.h * drift + dw[k] * diff)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("problem", ["standard", "two_regime"])
+@pytest.mark.parametrize("closed_loop", [True, False])
+def test_fused_loop_cost_matches_path_form(problem, closed_loop):
+    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    n_steps = spec.grid.steps
+    if closed_loop:
+        ric, aff = _solved(spec)
+        theta, v = ric.Theta, aff.v_star
+    else:
+        u = np.random.default_rng(4).normal(size=(n_steps + 1, spec.m))
+        theta, v = None, _open_loop_table(spec, u)
+    tables = _closed_loop_tables(spec, theta, v)
+    x0 = np.linspace(0.8, -0.6, spec.n)
+    n_paths = 6
+    for k0 in (0, n_steps // 3, n_steps):
+        rng = np.random.default_rng([9, k0])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
+        loop = _integrate_policy(tables, alpha, x0, dw, k0)
+        if k0 == n_steps:  # t0 = T: the terminal term alone
+            g, g_lin = spec.G[alpha[:, -1]], spec.g[alpha[:, -1]]
+            want = np.einsum("i,pij,j->p", x0, g, x0) + 2.0 * g_lin @ x0
+            np.testing.assert_allclose(loop, want, rtol=1e-12, atol=0)
+            continue
+        tail = _tail(spec, k0)
+        tail_theta = None if theta is None else theta[k0:]
+        for p in range(n_paths):
+            chain = SimpleNamespace(alpha=alpha[p, k0:])
+            path = simulate_policy(tail, chain, tail_theta, v[k0:], x0, dw=dw[p, k0:])
+            ref = _reference_states(spec, alpha[p], theta, v, x0, dw[p], k0)
+            assert np.abs(path.X - ref).max() <= 1e-12 * np.abs(ref).max()
+            want = evaluate_cost(tail, chain, path)
+            assert abs(loop[p] - want) <= 1e-12 * abs(want)
 
 
 # -------------------------------------------------- path functionals

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
+from regimelq import benchmarks, verify
 from regimelq.affine import solve_eta, value_function
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
@@ -143,10 +143,22 @@ def test_convexity_flags_negative_control_weight():
     assert check.details["eps_hat"] == pytest.approx(-1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_convexity_stacked_controls_match_per_control_runs(monkeypatch, t0):
+    spec = benchmarks.two_regime_standard(steps=60)
+    stacked = convexity_probe(spec, t0, 0, 7, 150, 21)
+    monkeypatch.setattr(verify, "STACK_PATHS", 1)  # one control per call
+    single = convexity_probe(spec, t0, 0, 7, 150, 21)
+    for key in ("ratios", "std_errors"):
+        a = np.array(stacked["convexity_nonnegative_ratios"].details[key])
+        b = np.array(single["convexity_nonnegative_ratios"].details[key])
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
 def test_homogeneous_cost_scales_quadratically_in_control():
     # underlying scale invariance of the probe's cost-to-energy ratio
     from regimelq.sim import (
-        _cost_batch,
+        _closed_loop_tables,
         _integrate_policy,
         _open_loop_table,
         _sample_regime_paths,
@@ -159,9 +171,8 @@ def test_homogeneous_cost_scales_quadratically_in_control():
     dw = brownian_increments(spec.grid, np.random.default_rng(8), 100)
     costs = []
     for scale in (1.0, 3.0):
-        table = _open_loop_table(spec, scale * u)
-        xs, us = _integrate_policy(spec, alpha, None, table, np.zeros(2), dw)
-        costs.append(_cost_batch(spec, alpha, xs, us))
+        tables = _closed_loop_tables(spec, None, _open_loop_table(spec, scale * u))
+        costs.append(_integrate_policy(tables, alpha, np.zeros(2), dw))
     assert np.abs(costs[1] - 9.0 * costs[0]).max() <= 1e-10 * np.abs(costs[1]).max()
 
 
