@@ -7,6 +7,12 @@ offsets, so the generator coupling carries the chain expectation).  The
 same mechanism accumulates the value function's running scalar term as a
 regime-indexed backward ODE, which collapses to plain trapezoidal
 quadrature whenever the generator is zero.
+
+With P known the offset ODE is affine in eta, so per block of the shared
+RK4 core one stacked pseudo-inverse gives the tables of its effective
+drift, its forcing and the generator coupling; a stage is then a few
+matrix-vector products.  The value-integral sweep reuses the coupling
+table.
 """
 
 from __future__ import annotations
@@ -56,27 +62,42 @@ class AffineSolution:
         return interp_nodes(self.v_star, self.grid, t)[i]
 
 
-def _coupling(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Generator coupling sum_k lam[i,k] (vec_k - vec_i), exactly."""
-    full = np.einsum("ik,k...->i...", lam, vec)
-    row_sum = lam.sum(axis=1)
-    return full - row_sum.reshape((-1,) + (1,) * (vec.ndim - 1)) * vec
+def _coupling_table(rates: np.ndarray) -> np.ndarray:
+    """Generator as a matrix on regime-stacked vectors: row i of
+    ``table @ vec`` is sum_k lam[i,k] (vec_k - vec_i), without assuming
+    that the rows of ``rates`` sum to zero."""
+    table = np.array(rates, dtype=float)
+    diag = np.arange(table.shape[-1])
+    table[..., diag, diag] -= rates.sum(axis=-1)
+    return table
 
 
-def _eta_rhs(coef, p, eta, pinv_tol):
-    """Backward derivative of the offset vectors, all regimes stacked."""
-    ak, bk, ck, dk, sk, rk, sig, rho, bvec, qvec, lam = coef
+def _matvec(mat, vec):
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _eta_tables(coef, pinv_tol):
+    """Offset-sweep tables from stacked samples; P enters as known data.
+
+    The offset RHS is affine in eta: ``-(a_eff eta + f + L eta)`` with
+    a_eff = A^T - S_hat^T R_hat^+ B^T, the forcing
+    f = (C^T - S_hat^T R_hat^+ D^T) P sigma - S_hat^T R_hat^+ rho + P b + q
+    and L the coupling table; one stacked pseudo-inverse per call.
+    """
+    ak, bk, ck, dk, sk, rk, sig, rho, bvec, qvec, lam, p = coef
     s_hat, r_hat = _hats(bk, dk, ck, sk, rk, p)
-    gain_t = np.swapaxes(s_hat, -1, -2) @ matcore.pinv(r_hat, pinv_tol)
+    gain_t = np.swapaxes(s_hat, -1, -2) @ matcore.pinv(r_hat, pinv_tol, hermitian=True)
     a_eff = np.swapaxes(ak, -1, -2) - gain_t @ np.swapaxes(bk, -1, -2)
     c_eff = np.swapaxes(ck, -1, -2) - gain_t @ np.swapaxes(dk, -1, -2)
-    p_sig = np.einsum("dij,dj->di", p, sig)
-    drift = np.einsum("dij,dj->di", a_eff, eta)
-    drift += np.einsum("dij,dj->di", c_eff, p_sig)
-    drift -= np.einsum("dij,dj->di", gain_t, rho)
-    drift += np.einsum("dij,dj->di", p, bvec) + qvec
-    drift += _coupling(lam, eta)
-    return -drift
+    force = _matvec(c_eff, _matvec(p, sig)) - _matvec(gain_t, rho)
+    force += _matvec(p, bvec) + qvec
+    return a_eff, force, lam
+
+
+def _eta_rhs(coef, eta):
+    """Backward derivative of the offset vectors, all regimes stacked."""
+    a_eff, force, lam = coef
+    return -(_matvec(a_eff, eta) + force + lam @ eta)
 
 
 def solve_eta(spec: ProblemSpec, ric: RiccatiSolution) -> AffineSolution:
@@ -95,10 +116,11 @@ def solve_eta(spec: ProblemSpec, ric: RiccatiSolution) -> AffineSolution:
             f"offset solve needs a regular solution, got {ric.classification}"
         )
     names = ("A", "B", "C", "D", "S", "R", "sigma", "rho", "b", "q")
-    tables = [getattr(spec, f) for f in names] + [spec.gen.rates, ric.P]
+    coupling = _coupling_table(spec.gen.rates)
+    tables = [getattr(spec, f) for f in names] + [coupling, ric.P]
     eta_path = rk4_backward(
-        lambda c, eta: _eta_rhs(c[:-1], c[-1], eta, ric.pinv_tol),
-        spec.g, tables, spec.grid,
+        _eta_rhs, spec.g, tables, spec.grid,
+        derive=lambda c: _eta_tables(c, ric.pinv_tol),
     )
 
     p_sig = np.einsum("kdij,kdj->kdi", ric.P, spec.sigma)
@@ -131,8 +153,8 @@ def solve_eta(spec: ProblemSpec, ric: RiccatiSolution) -> AffineSolution:
     p_hat += 2.0 * np.einsum("kdi,kdi->kd", eta_path, spec.b)
     integrand = p_hat + np.einsum("kdi,kdi->kd", v_star, rho_hat)
     w_path = rk4_backward(
-        lambda c, w: -(c[0] + _coupling(c[1], w)),
-        np.zeros(spec.n_regimes), [integrand, spec.gen.rates], spec.grid,
+        lambda c, w: -(c[0] + c[1] @ w),
+        np.zeros(spec.n_regimes), [integrand, coupling], spec.grid,
     )
 
     return AffineSolution(

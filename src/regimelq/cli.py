@@ -64,34 +64,39 @@ def _write_csv(path: Path, meta: str, header: list[str], rows) -> None:
             )
 
 
+def _write_node_csv(path: Path, meta: str, header: list[str], t_nodes, cols) -> None:
+    """Rows ``t, regime, *cols[k, i]`` for every node k and regime i.
+
+    One ``%``-format per row; ``%.17g`` and ``%d`` give the same text as
+    :func:`_write_csv` at a fraction of the cost on long grids.
+    """
+    row = "%.17g,%d" + ",%.17g" * cols.shape[-1] + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(meta)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            row % (t, i, *values)
+            for t, per_node in zip(t_nodes.tolist(), cols.tolist())
+            for i, values in enumerate(per_node, start=1)
+        )
+
+
 def _write_riccati_csv(out: Path, args, spec, sol) -> None:
-    t_nodes = spec.grid.nodes()
     header = ["t", "regime"]
     header += [f"P_{a}_{b}" for a in range(spec.n) for b in range(spec.n)]
     header += ["min_eig_R_hat"]
-    rows = []
-    for k, t in enumerate(t_nodes):
-        for i in range(spec.n_regimes):
-            rows.append(
-                [float(t), i + 1, *sol.P[k, i].ravel().tolist(),
-                 float(sol.min_eig_R_hat[k, i])]
-            )
-    _write_csv(out / "riccati.csv", _meta_line(args), header, rows)
+    cols = np.concatenate(
+        (sol.P.reshape(*sol.P.shape[:2], -1), sol.min_eig_R_hat[..., None]), axis=-1
+    )
+    _write_node_csv(out / "riccati.csv", _meta_line(args), header, spec.grid.nodes(), cols)
 
 
 def _write_affine_csv(out: Path, args, spec, aff) -> None:
-    t_nodes = spec.grid.nodes()
     header = ["t", "regime"]
     header += [f"eta_{a}" for a in range(spec.n)]
     header += [f"v_star_{a}" for a in range(spec.m)]
-    rows = []
-    for k, t in enumerate(t_nodes):
-        for i in range(spec.n_regimes):
-            rows.append(
-                [float(t), i + 1, *aff.eta[k, i].tolist(),
-                 *aff.v_star[k, i].tolist()]
-            )
-    _write_csv(out / "affine.csv", _meta_line(args), header, rows)
+    cols = np.concatenate((aff.eta, aff.v_star), axis=-1)
+    _write_node_csv(out / "affine.csv", _meta_line(args), header, spec.grid.nodes(), cols)
 
 
 def _load_and_solve(args):

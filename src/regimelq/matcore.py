@@ -43,7 +43,7 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
 def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2 over the last two axes."""
     m = np.asarray(a, dtype=float)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def sym_matrix(a, dim: int | None = None) -> np.ndarray:
@@ -58,25 +58,56 @@ def sym_matrix(a, dim: int | None = None) -> np.ndarray:
     return symmetrize(m)
 
 
-def pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse by SVD with relative truncation.
+def pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL, hermitian: bool = False) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse with relative truncation.
 
     Singular values below ``rel_tol`` times the largest singular value are
     treated as exact zeros.  Accepts stacked matrices over the last two
     axes.  The result satisfies the four Penrose identities to numerical
-    tolerance.
+    tolerance.  With ``hermitian`` set the input is taken to be symmetric
+    (only its lower triangle is read) and the symmetric eigensolver
+    replaces the SVD: the singular values are the eigenvalue magnitudes,
+    so the cutoff is ``rel_tol * max|lambda|``.
     """
+    if hermitian:
+        return _eigh_pinv(mat, rel_tol)[1]
+    m = _pinv_operand(mat, rel_tol)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    inv_s = _inverse_above(s, rel_tol)
+    return vt.swapaxes(-1, -2) @ (inv_s[..., None] * u.swapaxes(-1, -2))
+
+
+def _eigh_pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and pseudo-inverse of a symmetric stack.
+
+    One eigendecomposition gives both; the cutoff is that of
+    ``pinv(mat, rel_tol, hermitian=True)``.
+    """
+    m = _pinv_operand(mat, rel_tol)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"symmetric pinv needs square matrices, got {m.shape}")
+    w, v = np.linalg.eigh(m)
+    inv_w = _inverse_above(w, rel_tol)
+    return w, v @ (inv_w[..., None] * v.swapaxes(-1, -2))
+
+
+def _inverse_above(vals, rel_tol: float) -> np.ndarray:
+    """1/vals where |vals| exceeds ``rel_tol`` times the largest |vals| of
+    its matrix (last axis), exact zeros elsewhere."""
+    mag = np.abs(vals)
+    keep = mag > rel_tol * mag.max(axis=-1, keepdims=True)
+    return 1.0 / np.where(keep, vals, np.inf)
+
+
+def _pinv_operand(mat, rel_tol: float) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim < 2:
         raise InvalidInputError("pinv needs at least a 2-d array")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInputError("pinv input contains non-finite entries")
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cutoff = rel_tol * np.max(s, axis=-1, keepdims=True)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    return np.swapaxes(vt, -1, -2) @ (inv_s[..., None] * np.swapaxes(u, -1, -2))
+    return m
 
 
 def min_eig_sym(mat) -> float:

@@ -10,6 +10,15 @@ iterates stay symmetric from a symmetric terminal value.  A
 constructive fixed-point iteration (repeated Lyapunov solves through the
 current gain) provides an independent route to the strongly regular
 solution.
+
+The core runs in blocks of ``_BLOCK_STEPS`` steps.  Per block each sweep
+turns the node and midpoint samples of its coefficients into derived
+tables in one stacked pass: the Lyapunov solve its closed-loop
+A + B Theta, C + D Theta and weight Q + S^T Theta + Theta^T S +
+Theta^T R Theta, the Riccati solve its pre-transposed factors.  An RK4
+stage then evaluates only the terms that depend on P; in the Riccati
+stage that includes the composites S_hat, R_hat and the pseudo-inverse
+of R_hat, taken by the symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -135,72 +144,134 @@ def riccati_rhs(
 
     ``p_all`` stacks the current matrices of every regime (the generator
     row couples them); the quadratic term uses the pseudo-inverse of the
-    control weight composite.  A single-regime view of the stacked RHS;
-    every regime's matrix is validated (finite, square).
+    control weight composite.  A single-regime view of the table kernel
+    of the direct sweep; every regime's matrix is validated (finite,
+    square).
     """
     p_all = np.stack([matcore.sym_matrix(p) for p in np.asarray(p_all, dtype=float)])
     d = p_all.shape[0]
-    coef = [np.broadcast_to(a, (d, *a.shape))
+    coef = [np.broadcast_to(a, (1, d, *a.shape))
             for a in (co.A, co.B, co.C, co.D, co.Q, co.S, co.R)]
-    lam = np.broadcast_to(np.asarray(lambda_row, dtype=float), (d, d))
-    return _rhs_stack((*coef, lam), p_all, pinv_tol)[i]
+    lam = np.broadcast_to(np.asarray(lambda_row, dtype=float), (1, d, d))
+    tables = [t[0] for t in _riccati_tables((*coef, lam))]
+    return _riccati_rhs(tables, p_all, pinv_tol)[i]
 
 
-def _rhs_stack(coef, p, pinv_tol, theta=None):
-    """Stacked backward RHS over all regimes at one time.
+def _coupling(lam, p):
+    """Generator coupling sum_k lam[i,k] P_k of regime-stacked matrices."""
+    return (lam @ p.reshape(p.shape[0], -1)).reshape(p.shape)
 
-    With ``theta`` None the quadratic pseudo-inverse term is used; with a
-    frozen gain the linear Lyapunov form is used instead.
+
+def _riccati_tables(coef):
+    """Direct-sweep tables from stacked samples of the ``_sweep_coefs``."""
+    a, b, c, d, q, s, r, lam = coef
+    b_t, c_t, d_t = (np.swapaxes(x, -1, -2) for x in (b, c, d))
+    return a, b_t, c, c_t, d_t, d, q, s, r, lam
+
+
+def _riccati_rhs(coef, p, pinv_tol):
+    """Quadratic Riccati RHS over all regimes from one sample of the tables.
+
+    P is symmetric, so A^T P is taken as (P A)^T.
     """
-    ak, bk, ck, dk, qk, sk, rk, lam = coef
-    p = symmetrize(p)
-    coupling = np.einsum("ik,kab->iab", lam, p)
-    lin = p @ ak + np.swapaxes(ak, -1, -2) @ p
-    lin += np.swapaxes(ck, -1, -2) @ p @ ck + qk + coupling
-    s_hat, r_hat = _hats(bk, dk, ck, sk, rk, p)
-    if theta is None:
-        quad = np.swapaxes(s_hat, -1, -2) @ (matcore.pinv(r_hat, pinv_tol) @ s_hat)
-        return symmetrize(quad - lin)
-    st_theta = np.swapaxes(s_hat, -1, -2) @ theta
-    gain_terms = st_theta + np.swapaxes(st_theta, -1, -2)
-    gain_terms += np.swapaxes(theta, -1, -2) @ r_hat @ theta
-    return symmetrize(-(lin + gain_terms))
+    a, b_t, c, c_t, d_t, d, q, s, r, lam = coef
+    d_t_p = d_t @ p
+    s_hat = b_t @ p + d_t_p @ c + s
+    r_pinv = matcore.pinv(r + d_t_p @ d, pinv_tol, hermitian=True)
+    out = s_hat.swapaxes(-1, -2) @ (r_pinv @ s_hat)
+    pa = p @ a
+    out -= pa + pa.swapaxes(-1, -2) + c_t @ p @ c + q + _coupling(lam, p)
+    return symmetrize(out)
+
+
+def _lyapunov_tables(coef):
+    """Closed-loop tables for a frozen gain from stacked samples.
+
+    A + B Theta, (C + D Theta)^T, C + D Theta and the closed-loop weight
+    Q + S^T Theta + Theta^T S + Theta^T R Theta, each built from the
+    (averaged) samples of its factors.
+    """
+    a, b, c, d, q, s, r, lam, theta = coef
+    theta_t = np.swapaxes(theta, -1, -2)
+    c_cl = c + d @ theta
+    s_theta = np.swapaxes(s, -1, -2) @ theta
+    q_cl = q + s_theta + np.swapaxes(s_theta, -1, -2) + theta_t @ r @ theta
+    return a + b @ theta, np.swapaxes(c_cl, -1, -2), c_cl, q_cl, lam
+
+
+def _lyapunov_rhs(coef, p):
+    """Linear Lyapunov RHS over all regimes from one sample of the tables.
+
+    P is symmetric, so A_cl^T P is taken as (P A_cl)^T.
+    """
+    a_cl, c_cl_t, c_cl, q_cl, lam = coef
+    pa = p @ a_cl
+    out = pa + pa.swapaxes(-1, -2) + c_cl_t @ p @ c_cl + q_cl + _coupling(lam, p)
+    return -symmetrize(out)
 
 
 def _sweep_coefs(spec: ProblemSpec) -> list[np.ndarray]:
-    """Node tables of the fields the matrix sweeps need, in _rhs_stack order."""
+    """Node tables of the fields the matrix sweeps need, in table order."""
     names = ("A", "B", "C", "D", "Q", "S", "R")
     return [getattr(spec, f) for f in names] + [spec.gen.rates]
 
 
-def rk4_backward(rhs, terminal, tables, grid: TimeGrid) -> np.ndarray:
+# Steps per block of rk4_backward: the derived tables of a block are
+# built in one stacked pass, so the state-independent work costs a few
+# numpy calls per block instead of per RHS evaluation, while the tables
+# held at once stay a small fraction of the returned path.
+_BLOCK_STEPS = 64
+
+
+def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarray:
     """Classic RK4 from ``terminal`` at T back to t0 over every grid step.
 
-    ``rhs(coef, y)`` is the time derivative of ``y``; ``coef`` is a tuple
-    with one sample of each node table in ``tables`` (each shaped
-    ``(N + 1, ...)``): the node sample at an end of the step, or the
-    midpoint average inside it.  Returns the path, shape
+    ``tables`` are node tables, each shaped ``(N + 1, ...)``.  The steps
+    run in blocks of ``_BLOCK_STEPS``; per block the node samples of every
+    table, interleaved with the midpoint averages of the steps, are
+    stacked along a leading axis (:func:`_block_samples`), and ``derive``
+    (if given) maps that tuple of stacks to the tuple of stacked tables
+    the right-hand side reads, so everything that does not depend on
+    ``y`` is formed once per block.  Products are formed from averaged
+    factors, never averaged themselves.
+    ``rhs(coef, y)`` is the time derivative of ``y``; ``coef`` holds one
+    sample of each (derived) table: the node sample at an end of the
+    step, or the midpoint sample inside it.  Returns the path, shape
     ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
     ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node.
     """
     n_steps, h = grid.steps, grid.h
-    mid = [0.5 * (a[:-1] + a[1:]) for a in tables]
     y = np.array(terminal, dtype=float)
     path = np.empty((n_steps + 1, *y.shape))
     path[n_steps] = y
-    for k in range(n_steps - 1, -1, -1):
-        c_lo = tuple(a[k] for a in tables)
-        c_mid = tuple(a[k] for a in mid)
-        c_hi = tuple(a[k + 1] for a in tables)
-        k1 = rhs(c_hi, y)
-        k2 = rhs(c_mid, y - 0.5 * h * k1)
-        k3 = rhs(c_mid, y - 0.5 * h * k2)
-        k4 = rhs(c_lo, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
-            raise DivergenceError(k, grid.nodes()[k])
-        path[k] = y
+    for hi in range(n_steps, 0, -_BLOCK_STEPS):
+        lo = max(hi - _BLOCK_STEPS, 0)
+        coef = tuple(_block_samples(a, lo, hi) for a in tables)
+        if derive is not None:
+            coef = derive(coef)
+        samples = [tuple(a[j] for a in coef) for j in range(2 * (hi - lo) + 1)]
+        for k in range(hi - 1, lo - 1, -1):
+            j = 2 * (k - lo)
+            c_lo, c_mid, c_hi = samples[j:j + 3]
+            k1 = rhs(c_hi, y)
+            k2 = rhs(c_mid, y - 0.5 * h * k1)
+            k3 = rhs(c_mid, y - 0.5 * h * k2)
+            k4 = rhs(c_lo, y - h * k3)
+            y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
+                raise DivergenceError(k, grid.nodes()[k])
+            path[k] = y
     return path
+
+
+def _block_samples(table, lo, hi):
+    """Node samples lo..hi of ``table`` interleaved with the midpoint
+    averages of the steps between them: node j at 2(j - lo), the midpoint
+    of step k at 2(k - lo) + 1."""
+    out = np.empty((2 * (hi - lo) + 1, *table.shape[1:]))
+    out[0::2] = table[lo:hi + 1]
+    out[1::2] = 0.5 * (table[lo:hi] + table[lo + 1:hi + 1])
+    return out
 
 
 def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> LyapunovSolution:
@@ -209,15 +280,15 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> Lyapun
     ``theta`` holds per-node per-regime gains (N + 1, D, m, n); None means
     the zero gain, which drops every control-channel term.
     """
-    if theta is None:
-        theta = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n))
-    theta = np.asarray(theta, dtype=float)
     want = (spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n)
+    if theta is None:
+        theta = np.broadcast_to(0.0, want)
+    theta = np.asarray(theta, dtype=float)
     if theta.shape != want:
         raise matcore.InvalidInputError(f"theta shape {theta.shape} != {want}")
     p_path = rk4_backward(
-        lambda c, p: _rhs_stack(c[:-1], p, DEFAULT_PINV_TOL, c[-1]),
-        spec.G, [*_sweep_coefs(spec), theta], spec.grid,
+        _lyapunov_rhs, spec.G, [*_sweep_coefs(spec), theta], spec.grid,
+        derive=_lyapunov_tables,
     )
     return LyapunovSolution(grid=spec.grid, P=p_path)
 
@@ -225,10 +296,9 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> Lyapun
 def _derived_tables(spec: ProblemSpec, p_path: np.ndarray, pinv_tol: float):
     """Per-node gain-side composites, their pseudo-inverses and gains."""
     s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_path)
-    r_hat_pinv = matcore.pinv(r_hat, pinv_tol)
+    eig, r_hat_pinv = matcore._eigh_pinv(r_hat, pinv_tol)
     theta = -(r_hat_pinv @ s_hat)
-    min_eig = np.linalg.eigvalsh(r_hat)[..., 0]
-    return s_hat, r_hat, r_hat_pinv, theta, min_eig
+    return s_hat, r_hat, r_hat_pinv, theta, eig[..., 0]
 
 
 def _classify(
@@ -295,8 +365,8 @@ def solve_riccati_direct(
     propagating non-finite values into the classification.
     """
     p_path = rk4_backward(
-        lambda c, p: _rhs_stack(c, p, pinv_tol),
-        spec.G, _sweep_coefs(spec), spec.grid,
+        lambda c, p: _riccati_rhs(c, p, pinv_tol),
+        spec.G, _sweep_coefs(spec), spec.grid, derive=_riccati_tables,
     )
     return _build_solution(spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol)
 
@@ -327,14 +397,15 @@ def iterate_strongly_regular(
     iterates = [p_n] if keep_iterates else None
     for _ in range(max_iter):
         s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
-        min_eig = float(np.linalg.eigvalsh(r_hat)[..., 0].min())
+        eig, r_hat_pinv = matcore._eigh_pinv(r_hat, pinv_tol)
+        min_eig = float(eig[..., 0].min())
         if min_eig <= 0.0:
             raise NotStronglyRegularError(
                 f"control weight composite not positive definite along the "
                 f"iteration (min eig {min_eig:.3e}); problem is not "
                 f"uniformly convex"
             )
-        theta_n = -(matcore.pinv(r_hat, pinv_tol) @ s_hat)
+        theta_n = -(r_hat_pinv @ s_hat)
         p_next = solve_lyapunov(spec, theta_n).P
         delta = float(np.linalg.norm(p_next - p_n, axis=(-2, -1)).max())
         trace.append(delta)

@@ -1,12 +1,13 @@
 """Problem-file round trip, CLI exit codes, output files, reproducibility."""
 
 import dataclasses
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regimelq import affine, benchmarks, riccati
+from regimelq import affine, benchmarks, cli, riccati
 from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
 
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
@@ -216,6 +217,41 @@ def _non_comment_bytes(path):
     return "\n".join(
         line for line in path.read_text().splitlines() if not line.startswith("#")
     )
+
+
+def test_node_csv_rows_match_csv_writer(tmp_path):
+    spec = benchmarks.two_regime_inhomogeneous(steps=6)
+    ric = riccati.solve_riccati_direct(spec)
+    aff = affine.solve_eta(spec, ric)
+    p = ric.P.copy()
+    p[2, 1, 0, 0] = -1.25e-7
+    p[3, 0, 0, 0] = 1.0000000000000001e-300
+    p[4, 1, 0, 0] = -0.0
+    ric = dataclasses.replace(ric, P=p)
+    eta = aff.eta.copy()
+    eta[1, 0, 0] = -2.5e-300
+    aff = dataclasses.replace(aff, eta=eta)
+    args = types.SimpleNamespace(
+        seed=1, steps=None, paths=10, threads=1,
+        pinv_tol=1e-12, strong_tol=1e-8, conv_tol=1e-10,
+    )
+    cli._write_riccati_csv(tmp_path, args, spec, ric)
+    cli._write_affine_csv(tmp_path, args, spec, aff)
+    t_nodes = spec.grid.nodes()
+    ric_rows = [
+        [float(t), i + 1, *ric.P[k, i].ravel().tolist(), float(ric.min_eig_R_hat[k, i])]
+        for k, t in enumerate(t_nodes) for i in range(spec.n_regimes)
+    ]
+    aff_rows = [
+        [float(t), i + 1, *aff.eta[k, i].tolist(), *aff.v_star[k, i].tolist()]
+        for k, t in enumerate(t_nodes) for i in range(spec.n_regimes)
+    ]
+    for name, rows in (("riccati.csv", ric_rows), ("affine.csv", aff_rows)):
+        header = (tmp_path / name).read_text().splitlines()[1].split(",")
+        cli._write_csv(tmp_path / "ref.csv", "# ref\n", header, rows)
+        got = _non_comment_bytes(tmp_path / name)
+        assert got == _non_comment_bytes(tmp_path / "ref.csv")
+        assert ",-" in got and "e-300," in got
 
 
 def test_verify_reproducible_bodies(tmp_path):

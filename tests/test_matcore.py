@@ -63,6 +63,53 @@ def test_pinv_spd_equals_inverse():
         assert err <= 1e-8 * np.linalg.norm(np.linalg.inv(spd))
 
 
+def _symmetric_stack(rng, kind, count=30, dim=4):
+    """Random symmetric stacks with eigenvalue magnitudes in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, dim, dim)))
+    lam = rng.uniform(0.5, 2.0, size=(count, dim))
+    if kind == "deficient":
+        lam[:, : dim // 2] = 0.0
+    elif kind == "indefinite":
+        lam[:, ::2] *= -1.0
+    elif kind == "zero":
+        lam[:] = 0.0
+    return q @ (lam[..., None] * np.swapaxes(q, -1, -2))
+
+
+@pytest.mark.parametrize("kind", ["spd", "deficient", "indefinite", "zero"])
+def test_pinv_hermitian_matches_svd(kind):
+    m = _symmetric_stack(np.random.default_rng(5), kind)
+    got = matcore.pinv(m, 1e-12, hermitian=True)
+    want = matcore.pinv(m, 1e-12)
+    if kind == "zero":
+        assert np.array_equal(got, np.zeros_like(m))
+    else:
+        scale = np.linalg.norm(want, axis=(-2, -1))
+        assert np.all(np.linalg.norm(got - want, axis=(-2, -1)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", ["spd", "deficient", "indefinite"])
+def test_pinv_hermitian_penrose_axioms(kind):
+    for m in _symmetric_stack(np.random.default_rng(9), kind, count=10):
+        mp = matcore.pinv(m, hermitian=True)
+        tol = 1e-12 * (1.0 + np.linalg.norm(m)) * (1.0 + np.linalg.norm(mp)) ** 2
+        assert np.linalg.norm(m @ mp @ m - m) <= tol
+        assert np.linalg.norm(mp @ m @ mp - mp) <= tol
+        assert np.linalg.norm((m @ mp).T - m @ mp) <= tol
+        assert np.linalg.norm((mp @ m).T - mp @ m) <= tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pinv_hermitian_rejects_nonfinite(bad):
+    with pytest.raises(matcore.InvalidInputError):
+        matcore.pinv(np.array([[1.0, bad], [bad, 1.0]]), hermitian=True)
+
+
+def test_pinv_hermitian_rejects_non_square():
+    with pytest.raises(matcore.InvalidInputError):
+        matcore.pinv(np.ones((2, 3)), hermitian=True)
+
+
 def test_min_eig_diagonal():
     assert matcore.min_eig_sym(np.diag([1.0, 3.0])) == pytest.approx(1.0)
 

@@ -2,13 +2,15 @@
 
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
-from regimelq.matcore import InvalidInputError
-from regimelq.model import Generator, TimeGrid, coeff_at
+from regimelq import benchmarks, riccati
+from regimelq.affine import solve_eta
+from regimelq.matcore import InvalidInputError, symmetrize
+from regimelq.model import Generator, TimeGrid, _hats, coeff_at
 from regimelq.riccati import (
     DivergenceError,
     NotStronglyRegularError,
@@ -77,6 +79,37 @@ def test_rhs_rejects_non_finite_matrix(bad, regime):
         riccati_rhs(co, p_all, 0, spec.gen.rates[0, 0])
 
 
+def _time_varying(spec):
+    """``spec`` with A, C, S and R varying along the grid."""
+    ramp = np.linspace(0.0, 1.0, spec.grid.steps + 1)[:, None, None, None]
+    return dataclasses.replace(
+        spec, A=spec.A * (1.0 + ramp), C=spec.C - 0.5 * ramp * spec.C,
+        S=spec.S + 0.3 * ramp, R=spec.R * (1.0 + 0.5 * ramp),
+    )
+
+
+@pytest.mark.parametrize("which", ["standard", "time_varying"])
+def test_lyapunov_table_rhs_matches_explicit_form(which):
+    spec = benchmarks.two_regime_standard(steps=8)
+    if which == "time_varying":
+        spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=8))
+    rng = np.random.default_rng(17)
+    n_nodes, d, m, n = spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n
+    theta = rng.normal(size=(n_nodes, d, m, n))
+    tables = riccati._lyapunov_tables((*riccati._sweep_coefs(spec), theta))
+    for k in range(n_nodes):
+        p = symmetrize(rng.normal(size=(d, n, n)))
+        a, b, c, dd, q, s, r, lam = (x[k] for x in riccati._sweep_coefs(spec))
+        th = theta[k]
+        s_hat, r_hat = _hats(b, dd, c, s, r, p)
+        lin = p @ a + np.swapaxes(a, -1, -2) @ p + np.swapaxes(c, -1, -2) @ p @ c + q
+        lin += np.einsum("ik,kab->iab", lam, p)
+        st = np.swapaxes(s_hat, -1, -2) @ th
+        want = -(lin + st + np.swapaxes(st, -1, -2) + np.swapaxes(th, -1, -2) @ r_hat @ th)
+        got = riccati._lyapunov_rhs(tuple(x[k] for x in tables), p)
+        assert np.abs(got - symmetrize(want)).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
 # ---------------------------------------------------------- lyapunov
 
 
@@ -99,6 +132,18 @@ def test_lyapunov_exponential_closed_form():
     spec = dataclasses.replace(spec, gen=gen, A=a_arr, B=np.zeros_like(spec.B))
     sol = solve_lyapunov(spec)
     want = np.exp(2.0 * a * (1.0 - grid.nodes()))
+    assert np.abs(sol.P[:, 0, 0, 0] - want).max() < 1e-10
+
+
+def test_lyapunov_time_varying_closed_form():
+    # dP/dt = -2 a(t) P with a(t) = 0.7 - 1.2 t: P(t) = exp(2 int_t^T a),
+    # so a node or midpoint sample taken from the wrong place shows
+    steps = 400
+    spec = benchmarks.scalar_benchmark(steps=steps)
+    t = spec.grid.nodes()
+    spec = dataclasses.replace(spec, A=(0.7 - 1.2 * t)[:, None, None, None])
+    sol = solve_lyapunov(spec)
+    want = np.exp(2.0 * (0.7 * (1.0 - t) - 0.6 * (1.0 - t * t)))
     assert np.abs(sol.P[:, 0, 0, 0] - want).max() < 1e-10
 
 
@@ -188,6 +233,46 @@ def test_rk4_backward_guards_every_sweep():
     with pytest.raises(DivergenceError) as err:
         rk4_backward(lambda c, y: np.full_like(y, np.nan), np.zeros(3), [], grid)
     assert err.value.node == grid.steps - 1
+
+
+def _paths_by_block_size(monkeypatch, spec, block):
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
+    direct = solve_riccati_direct(spec)
+    aff = solve_eta(spec, direct)
+    lyap = solve_lyapunov(spec, direct.Theta)
+    return direct.P, lyap.P, aff.eta, aff.value_integral
+
+
+BLOCK = riccati._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("steps", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_block_size_does_not_change_paths(monkeypatch, steps):
+    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=steps))
+    blocked = _paths_by_block_size(monkeypatch, spec, BLOCK)
+    single = _paths_by_block_size(monkeypatch, spec, 1)
+    for got, want in zip(single, blocked):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("block", [1, BLOCK])
+def test_blowup_node_independent_of_block_size(monkeypatch, block):
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
+    with pytest.raises(DivergenceError) as err:
+        solve_riccati_direct(benchmarks.scalar_blowup(steps=1000, g_term=4.0))
+    assert err.value.node == 749
+
+
+def test_lyapunov_tables_stay_blocked():
+    # tables over all N steps at once would hold several copies of the path
+    spec = benchmarks.two_regime_standard(steps=20000)
+    tracemalloc.start()
+    try:
+        sol = solve_lyapunov(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sol.P.nbytes, peak / sol.P.nbytes
 
 
 def test_direct_blowup_reports_first_bad_node():
