@@ -46,6 +46,8 @@ _MATRIX_FIELDS = {
 }
 _VECTOR_FIELDS = {"b": "n", "sigma": "n", "q": "n", "rho": "m"}
 _SYMMETRIZED = ("Q", "R")
+# libyaml's parser with PyYAML's safe resolver and constructor, when built
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ProblemFileError(ValueError):
@@ -154,7 +156,7 @@ def parse_problem(path: str | Path) -> tuple[ProblemSpec, dict]:
     """Read a YAML problem file; returns the spec and the raw document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -4,9 +4,13 @@ Chain jumps are sampled by thinning against a dominating rate, with the
 intensities interpolated piecewise-linearly between grid nodes (exact
 competing exponentials for a constant generator).  Regime changes take
 effect at the next grid node for the state integrator, consistent with
-the Euler-Maruyama order.  Batched internals carry all paths as leading
-axes; path streams are addressed by (seed, batch) so reductions are
-deterministic regardless of scheduling.
+the Euler-Maruyama order.  The batched sampler thins against a
+piecewise-constant dominating rate: each path's unit-rate stream is
+mapped through the cumulative dominating intensity to a cell and a
+time, so one vectorised round handles one jump candidate of every path
+(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  Batched internals
+carry all paths as leading axes; path streams are addressed by
+(seed, batch) so reductions are deterministic regardless of scheduling.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
@@ -17,7 +21,9 @@ paths and all regimes, a row select on the path's regime, and the
 trapezoidal cost added in the loop.  The estimators keep no
 trajectories, only per-path costs; states are recorded only for the
 single paths of :func:`simulate_policy`.  Since each step multiplies by
-every regime's block, its cost grows with the number of regimes D.
+every regime's block, its cost grows with the number of regimes D.  The
+zero-control value matrix (:func:`feynman_kac_M0`) runs the same scheme
+on the transposed fundamental matrix Φᵀ stacked over paths.
 """
 
 from __future__ import annotations
@@ -204,44 +210,47 @@ def brownian_increments(grid: TimeGrid, rng, n_paths: int = 1, k0: int = 0) -> n
 def _sample_regime_paths(
     gen: Generator, grid: TimeGrid, i0: int, n_paths: int, rng, k0: int = 0
 ) -> np.ndarray:
-    """Node-aligned regime values for a batch of paths (thinning per cell
-    with the dominating rate taken over the cell endpoints)."""
+    """Node-aligned regime values for a batch of paths, (P, N + 1) int64.
+
+    Thinning against the piecewise-constant dominating rate m_k, the
+    largest exit rate at the endpoints of cell k.  Each path runs one
+    unit-rate stream s; its cumulative dominating intensity Λ maps s to
+    the candidate's cell and time, so one round handles one candidate of
+    every active path.  A jump inside cell k takes effect at node k + 1.
+    """
     rng = as_rng(rng)
-    d = gen.n_regimes
-    n_steps = grid.steps
-    t_nodes = grid.nodes()
-    h = grid.h
-    alpha = np.full((n_paths, n_steps + 1), i0, dtype=np.int64)
-    if d == 1:
-        return alpha
+    alpha = np.zeros((n_paths, grid.steps + 1), dtype=np.int64)
+    alpha[:, 0] = i0
+    exit_rates = -np.einsum("kii->ki", gen.rates[k0:])
+    node_max = exit_rates.max(axis=1)
+    m_dom = np.maximum(np.maximum(node_max[:-1], node_max[1:]), 0.0)
+    lam = np.zeros(m_dom.size + 1)
+    np.cumsum(m_dom * grid.h, out=lam[1:])
     cur = np.full(n_paths, i0, dtype=np.int64)
-    exit_rates = -np.einsum("kii->ki", gen.rates)
-    for k in range(k0, n_steps):
-        m_dom = float(max(exit_rates[k].max(), exit_rates[k + 1].max()))
-        if m_dom <= 0.0:
-            alpha[:, k + 1] = cur
-            continue
-        r_lo, r_hi = gen.rates[k], gen.rates[k + 1]
-        tau = np.full(n_paths, t_nodes[k])
-        active = np.arange(n_paths)
-        while active.size:
-            tau[active] += rng.exponential(1.0 / m_dom, active.size)
-            active = active[tau[active] < t_nodes[k + 1]]
-            if not active.size:
-                break
-            w = ((tau[active] - t_nodes[k]) / h)[:, None]
-            rows = (1.0 - w) * r_lo[cur[active]] + w * r_hi[cur[active]]
-            exit_loc = -rows[np.arange(active.size), cur[active]]
-            accept = rng.uniform(size=active.size) < exit_loc / m_dom
-            acc = active[accept]
-            if acc.size:
-                wts = np.maximum(rows[accept], 0.0)
-                wts[np.arange(acc.size), cur[acc]] = 0.0
-                cdf = np.cumsum(wts, axis=1)
-                total = cdf[:, -1]
-                draw = rng.uniform(size=acc.size) * total
-                cur[acc] = (cdf > draw[:, None]).argmax(axis=1)
-        alpha[:, k + 1] = cur
+    s = np.zeros(n_paths)
+    active = np.arange(n_paths if gen.n_regimes > 1 and lam[-1] > 0.0 else 0)
+    while active.size:
+        s[active] += rng.standard_exponential(active.size)
+        active = active[s[active] < lam[-1]]
+        if not active.size:
+            break
+        # zero-width cells (m_k = 0) are never chosen, so m_k > 0 below
+        cell = np.searchsorted(lam, s[active], side="right") - 1
+        w = (s[active] - lam[cell]) / (m_dom[cell] * grid.h)
+        reg = cur[active]
+        exit_loc = (1.0 - w) * exit_rates[cell, reg] + w * exit_rates[cell + 1, reg]
+        accept = rng.uniform(size=active.size) < exit_loc / m_dom[cell]
+        acc, cell, w, reg = active[accept], cell[accept], w[accept, None], reg[accept]
+        if acc.size:
+            wts = (1.0 - w) * gen.rates[k0 + cell, reg] + w * gen.rates[k0 + cell + 1, reg]
+            np.maximum(wts, 0.0, out=wts)
+            wts[np.arange(acc.size), reg] = 0.0
+            cdf = np.cumsum(wts, axis=1)
+            draw = rng.uniform(size=acc.size) * cdf[:, -1]
+            target = (cdf > draw[:, None]).argmax(axis=1)
+            np.add.at(alpha, (acc, k0 + cell + 1), target - reg)
+            cur[acc] = target
+    np.cumsum(alpha, axis=1, out=alpha)
     return alpha
 
 
@@ -285,6 +294,7 @@ class _Tables:
     [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so one product
     x̄ W[k] gives every regime's x + h drift, diffusion and h M x̄,
     with M = KᵀLK the running-cost form of the closed loop.
+    :func:`_fundamental_tables` fills the same record for the matrix loop.
     """
 
     W: np.ndarray         # (N + 1, n + 1, R * (3n + 1))
@@ -470,6 +480,55 @@ def mc_value(
     )
 
 
+def _fundamental_tables(spec: ProblemSpec) -> _Tables:
+    """Tables of the zero-control fundamental matrix Φ, laid out for its
+    transpose Ψ = Φᵀ: ``W[k]`` is (n, D 3n), for regime r the columns
+    [(I + hA)ᵀ, Cᵀ, hQ], so Ψ W[k] gives every regime's Ψ(I + hA)ᵀ, ΨCᵀ
+    and ΨhQ (the running weight is then ΨhQΨᵀ = ΦᵀhQΦ)."""
+    n, h = spec.n, spec.grid.h
+    step = np.eye(n) + h * spec.A
+    w = np.concatenate([step, spec.C], axis=-2)
+    w = np.concatenate([np.swapaxes(w, -1, -2), h * spec.Q], axis=-1)
+    # (N + 1, D, n, 3n) -> (N + 1, n, D * 3n)
+    w = np.ascontiguousarray(np.swapaxes(w, 1, 2)).reshape(w.shape[0], n, -1)
+    return _Tables(W=w, terminal=spec.G, grid=spec.grid)
+
+
+def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
+    """Per-path ΦᵀGΦ + trapezoidal ∫ΦᵀQΦ dt from node ``k0``, (P, n, n).
+
+    The state is Ψ = Φᵀ stacked as (P n, n), so one Euler step is one
+    product Ψ W[k] for all regimes and a row take on the path's regime.
+    """
+    w = tables.W
+    n_paths, n_steps = dw.shape
+    n = w.shape[1]
+    width = 3 * n
+    base = np.arange(n_paths * n) * (w.shape[2] // width)
+    psi = np.tile(np.eye(n), (n_paths, 1))
+
+    def at(k):
+        rows = base + np.repeat(alpha[:, k], n)
+        return (psi @ w[k]).reshape(-1, width).take(rows, axis=0)
+
+    def weight(sel):
+        blocks = sel[:, 2 * n:].reshape(n_paths, n, n)
+        return blocks @ np.swapaxes(psi.reshape(n_paths, n, n), -1, -2)
+
+    acc = np.zeros((n_paths, n, n))
+    for k in range(k0, n_steps):
+        sel = at(k)
+        run = weight(sel)
+        acc += 0.5 * run if k == k0 else run
+        np.multiply(np.repeat(dw[:, k], n)[:, None], sel[:, n:2 * n], out=psi)
+        psi += sel[:, :n]
+    if k0 < n_steps:
+        acc += 0.5 * weight(at(n_steps))
+    phi_t = psi.reshape(n_paths, n, n)
+    acc += phi_t @ tables.terminal[alpha[:, n_steps]] @ np.swapaxes(phi_t, -1, -2)
+    return acc
+
+
 def feynman_kac_M0(
     spec: ProblemSpec,
     t0: float,
@@ -486,32 +545,13 @@ def feynman_kac_M0(
     evaluated at (t0, i0).
     """
     k0 = spec.grid.node_index(t0)
-    n_steps, h, n = spec.grid.steps, spec.grid.h, spec.n
+    tables = _fundamental_tables(spec)
 
     def worker(batch_start, size):
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        phi = np.broadcast_to(np.eye(n), (size, n, n)).copy()
-        acc = np.zeros((size, n, n))
-
-        def weighted(k, reg):
-            qphi = np.einsum("pij,pjk->pik", spec.Q[k][reg], phi)
-            return np.einsum("pji,pjk->pik", phi, qphi)
-
-        w_prev = weighted(k0, alpha[:, k0])
-        for k in range(k0, n_steps):
-            reg = alpha[:, k]
-            a_phi = np.einsum("pij,pjk->pik", spec.A[k][reg], phi)
-            c_phi = np.einsum("pij,pjk->pik", spec.C[k][reg], phi)
-            phi = phi + h * a_phi + dw[:, k, None, None] * c_phi
-            w_next = weighted(k + 1, alpha[:, k + 1])
-            acc += 0.5 * h * (w_prev + w_next)
-            w_prev = w_next
-        reg = alpha[:, n_steps]
-        g_phi = np.einsum("pij,pjk->pik", spec.G[reg], phi)
-        acc += np.einsum("pji,pjk->pik", phi, g_phi)
-        return acc
+        return _integrate_fundamental(tables, alpha, dw, k0)
 
     samples = np.concatenate(_run_batched(worker, n_paths, threads))
     mean = samples.mean(axis=0)

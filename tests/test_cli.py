@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from regimelq import affine, benchmarks, cli, riccati
+from regimelq import affine, benchmarks, cli, problemfile, riccati
 from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
+from regimelq.model import Generator
 
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 @pytest.mark.parametrize(
@@ -42,6 +46,48 @@ def test_parse_rejects_malformed_yaml(tmp_path):
     bad.write_text("problem: [unclosed\n")
     with pytest.raises(ProblemFileError):
         parse_problem(bad)
+
+
+def test_parser_uses_libyaml_when_built():
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert problemfile._LOADER is want
+
+
+def test_loaders_parse_identical_problems(tmp_path, monkeypatch):
+    spec = benchmarks.two_regime_inhomogeneous(steps=12)
+    ramp = np.linspace(0.0, 1.0, 13)
+    q_mat = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    spec = dataclasses.replace(
+        spec,
+        A=spec.A + 0.3 * ramp[:, None, None, None],
+        Q=spec.Q * (1.0 + ramp)[:, None, None, None],
+        sigma=spec.sigma - 0.1 * ramp[:, None, None] ** 2,
+        gen=Generator((1.0 + 0.5 * ramp)[:, None, None] * q_mat),
+    )
+    varying = tmp_path / "varying.yaml"
+    write_problem(varying, spec)
+    for path in [*sorted(PROBLEMS.glob("*.yaml")), varying]:
+        parsed = []
+        for loader in LOADERS:
+            monkeypatch.setattr(problemfile, "_LOADER", loader)
+            parsed.append(parse_problem(path))
+        (ref, ref_doc), (got, doc) = parsed[0], parsed[-1]
+        assert doc == ref_doc, path.name
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert np.array_equal(got.gen.rates, ref.gen.rates)
+        assert got.grid == ref.grid
+    assert np.array_equal(got.A, spec.A) and np.array_equal(got.gen.rates, spec.gen.rates)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_malformed_yaml_exits_1_with_either_loader(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(problemfile, "_LOADER", loader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem: [unclosed\n")
+    with pytest.raises(ProblemFileError, match="YAML error"):
+        parse_problem(bad)
+    assert main(_args("solve", bad, tmp_path / "out")) == 1
 
 
 def test_parse_rejects_missing_field(tmp_path):

@@ -15,6 +15,8 @@ from regimelq.riccati import DivergenceError, solve_riccati_direct
 from regimelq.sim import (
     StatePath,
     _closed_loop_tables,
+    _fundamental_tables,
+    _integrate_fundamental,
     _integrate_policy,
     _open_loop_table,
     _sample_regime_paths,
@@ -113,6 +115,106 @@ def test_chain_invariants_and_reproducibility():
     assert np.all(np.diff(a.counts, axis=0) >= 0)
     assert np.all(np.diff(a.compensators, axis=0) >= -1e-15)
     assert not np.any(a.compensators[0])
+
+
+# ----------------------------------------------------- batched sampler
+
+
+def _varying_generator(grid):
+    """Three regimes, every rate linear in time (rows sum to zero)."""
+    base = np.array([[-1.5, 1.0, 0.5], [0.8, -1.4, 0.6], [0.3, 1.2, -1.5]])
+    slope = np.array([[-2.0, 0.5, 1.5], [1.0, -1.0, 0.0], [0.0, 2.5, -2.5]])
+    return Generator(base + grid.nodes()[:, None, None] * slope)
+
+
+def _kolmogorov_marginals(gen, grid, i0, k0, substeps=8):
+    """RK4 solution of p' = p Q(t) over the piecewise-linear generator,
+    started from regime i0 at node k0; (N + 1, D)."""
+    p = np.eye(gen.n_regimes)[i0]
+    out = np.tile(p, (grid.steps + 1, 1))
+    dt = grid.h / substeps
+    for k in range(k0, grid.steps):
+        lo, hi = gen.rates[k], gen.rates[k + 1]
+
+        def q(w):
+            return (1.0 - w) * lo + w * hi
+
+        for j in range(substeps):
+            w0, wm, w1 = j / substeps, (j + 0.5) / substeps, (j + 1) / substeps
+            d1 = p @ q(w0)
+            d2 = (p + 0.5 * dt * d1) @ q(wm)
+            d3 = (p + 0.5 * dt * d2) @ q(wm)
+            d4 = (p + dt * d3) @ q(w1)
+            p = p + dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        out[k + 1] = p
+    return out
+
+
+@pytest.mark.parametrize("k0", [0, 57])
+def test_batched_sampler_marginals_match_kolmogorov(k0):
+    grid = TimeGrid(0.0, 1.0, 90)
+    gen = _varying_generator(grid)
+    i0, batches, size = 1, 5, 40000
+    rng = np.random.default_rng(2024)
+    nodes = np.unique(np.linspace(k0 + 1, grid.steps, 5).astype(int))
+    counts = np.zeros((nodes.size, 3))
+    for _ in range(batches):
+        alpha = _sample_regime_paths(gen, grid, i0, size, rng, k0)
+        assert alpha.dtype == np.int64 and alpha.shape == (size, grid.steps + 1)
+        assert np.all(alpha[:, :k0 + 1] == i0)
+        counts += (alpha[:, nodes, None] == np.arange(3)).sum(axis=0)
+    n_paths = batches * size
+    want = _kolmogorov_marginals(gen, grid, i0, k0)[nodes]
+    assert np.all(want * n_paths > 500)  # normal approximation holds
+    z = (counts / n_paths - want) / np.sqrt(want * (1.0 - want) / n_paths)
+    assert np.abs(z).max() <= 4.5
+
+
+def test_batched_sampler_orders_jumps_within_a_cell():
+    # a coarse first cell whose generator turns from 0 -> 1 into 1 -> 2:
+    # the regime at its end depends on where in the cell candidates fall
+    grid = TimeGrid(0.0, 2.0, 2)
+    early = np.array([[-4.0, 4.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    late = np.array([[0.0, 0.0, 0.0], [0.0, -4.0, 4.0], [0.0, 0.0, 0.0]])
+    gen = Generator(np.stack([early, late, late]))
+    n_paths = 40000
+    alpha = _sample_regime_paths(gen, grid, 0, n_paths, np.random.default_rng(11))
+    want = _kolmogorov_marginals(gen, grid, 0, 0, substeps=64)[1]
+    got = (alpha[:, 1, None] == np.arange(3)).mean(axis=0)
+    assert np.all(want * n_paths > 500)
+    z = (got - want) / np.sqrt(want * (1.0 - want) / n_paths)
+    assert np.abs(z).max() <= 4.5
+
+
+def test_batched_sampler_degenerate_generators():
+    grid = TimeGrid(0.0, 1.0, 30)
+    rng = np.random.default_rng(3)
+    single = _sample_regime_paths(Generator.constant([[0.0]], grid), grid, 0, 50, rng)
+    assert single.dtype == np.int64 and not np.any(single)
+    frozen = Generator.constant(np.zeros((3, 3)), grid)
+    assert np.all(_sample_regime_paths(frozen, grid, 2, 50, rng) == 2)
+    assert np.all(_sample_regime_paths(frozen, grid, 2, 50, rng, k0=30) == 2)
+
+
+def test_batched_sampler_holds_regime_where_generator_vanishes():
+    grid = TimeGrid(0.0, 2.0, 80)
+    gen = _varying_generator(grid)
+    mask = np.ones(grid.steps + 1)
+    mask[20:41] = 0.0
+    gen = Generator(gen.rates * mask[:, None, None])
+    alpha = _sample_regime_paths(gen, grid, 0, 4000, np.random.default_rng(8))
+    assert np.all(alpha[:, 20:41] == alpha[:, 20:21])
+    assert np.any(alpha[:, 20] != 0)            # jumps before the window
+    assert np.any(alpha[:, 60] != alpha[:, 40])  # and after it
+
+
+def test_batched_sampler_reproducible_given_seed():
+    grid = TimeGrid(0.0, 1.0, 40)
+    gen = _varying_generator(grid)
+    a = _sample_regime_paths(gen, grid, 2, 300, np.random.default_rng(5), 7)
+    b = _sample_regime_paths(gen, grid, 2, 300, np.random.default_rng(5), 7)
+    assert np.array_equal(a, b)
+    assert np.any(a != 2)
 
 
 # ------------------------------------------------------------- state
@@ -395,6 +497,55 @@ def test_feynman_kac_scalar_exponential():
     want = np.exp(2.0 * a)
     budget = 5.0 * spec.grid.h * max(1.0, want)
     assert abs(est.mean[0, 0] - want) <= 3.0 * est.std_error[0, 0] + budget
+
+
+def _varying_fk_spec(steps=60):
+    spec = benchmarks.two_regime_standard(steps=steps)
+    ramp = spec.grid.nodes()[:, None, None, None]
+    q_mat = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    return dataclasses.replace(
+        spec,
+        A=spec.A * (1.0 - 0.8 * ramp) + 0.2 * ramp,
+        C=spec.C + 0.3 * ramp,
+        Q=spec.Q * (1.0 + ramp),
+        gen=Generator((1.0 + 2.0 * ramp[..., 0]) * q_mat),
+    )
+
+
+def _reference_fundamental(spec, alpha, dw, k0):
+    """Per-path recursion Φ <- Φ + hAΦ + dW CΦ with the trapezoidal
+    running weight ΦᵀQΦ and the terminal ΦᵀGΦ."""
+    h, n_steps = spec.grid.h, spec.grid.steps
+    out = []
+    for a, w in zip(alpha, dw):
+        phi = np.eye(spec.n)
+        prev = phi.T @ spec.Q[k0, a[k0]] @ phi
+        acc = np.zeros((spec.n, spec.n))
+        for k in range(k0, n_steps):
+            phi = phi + h * spec.A[k, a[k]] @ phi + w[k] * spec.C[k, a[k]] @ phi
+            nxt = phi.T @ spec.Q[k + 1, a[k + 1]] @ phi
+            acc += 0.5 * h * (prev + nxt)
+            prev = nxt
+        out.append(acc + phi.T @ spec.G[a[-1]] @ phi)
+    return np.array(out)
+
+
+def test_fundamental_loop_matches_per_path_recursion():
+    spec = _varying_fk_spec()
+    tables = _fundamental_tables(spec)
+    n_steps = spec.grid.steps
+    for k0 in (0, n_steps // 3, n_steps):
+        rng = np.random.default_rng([6, k0])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, 7, rng, k0)
+        dw = brownian_increments(spec.grid, rng, 7, k0)
+        got = _integrate_fundamental(tables, alpha, dw, k0)
+        want = _reference_fundamental(spec, alpha, dw, k0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if k0 == n_steps:  # t0 = T: the terminal weight alone
+            assert np.array_equal(got, np.broadcast_to(spec.G[1], got.shape))
+    est = feynman_kac_M0(spec, spec.grid.T, 1, 9, 0)
+    assert np.array_equal(est.mean, spec.G[1])
+    assert not np.any(est.std_error)
 
 
 def test_euler_weak_error_scaling():
