@@ -10,13 +10,10 @@ from .affine import (
 )
 from .matcore import min_eig_sym, pinv, range_included
 from .model import (
-    CoeffAt,
     Generator,
     GridRangeError,
     ProblemSpec,
     TimeGrid,
-    coeff_at,
-    hat_terms,
     validate,
 )
 from .riccati import (
@@ -27,7 +24,6 @@ from .riccati import (
     NotStronglyRegularError,
     RiccatiSolution,
     iterate_strongly_regular,
-    riccati_rhs,
     solve_lyapunov,
     solve_riccati_direct,
 )

@@ -4,10 +4,10 @@ Problem files are YAML; the schema is documented in
 :mod:`regimelq.problemfile`.
 
 Exit codes: 0 success, 1 problem-file/validation error or a run argument
-that does not fit the problem, 2 solution not regular (or the iteration
-certifies non-convexity, or the offset breaks the range condition of a
-strongly regular solution), 3 integration divergence, 4 verification
-failure.
+that does not fit the problem or the solver, 2 solution not regular (or
+the iteration certifies non-convexity, or the offset breaks the range
+condition of a strongly regular solution), 3 integration divergence, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -108,12 +108,12 @@ def _load_and_solve(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec, _ = parse_problem(args.problem)
-    if args.steps:
-        spec = spec.with_steps(args.steps)
     bad = _run_args_error(args, spec)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return spec, None, None, EXIT_PARSE
+    if args.steps:
+        spec = spec.with_steps(args.steps)
 
     try:
         if args.command == "iterate":
@@ -147,8 +147,20 @@ def _load_and_solve(args):
 
 
 def _run_args_error(args, spec) -> str | None:
-    """Why the Monte-Carlo arguments of simulate/verify do not fit the
-    problem, or None."""
+    """Why the run arguments do not fit the solver or, for simulate and
+    verify, the problem; None if they all fit."""
+    if args.steps < 0 or args.steps == 1:
+        return f"--steps must be 0 (grid of the file) or at least 2, got {args.steps}"
+    if not 0.0 < args.pinv_tol < 1.0:
+        return f"--pinv-tol must lie in (0, 1), got {args.pinv_tol}"
+    for flag, val in (("--strong-tol", args.strong_tol), ("--conv-tol", args.conv_tol)):
+        if not 0.0 < val < np.inf:
+            return f"{flag} must be positive and finite, got {val}"
+    for flag, val in (("--max-iter", args.max_iter), ("--threads", args.threads)):
+        if val < 1:
+            return f"{flag} must be at least 1, got {val}"
+    if args.seed < 0:
+        return f"--seed must be non-negative, got {args.seed}"
     if args.command not in ("simulate", "verify"):
         return None
     if args.x0 is not None and len(args.x0) != spec.n:

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "InvalidInputError",
     "as_matrix",
-    "sym_matrix",
     "symmetrize",
     "pinv",
     "min_eig_sym",
@@ -44,18 +43,6 @@ def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2 over the last two axes."""
     m = np.asarray(a, dtype=float)
     return 0.5 * (m + m.swapaxes(-1, -2))
-
-
-def sym_matrix(a, dim: int | None = None) -> np.ndarray:
-    """Validated symmetric-matrix constructor: finite, square, (A + A^T)/2.
-
-    The symmetrization keeps downstream definiteness and range tests
-    well-posed when the input drifts off symmetry by rounding.
-    """
-    m = as_matrix(a, rows=dim, cols=dim)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got {m.shape}")
-    return symmetrize(m)
 
 
 def pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL, hermitian: bool = False) -> np.ndarray:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import matcore
 from .matcore import symmetrize
 
 __all__ = [
@@ -21,10 +20,7 @@ __all__ = [
     "TimeGrid",
     "Generator",
     "ProblemSpec",
-    "CoeffAt",
     "validate",
-    "coeff_at",
-    "hat_terms",
     "interp_nodes",
 ]
 
@@ -112,9 +108,6 @@ class Generator:
     def constant(cls, q_matrix, grid: TimeGrid) -> "Generator":
         q = np.asarray(q_matrix, dtype=float)
         return cls(np.broadcast_to(q, (grid.steps + 1, *q.shape)).copy())
-
-    def row(self, grid: TimeGrid, t: float, i: int) -> np.ndarray:
-        return interp_nodes(self.rates, grid, t)[i]
 
     def violations(self, atol: float = 1e-10) -> list[str]:
         out = []
@@ -256,39 +249,6 @@ def _regime_stack(x, n_regimes: int, shape=None) -> np.ndarray:
     return stacked
 
 
-@dataclass(frozen=True)
-class CoeffAt:
-    """All coefficient fields evaluated at one (t, regime) pair."""
-
-    t: float
-    regime: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    b: np.ndarray
-    sigma: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
-    q: np.ndarray
-    rho: np.ndarray
-
-
-def coeff_at(spec: ProblemSpec, t: float, i: int) -> CoeffAt:
-    """Evaluate every coefficient of regime ``i`` at time ``t``.
-
-    Piecewise-linear in t, exact at grid nodes.  Regimes are 0-based.
-    """
-    if not 0 <= i < spec.n_regimes:
-        raise GridRangeError(f"regime {i} outside 0..{spec.n_regimes - 1}")
-    vals = {
-        name: interp_nodes(getattr(spec, name), spec.grid, t)[i]
-        for name in _RUNNING_FIELDS
-    }
-    return CoeffAt(t=t, regime=i, **vals)
-
-
 def _hats(bk, dk, ck, sk, rk, p):
     """Stacked (B^T P + D^T P C + S, sym(R + D^T P D)) over leading axes."""
     bt_p = np.swapaxes(bk, -1, -2) @ p
@@ -296,16 +256,6 @@ def _hats(bk, dk, ck, sk, rk, p):
     s_hat = bt_p + dt_p @ ck + sk
     r_hat = symmetrize(rk + dt_p @ dk)
     return s_hat, r_hat
-
-
-def hat_terms(co: CoeffAt, p_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain-side composites of the weights with a quadratic-value matrix P.
-
-    Returns ``(B^T P + D^T P C + S, R + D^T P D)``; the second factor is
-    symmetrized exactly.
-    """
-    p = matcore.as_matrix(p_i, rows=co.A.shape[0], cols=co.A.shape[0])
-    return _hats(co.B, co.D, co.C, co.S, co.R, p)
 
 
 def validate(spec: ProblemSpec) -> list[str]:

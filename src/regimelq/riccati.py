@@ -29,7 +29,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import symmetrize
-from .model import CoeffAt, ProblemSpec, TimeGrid, _hats, interp_nodes
+from .model import ProblemSpec, TimeGrid, _hats, interp_nodes
 
 __all__ = [
     "DivergenceError",
@@ -39,7 +39,6 @@ __all__ = [
     "LyapunovSolution",
     "RiccatiSolution",
     "solve_lyapunov",
-    "riccati_rhs",
     "rk4_backward",
     "solve_riccati_direct",
     "iterate_strongly_regular",
@@ -131,30 +130,6 @@ class RiccatiSolution:
 
     def gain_at(self, t: float, i: int) -> np.ndarray:
         return interp_nodes(self.Theta, self.grid, t)[i]
-
-
-def riccati_rhs(
-    co: CoeffAt,
-    p_all: np.ndarray,
-    i: int,
-    lambda_row: np.ndarray,
-    pinv_tol: float = DEFAULT_PINV_TOL,
-) -> np.ndarray:
-    """Time derivative of the quadratic-value matrix of regime ``i``.
-
-    ``p_all`` stacks the current matrices of every regime (the generator
-    row couples them); the quadratic term uses the pseudo-inverse of the
-    control weight composite.  A single-regime view of the table kernel
-    of the direct sweep; every regime's matrix is validated (finite,
-    square).
-    """
-    p_all = np.stack([matcore.sym_matrix(p) for p in np.asarray(p_all, dtype=float)])
-    d = p_all.shape[0]
-    coef = [np.broadcast_to(a, (1, d, *a.shape))
-            for a in (co.A, co.B, co.C, co.D, co.Q, co.S, co.R)]
-    lam = np.broadcast_to(np.asarray(lambda_row, dtype=float), (1, d, d))
-    tables = [t[0] for t in _riccati_tables((*coef, lam))]
-    return _riccati_rhs(tables, p_all, pinv_tol)[i]
 
 
 def _coupling(lam, p):
@@ -337,6 +312,15 @@ def _classify(
     )
 
 
+def _check_strong_tol(strong_tol: float) -> None:
+    """A strong-regularity threshold must be positive and finite: at or
+    below zero an indefinite control weight would certify as strong."""
+    if not 0.0 < strong_tol < np.inf:
+        raise matcore.InvalidInputError(
+            f"strong_tol must be positive and finite, got {strong_tol}"
+        )
+
+
 def _build_solution(
     spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
 ) -> RiccatiSolution:
@@ -364,6 +348,7 @@ def solve_riccati_direct(
     indefinite problems raises :class:`DivergenceError` rather than
     propagating non-finite values into the classification.
     """
+    _check_strong_tol(strong_tol)
     p_path = rk4_backward(
         lambda c, p: _riccati_rhs(c, p, pinv_tol),
         spec.G, _sweep_coefs(spec), spec.grid, derive=_riccati_tables,
@@ -392,6 +377,7 @@ def iterate_strongly_regular(
     When ``keep_iterates`` is set, all iterates are retained on the
     returned solution as ``iterates`` for diagnosis (None otherwise).
     """
+    _check_strong_tol(strong_tol)
     p_n = solve_lyapunov(spec).P
     trace: list[float] = []
     iterates = [p_n] if keep_iterates else None

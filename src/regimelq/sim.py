@@ -1,16 +1,17 @@
 """Monte-Carlo engine: chain sampling, Euler-Maruyama, cost evaluation.
 
-Chain jumps are sampled by thinning against a dominating rate, with the
-intensities interpolated piecewise-linearly between grid nodes (exact
-competing exponentials for a constant generator).  Regime changes take
-effect at the next grid node for the state integrator, consistent with
-the Euler-Maruyama order.  The batched sampler thins against a
-piecewise-constant dominating rate: each path's unit-rate stream is
-mapped through the cumulative dominating intensity to a cell and a
-time, so one vectorised round handles one jump candidate of every path
-(Lewis & Shedler, Naval Res. Logist. Q. 26, 1979).  Batched internals
-carry all paths as leading axes; path streams are addressed by
-(seed, batch) so reductions are deterministic regardless of scheduling.
+One node-aligned sampler serves single paths and batches alike.  It
+thins against a piecewise-constant dominating rate, with the
+intensities interpolated piecewise-linearly between grid nodes: each
+path's unit-rate stream is mapped through the cumulative dominating
+intensity to a cell and a time, so one vectorised round handles one
+jump candidate of every path (Lewis & Shedler, Naval Res. Logist. Q.
+26, 1979).  A jump takes effect at the next grid node, consistent with
+the Euler-Maruyama order, so only the node values of the regime are
+kept; they have the exact joint law of the chain at the nodes.  Batched
+internals carry all paths as leading axes; path streams are addressed
+by (seed, batch) so reductions are deterministic regardless of
+scheduling.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineSolution
-from .model import Generator, ProblemSpec, TimeGrid, interp_nodes
+from .model import Generator, ProblemSpec, TimeGrid
 from .riccati import BLOWUP_LIMIT, DivergenceError, RiccatiSolution
 
 __all__ = [
@@ -65,19 +66,13 @@ def as_rng(seed_or_rng) -> np.random.Generator:
 class ChainPath:
     """One realized regime trajectory on the grid.
 
-    ``alpha`` holds the right-continuous regime value at each node;
-    ``jumps`` the exact (time, from, to) records; ``counts[k, j]`` the
-    number of jumps into regime j up to node k; ``compensators[k, j]``
-    the exact integral of the jump intensity into j along the path,
-    so counts - compensators is a martingale sampled at the nodes.
+    ``alpha`` holds the regime at each node; a jump inside a cell takes
+    effect at the cell's right node, as for every batched path.
     """
 
     grid: TimeGrid
     i0: int
-    alpha: np.ndarray                     # (N + 1,) int
-    jumps: tuple[tuple[float, int, int], ...]
-    counts: np.ndarray                    # (N + 1, D)
-    compensators: np.ndarray              # (N + 1, D)
+    alpha: np.ndarray  # (N + 1,) int64
 
 
 @dataclass(frozen=True)
@@ -107,96 +102,10 @@ class MCMatrixEstimate:
     seed: int
 
 
-def _rate_cumulative(gen: Generator, grid: TimeGrid) -> np.ndarray:
-    """Cumulative node integrals of every intensity entry (trapezoid is
-    exact for the piecewise-linear rate model)."""
-    h = grid.h
-    steps = 0.5 * h * (gen.rates[:-1] + gen.rates[1:])
-    out = np.zeros_like(gen.rates)
-    np.cumsum(steps, axis=0, out=out[1:])
-    return out
-
-
-def _rate_integral_to(gen, grid, cum, x: float) -> np.ndarray:
-    """Exact integral of all intensity entries from t0 to x."""
-    k, w = grid.locate(x)
-    if w == 0.0:
-        return cum[k]
-    t_k = grid.nodes()[k]
-    rate_x = (1.0 - w) * gen.rates[k] + w * gen.rates[k + 1]
-    return cum[k] + 0.5 * (x - t_k) * (gen.rates[k] + rate_x)
-
-
 def simulate_chain(gen: Generator, grid: TimeGrid, i0: int, rng) -> ChainPath:
-    """Sample one regime path with exact jump times and compensators.
-
-    Thinning runs against the global dominating rate (the largest exit
-    intensity over all nodes and regimes, a valid bound for the
-    piecewise-linear rate model); acceptance uses the interpolated rates.
-    """
-    rng = as_rng(rng)
-    d = gen.n_regimes
-    t_nodes = grid.nodes()
-    n_nodes = t_nodes.size
-    exit_rates = -np.einsum("kii->ki", gen.rates)
-    m_dom = float(exit_rates.max()) if d > 1 else 0.0
-
-    jumps: list[tuple[float, int, int]] = []
-    cur = i0
-    if m_dom > 0.0:
-        t = grid.t0
-        while True:
-            t += rng.exponential(1.0 / m_dom)
-            if t >= grid.T:
-                break
-            row = interp_nodes(gen.rates, grid, t)[cur]
-            exit_rate = -row[cur]
-            if exit_rate <= 0.0:
-                continue
-            if rng.uniform() < exit_rate / m_dom:
-                weights = np.maximum(row, 0.0)
-                weights[cur] = 0.0
-                target = int(rng.choice(d, p=weights / weights.sum()))
-                jumps.append((t, cur, target))
-                cur = target
-
-    jump_times = np.array([j[0] for j in jumps])
-    seq = np.array([i0] + [j[2] for j in jumps], dtype=np.int64)
-    alpha = seq[np.searchsorted(jump_times, t_nodes, side="right")]
-
-    counts = np.zeros((n_nodes, d))
-    for t_j, _, target in jumps:
-        counts[np.searchsorted(t_nodes, t_j, side="left"):, target] += 1.0
-
-    compensators = _compensator_exact(gen, grid, seq, jump_times, t_nodes)
-
-    return ChainPath(
-        grid=grid, i0=i0, alpha=alpha, jumps=tuple(jumps),
-        counts=counts, compensators=compensators,
-    )
-
-
-def _compensator_exact(gen, grid, seq, jump_times, t_nodes):
-    """Per-node compensators: exact integral of the intensity into each
-    target regime along the realized path (own-regime entry excluded)."""
-    comp = np.zeros((t_nodes.size, gen.n_regimes))
-    cum = _rate_cumulative(gen, grid)
-    seg_edges = [grid.t0, *jump_times.tolist(), grid.T]
-    for s, (a, b) in enumerate(zip(seg_edges[:-1], seg_edges[1:])):
-        if b <= a:
-            continue
-        reg = int(seq[s])
-        f_a = _rate_integral_to(gen, grid, cum, a)[reg]
-        f_b = _rate_integral_to(gen, grid, cum, b)[reg]
-        inside = (t_nodes > a) & (t_nodes < b)
-        if inside.any():
-            seg = cum[inside, reg, :] - f_a
-            seg[:, reg] = 0.0
-            comp[inside] += seg
-        tail = f_b - f_a
-        tail[reg] = 0.0
-        comp[t_nodes >= b] += tail
-    return comp
+    """Sample one regime path: a one-path call of the batched sampler."""
+    alpha = _sample_regime_paths(gen, grid, i0, 1, rng)[0]
+    return ChainPath(grid=grid, i0=i0, alpha=alpha)
 
 
 def brownian_increments(grid: TimeGrid, rng, n_paths: int = 1, k0: int = 0) -> np.ndarray:

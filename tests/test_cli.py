@@ -188,6 +188,27 @@ def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "cmd, flags, message",
+    [
+        ("solve", {"strong_tol": -5}, "--strong-tol must be positive and finite"),
+        ("iterate", {"conv_tol": 0}, "--conv-tol must be positive and finite"),
+        ("solve", {"steps": 1}, "--steps must be 0"),
+        ("verify", {"steps": -4}, "--steps must be 0"),
+        ("solve", {"pinv_tol": 2}, "--pinv-tol must lie in (0, 1)"),
+        ("iterate", {"max_iter": 0}, "--max-iter must be at least 1"),
+        ("simulate", {"threads": 0}, "--threads must be at least 1"),
+        ("verify", {"seed": -1}, "--seed must be non-negative"),
+    ],
+)
+def test_bad_solver_argument_exit_code(tmp_path, capsys, cmd, flags, message):
+    # negative_r is indefinite: a non-positive --strong-tol would certify it
+    problem = PROBLEMS / "negative_r.yaml"
+    assert main(_args(cmd, problem, tmp_path / "out", **flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
 def test_simulate_state_divergence_exit_code(tmp_path, capsys):
     problem = tmp_path / "exploding.yaml"
     write_problem(problem, benchmarks.state_blowup())

@@ -164,7 +164,7 @@ def test_range_included_matches_rank_oracle():
     assert agree == 100
 
 
-def test_sym_matrix_symmetrizes():
-    m = matcore.sym_matrix([[1.0, 2.0], [0.0, 1.0]])
+def test_symmetrize_averages_with_transpose():
+    m = matcore.symmetrize([[1.0, 2.0], [0.0, 1.0]])
     assert np.array_equal(m, m.T)
     assert m[0, 1] == pytest.approx(1.0)

@@ -7,12 +7,13 @@ import pytest
 
 from regimelq import benchmarks
 from regimelq.model import (
+    _RUNNING_FIELDS,
     Generator,
     GridRangeError,
     ProblemSpec,
     TimeGrid,
-    coeff_at,
-    hat_terms,
+    _hats,
+    interp_nodes,
     validate,
 )
 
@@ -59,77 +60,76 @@ def test_validate_flags_nonfinite():
     assert any("non-finite" in p for p in validate(dataclasses.replace(spec, A=a_bad)))
 
 
-def test_coeff_at_exact_at_nodes_and_linear_between():
-    grid = TimeGrid(0.0, 1.0, 4)
-    gen = Generator.constant([[0.0]], grid)
-    spec = benchmarks.scalar_benchmark(steps=4)
+def test_interp_nodes_exact_at_nodes_and_linear_between():
+    spec = benchmarks.two_regime_standard(steps=4)
     a_var = spec.A.copy()
-    a_var[:, 0, 0, 0] = np.arange(5, dtype=float)  # A(t_k) = k
-    spec = dataclasses.replace(spec, A=a_var, gen=gen)
+    a_var[:, :, 0, 0] = np.arange(5, dtype=float)[:, None] * [1.0, -2.0]  # A(t_k) = k, -2k
+    grid = spec.grid
     for k in range(5):
-        assert coeff_at(spec, grid.nodes()[k], 0).A[0, 0] == float(k)
-    mid = coeff_at(spec, 0.125, 0)  # midpoint of cell 0
-    assert mid.A[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert np.array_equal(interp_nodes(a_var, grid, grid.nodes()[k]), a_var[k])
+    mid = interp_nodes(a_var, grid, 0.125)  # midpoint of cell 0
+    assert mid[:, 0, 0] == pytest.approx([0.5, -1.0], abs=1e-14)
+    assert np.array_equal(mid[:, 1], a_var[0, :, 1])
 
 
-def test_coeff_at_constant_spec_everywhere():
+def test_interp_nodes_constant_spec_everywhere():
     spec = benchmarks.two_regime_standard(steps=8)
-    co = coeff_at(spec, 0.3777, 1)
-    assert np.array_equal(co.A, spec.A[0, 1])
-    assert np.array_equal(co.R, spec.R[0, 1])
+    for name in _RUNNING_FIELDS:
+        arr = getattr(spec, name)
+        assert np.array_equal(interp_nodes(arr, spec.grid, 0.3777), arr[0]), name
 
 
-def test_coeff_at_node_exact_for_every_field():
+def test_interp_nodes_node_exact_for_every_field():
     spec = benchmarks.two_regime_inhomogeneous(steps=6)
     k = 4
     t_k = spec.grid.nodes()[k]
-    co = coeff_at(spec, t_k, 1)
-    for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho"):
-        assert np.array_equal(getattr(co, name), getattr(spec, name)[k, 1]), name
+    for name in _RUNNING_FIELDS:
+        arr = getattr(spec, name)
+        assert np.array_equal(interp_nodes(arr, spec.grid, t_k), arr[k]), name
 
 
-def test_coeff_at_out_of_range():
+def test_interp_nodes_out_of_range():
     spec = benchmarks.scalar_benchmark(steps=4)
-    with pytest.raises(GridRangeError):
-        coeff_at(spec, 1.5, 0)
-    with pytest.raises(GridRangeError):
-        coeff_at(spec, 0.5, 3)
+    for t in (1.5, -0.1):
+        with pytest.raises(GridRangeError):
+            interp_nodes(spec.A, spec.grid, t)
 
 
-def test_hat_terms_at_zero_p():
-    spec = benchmarks.two_regime_standard(steps=4)
-    co = coeff_at(spec, 0.0, 0)
-    s_hat, r_hat = hat_terms(co, np.zeros((2, 2)))
-    assert np.array_equal(s_hat, co.S)
-    assert np.array_equal(r_hat, co.R)
+def _hats_of(spec, p):
+    return _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p)
 
 
-def test_hat_terms_scalar_substitution():
-    spec = benchmarks.scalar_benchmark(steps=4)
-    co = coeff_at(spec, 0.0, 0)  # B=1, D=0, S=0, R=1
-    s_hat, r_hat = hat_terms(co, np.array([[0.7]]))
-    assert s_hat[0, 0] == pytest.approx(0.7)
-    assert r_hat[0, 0] == pytest.approx(1.0)
+def test_hats_at_zero_p():
+    spec = benchmarks.two_regime_inhomogeneous(steps=4)
+    s_hat, r_hat = _hats_of(spec, np.zeros(spec.A.shape))
+    assert np.array_equal(s_hat, spec.S)
+    assert np.array_equal(r_hat, spec.R)
 
 
-def test_hat_terms_no_diffusion_gain():
+def test_hats_scalar_substitution():
+    spec = benchmarks.scalar_benchmark(steps=4)  # B=1, D=0, S=0, R=1
+    s_hat, r_hat = _hats_of(spec, np.full(spec.A.shape, 0.7))
+    assert s_hat == pytest.approx(np.full(s_hat.shape, 0.7))
+    assert r_hat == pytest.approx(np.ones(r_hat.shape))
+
+
+def test_hats_no_diffusion_gain():
     spec = benchmarks.two_regime_standard(steps=4)
     d_zero = dataclasses.replace(spec, D=np.zeros_like(spec.D))
-    co = coeff_at(d_zero, 0.5, 1)
     rng = np.random.default_rng(1)
-    p = rng.normal(size=(2, 2))
-    p = p + p.T
-    _, r_hat = hat_terms(co, p)
-    assert np.array_equal(r_hat, co.R)
+    p = rng.normal(size=spec.A.shape)
+    _, r_hat = _hats_of(d_zero, p + np.swapaxes(p, -1, -2))
+    assert np.array_equal(r_hat, spec.R)
 
 
-def test_hat_terms_symmetric_output():
-    spec = benchmarks.two_regime_standard(steps=4)
-    co = coeff_at(spec, 0.25, 0)
+def test_hats_symmetric_output():
+    # two regimes, n = 3, m = 2, and a non-symmetric R: the composite is
+    # still exactly symmetric
     rng = np.random.default_rng(5)
-    p = rng.normal(size=(2, 2))
-    _, r_hat = hat_terms(co, p + p.T)
-    assert np.array_equal(r_hat, r_hat.T)
+    b, d, s = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 2, 3))
+    c, r, p = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 3, 3))
+    _, r_hat = _hats(b, d, c, s, r, p + np.swapaxes(p, -1, -2))
+    assert np.array_equal(r_hat, np.swapaxes(r_hat, -1, -2))
 
 
 def test_validate_accepts_own_constructors():

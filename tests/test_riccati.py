@@ -6,16 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regimelq import benchmarks, riccati
 from regimelq.affine import solve_eta
 from regimelq.matcore import InvalidInputError, symmetrize
-from regimelq.model import Generator, TimeGrid, _hats, coeff_at
+from regimelq.model import Generator, TimeGrid, _hats
 from regimelq.riccati import (
+    DEFAULT_PINV_TOL,
     DivergenceError,
     NotStronglyRegularError,
     iterate_strongly_regular,
-    riccati_rhs,
     rk4_backward,
     solve_lyapunov,
     solve_riccati_direct,
@@ -25,12 +28,21 @@ from regimelq.riccati import (
 # ---------------------------------------------------------------- rhs
 
 
+def _rhs(coef, p):
+    """Direct-sweep RHS of every regime from one stacked coefficient
+    sample (A, B, C, D, Q, S, R, generator)."""
+    return riccati._riccati_rhs(riccati._riccati_tables(coef), p, DEFAULT_PINV_TOL)
+
+
+def _node(spec, k):
+    return tuple(x[k] for x in riccati._sweep_coefs(spec))
+
+
 def test_rhs_scalar_quadratic_term():
     spec = benchmarks.scalar_benchmark(steps=4)
-    co = coeff_at(spec, 0.5, 0)
     for p in (0.3, 1.0, -2.0):
-        got = riccati_rhs(co, np.array([[[p]]]), 0, np.array([0.0]))
-        assert got[0, 0] == pytest.approx(p * p, rel=1e-12)
+        got = _rhs(_node(spec, 2), np.array([[[p]]]))
+        assert got[0, 0, 0] == pytest.approx(p * p, rel=1e-12)
 
 
 def test_rhs_reduces_to_linear_form_without_gain_channels():
@@ -41,18 +53,17 @@ def test_rhs_reduces_to_linear_form_without_gain_channels():
         D=np.zeros_like(spec.D),
         S=np.zeros_like(spec.S),
     )
-    co = coeff_at(spec, 0.25, 0)
     rng = np.random.default_rng(0)
     p_all = rng.normal(size=(2, 2, 2))
     p_all = p_all + np.swapaxes(p_all, -1, -2)
-    lam_row = spec.gen.rates[0, 0]
-    got = riccati_rhs(co, p_all, 0, lam_row)
-    p0 = p_all[0]
-    want = -(
-        p0 @ co.A + co.A.T @ p0 + co.C.T @ p0 @ co.C + co.Q
-        + lam_row[0] * p_all[0] + lam_row[1] * p_all[1]
-    )
-    assert np.allclose(got, 0.5 * (want + want.T), atol=1e-13)
+    a, _, c, _, q, _, _, lam = _node(spec, 1)
+    got = _rhs(_node(spec, 1), p_all)
+    for i in range(2):
+        want = -(
+            p_all[i] @ a[i] + a[i].T @ p_all[i] + c[i].T @ p_all[i] @ c[i] + q[i]
+            + lam[i, 0] * p_all[0] + lam[i, 1] * p_all[1]
+        )
+        assert np.allclose(got[i], 0.5 * (want + want.T), atol=1e-13)
 
 
 def test_rhs_all_zero_data():
@@ -60,23 +71,59 @@ def test_rhs_all_zero_data():
     spec = dataclasses.replace(
         spec, B=np.zeros_like(spec.B), R=np.zeros_like(spec.R)
     )
-    co = coeff_at(spec, 0.0, 0)
-    got = riccati_rhs(co, np.zeros((1, 1, 1)), 0, np.array([0.0]))
-    assert np.array_equal(got, np.zeros((1, 1)))
+    got = _rhs(_node(spec, 0), np.zeros((1, 1, 1)))
+    assert np.array_equal(got, np.zeros((1, 1, 1)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("regime", [0, 1])
-def test_rhs_rejects_non_finite_matrix(bad, regime):
-    # D = 0 keeps the control weight composite finite, so only the input
-    # check can catch the bad entry
-    spec = benchmarks.two_regime_standard(steps=4)
-    spec = dataclasses.replace(spec, D=np.zeros_like(spec.D))
-    co = coeff_at(spec, 0.25, 0)
-    p_all = np.stack([np.eye(2), np.eye(2)])
-    p_all[regime, 0, 1] = bad
-    with pytest.raises(InvalidInputError):
-        riccati_rhs(co, p_all, 0, spec.gen.rates[0, 0])
+@st.composite
+def _stacked_samples(draw, zero_generator=False):
+    """One stacked coefficient sample with D <= 3 regimes, n <= 3,
+    m <= 2, and a symmetric P.  R = W^T W + 4I and |D| <= 0.3 keep
+    R + D^T P D positive definite, far from the pseudo-inverse cutoff."""
+    d, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def stack(*shape, lo=-1.0, hi=1.0):
+        elements = st.floats(lo, hi, allow_subnormal=False)
+        return draw(hnp.arrays(np.float64, (d, *shape), elements=elements))
+
+    a, b, c, dd, q, s, w, p = (
+        stack(n, n), stack(n, m), stack(n, n), 0.3 * stack(n, m),
+        symmetrize(stack(n, n)), stack(m, n), stack(m, m), symmetrize(stack(n, n)),
+    )
+    r = np.swapaxes(w, -1, -2) @ w + 4.0 * np.eye(m)
+    lam = np.zeros((d, d))
+    if not zero_generator:
+        off = draw(hnp.arrays(np.float64, (d, d), elements=st.floats(0.0, 2.0)))
+        lam = off * (1.0 - np.eye(d))
+        lam -= np.diag(lam.sum(axis=1))
+    return (a, b, c, dd, q, s, r, lam), p
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@given(_stacked_samples())
+def test_rhs_property_exactly_symmetric(sample):
+    out = _rhs(*sample)
+    assert np.array_equal(out, np.swapaxes(out, -1, -2))
+
+
+@given(_stacked_samples(), st.data())
+def test_rhs_property_regime_permutation_equivariant(sample, data):
+    coef, p = sample
+    perm = np.array(data.draw(st.permutations(range(p.shape[0]))))
+    permuted = tuple(x[perm] for x in coef[:-1]) + (coef[-1][perm][:, perm],)
+    assert _close(_rhs(permuted, p[perm]), _rhs(coef, p)[perm])
+
+
+@given(_stacked_samples(zero_generator=True))
+def test_rhs_property_decouples_under_zero_generator(sample):
+    coef, p = sample
+    out = _rhs(coef, p)
+    for i in range(p.shape[0]):
+        alone = tuple(x[i:i + 1] for x in coef[:-1]) + (np.zeros((1, 1)),)
+        assert _close(_rhs(alone, p[i:i + 1])[0], out[i])
 
 
 def _time_varying(spec):
@@ -287,6 +334,14 @@ def test_direct_indefinite_classification():
     sol = solve_riccati_direct(benchmarks.negative_r(steps=50))
     assert sol.classification.kind == "not_regular"
     assert "indefinite" in sol.classification.reason
+
+
+@pytest.mark.parametrize("solver", [solve_riccati_direct, iterate_strongly_regular])
+@pytest.mark.parametrize("strong_tol", [0.0, -5.0, np.nan, np.inf])
+def test_solvers_reject_bad_strong_tol(solver, strong_tol):
+    # at or below zero an indefinite problem would certify as strongly regular
+    with pytest.raises(InvalidInputError, match="strong_tol"):
+        solver(benchmarks.negative_r(steps=50), strong_tol=strong_tol)
 
 
 # --------------------------------------------------------- iteration

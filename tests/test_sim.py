@@ -44,44 +44,53 @@ def test_chain_absorbing_without_rates():
     gen = Generator.constant([[-0.0, 0.0], [0.0, 0.0]], grid)
     ch = simulate_chain(gen, grid, 1, np.random.default_rng(0))
     assert np.all(ch.alpha == 1)
-    assert not np.any(ch.counts)
-    assert not np.any(ch.compensators)
 
 
 def test_chain_single_regime_never_jumps():
     grid = TimeGrid(0.0, 1.0, 10)
     gen = Generator.constant([[0.0]], grid)
     ch = simulate_chain(gen, grid, 0, np.random.default_rng(1))
-    assert ch.jumps == ()
     assert np.all(ch.alpha == 0)
 
 
+def _transition_matrix(q_mat, h):
+    """exp(Q h) by its truncated series."""
+    trans = np.eye(len(q_mat))
+    term = np.eye(len(q_mat))
+    for k in range(1, 60):
+        term = term @ q_mat * h / k
+        trans = trans + term
+    return trans
+
+
 def test_chain_symmetric_two_state_jump_count():
-    # exit intensity is 1 from both states, so expected jumps over [0,1] is 1
+    # exit intensity 1 from both states: the regime differs between two
+    # nodes h apart with probability (1 - exp(-2h)) / 2
     grid = TimeGrid(0.0, 1.0, 10)
     gen = Generator.constant([[-1.0, 1.0], [1.0, -1.0]], grid)
-    rng = np.random.default_rng(99)
     n = 30000
-    totals = np.empty(n)
-    for p in range(n):
-        totals[p] = simulate_chain(gen, grid, 0, rng).counts[-1].sum()
+    alpha = _sample_regime_paths(gen, grid, 0, n, np.random.default_rng(99))
+    totals = (np.diff(alpha, axis=1) != 0).sum(axis=1)
+    want = grid.steps * 0.5 * (1.0 - np.exp(-2.0 * grid.h))
     se = totals.std(ddof=1) / np.sqrt(n)
-    assert abs(totals.mean() - 1.0) <= 3.0 * se
+    assert abs(totals.mean() - want) <= 3.0 * se
 
 
 def test_chain_compensated_counts_are_martingale():
+    # node-to-node switches into j minus their exact compensator
+    # sum_k T[alpha_k, j] 1{alpha_k != j}, with T = exp(Q h), have mean 0
     grid = TimeGrid(0.0, 1.0, 100)
-    gen = Generator.constant(
-        [[-1.0, 0.7, 0.3], [0.5, -1.2, 0.7], [0.2, 0.8, -1.0]], grid
-    )
+    q_mat = np.array([[-1.0, 0.7, 0.3], [0.5, -1.2, 0.7], [0.2, 0.8, -1.0]])
+    gen = Generator.constant(q_mat, grid)
     n = 10000
-    diff = np.empty((n, 3))
-    for p in range(n):
-        ch = simulate_chain(gen, grid, 0, np.random.default_rng([17, p]))
-        diff[p] = ch.counts[-1] - ch.compensators[-1]
+    alpha = _sample_regime_paths(gen, grid, 0, n, np.random.default_rng(17))
+    src, dst = alpha[:, :-1], alpha[:, 1:]
+    jump_rates = _transition_matrix(q_mat, grid.h) * (1.0 - np.eye(3))
     for j in range(3):
-        se = diff[:, j].std(ddof=1) / np.sqrt(n)
-        assert abs(diff[:, j].mean()) <= 3.0 * se
+        counts = ((dst == j) & (src != j)).sum(axis=1)
+        diff = counts - jump_rates[src, j].sum(axis=1)
+        se = diff.std(ddof=1) / np.sqrt(n)
+        assert abs(diff.mean()) <= 3.0 * se
 
 
 def test_chain_occupation_matches_matrix_exponential():
@@ -110,11 +119,11 @@ def test_chain_invariants_and_reproducibility():
     a = simulate_chain(gen, grid, 0, np.random.default_rng(5))
     b = simulate_chain(gen, grid, 0, np.random.default_rng(5))
     assert np.array_equal(a.alpha, b.alpha)
-    assert a.jumps == b.jumps
-    assert np.array_equal(a.compensators, b.compensators)
-    assert np.all(np.diff(a.counts, axis=0) >= 0)
-    assert np.all(np.diff(a.compensators, axis=0) >= -1e-15)
-    assert not np.any(a.compensators[0])
+    assert a.alpha.dtype == np.int64 and a.alpha.shape == (grid.steps + 1,)
+    assert a.alpha[0] == 0 and set(a.alpha.tolist()) == {0, 1}
+    # one path of the batched sampler, drawn from the same stream
+    one = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(5))
+    assert np.array_equal(a.alpha, one[0])
 
 
 # ----------------------------------------------------- batched sampler
@@ -183,6 +192,29 @@ def test_batched_sampler_orders_jumps_within_a_cell():
     got = (alpha[:, 1, None] == np.arange(3)).mean(axis=0)
     assert np.all(want * n_paths > 500)
     z = (got - want) / np.sqrt(want * (1.0 - want) / n_paths)
+    assert np.abs(z).max() <= 4.5
+
+
+def test_chain_two_node_law_matches_kolmogorov():
+    # (alpha_k, alpha_{k+1}) has law p_k(i) T_k[i, j], where T_k[i] is the
+    # Kolmogorov solution over cell k started from e_i at node k
+    grid = TimeGrid(0.0, 1.0, 10)
+    gen = _varying_generator(grid)
+    i0, batches, size, cells = 1, 5, 40000, (2, 5, 9)
+    rng = np.random.default_rng(31)
+    counts = np.zeros((len(cells), 3, 3))
+    for _ in range(batches):
+        alpha = _sample_regime_paths(gen, grid, i0, size, rng)
+        for c, k in enumerate(cells):
+            np.add.at(counts[c], (alpha[:, k], alpha[:, k + 1]), 1.0)
+    n_paths = batches * size
+    p = _kolmogorov_marginals(gen, grid, i0, 0)
+    want = np.stack([
+        p[k, :, None] * np.stack([_kolmogorov_marginals(gen, grid, i, k)[k + 1] for i in range(3)])
+        for k in cells
+    ])
+    assert np.all(want * n_paths > 500)  # normal approximation holds
+    z = (counts / n_paths - want) / np.sqrt(want * (1.0 - want) / n_paths)
     assert np.abs(z).max() <= 4.5
 
 
