@@ -3,8 +3,9 @@
 Problem files are YAML; the schema is documented in
 :mod:`regimelq.problemfile`.
 
-Exit codes: 0 success, 1 problem-file/validation error or a run argument
-that does not fit the problem or the solver, 2 solution not regular (or
+Exit codes: 0 success, 1 problem-file/validation error, a run argument
+that does not fit the problem or the solver, or a flag other than
+``--out`` given to ``report``, 2 solution not regular (or
 the iteration certifies non-convexity, or the offset breaks the range
 condition of a strongly regular solution), 3 integration divergence, 4
 verification failure.
@@ -165,6 +166,8 @@ def _run_args_error(args, spec) -> str | None:
         return None
     if args.x0 is not None and len(args.x0) != spec.n:
         return f"--x0 has {len(args.x0)} entries, the problem has n = {spec.n}"
+    if args.x0 is not None and not np.all(np.isfinite(args.x0)):
+        return f"--x0 must be finite, got {' '.join(map(str, args.x0))}"
     if not 1 <= args.i0 <= spec.n_regimes:
         return f"--i0 {args.i0} is not a regime in 1..{spec.n_regimes}"
     if args.paths < 1:
@@ -316,9 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
-        if name != "report":
-            p.add_argument("--problem", required=True, help="YAML problem file")
         p.add_argument("--out", default="out", help="output directory")
+        if name == "report":
+            continue
+        p.add_argument("--problem", required=True, help="YAML problem file")
         p.add_argument("--steps", type=int, default=0,
                        help="override grid steps (0 = use problem file)")
         p.add_argument("--paths", type=int, default=10000)
@@ -338,7 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra and args.command == "report":
+        print(f"error: report takes only --out, got {' '.join(extra)}", file=sys.stderr)
+        return EXIT_PARSE
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ProblemFileError as exc:

@@ -16,15 +16,20 @@ scheduling.
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
 Each Monte-Carlo call therefore builds, once, per-node tables that hold
-every regime's blocks side by side (:func:`_closed_loop_tables`; open
-loop is Θ = 0).  One Euler step is then one product x̄ W[k] for all
-paths and all regimes, a row select on the path's regime, and the
-trapezoidal cost added in the loop.  The estimators keep no
-trajectories, only per-path costs; states are recorded only for the
-single paths of :func:`simulate_policy`.  Since each step multiplies by
-every regime's block, its cost grows with the number of regimes D.  The
-zero-control value matrix (:func:`feynman_kac_M0`) runs the same scheme
-on the transposed fundamental matrix Φᵀ stacked over paths.
+every regime's blocks side by side, with one such block row per control
+law (:func:`_closed_loop_tables`; open loop is Θ = 0).  Several laws on
+common random numbers run as a batch axis of one call: x̄ is (L, P,
+n + 1), and one Euler step is one batched product x̄ W[k] in which each
+law's rows meet only that law's blocks, a row take on the path's
+regime, one einsum of [1, ΔWₖ] against the step and diffusion blocks,
+and the trapezoidal cost added in the loop.  The laws share the P rows
+of regimes and increments, or each law has its own.  The estimators
+keep no trajectories, only per-path costs; states are recorded only for
+the single paths of :func:`simulate_policy`.  Since each step multiplies
+by every regime's block, its cost grows with the number of regimes D,
+but not with the number of laws.  The zero-control value matrix
+(:func:`feynman_kac_M0`) runs the same scheme on the transposed
+fundamental matrix Φᵀ stacked over paths.
 """
 
 from __future__ import annotations
@@ -111,8 +116,11 @@ def simulate_chain(gen: Generator, grid: TimeGrid, i0: int, rng) -> ChainPath:
 def brownian_increments(grid: TimeGrid, rng, n_paths: int = 1, k0: int = 0) -> np.ndarray:
     """N(0, h) increments, shape (n_paths, N); zeros before node k0."""
     rng = as_rng(rng)
+    draw = rng.normal(0.0, np.sqrt(grid.h), (n_paths, grid.steps - k0))
+    if k0 == 0:
+        return draw
     out = np.zeros((n_paths, grid.steps))
-    out[:, k0:] = rng.normal(0.0, np.sqrt(grid.h), (n_paths, grid.steps - k0))
+    out[:, k0:] = draw
     return out
 
 
@@ -199,23 +207,24 @@ def _terminal_form(spec: ProblemSpec) -> np.ndarray:
 class _Tables:
     """Closed-loop Euler tables over the augmented state x̄ = [x, 1].
 
-    ``W[k]`` is (n + 1, R (3n + 1)): for table regime r its columns are
-    [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so one product
-    x̄ W[k] gives every regime's x + h drift, diffusion and h M x̄,
-    with M = KᵀLK the running-cost form of the closed loop.
-    :func:`_fundamental_tables` fills the same record for the matrix loop.
+    ``W[k, l]`` is (n + 1, D (3n + 1)) for law l: for regime r its
+    columns are [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so
+    one product x̄ W[k, l] gives every regime's x + h drift, diffusion and
+    h M x̄, with M = KᵀLK the running-cost form of the closed loop.
+    :func:`_fundamental_tables` fills the same record for the matrix loop,
+    without the law axis.
     """
 
-    W: np.ndarray         # (N + 1, n + 1, R * (3n + 1))
-    terminal: np.ndarray  # (R, n + 1, n + 1)
+    W: np.ndarray         # (N + 1, L, n + 1, D (3n + 1))
+    terminal: np.ndarray  # (D, n + 1, n + 1)
     grid: TimeGrid
 
 
 def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     """Tables of the affine control u = Θx + v (``theta`` None: Θ = 0).
 
-    ``v`` is (..., N + 1, D, m); leading axes stack further laws along the
-    regime axis, law c taking regimes D c .. D c + D - 1.
+    ``v`` is (N + 1, D, m) for one law or (L, N + 1, D, m) for L laws;
+    ``theta`` (..., N + 1, D, m, n) broadcasts against it.
     """
     n, m, h = spec.n, spec.m, spec.grid.h
     v = np.asarray(v, dtype=float)
@@ -231,50 +240,56 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     cost = np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map
     step = np.eye(n + 1, n) + h * np.swapaxes(drift, -1, -2)
     w = np.concatenate([step, np.swapaxes(diff, -1, -2), h * cost], axis=-1)
-    # (..., N + 1, D, n + 1, 3n + 1) -> (N + 1, n + 1, ... * D * (3n + 1))
-    w = np.moveaxis(w, (-4, -2), (0, 1))
-    w = np.ascontiguousarray(w).reshape(w.shape[0], n + 1, -1)
-    laws = int(np.prod(v.shape[:-3]))
-    terminal = np.tile(_terminal_form(spec), (laws, 1, 1))
-    return _Tables(W=w, terminal=terminal, grid=spec.grid)
+    # (L, N + 1, D, n + 1, 3n + 1) -> (N + 1, L, n + 1, D (3n + 1))
+    w = w.reshape(-1, *w.shape[-4:]).transpose(1, 0, 3, 2, 4)
+    w = np.ascontiguousarray(w).reshape(*w.shape[:3], -1)
+    return _Tables(W=w, terminal=_terminal_form(spec), grid=spec.grid)
 
 
-def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
-    """Euler-Maruyama from node ``k0`` with the cost accumulated in the loop.
+def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law=False):
+    """Euler-Maruyama of every law in ``tables`` from node ``k0``, with the
+    cost accumulated in the loop; returns the (L, P) per-path costs.
 
-    ``alpha`` (P, N + 1) indexes the table regimes.  Returns the per-path
-    cost: trapezoidal running cost plus terminal term.  ``states``, if
-    given as (P, N + 1, n), receives the state at every node from k0.
+    ``alpha`` (regime indices) and ``dw`` are 2-D over nodes: P rows
+    shared by every law or, with ``per_law``, L P law-major rows (law l
+    in rows l P .. l P + P - 1).  The cost is the trapezoidal running
+    cost plus the terminal term.  ``states``, if given as (L, P, N + 1,
+    n), receives the state at every node from k0.
     """
     w = tables.W
-    n_paths, n_steps = dw.shape
-    n = w.shape[1] - 1
+    n_laws, n = w.shape[1], w.shape[2] - 1
     width = 3 * n + 1
-    rows = np.arange(n_paths) * (w.shape[2] // width)
-    xbar = np.ones((n_paths, n + 1))
-    xbar[:, :n] = x0
-    x = xbar[:, :n]
+    lead = n_laws if per_law else 1
+    n_paths, n_steps = dw.shape[0] // lead, dw.shape[1]
+    rows = np.arange(n_laws * n_paths).reshape(n_laws, n_paths) * (w.shape[3] // width)
+    xbar = np.ones((n_laws, n_paths, n + 1))
+    xbar[..., :n] = x0
+    x = xbar[..., :n]
+    # [1, ΔW_k] for every law's rows: einsum is slow on a broadcast operand
+    coef = np.ones((n_laws, n_paths, 2))
     if states is not None:
-        states[:, k0] = x
+        states[:, :, k0] = x
 
     def at(k):
-        return (xbar @ w[k]).reshape(-1, width).take(rows + alpha[:, k], axis=0)
+        regime = alpha[:, k].reshape(lead, n_paths)
+        return (xbar @ w[k]).reshape(-1, width).take(rows + regime, axis=0)
 
-    cost = np.zeros(n_paths)
+    cost = np.zeros((n_laws, n_paths))
     for k in range(k0, n_steps):
         sel = at(k)
-        run = np.einsum("pi,pi->p", xbar, sel[:, 2 * n:])
+        run = np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
         cost += 0.5 * run if k == k0 else run
-        np.multiply(dw[:, k, None], sel[:, n:2 * n], out=x)
-        x += sel[:, :n]
+        coef[..., 1] = dw[:, k].reshape(lead, n_paths)
+        blocks = sel[..., :2 * n].reshape(n_laws, n_paths, 2, n)
+        np.einsum("lpj,lpjn->lpn", coef, blocks, out=x)
         if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
             raise DivergenceError(k + 1, tables.grid.nodes()[k + 1])
         if states is not None:
-            states[:, k + 1] = x
+            states[:, :, k + 1] = x
     if k0 < n_steps:
-        cost += 0.5 * np.einsum("pi,pi->p", xbar, at(n_steps)[:, 2 * n:])
-    g_bar = tables.terminal[alpha[:, n_steps]]
-    cost += np.einsum("pi,pij,pj->p", xbar, g_bar, xbar)
+        cost += 0.5 * np.einsum("lpi,lpi->lp", xbar, at(n_steps)[..., 2 * n:])
+    g_bar = tables.terminal[alpha[:, n_steps].reshape(lead, n_paths)]
+    cost += np.einsum("lpi,lpij,lpj->lp", xbar, g_bar, xbar)
     return cost
 
 
@@ -294,15 +309,15 @@ def simulate_policy(
         dw = brownian_increments(spec.grid, rng, 1)
     else:
         dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
-    xs = np.zeros((1, spec.grid.steps + 1, spec.n))
+    xs = np.zeros((1, 1, spec.grid.steps + 1, spec.n))
     tables = _closed_loop_tables(spec, theta, v)
     _integrate_policy(tables, chain.alpha[None, :], x0, dw, states=xs)
-    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
+    idx, reg, x = np.arange(spec.grid.steps + 1), chain.alpha, xs[0, 0]
     u = v[idx, reg]
     if theta is not None:
-        u += np.einsum("kij,kj->ki", theta[idx, reg], xs[0])
+        u += np.einsum("kij,kj->ki", theta[idx, reg], x)
     return StatePath(
-        grid=spec.grid, x0=np.asarray(x0, dtype=float), X=xs[0], u=u, dw=dw[0],
+        grid=spec.grid, x0=np.asarray(x0, dtype=float), X=x, u=u, dw=dw[0],
     )
 
 
@@ -377,7 +392,7 @@ def mc_value(
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        return _integrate_policy(tables, alpha, x0, dw, k0)
+        return _integrate_policy(tables, alpha, x0, dw, k0)[0]
 
     costs = np.concatenate(_run_batched(worker, n_paths, threads))
     if n_paths > 1 and not np.all(costs == costs[0]):
@@ -407,7 +422,8 @@ def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
     """Per-path ΦᵀGΦ + trapezoidal ∫ΦᵀQΦ dt from node ``k0``, (P, n, n).
 
     The state is Ψ = Φᵀ stacked as (P n, n), so one Euler step is one
-    product Ψ W[k] for all regimes and a row take on the path's regime.
+    product Ψ W[k] for all regimes, a row take on the path's regime and
+    one einsum of [1, ΔW_k] against the step and diffusion blocks.
     """
     w = tables.W
     n_paths, n_steps = dw.shape
@@ -415,6 +431,7 @@ def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
     width = 3 * n
     base = np.arange(n_paths * n) * (w.shape[2] // width)
     psi = np.tile(np.eye(n), (n_paths, 1))
+    coef = np.ones((n_paths, n, 2))  # [1, ΔW_k] for every row of Ψ
 
     def at(k):
         rows = base + np.repeat(alpha[:, k], n)
@@ -429,8 +446,9 @@ def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
         sel = at(k)
         run = weight(sel)
         acc += 0.5 * run if k == k0 else run
-        np.multiply(np.repeat(dw[:, k], n)[:, None], sel[:, n:2 * n], out=psi)
-        psi += sel[:, :n]
+        coef[..., 1] = dw[:, k, None]
+        blocks = sel[:, :2 * n].reshape(-1, 2, n)
+        np.einsum("rj,rjn->rn", coef.reshape(-1, 2), blocks, out=psi)
     if k0 < n_steps:
         acc += 0.5 * weight(at(n_steps))
     phi_t = psi.reshape(n_paths, n, n)

@@ -49,9 +49,9 @@ __all__ = [
 # factor of 5 leaves ample headroom while still scaling out with h.
 BIAS_BUDGET_COEFF = 5.0
 
-# Most paths the convexity probe puts in one fused Euler call.  Stacked
-# controls multiply the per-step product, and all their Brownian paths
-# are held at once, so the cap keeps both near one small batch.
+# Most paths the convexity probe puts in one fused Euler call.  Each
+# stacked control is a law of the call and meets only its own blocks, so
+# the cap bounds only the memory of the alpha and dw rows held at once.
 STACK_PATHS = 1024
 
 
@@ -185,10 +185,8 @@ def frechet_gradient_check(
         sorted({0.0} | {e for e in e_pos} | {-e for e in e_pos})
     )
     hspec = spec.homogeneous()
-    eps_tables = [
-        _closed_loop_tables(spec, None, _open_loop_table(spec, u + eps * v))
-        for eps in eps_grid
-    ]
+    u_eps = u + eps_grid[:, None, None] * v
+    eps_tables = _closed_loop_tables(spec, None, _open_loop_table(spec, u_eps))
     v_tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, v))
     zero = np.zeros(spec.n)
 
@@ -196,23 +194,21 @@ def frechet_gradient_check(
         rng = np.random.default_rng([rng_seed, batch_start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        block = np.column_stack(
-            [_integrate_policy(t, alpha, x0, dw, k0) for t in eps_tables]
-        )
-        return block, _integrate_policy(v_tables, alpha, zero, dw, k0)
+        return (_integrate_policy(eps_tables, alpha, x0, dw, k0),
+                _integrate_policy(v_tables, alpha, zero, dw, k0)[0])
 
     blocks = _run_batched(worker, n_paths, threads)
-    costs, j0 = (np.concatenate(part) for part in zip(*blocks))
+    costs, j0 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
 
-    means = costs.mean(axis=0)
+    means = costs.mean(axis=1)
     coef = np.polyfit(eps_grid, means, 2)
     fit_resid = float(np.abs(np.polyval(coef, eps_grid) - means).max())
     c2, c1, c0 = (float(c) for c in coef)
 
     e_ref = e_pos[-1]
-    jp = costs[:, np.searchsorted(eps_grid, e_ref)]
-    jm = costs[:, np.searchsorted(eps_grid, -e_ref)]
-    jz = costs[:, np.searchsorted(eps_grid, 0.0)]
+    jp = costs[np.searchsorted(eps_grid, e_ref)]
+    jm = costs[np.searchsorted(eps_grid, -e_ref)]
+    jz = costs[np.searchsorted(eps_grid, 0.0)]
     c1_path = (jp - jm) / (2.0 * e_ref)
     c2_path = (jp + jm - 2.0 * jz) / (2.0 * e_ref**2)
 
@@ -272,9 +268,9 @@ def convexity_probe(
         sq = np.einsum("ki,ki->k", u[c], u[c])
         u[c] /= np.sqrt(h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1])))
 
-    # Controls share fused Euler calls, each control on its own regime
-    # block and its own seeded chain and Brownian stream.
-    d, zero = spec.n_regimes, np.zeros(spec.n)
+    # Controls share fused Euler calls, each control a law of the call
+    # with its own seeded chain and Brownian stream.
+    zero = np.zeros(spec.n)
     per_call = max(1, STACK_PATHS // n_paths)
     vals = np.empty((n_controls, n_paths))
     for first in range(0, n_controls, per_call):
@@ -288,10 +284,9 @@ def convexity_probe(
                 rng = np.random.default_rng([rng_seed, c, batch_start])
                 rows = slice(j * size, (j + 1) * size)
                 alpha[rows] = _sample_regime_paths(
-                    hspec.gen, hspec.grid, i0, size, rng, k0) + d * j
+                    hspec.gen, hspec.grid, i0, size, rng, k0)
                 dw[rows] = brownian_increments(hspec.grid, rng, size, k0)
-            costs = _integrate_policy(tables, alpha, zero, dw, k0)
-            return costs.reshape(len(group), size)
+            return _integrate_policy(tables, alpha, zero, dw, k0, per_law=True)
 
         vals[group] = np.concatenate(_run_batched(worker, n_paths, threads), axis=1)
     ratios = vals.mean(axis=1)
@@ -351,19 +346,22 @@ def value_consistency(
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([rng_seed, 777])
-    optimal = _closed_loop_tables(spec, ric.Theta, aff.v_star)
     for p_id in range(n_perturbations):
         d_theta = perturbation_scale * scale_theta * prng.uniform(
             -1.0, 1.0, (spec.m, spec.n))
         d_v = perturbation_scale * scale_v * prng.uniform(-1.0, 1.0, spec.m)
-        perturbed = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
+        # the optimal and the perturbed law run on the same paths
+        laws = _closed_loop_tables(
+            spec, np.stack([ric.Theta, ric.Theta + d_theta]),
+            np.stack([aff.v_star, aff.v_star + d_v]),
+        )
 
         def worker(batch_start, size):
             rng = np.random.default_rng([rng_seed, 888, p_id, batch_start])
             alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
             dw = brownian_increments(spec.grid, rng, size, k0)
-            base = _integrate_policy(optimal, alpha, x0, dw, k0)
-            return _integrate_policy(perturbed, alpha, x0, dw, k0) - base
+            base, perturbed = _integrate_policy(laws, alpha, x0, dw, k0)
+            return perturbed - base
 
         diff = np.concatenate(_run_batched(worker, pert_paths, threads))
         gap = float(diff.mean())

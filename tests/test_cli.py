@@ -179,6 +179,8 @@ def test_parse_error_exit_code(tmp_path):
         ("simulate", {"i0": 5}, "--i0 5 is not a regime in 1..2"),
         ("simulate", {"paths": 0}, "--paths must be at least 1"),
         ("verify", {"controls": 0}, "--controls must be at least 1"),
+        ("simulate", {"x0": [1.0, "nan"]}, "--x0 must be finite"),
+        ("verify", {"x0": [0.5, "inf"]}, "--x0 must be finite"),
     ],
 )
 def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):
@@ -278,6 +280,28 @@ def test_report_regenerates_summary(tmp_path):
     (out / "summary.txt").unlink()
     assert main(_args("report", None, out)) == 0
     assert (out / "summary.txt").read_text() == summary
+
+
+@pytest.mark.parametrize(
+    "flags", [{"steps": 1, "strong_tol": -5}, {"seed": 3}, {"paths": 10}],
+)
+def test_report_rejects_run_flags(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "verification.csv").write_text(
+        "check,statistic,tolerance,pass\nmade_up_check,0.5,1.0,true\n"
+    )
+    assert main(_args("report", None, out, **flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: report takes only --out")
+    assert not (out / "summary.txt").exists()
+
+
+def test_other_commands_keep_argparse_exit_for_unknown_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_args("solve", PROBLEMS / "scalar.yaml", tmp_path / "out", bogus=1))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
 
 
 def _non_comment_bytes(path):

@@ -29,6 +29,7 @@ from regimelq.sim import (
     simulate_policy,
     simulate_state,
 )
+from regimelq.verify import frechet_gradient_check, value_consistency
 
 
 def _solved(spec):
@@ -484,7 +485,7 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
         rng = np.random.default_rng([9, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        loop = _integrate_policy(tables, alpha, x0, dw, k0)
+        (loop,) = _integrate_policy(tables, alpha, x0, dw, k0)
         if k0 == n_steps:  # t0 = T: the terminal term alone
             g, g_lin = spec.G[alpha[:, -1]], spec.g[alpha[:, -1]]
             want = np.einsum("i,pij,j->p", x0, g, x0) + 2.0 * g_lin @ x0
@@ -499,6 +500,110 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
             assert np.abs(path.X - ref).max() <= 1e-12 * np.abs(ref).max()
             want = evaluate_cost(tail, chain, path)
             assert abs(loop[p] - want) <= 1e-12 * abs(want)
+
+
+# ----------------------------------------------------------- law axis
+
+
+def _three_laws(spec, closed_loop):
+    """Three laws as stacked (theta, v): perturbations of the optimal
+    feedback law, or three open-loop controls."""
+    rng = np.random.default_rng(17)
+    if closed_loop:
+        ric, aff = _solved(spec)
+        d_theta = 0.3 * rng.uniform(-1.0, 1.0, (3, 1, 1, spec.m, spec.n))
+        d_v = 0.3 * rng.uniform(-1.0, 1.0, (3, 1, 1, spec.m))
+        return ric.Theta + d_theta, aff.v_star + d_v
+    u = rng.normal(size=(3, spec.grid.steps + 1, spec.m))
+    return None, _open_loop_table(spec, u)
+
+
+@pytest.mark.parametrize("problem", ["standard", "two_regime"])
+@pytest.mark.parametrize("closed_loop", [True, False])
+@pytest.mark.parametrize("per_law", [False, True])
+def test_stacked_laws_match_one_law_calls(problem, closed_loop, per_law):
+    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    n_steps, n_paths = spec.grid.steps, 5
+    theta, v = _three_laws(spec, closed_loop)
+    stacked = _closed_loop_tables(spec, theta, v)
+    assert stacked.W.shape[:2] == (n_steps + 1, 3)
+    x0 = np.linspace(0.8, -0.6, spec.n)
+    for k0 in (0, n_steps // 3, n_steps):
+        rng = np.random.default_rng([11, k0])
+        rows = 3 * n_paths if per_law else n_paths
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, rows, rng, k0)
+        dw = brownian_increments(spec.grid, rng, rows, k0)
+        states = np.zeros((3, n_paths, n_steps + 1, spec.n))
+        got = _integrate_policy(stacked, alpha, x0, dw, k0, states, per_law=per_law)
+        assert got.shape == (3, n_paths)
+        for law in range(3):
+            one = _closed_loop_tables(
+                spec, None if theta is None else theta[law], v[law])
+            own = slice(law * n_paths, (law + 1) * n_paths) if per_law else slice(None)
+            one_states = np.zeros((1, n_paths, n_steps + 1, spec.n))
+            (want,) = _integrate_policy(one, alpha[own], x0, dw[own], k0, one_states)
+            np.testing.assert_allclose(got[law], want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                states[law], one_states[0], rtol=1e-12,
+                atol=1e-12 * np.abs(one_states).max())
+
+
+def test_value_consistency_matches_one_law_per_call():
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    ric, aff = _solved(spec)
+    x0, seed, n_paths, k0 = np.full(spec.n, 0.9), 23, 150, 0
+    report = value_consistency(spec, ric, aff, 0.0, 1, x0, n_paths, seed,
+                               n_perturbations=3)
+    scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
+    scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
+    prng = np.random.default_rng([seed, 777])
+    optimal = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    for p_id in range(3):
+        d_theta = 0.5 * scale_theta * prng.uniform(-1.0, 1.0, (spec.m, spec.n))
+        d_v = 0.5 * scale_v * prng.uniform(-1.0, 1.0, spec.m)
+        perturbed = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
+        rng = np.random.default_rng([seed, 888, p_id, 0])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
+        diff = (_integrate_policy(perturbed, alpha, x0, dw)[0]
+                - _integrate_policy(optimal, alpha, x0, dw)[0])
+        details = report[f"value_no_improvement_perturbation_{p_id + 1}"].details
+        scale = 1e-12 * np.abs(diff).max()
+        assert abs(details["paired_cost_gap"] - diff.mean()) <= scale
+        want_se = diff.std(ddof=1) / np.sqrt(n_paths)
+        assert abs(details["gap_se"] - want_se) <= 1e-12 * want_se
+
+
+def test_frechet_check_matches_one_law_per_call():
+    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    n_steps, n_paths, seed = spec.grid.steps, 120, 31
+    rng = np.random.default_rng(5)
+    u, v = rng.normal(size=(2, n_steps + 1, spec.m))
+    x0 = np.array([1.0, -0.5])
+    report = frechet_gradient_check(
+        spec, 0.0, 0, x0, u, v, (0.05, 0.1), n_paths, seed)
+    rng = np.random.default_rng([seed, 0])
+    alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng)
+    dw = brownian_increments(spec.grid, rng, n_paths)
+    eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
+    costs = np.array([
+        _integrate_policy(
+            _closed_loop_tables(spec, None, _open_loop_table(spec, u + e * v)),
+            alpha, x0, dw)[0]
+        for e in eps_grid
+    ])
+    hspec = spec.homogeneous()
+    (j0,) = _integrate_policy(
+        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)),
+        alpha, np.zeros(spec.n), dw)
+    c2, c1, c0 = np.polyfit(eps_grid, costs.mean(axis=1), 2)
+    c2_path = (costs[4] + costs[0] - 2.0 * costs[2]) / (2.0 * 0.1**2)
+    want = dict(c0=c0, c1=c1, c2=c2, j0_mean=j0.mean(), c2_mean=c2_path.mean(),
+                c2_se=c2_path.std(ddof=1) / np.sqrt(n_paths))
+    got = {**report["frechet_fit_residual"].details,
+           **report["frechet_quadratic_coefficient"].details}
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-12 * max(1.0, abs(c0)), key
 
 
 # -------------------------------------------------- path functionals
