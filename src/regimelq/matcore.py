@@ -73,6 +73,12 @@ def _eigh_pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL) -> tuple[np.ndarray, np.
     m = _pinv_operand(mat, rel_tol)
     if m.shape[-1] != m.shape[-2]:
         raise InvalidInputError(f"symmetric pinv needs square matrices, got {m.shape}")
+    return _eigh_pinv_finite(m, rel_tol)
+
+
+def _eigh_pinv_finite(m: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_eigh_pinv` without the operand checks, for a caller that
+    has established a finite square float stack and ``0 < rel_tol < 1``."""
     w, v = np.linalg.eigh(m)
     inv_w = _inverse_above(w, rel_tol)
     return w, v @ (inv_w[..., None] * v.swapaxes(-1, -2))

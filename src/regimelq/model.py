@@ -118,8 +118,10 @@ class Generator:
         off = self.rates * (1.0 - np.eye(d))
         if np.any(off < -atol):
             out.append("generator off-diagonal rate negative")
-        row_sums = self.rates.sum(axis=2)
-        if np.any(np.abs(row_sums) > atol * max(1.0, float(np.abs(self.rates).max()))):
+        with np.errstate(over="ignore"):  # an infinite sum is reported below
+            row_sums = self.rates.sum(axis=2)
+        scale = max(1.0, float(np.abs(self.rates).max(initial=0.0)))
+        if np.any(np.abs(row_sums) > atol * scale):
             worst = float(np.abs(row_sums).max())
             out.append(f"generator row sum nonzero (max |sum| = {worst:.3e})")
         return out
@@ -289,16 +291,12 @@ def validate(spec: ProblemSpec) -> list[str]:
         elif not np.all(np.isfinite(arr)):
             out.append(f"{name} has non-finite entries")
 
-    for name in _SYM_FIELDS:
+    for name in (*_SYM_FIELDS, "G"):
         arr = getattr(spec, name)
-        if arr.shape[-1] == arr.shape[-2] and not np.array_equal(
+        if arr.ndim >= 2 and arr.shape[-1] == arr.shape[-2] and not np.array_equal(
             arr, np.swapaxes(arr, -1, -2)
         ):
             out.append(f"{name} not symmetric")
-    if spec.G.shape[-1] == spec.G.shape[-2] and not np.array_equal(
-        spec.G, np.swapaxes(spec.G, -1, -2)
-    ):
-        out.append("G not symmetric")
 
     if spec.gen.rates.shape[0] != n_nodes:
         out.append(

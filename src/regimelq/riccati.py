@@ -3,13 +3,25 @@
 Every backward system of the package (the quadratic Riccati system with
 the pseudo-inverse gain term, the linear Lyapunov system for a frozen
 feedback gain, and the affine offset and value-integral systems) runs
-through one classic fixed-step RK4 core, :func:`rk4_backward`, from the
-terminal data, all regimes advanced together because the generator
-couples them; the matrix right-hand sides are exactly symmetric, so the
-iterates stay symmetric from a symmetric terminal value.  A
-constructive fixed-point iteration (repeated Lyapunov solves through the
-current gain) provides an independent route to the strongly regular
-solution.
+through one classic fixed-step RK4 block stepper, :func:`_rk4_block`,
+from the terminal data, all regimes advanced together because the
+generator couples them; the matrix right-hand sides are exactly
+symmetric, so the iterates stay symmetric from a symmetric terminal
+value.  :func:`rk4_backward` drives it for one sweep.
+
+A constructive fixed-point iteration (repeated Lyapunov solves through
+the current gain) provides an independent route to the strongly regular
+solution.  Its solves run staggered: the solve for P_(j+1) needs P_j
+only at the nodes of the block it runs, so it starts one block behind
+the solve for P_j, and every running solve moves back by one block per
+wave, all of them in one stacked RK4 pass over states (J, D, n, n).
+Solve j + 1 starts once the running maximum of ||P_j - P_(j-1)||_F over
+the nodes done reaches the convergence tolerance (P_1 always, and none
+beyond the iteration limit), which is when the loop doing one solve
+after another would certainly run it.
+Results, iteration trace and errors are those of that loop, bit for
+bit: an error of a later solve is held back until every earlier one has
+finished clean.
 
 The core runs in blocks of ``_BLOCK_STEPS`` steps.  Per block each sweep
 turns the node and midpoint samples of its coefficients into derived
@@ -23,7 +35,7 @@ of R_hat, taken by the symmetric eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +78,14 @@ class DivergenceError(RuntimeError):
 
 class NotStronglyRegularError(RuntimeError):
     """The fixed-point iteration hit a non-positive-definite gain weight."""
+
+    def __init__(self, min_eig: float):
+        super().__init__(
+            f"control weight composite not positive definite along the "
+            f"iteration (min eig {min_eig:.3e}); problem is not "
+            f"uniformly convex"
+        )
+        self.min_eig = min_eig
 
 
 class NonConvergenceError(RuntimeError):
@@ -133,8 +153,9 @@ class RiccatiSolution:
 
 
 def _coupling(lam, p):
-    """Generator coupling sum_k lam[i,k] P_k of regime-stacked matrices."""
-    return (lam @ p.reshape(p.shape[0], -1)).reshape(p.shape)
+    """Generator coupling sum_k lam[i,k] P_k of regime-stacked matrices,
+    over any leading axes shared by ``lam`` and ``p``."""
+    return (lam @ p.reshape(*p.shape[:-2], -1)).reshape(p.shape)
 
 
 def _riccati_tables(coef):
@@ -147,12 +168,17 @@ def _riccati_tables(coef):
 def _riccati_rhs(coef, p, pinv_tol):
     """Quadratic Riccati RHS over all regimes from one sample of the tables.
 
-    P is symmetric, so A^T P is taken as (P A)^T.
+    P is symmetric, so A^T P is taken as (P A)^T.  A non-finite P raises
+    ``InvalidInputError`` before any product can warn of it; with P and
+    the (validated) tables finite, so is R_hat, and the pseudo-inverse
+    skips its operand check.  ``pinv_tol`` is checked by the solver.
     """
+    if not np.isfinite(p).all():
+        raise matcore.InvalidInputError("P contains non-finite entries")
     a, b_t, c, c_t, d_t, d, q, s, r, lam = coef
     d_t_p = d_t @ p
     s_hat = b_t @ p + d_t_p @ c + s
-    r_pinv = matcore.pinv(r + d_t_p @ d, pinv_tol, hermitian=True)
+    _, r_pinv = matcore._eigh_pinv_finite(r + d_t_p @ d, pinv_tol)
     out = s_hat.swapaxes(-1, -2) @ (r_pinv @ s_hat)
     pa = p @ a
     out -= pa + pa.swapaxes(-1, -2) + c_t @ p @ c + q + _coupling(lam, p)
@@ -198,6 +224,35 @@ def _sweep_coefs(spec: ProblemSpec) -> list[np.ndarray]:
 _BLOCK_STEPS = 64
 
 
+def _blocks(n_steps: int) -> list[tuple[int, int]]:
+    """Node ranges (lo, hi) of the blocks of a backward sweep, top first."""
+    return [(max(hi - _BLOCK_STEPS, 0), hi) for hi in range(n_steps, 0, -_BLOCK_STEPS)]
+
+
+def _rk4_block(rhs, y, samples, h, out, start=0):
+    """Classic RK4 steps backward through one block of samples.
+
+    Step i runs from the node sample ``samples[2i]`` at its upper end
+    through the midpoint sample ``samples[2i + 1]`` to the node sample
+    ``samples[2i + 2]`` at its lower end.  Steps ``start`` to
+    ``len(out) - 1`` run from ``y``, storing each new state at
+    ``out[i]``.  Returns the number of steps stored and the last state;
+    a state with a non-finite entry or one beyond ``BLOWUP_LIMIT`` ends
+    the loop unstored.
+    """
+    for i in range(start, len(out)):
+        c_hi, c_mid, c_lo = samples[2 * i:2 * i + 3]
+        k1 = rhs(c_hi, y)
+        k2 = rhs(c_mid, y - 0.5 * h * k1)
+        k3 = rhs(c_mid, y - 0.5 * h * k2)
+        k4 = rhs(c_lo, y - h * k3)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
+            return i, y
+        out[i] = y
+    return len(out), y
+
+
 def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarray:
     """Classic RK4 from ``terminal`` at T back to t0 over every grid step.
 
@@ -215,27 +270,18 @@ def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarr
     ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
     ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node.
     """
-    n_steps, h = grid.steps, grid.h
     y = np.array(terminal, dtype=float)
-    path = np.empty((n_steps + 1, *y.shape))
-    path[n_steps] = y
-    for hi in range(n_steps, 0, -_BLOCK_STEPS):
-        lo = max(hi - _BLOCK_STEPS, 0)
+    path = np.empty((grid.steps + 1, *y.shape))
+    path[grid.steps] = y
+    for lo, hi in _blocks(grid.steps):
         coef = tuple(_block_samples(a, lo, hi) for a in tables)
         if derive is not None:
             coef = derive(coef)
-        samples = [tuple(a[j] for a in coef) for j in range(2 * (hi - lo) + 1)]
-        for k in range(hi - 1, lo - 1, -1):
-            j = 2 * (k - lo)
-            c_lo, c_mid, c_hi = samples[j:j + 3]
-            k1 = rhs(c_hi, y)
-            k2 = rhs(c_mid, y - 0.5 * h * k1)
-            k3 = rhs(c_mid, y - 0.5 * h * k2)
-            k4 = rhs(c_lo, y - h * k3)
-            y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
-                raise DivergenceError(k, grid.nodes()[k])
-            path[k] = y
+        samples = [tuple(a[j] for a in coef) for j in range(2 * (hi - lo), -1, -1)]
+        done, y = _rk4_block(rhs, y, samples, grid.h, path[lo:hi][::-1])
+        if done < hi - lo:
+            k = hi - 1 - done
+            raise DivergenceError(k, grid.nodes()[k])
     return path
 
 
@@ -268,9 +314,13 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> Lyapun
     return LyapunovSolution(grid=spec.grid, P=p_path)
 
 
-def _derived_tables(spec: ProblemSpec, p_path: np.ndarray, pinv_tol: float):
-    """Per-node gain-side composites, their pseudo-inverses and gains."""
-    s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_path)
+def _derived_tables(
+    spec: ProblemSpec, p_path: np.ndarray, pinv_tol: float, nodes=slice(None),
+):
+    """Per-node gain-side composites, their pseudo-inverses and gains of
+    ``p_path``, the path at the grid ``nodes``."""
+    coefs = (x[nodes] for x in (spec.B, spec.D, spec.C, spec.S, spec.R))
+    s_hat, r_hat = _hats(*coefs, p_path)
     eig, r_hat_pinv = matcore._eigh_pinv(r_hat, pinv_tol)
     theta = -(r_hat_pinv @ s_hat)
     return s_hat, r_hat, r_hat_pinv, theta, eig[..., 0]
@@ -312,9 +362,12 @@ def _classify(
     )
 
 
-def _check_strong_tol(strong_tol: float) -> None:
-    """A strong-regularity threshold must be positive and finite: at or
-    below zero an indefinite control weight would certify as strong."""
+def _check_tols(pinv_tol: float, strong_tol: float) -> None:
+    """The pseudo-inverse cutoff must lie in (0, 1), and a strong-
+    regularity threshold must be positive and finite: at or below zero
+    an indefinite control weight would certify as strong."""
+    if not 0.0 < pinv_tol < 1.0:
+        raise matcore.InvalidInputError(f"pinv_tol must lie in (0, 1), got {pinv_tol}")
     if not 0.0 < strong_tol < np.inf:
         raise matcore.InvalidInputError(
             f"strong_tol must be positive and finite, got {strong_tol}"
@@ -348,7 +401,7 @@ def solve_riccati_direct(
     indefinite problems raises :class:`DivergenceError` rather than
     propagating non-finite values into the classification.
     """
-    _check_strong_tol(strong_tol)
+    _check_tols(pinv_tol, strong_tol)
     p_path = rk4_backward(
         lambda c, p: _riccati_rhs(c, p, pinv_tol),
         spec.G, _sweep_coefs(spec), spec.grid, derive=_riccati_tables,
@@ -368,39 +421,189 @@ def iterate_strongly_regular(
 ) -> RiccatiSolution:
     """Constructive fixed-point route to the strongly regular solution.
 
-    Starts from the zero-gain linear solve, then alternates the gain
-    update with a fresh linear solve until the sup-norm of the iterate
-    difference drops below ``conv_tol``.  Only meaningful on uniformly
-    convex problems: a non-positive control weight composite at any node
-    aborts with :class:`NotStronglyRegularError`.
+    Starts from the zero-gain linear solve P_0, then alternates the gain
+    update Theta_j = -R_hat(P_j)^+ S_hat(P_j) with a fresh linear solve
+    for P_(j+1) until the sup-norm of the iterate difference drops below
+    ``conv_tol``, for at most ``max_iter`` solves after P_0.  Only
+    meaningful on uniformly convex problems: a non-positive control
+    weight composite at any node aborts with
+    :class:`NotStronglyRegularError`.
 
-    When ``keep_iterates`` is set, all iterates are retained on the
-    returned solution as ``iterates`` for diagnosis (None otherwise).
+    The linear solves run staggered, one block apart, as in
+    :class:`_Sweep`; results, trace and errors are those of solving them
+    one after another.  When ``keep_iterates`` is set, all iterates are
+    retained on the returned solution as ``iterates`` for diagnosis
+    (None otherwise).
     """
-    _check_strong_tol(strong_tol)
-    p_n = solve_lyapunov(spec).P
-    trace: list[float] = []
-    iterates = [p_n] if keep_iterates else None
-    for _ in range(max_iter):
-        s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
-        eig, r_hat_pinv = matcore._eigh_pinv(r_hat, pinv_tol)
-        min_eig = float(eig[..., 0].min())
-        if min_eig <= 0.0:
-            raise NotStronglyRegularError(
-                f"control weight composite not positive definite along the "
-                f"iteration (min eig {min_eig:.3e}); problem is not "
-                f"uniformly convex"
-            )
-        theta_n = -(r_hat_pinv @ s_hat)
-        p_next = solve_lyapunov(spec, theta_n).P
-        delta = float(np.linalg.norm(p_next - p_n, axis=(-2, -1)).max())
-        trace.append(delta)
-        if keep_iterates:
-            iterates.append(p_next)
-        p_n = p_next
-        if delta < conv_tol:
+    _check_tols(pinv_tol, strong_tol)
+    if not max_iter >= 1:
+        raise matcore.InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < conv_tol < np.inf:
+        raise matcore.InvalidInputError(
+            f"conv_tol must be positive and finite, got {conv_tol}"
+        )
+    bounds = _blocks(spec.grid.steps)
+    sweeps = [_Sweep(0, np.array(spec.G, dtype=float))]
+    while any(s.done < len(bounds) for s in sweeps):
+        _wave(spec, sweeps, bounds, pinv_tol, keep_iterates)
+        last = sweeps[-1]
+        needed = last.j == 0 or last.delta >= conv_tol
+        if needed and last.j < max_iter and not last.halted:
+            sweeps.append(_Sweep(last.j + 1, np.array(spec.G, dtype=float)))
+    # the first exit of the loop solving the sweeps one after another
+    for s in sweeps:
+        if s.error is not None:
+            raise s.error
+        if s.j > 0 and s.delta < conv_tol:
+            paths = []
+            for r in sweeps[:s.j + 1] if keep_iterates else [s]:
+                paths.append(_joined(r.blocks))
+                r.blocks = []  # hold each path once
             return _build_solution(
-                spec, p_n, pinv_tol, strong_tol, psd_tol, range_tol,
-                trace=trace, iterates=iterates,
+                spec, paths[-1], pinv_tol, strong_tol, psd_tol, range_tol,
+                trace=[r.delta for r in sweeps[1:s.j + 1]],
+                iterates=paths if keep_iterates else None,
             )
-    raise NonConvergenceError(len(trace), trace[-1] if trace else float("nan"))
+        if s.j == max_iter:
+            raise NonConvergenceError(s.j, s.delta)
+        if sweeps[s.j + 1].gain_min <= 0.0:
+            raise NotStronglyRegularError(sweeps[s.j + 1].gain_min)
+        # otherwise the loop went on, so this sweep has a successor
+
+
+@dataclass(eq=False)
+class _Sweep:
+    """The linear solve for P_j in the staggered fixed-point iteration.
+
+    Sweep j + 1 needs P_j only at the nodes of the block it runs, so it
+    starts one block behind sweep j and every running sweep moves back
+    by one block per wave of :func:`_wave`.  It starts as soon as the
+    sweep before would be followed in the one-after-another loop: P_0
+    always, P_j (j >= 1) once its running ``delta`` reaches ``conv_tol``,
+    and never beyond ``max_iter``.  A sweep that diverges, or whose gain
+    check is bound to fail, halts: it stops stepping, every later sweep
+    is dropped, and it goes on only taking gains, so that the check sees
+    every node.  A path block is freed once the next sweep has used it,
+    unless kept for ``keep_iterates``; a sweep without a successor may
+    still be the result and keeps all of its blocks.
+    """
+
+    j: int
+    y: np.ndarray  # the state at the top of the next block
+    done: int = 0  # blocks run, or once halted, blocks whose gain is taken
+    blocks: list = field(default_factory=list)  # block b's path, nodes lo..hi
+    delta: float = 0.0  # max ||P_j - P_(j-1)||_F over the nodes done
+    gain_min: float = np.inf  # min eig of R_hat(P_(j-1)) over the gains taken
+    error: DivergenceError | None = None
+
+    @property
+    def halted(self) -> bool:
+        return self.error is not None or self.gain_min <= 0.0
+
+
+def _wave(spec, sweeps, bounds, pinv_tol, keep_iterates) -> None:
+    """Move every unfinished sweep back by one block: first take the
+    gains of the block from the predecessors' path blocks, then step the
+    running sweeps together in :func:`_step_stack`."""
+    run = []  # (sweep, gain block or None for P_0, predecessor's path block)
+    for s in list(sweeps):
+        if s.j >= len(sweeps):
+            break  # dropped behind a sweep that halted in this wave
+        if s.done == len(bounds):
+            continue
+        lo, hi = bounds[s.done]
+        theta = pred_blk = None
+        if s.j > 0:
+            pred = sweeps[s.j - 1]
+            pred_blk = pred.blocks[s.done]
+            if not keep_iterates:
+                pred.blocks[s.done] = None
+            nodes = slice(lo, hi + 1)
+            *_, theta, min_eig = _derived_tables(spec, pred_blk, pinv_tol, nodes)
+            s.gain_min = min(s.gain_min, float(min_eig.min()))
+            if s.gain_min <= 0.0:
+                del sweeps[s.j + 1:]
+        s.done += 1
+        if not s.halted:
+            run.append((s, theta, pred_blk))
+    if not run:
+        return
+
+    spans = [bounds[s.done - 1] for s, _, _ in run]
+    tops, thetas = [s.y for s, _, _ in run], [t for _, t, _ in run]
+    out, failed = _step_stack(spec, tops, thetas, spans)
+    for p, ((s, _, pred_blk), (lo, hi)) in enumerate(zip(run, spans)):
+        if s.j >= len(sweeps):
+            break
+        if p in failed:
+            k = hi - 1 - failed[p]
+            s.error = DivergenceError(k, spec.grid.nodes()[k])
+            del sweeps[s.j + 1:]
+            continue
+        blk = np.empty((hi - lo + 1, *s.y.shape))
+        blk[-1] = s.y
+        blk[:-1] = out[:hi - lo, p][::-1]
+        s.y = blk[0]
+        s.blocks.append(blk)
+        if pred_blk is not None:
+            diff = np.linalg.norm(blk - pred_blk, axis=(-2, -1))
+            s.delta = max(s.delta, float(diff.max()))
+
+
+def _step_stack(spec, tops, thetas, spans):
+    """Lyapunov RK4 steps of a stack of sweeps, each over its own block.
+
+    Slice p starts from ``tops[p]`` at node ``hi`` of ``spans[p] = (lo,
+    hi)`` and runs under the gains ``thetas[p]`` at nodes lo..hi (None
+    for the zero gain).  Returns the states (steps, J, D, n, n), step i
+    of each slice at ``out[i]``, and the step at which each diverged
+    slice failed.  The tables are built in chunks of steps for all
+    slices at once.  Below the bottom of a short block, and from the
+    step it diverged, a slice idles on zero tables, where the right-hand
+    side is zero, so it never overflows.
+    """
+    steps = max(hi - lo for lo, hi in spans)
+    his = np.array([hi for _, hi in spans])
+    gains = np.zeros((steps + 1, len(tops), spec.n_regimes, spec.m, spec.n))
+    for p, (theta, (lo, hi)) in enumerate(zip(thetas, spans)):
+        if theta is not None:
+            gains[steps - (hi - lo):, p] = theta
+    coefs = _sweep_coefs(spec)
+    y = np.stack(tops)
+    out = np.empty((steps, *y.shape))
+    failed = {}
+    # the tables held at once cover one block's worth of steps in all
+    chunk = -(-steps // len(tops))
+    for i0 in range(0, steps, chunk):
+        i1 = min(i0 + chunk, steps)
+        nodes = np.arange(i1 - i0 + 1)[:, None] + (his - i1)  # bottom up, per slice
+        safe = np.maximum(nodes, 0)
+        coef = _lyapunov_tables(
+            [_block_samples(a[safe], 0, i1 - i0) for a in coefs]
+            + [_block_samples(gains[steps - i1:steps - i0 + 1], 0, i1 - i0)]
+        )
+        for p, hi in enumerate(his):
+            idle = 2 * (i1 - i0) + 1 if p in failed else 2 * (i1 - hi)
+            if idle > 0:
+                for a in coef:
+                    a[:idle, p] = 0.0
+        samples = list(zip(*(a[::-1] for a in coef)))  # top down
+        chunk_out = out[i0:i1]
+        done, y = _rk4_block(_lyapunov_rhs, y, samples, spec.grid.h, chunk_out)
+        while done < i1 - i0:
+            size = np.abs(y).reshape(len(tops), -1).max(axis=1)
+            for p in np.flatnonzero(~(size <= BLOWUP_LIMIT)):
+                failed[int(p)] = i0 + done
+                y[p] = 0.0
+                for a in coef:
+                    a[:, p] = 0.0
+            out[i0 + done] = y
+            done, y = _rk4_block(
+                _lyapunov_rhs, y, samples, spec.grid.h, chunk_out, done + 1,
+            )
+    return out, failed
+
+
+def _joined(blocks) -> np.ndarray:
+    """A sweep's path (N + 1, D, n, n) from its blocks, top block first."""
+    return np.concatenate([b[:-1] for b in blocks[::-1]] + [blocks[0][-1:]])

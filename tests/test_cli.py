@@ -1,16 +1,21 @@
 """Problem-file round trip, CLI exit codes, output files, reproducibility."""
 
 import dataclasses
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regimelq import affine, benchmarks, cli, problemfile, riccati
 from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
-from regimelq.model import Generator
+from regimelq.matcore import symmetrize
+from regimelq.model import Generator, ProblemSpec, TimeGrid
 
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -39,6 +44,45 @@ def test_round_trip_time_varying_field(tmp_path):
     write_problem(path, spec)
     parsed, _ = parse_problem(path)
     assert np.array_equal(parsed.A, spec.A)
+
+
+@st.composite
+def _admissible_specs(draw):
+    """Admissible specs with n, m, D <= 2 whose fields and generator are
+    each constant or vary per node."""
+    n, m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    steps = draw(st.integers(2, 7))
+    t0 = draw(st.floats(-10.0, 10.0))
+    grid = TimeGrid(t0, t0 + draw(st.floats(0.01, 10.0)), steps)
+
+    def field(*tail, elements=st.floats(-1e6, 1e6), per_node=True):
+        if not per_node:
+            return draw(hnp.arrays(np.float64, (d, *tail), elements=elements))
+        samples = 1 if draw(st.booleans()) else steps + 1
+        x = draw(hnp.arrays(np.float64, (samples, d, *tail), elements=elements))
+        return np.broadcast_to(x, (steps + 1, d, *tail)).copy()
+
+    rates = field(d, elements=st.floats(0.0, 5.0)) * (1.0 - np.eye(d))
+    rates[..., range(d), range(d)] = -rates.sum(axis=-1)
+    return ProblemSpec(
+        n=n, m=m, grid=grid, gen=Generator(rates),
+        A=field(n, n), B=field(n, m), C=field(n, n), D=field(n, m), b=field(n),
+        sigma=field(n), Q=symmetrize(field(n, n)), S=field(m, n),
+        R=symmetrize(field(m, m)), q=field(n), rho=field(m),
+        G=symmetrize(field(n, n, per_node=False)), g=field(n, per_node=False),
+    )
+
+
+@given(_admissible_specs())
+def test_round_trip_property_per_node_fields(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.yaml"
+        write_problem(path, spec)
+        parsed, _ = parse_problem(path)
+    for name in FIELDS:
+        assert np.array_equal(getattr(parsed, name), getattr(spec, name)), name
+    assert np.array_equal(parsed.gen.rates, spec.gen.rates)
+    assert parsed.grid == spec.grid
 
 
 def test_parse_rejects_malformed_yaml(tmp_path):

@@ -1,9 +1,13 @@
 """Spec construction, validation, interpolation, and the hat composites."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regimelq import benchmarks
 from regimelq.model import (
@@ -156,3 +160,40 @@ def test_homogeneous_zeroes_affine_data():
     for name in ("b", "sigma", "q", "rho", "g"):
         assert not np.any(getattr(spec, name))
     assert np.any(spec.A)
+
+
+def test_validate_reports_overflowing_generator_row():
+    spec = benchmarks.two_regime_standard(steps=2)
+    rates = np.broadcast_to([[-1e308, 1e308], [1e308, 1e308]], (3, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning is not regimelq's
+        problems = validate(dataclasses.replace(spec, gen=Generator(rates)))
+    assert problems == ["generator row sum nonzero (max |sum| = inf)"]
+
+
+@st.composite
+def _any_specs(draw):
+    """Specs whose fields have any shape, entries of any size, NaN or
+    infinity, and generators with any number of nodes."""
+    n, m, d, steps = (draw(st.integers(lo, 3)) for lo in (0, 0, 0, 2))
+
+    def field(*tail, nodes=True):
+        shape = ((steps + 1,) if nodes else ()) + (d, *tail)
+        if draw(st.booleans()):
+            shape = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats()))
+
+    n_rates = draw(st.integers(0, steps + 2))
+    rates = draw(hnp.arrays(np.float64, (n_rates, d, d), elements=st.floats()))
+    return ProblemSpec(
+        n=n, m=m, grid=TimeGrid(0.0, 1.0, steps), gen=Generator(rates),
+        A=field(n, n), B=field(n, m), C=field(n, n), D=field(n, m), b=field(n),
+        sigma=field(n), Q=field(n, n), S=field(m, n), R=field(m, m), q=field(n),
+        rho=field(m), G=field(n, n, nodes=False), g=field(n, nodes=False),
+    )
+
+
+@given(_any_specs())
+def test_validate_property_never_raises(spec):
+    problems = validate(spec)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)

@@ -3,20 +3,24 @@
 import dataclasses
 import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regimelq import benchmarks, riccati
+from regimelq import benchmarks, matcore, riccati
 from regimelq.affine import solve_eta
 from regimelq.matcore import InvalidInputError, symmetrize
-from regimelq.model import Generator, TimeGrid, _hats
+from regimelq.model import Generator, ProblemSpec, TimeGrid, _hats
+from regimelq.problemfile import parse_problem
 from regimelq.riccati import (
     DEFAULT_PINV_TOL,
     DivergenceError,
+    NonConvergenceError,
     NotStronglyRegularError,
     iterate_strongly_regular,
     rk4_backward,
@@ -64,6 +68,21 @@ def test_rhs_reduces_to_linear_form_without_gain_channels():
             + lam[i, 0] * p_all[0] + lam[i, 1] * p_all[1]
         )
         assert np.allclose(got[i], 0.5 * (want + want.T), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "make", [benchmarks.scalar_benchmark, benchmarks.two_regime_standard]
+)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rhs_rejects_non_finite_p_in_each_regime(make, bad):
+    # an inf meets a zero of D^T P (D = 0 on the scalar problem): the
+    # kernel must reject it before a product warns of 0 * inf
+    spec = make(steps=4)
+    for i in range(spec.n_regimes):
+        p = np.array(spec.G)
+        p[i, -1, -1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            _rhs(_node(spec, 2), p)
 
 
 def test_rhs_all_zero_data():
@@ -344,6 +363,13 @@ def test_solvers_reject_bad_strong_tol(solver, strong_tol):
         solver(benchmarks.negative_r(steps=50), strong_tol=strong_tol)
 
 
+@pytest.mark.parametrize("solver", [solve_riccati_direct, iterate_strongly_regular])
+@pytest.mark.parametrize("pinv_tol", [0.0, 1.0, -1e-12, np.nan])
+def test_solvers_reject_bad_pinv_tol(solver, pinv_tol):
+    with pytest.raises(InvalidInputError, match="pinv_tol"):
+        solver(benchmarks.scalar_benchmark(steps=8), pinv_tol=pinv_tol)
+
+
 # --------------------------------------------------------- iteration
 
 
@@ -392,3 +418,162 @@ def test_iteration_monotone_decrease():
 def test_iteration_rejects_nonconvex():
     with pytest.raises(NotStronglyRegularError):
         iterate_strongly_regular(benchmarks.negative_r(steps=50))
+
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [("max_iter", 0), ("max_iter", -2), ("conv_tol", 0.0), ("conv_tol", -1e-10),
+     ("conv_tol", np.nan), ("conv_tol", np.inf)],
+)
+def test_iteration_rejects_bad_arguments(arg, value):
+    with pytest.raises(InvalidInputError, match=arg):
+        iterate_strongly_regular(benchmarks.scalar_benchmark(steps=8), **{arg: value})
+
+
+@pytest.mark.parametrize("name", ["negative_r", "blowup"])
+def test_iteration_rejects_bundled_nonconvex_at_first_iterate(name):
+    spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
+    with pytest.raises(NotStronglyRegularError) as err:
+        iterate_strongly_regular(spec)
+    *_, min_eig = riccati._derived_tables(spec, solve_lyapunov(spec).P, DEFAULT_PINV_TOL)
+    assert err.value.min_eig == float(min_eig.min()) <= 0.0
+
+
+def _iterate_one_by_one(spec, max_iter, conv_tol):
+    """The fixed-point loop with each linear solve run to the end before
+    the next: the reference the staggered sweeps must reproduce."""
+    p_n = solve_lyapunov(spec).P
+    trace, iterates = [], [p_n]
+    for _ in range(max_iter):
+        s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
+        eig, r_hat_pinv = matcore._eigh_pinv(r_hat, DEFAULT_PINV_TOL)
+        if eig[..., 0].min() <= 0.0:
+            raise NotStronglyRegularError(float(eig[..., 0].min()))
+        p_next = solve_lyapunov(spec, -(r_hat_pinv @ s_hat)).P
+        trace.append(float(np.linalg.norm(p_next - p_n, axis=(-2, -1)).max()))
+        iterates.append(p_next)
+        p_n = p_next
+        if trace[-1] < conv_tol:
+            return p_n, trace, iterates
+    raise NonConvergenceError(len(trace), trace[-1])
+
+
+def _outcome(run):
+    """The bytes of P, the trace and the bytes of the iterates (None if
+    not kept) of a run, or its error's type and message."""
+    try:
+        p, trace, iterates = run()
+    except (DivergenceError, NotStronglyRegularError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    return p.tobytes(), trace, None if iterates is None else [x.tobytes() for x in iterates]
+
+
+def _staggered(spec, **kwargs):
+    sol = iterate_strongly_regular(spec, **kwargs)
+    return sol.P, sol.iteration_trace, sol.iterates
+
+
+@st.composite
+def _small_specs(draw):
+    """Problems with n, m, D <= 2 and N <= 40 whose A, C, S and R vary
+    along the grid.  R may be indefinite or nearly singular, and A or the
+    horizon large enough for a sweep to diverge."""
+    d, n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.5, 1.0, 4.0])), draw(st.integers(2, 40)))
+
+    def stack(*shape, scale=1.0):
+        elements = st.floats(-1.0, 1.0, allow_subnormal=False)
+        return scale * draw(hnp.arrays(np.float64, (d, *shape), elements=elements))
+
+    off = draw(hnp.arrays(np.float64, (d, d), elements=st.floats(0.0, 2.0)))
+    off *= 1.0 - np.eye(d)
+    gen = Generator.constant(off - np.diag(off.sum(axis=1)), grid)
+    w, q, g = stack(m, m), stack(n, n), stack(n, n)
+    r_shift = draw(st.sampled_from([-0.5, 1e-3, 1.0]))
+    spec = ProblemSpec.from_regimes(
+        grid, gen,
+        A=list(stack(n, n, scale=draw(st.sampled_from([0.5, 4.0, 12.0])))),
+        B=list(stack(n, m)), C=list(stack(n, n)), D=list(stack(n, m, scale=0.5)),
+        Q=list(q @ np.swapaxes(q, -1, -2)), S=list(stack(m, n, scale=0.3)),
+        R=list(w @ np.swapaxes(w, -1, -2) + r_shift * np.eye(m)),
+        G=list(g @ np.swapaxes(g, -1, -2)),
+    )
+    return _time_varying(spec)
+
+
+def _error_race(case):
+    """Problems where a later sweep fails first while an earlier one fails
+    further down.  "divergence": P_0 diverges under a growing A, while
+    P_1, driven by the gain -S/R with R = 1e-3, diverges sooner.
+    "gain_check": P_2 diverges before the gain check on P_1 fails
+    further down."""
+    if case == "divergence":
+        grid = TimeGrid(0.0, 4.0, 18)
+        spec = ProblemSpec.from_regimes(
+            grid, Generator.constant([[0.0]], grid), A=[[[4.0]]], B=np.zeros((1, 2)),
+            C=[[[0.0]]], D=np.zeros((1, 2)), Q=[[[0.0]]], S=np.zeros((2, 1)),
+            R=1e-3 * np.eye(2), G=[[[0.25]]],
+        )
+    else:
+        grid = TimeGrid(0.0, 0.5, 28)
+        zero = np.zeros((1, 1))
+        spec = ProblemSpec.from_regimes(
+            grid, Generator.constant([[-1.0, 1.0], [1.0, -1.0]], grid), A=zero,
+            B=[[[0.0]], [[0.75]]], C=zero, D=[[[0.5]], [[0.0]]], Q=zero, S=zero,
+            R=[[[1.001]], [[1e-3]]], G=zero,
+        )
+    return _time_varying(spec)
+
+
+@pytest.mark.parametrize("max_iter", [50, 4, 1])
+def test_iteration_starts_only_the_sweeps_it_needs(monkeypatch, max_iter):
+    # P_0 .. P_5 when the sixth sweep converges, P_0 .. P_max_iter otherwise
+    started = []
+
+    class Counted(riccati._Sweep):
+        def __init__(self, j, y):
+            super().__init__(j, y)
+            started.append(j)
+
+    monkeypatch.setattr(riccati, "_Sweep", Counted)
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", 8)
+    spec = benchmarks.scalar_benchmark(steps=200)
+    try:
+        iterations = len(iterate_strongly_regular(spec, max_iter=max_iter).iteration_trace)
+    except NonConvergenceError as exc:
+        iterations = exc.iterations
+    assert iterations == min(max_iter, 5)
+    assert started == list(range(iterations + 1))
+
+
+@pytest.mark.parametrize(
+    "case, max_iter, error",
+    [("divergence", 1, DivergenceError), ("gain_check", 2, NotStronglyRegularError)],
+)
+def test_iteration_raises_the_earliest_sweeps_error(monkeypatch, case, max_iter, error):
+    # the later sweep's error is found first and must be held back
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", 1)
+    spec = _error_race(case)
+    want = _outcome(lambda: _iterate_one_by_one(spec, max_iter, 1e-10))
+    assert want[0] is error
+    assert _outcome(lambda: _staggered(spec, max_iter=max_iter)) == want
+
+
+@given(
+    _small_specs(), st.integers(1, 4), st.sampled_from([1e-10, 1e-3, 1e-1, 10.0]),
+    st.integers(1, 8), st.booleans(),
+)
+@settings(max_examples=300)
+def test_iteration_property_equals_one_by_one(spec, max_iter, conv_tol, block, keep):
+    # blocks of 1..8 steps on N <= 40 stagger several sweeps at once
+    with mock.patch.object(riccati, "_BLOCK_STEPS", block):
+        want = _outcome(lambda: _iterate_one_by_one(spec, max_iter, conv_tol))
+        got = _outcome(lambda: _staggered(
+            spec, max_iter=max_iter, conv_tol=conv_tol, keep_iterates=keep,
+        ))
+    if len(want) == 3 and not keep:
+        want = (*want[:2], None)
+    assert got == want
