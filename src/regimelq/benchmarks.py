@@ -7,9 +7,11 @@ emits the YAML problem-file form.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .model import Generator, ProblemSpec, TimeGrid
+from .model import _FIELDS, _RUNNING_FIELDS, Generator, ProblemSpec, TimeGrid
 from .problemfile import write_problem
 
 __all__ = [
@@ -146,14 +148,15 @@ def three_regime_decoupled(steps: int = 400) -> ProblemSpec:
 
 def single_regime_of(spec: ProblemSpec, i: int) -> ProblemSpec:
     """Extract regime i of a spec as an uncoupled single-regime problem."""
-    grid = spec.grid
-    gen = Generator.constant([[0.0]], grid)
-    kw = dict(n=spec.n, m=spec.m, grid=grid, gen=gen)
-    for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho"):
-        kw[name] = getattr(spec, name)[:, i:i + 1]
-    kw["G"] = spec.G[i:i + 1]
-    kw["g"] = spec.g[i:i + 1]
-    return ProblemSpec(**kw)
+    return replace(
+        spec,
+        gen=Generator.constant([[0.0]], spec.grid),
+        **{
+            name: getattr(spec, name)[:, i:i + 1] if name in _RUNNING_FIELDS
+            else getattr(spec, name)[i:i + 1]
+            for name in _FIELDS
+        },
+    )
 
 
 def state_decoupled(steps: int = 400) -> ProblemSpec:

@@ -9,7 +9,8 @@ Terminal weights are per-regime constants.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,9 +25,28 @@ __all__ = [
     "interp_nodes",
 ]
 
-# fields sampled per (node, regime); value is the trailing shape spec
-_RUNNING_FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho")
-_SYM_FIELDS = ("Q", "R")
+# The one field schema: the paper's thirteen per-regime coefficients in
+# problem-file order, each with its per-regime shape in the state
+# dimension n and the control dimension m.  Running fields (A .. rho) are
+# sampled per node, so their arrays carry a leading node axis; the
+# terminal weights G and g do not.  The optional fields default to zero;
+# the symmetric fields are symmetrized on construction and on read.
+# validate, ProblemSpec, problemfile and benchmarks all walk this table.
+_FIELDS = {
+    "A": "nn", "B": "nm", "C": "nn", "D": "nm",
+    "Q": "nn", "S": "mn", "R": "mm",
+    "b": "n", "sigma": "n", "q": "n", "rho": "m",
+    "G": "nn", "g": "n",
+}
+_RUNNING_FIELDS = tuple(name for name in _FIELDS if name not in ("G", "g"))
+_OPTIONAL_FIELDS = ("b", "sigma", "q", "rho", "g")
+_SYM_FIELDS = ("Q", "R", "G")
+
+
+def _field_shapes(n: int, m: int) -> dict[str, tuple[int, ...]]:
+    """Per-regime shape of every field, in table order."""
+    dims = {"n": n, "m": m}
+    return {name: tuple(dims[d] for d in spec) for name, spec in _FIELDS.items()}
 
 
 class GridRangeError(ValueError):
@@ -44,6 +64,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.t0 < self.T:
             raise ValueError(f"need t0 < T, got [{self.t0}, {self.T}]")
+        if not math.isfinite(float(self.T) - float(self.t0)):
+            raise ValueError(f"need finite t0, T and T - t0, got [{self.t0}, {self.T}]")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
 
@@ -173,46 +195,27 @@ class ProblemSpec:
         shared by all regimes).  Affine terms default to zero.  Weight
         matrices Q, R, G are symmetrized on construction.
         """
+        given = locals()  # the coefficient arguments by field name
         n_reg = gen.n_regimes
-        a0 = _regime_stack(A, n_reg)
-        n = a0.shape[1]
+        n = _regime_stack(A, n_reg).shape[1]
         b0 = _regime_stack(B, n_reg)
         m = b0.shape[2] if b0.ndim == 3 else 1
 
-        def run(x, shape):
-            stacked = _regime_stack(x, n_reg, shape) if x is not None else np.zeros((n_reg, *shape))
-            return np.broadcast_to(stacked, (grid.steps + 1, *stacked.shape)).copy()
-
-        spec = cls(
-            n=n,
-            m=m,
-            grid=grid,
-            gen=gen,
-            A=run(A, (n, n)),
-            B=run(B, (n, m)),
-            C=run(C, (n, n)),
-            D=run(D, (n, m)),
-            b=run(b, (n,)),
-            sigma=run(sigma, (n,)),
-            Q=symmetrize(run(Q, (n, n))),
-            S=run(S, (m, n)),
-            R=symmetrize(run(R, (m, m))),
-            q=run(q, (n,)),
-            rho=run(rho, (m,)),
-            G=symmetrize(_regime_stack(G, n_reg, (n, n))),
-            g=_regime_stack(g, n_reg, (n,)) if g is not None else np.zeros((n_reg, n)),
-        )
-        return spec
+        kw = {}
+        for name, tail in _field_shapes(n, m).items():
+            x = given[name]
+            if x is None and name in _OPTIONAL_FIELDS:
+                x = np.zeros(tail)
+            arr = _regime_stack(x, n_reg, tail)
+            if name in _RUNNING_FIELDS:
+                arr = np.broadcast_to(arr, (grid.steps + 1, *arr.shape)).copy()
+            kw[name] = symmetrize(arr) if name in _SYM_FIELDS else arr
+        return cls(n=n, m=m, grid=grid, gen=gen, **kw)
 
     def homogeneous(self) -> "ProblemSpec":
-        """Copy with all affine data (b, sigma, q, rho, g) zeroed."""
+        """Copy with all affine data (the optional fields) zeroed."""
         return replace(
-            self,
-            b=np.zeros_like(self.b),
-            sigma=np.zeros_like(self.sigma),
-            q=np.zeros_like(self.q),
-            rho=np.zeros_like(self.rho),
-            g=np.zeros_like(self.g),
+            self, **{name: np.zeros_like(getattr(self, name)) for name in _OPTIONAL_FIELDS}
         )
 
     def with_steps(self, steps: int) -> "ProblemSpec":
@@ -228,12 +231,10 @@ class ProblemSpec:
                 out[:, j] = np.interp(new_t, old_t, flat[:, j])
             return out.reshape(steps + 1, *arr.shape[1:])
 
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        kw["grid"] = new_grid
-        kw["gen"] = Generator(resample(self.gen.rates))
-        for name in _RUNNING_FIELDS:
-            kw[name] = resample(kw[name])
-        return ProblemSpec(**kw)
+        return replace(
+            self, grid=new_grid, gen=Generator(resample(self.gen.rates)),
+            **{name: resample(getattr(self, name)) for name in _RUNNING_FIELDS},
+        )
 
 
 def _regime_stack(x, n_regimes: int, shape=None) -> np.ndarray:
@@ -270,31 +271,15 @@ def validate(spec: ProblemSpec) -> list[str]:
     n, m, n_reg = spec.n, spec.m, spec.n_regimes
     n_nodes = spec.grid.steps + 1
 
-    expected = {
-        "A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
-        "b": (n,), "sigma": (n,),
-        "Q": (n, n), "S": (m, n), "R": (m, m),
-        "q": (n,), "rho": (m,),
-    }
-    for name, tail in expected.items():
+    for name, tail in _field_shapes(n, m).items():
         arr = getattr(spec, name)
-        if arr.shape != (n_nodes, n_reg, *tail):
-            out.append(
-                f"{name} shape {arr.shape} != {(n_nodes, n_reg, *tail)}"
-            )
+        want = (n_nodes, n_reg, *tail) if name in _RUNNING_FIELDS else (n_reg, *tail)
+        if arr.shape != want:
+            out.append(f"{name} shape {arr.shape} != {want}")
         elif not np.all(np.isfinite(arr)):
             out.append(f"{name} has non-finite entries")
-    for name, tail in (("G", (n, n)), ("g", (n,))):
-        arr = getattr(spec, name)
-        if arr.shape != (n_reg, *tail):
-            out.append(f"{name} shape {arr.shape} != {(n_reg, *tail)}")
-        elif not np.all(np.isfinite(arr)):
-            out.append(f"{name} has non-finite entries")
-
-    for name in (*_SYM_FIELDS, "G"):
-        arr = getattr(spec, name)
-        if arr.ndim >= 2 and arr.shape[-1] == arr.shape[-2] and not np.array_equal(
-            arr, np.swapaxes(arr, -1, -2)
+        if name in _SYM_FIELDS and arr.ndim >= 2 and arr.shape[-1] == arr.shape[-2] and (
+            not np.array_equal(arr, np.swapaxes(arr, -1, -2))
         ):
             out.append(f"{name} not symmetric")
 

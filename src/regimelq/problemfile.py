@@ -25,7 +25,10 @@ array (one extra level of nesting, length steps + 1).  Example::
         rho: [0.0]
         g: [0.0]
 
-Q, R and G are symmetrized on read; absent b, sigma, q, rho, g are zero.
+The fields and their shapes come from the one field schema,
+``regimelq.model._FIELDS``.  The optional fields b, sigma, q, rho and g
+are zero when absent; the symmetric fields Q, R and G are symmetrized
+on read.  The terminal G and g are constants, never per-node arrays.
 """
 
 from __future__ import annotations
@@ -36,16 +39,13 @@ import numpy as np
 import yaml
 
 from .matcore import symmetrize
-from .model import Generator, ProblemSpec, TimeGrid, validate
+from .model import (
+    _FIELDS, _OPTIONAL_FIELDS, _RUNNING_FIELDS, _SYM_FIELDS, Generator, ProblemSpec,
+    TimeGrid, _field_shapes, validate,
+)
 
 __all__ = ["ProblemFileError", "build_spec", "parse_problem", "write_problem"]
 
-_MATRIX_FIELDS = {
-    "A": ("n", "n"), "B": ("n", "m"), "C": ("n", "n"), "D": ("n", "m"),
-    "Q": ("n", "n"), "S": ("m", "n"), "R": ("m", "m"),
-}
-_VECTOR_FIELDS = {"b": "n", "sigma": "n", "q": "n", "rho": "m"}
-_SYMMETRIZED = ("Q", "R")
 # libyaml's parser with PyYAML's safe resolver and constructor, when built
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -100,52 +100,24 @@ def build_spec(doc: dict) -> ProblemSpec:
             f"generator is {gen.n_regimes}x{gen.n_regimes}, problem.regimes={n_reg}"
         )
 
-    dims = {"n": n, "m": m}
     fields = {}
-    for name, (r, c) in _MATRIX_FIELDS.items():
-        shape = (dims[r], dims[c])
+    for name, shape in _field_shapes(n, m).items():
+        lead = 1 if name in _RUNNING_FIELDS else 0  # the node axis, if any
         per_regime = []
         for i, rd in enumerate(regime_docs):
-            if name not in rd:
+            if name not in rd and name not in _OPTIONAL_FIELDS:
                 raise ProblemFileError(f"regime {i + 1}: missing field {name}")
-            arr = _field_nodes(rd[name], 2, n_nodes, f"regime {i + 1}.{name}")
-            if arr.shape[1:] != shape:
-                raise ProblemFileError(
-                    f"regime {i + 1}.{name}: shape {arr.shape[1:]} != {shape}"
-                )
+            raw = rd[name] if name in rd else np.zeros(shape).tolist()
+            label = f"regime {i + 1}.{name}"
+            arr = (_field_nodes(raw, len(shape), n_nodes, label) if lead
+                   else np.asarray(raw, dtype=float))
+            if arr.shape[lead:] != shape:
+                raise ProblemFileError(f"{label}: shape {arr.shape[lead:]} != {shape}")
             per_regime.append(arr)
-        stacked = np.stack(per_regime, axis=1)
-        fields[name] = symmetrize(stacked) if name in _SYMMETRIZED else stacked
-    for name, dim in _VECTOR_FIELDS.items():
-        shape = (dims[dim],)
-        per_regime = []
-        for i, rd in enumerate(regime_docs):
-            raw = rd.get(name, [0.0] * dims[dim])
-            arr = _field_nodes(raw, 1, n_nodes, f"regime {i + 1}.{name}")
-            if arr.shape[1:] != shape:
-                raise ProblemFileError(
-                    f"regime {i + 1}.{name}: shape {arr.shape[1:]} != {shape}"
-                )
-            per_regime.append(arr)
-        fields[name] = np.stack(per_regime, axis=1)
+        stacked = np.stack(per_regime, axis=lead)
+        fields[name] = symmetrize(stacked) if name in _SYM_FIELDS else stacked
 
-    g_terms, g_vecs = [], []
-    for i, rd in enumerate(regime_docs):
-        if "G" not in rd:
-            raise ProblemFileError(f"regime {i + 1}: missing field G")
-        g_mat = np.asarray(rd["G"], dtype=float)
-        if g_mat.shape != (n, n):
-            raise ProblemFileError(f"regime {i + 1}.G: shape {g_mat.shape} != {(n, n)}")
-        g_terms.append(symmetrize(g_mat))
-        g_vec = np.asarray(rd.get("g", [0.0] * n), dtype=float)
-        if g_vec.shape != (n,):
-            raise ProblemFileError(f"regime {i + 1}.g: shape {g_vec.shape} != {(n,)}")
-        g_vecs.append(g_vec)
-
-    spec = ProblemSpec(
-        n=n, m=m, grid=grid, gen=gen,
-        G=np.stack(g_terms), g=np.stack(g_vecs), **fields,
-    )
+    spec = ProblemSpec(n=n, m=m, grid=grid, gen=gen, **fields)
     problems = validate(spec)
     if problems:
         raise ProblemFileError("; ".join(problems))
@@ -157,7 +129,7 @@ def parse_problem(path: str | Path) -> tuple[ProblemSpec, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_LOADER)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ProblemFileError(f"YAML error in {path}: {exc}") from exc
@@ -167,7 +139,7 @@ def parse_problem(path: str | Path) -> tuple[ProblemSpec, dict]:
         return build_spec(doc), doc
     except ProblemFileError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
 
 
@@ -185,14 +157,14 @@ def write_problem(path: str | Path, spec: ProblemSpec, name: str = "problem") ->
         "problem": {"n": spec.n, "m": spec.m, "regimes": spec.n_regimes},
         "grid": {"t0": spec.grid.t0, "T": spec.grid.T, "steps": spec.grid.steps},
         "generator": {"rates": _emit_field(spec.gen.rates)},
-        "regimes": [],
+        "regimes": [
+            {
+                field: _emit_field(getattr(spec, field)[:, i]) if field in _RUNNING_FIELDS
+                else getattr(spec, field)[i].tolist()
+                for field in _FIELDS
+            }
+            for i in range(spec.n_regimes)
+        ],
     }
-    for i in range(spec.n_regimes):
-        entry = {}
-        for fname in (*_MATRIX_FIELDS, *_VECTOR_FIELDS):
-            entry[fname] = _emit_field(getattr(spec, fname)[:, i])
-        entry["G"] = spec.G[i].tolist()
-        entry["g"] = spec.g[i].tolist()
-        doc["regimes"].append(entry)
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=None)

@@ -257,6 +257,10 @@ def convexity_probe(
     beyond three standard errors flags the problem as non-convex.
     """
     k0 = spec.grid.node_index(t0)
+    if k0 == spec.grid.steps:
+        raise ValueError("t0 = T leaves no horizon for a control of unit energy")
+    if n_controls < 1 or n_paths < 1:
+        raise ValueError(f"need at least 1 control and 1 path, got {n_controls}, {n_paths}")
     hspec = spec.homogeneous()
     n_nodes = spec.grid.steps + 1
     h = spec.grid.h

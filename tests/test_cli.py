@@ -28,6 +28,7 @@ LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else 
 def test_problem_file_round_trip(tmp_path, which):
     path = tmp_path / f"{which}.yaml"
     spec = benchmarks.write_example(path, which)
+    assert path.read_bytes() == (PROBLEMS / f"{which}.yaml").read_bytes()
     parsed, _ = parse_problem(path)
     for name in FIELDS:
         assert np.array_equal(getattr(spec, name), getattr(parsed, name)), name
@@ -142,6 +143,17 @@ def test_parse_rejects_missing_field(tmp_path):
     path.write_text(text)
     with pytest.raises(ProblemFileError, match="missing field R"):
         parse_problem(path)
+
+
+def test_parse_symmetrizes_weights(tmp_path):
+    doc = yaml.safe_load((PROBLEMS / "standard.yaml").read_text())
+    doc["regimes"][0]["Q"] = [[1.0, 0.4], [0.0, 0.5]]
+    doc["regimes"][1]["G"] = [[2.0, 0.0], [0.6, 1.0]]
+    path = tmp_path / "asymmetric.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    spec, _ = parse_problem(path)
+    assert np.all(spec.Q[:, 0] == [[1.0, 0.2], [0.2, 0.5]])
+    assert np.array_equal(spec.G[1], [[2.0, 0.3], [0.3, 1.0]])
 
 
 def test_parse_rejects_bad_generator(tmp_path):

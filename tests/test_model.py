@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from regimelq import benchmarks
 from regimelq.model import (
+    _FIELDS,
     _RUNNING_FIELDS,
     Generator,
     GridRangeError,
@@ -22,11 +23,23 @@ from regimelq.model import (
 )
 
 
+@pytest.mark.filterwarnings("error")
 def test_grid_rejects_degenerate():
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 1)
+    # infinite bounds, and finite bounds whose span overflows
+    for t0, T in [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308),
+                  (np.float64(-1e308), np.float64(1e308))]:
+        with pytest.raises(ValueError, match="need finite t0, T and T - t0"):
+            TimeGrid(t0, T, 10)
+
+
+def test_field_table_covers_every_coefficient():
+    coefficients = [f.name for f in dataclasses.fields(ProblemSpec)][4:]
+    assert sorted(_FIELDS) == sorted(coefficients)
+    assert set(_RUNNING_FIELDS) == set(_FIELDS) - {"G", "g"}
 
 
 def test_grid_nodes_strictly_increasing():
@@ -55,6 +68,22 @@ def test_validate_flags_asymmetric_weight():
     q_bad[1, 0, 0, 1] += 1e-3
     bad = dataclasses.replace(spec, Q=q_bad)
     assert any("Q not symmetric" in p for p in validate(bad))
+    g_bad = spec.G.copy()
+    g_bad[1, 1, 0] += 1e-3
+    assert validate(dataclasses.replace(spec, G=g_bad)) == ["G not symmetric"]
+
+
+def test_from_regimes_symmetrizes_weights():
+    grid = TimeGrid(0.0, 1.0, 4)
+    asym, zero = np.array([[1.0, 0.4], [0.0, 0.5]]), np.zeros((2, 2))
+    spec = ProblemSpec.from_regimes(
+        grid, Generator.constant([[0.0]], grid),
+        A=zero, B=np.eye(2), C=zero, D=zero, Q=asym, S=zero, R=asym, G=asym,
+    )
+    sym = np.array([[1.0, 0.2], [0.2, 0.5]])
+    assert np.array_equal(spec.Q[3, 0], sym) and np.array_equal(spec.R[3, 0], sym)
+    assert np.array_equal(spec.G[0], sym)
+    assert validate(spec) == []
 
 
 def test_validate_flags_nonfinite():

@@ -143,6 +143,21 @@ def test_convexity_flags_negative_control_weight():
     assert check.details["eps_hat"] == pytest.approx(-1.0, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "t0, n_controls, n_paths, message",
+    [
+        (1.0, 4, 50, "t0 = T leaves no horizon"),
+        (0.0, 0, 50, "at least 1 control and 1 path"),
+        (0.0, 4, 0, "at least 1 control and 1 path"),
+    ],
+)
+def test_convexity_probe_rejects_empty_inputs(t0, n_controls, n_paths, message):
+    spec = benchmarks.scalar_benchmark(steps=20)
+    with pytest.raises(ValueError, match=message):
+        convexity_probe(spec, t0, 0, n_controls, n_paths, 3)
+
+
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 def test_convexity_stacked_controls_match_per_control_runs(monkeypatch, t0):
     spec = benchmarks.two_regime_standard(steps=60)
