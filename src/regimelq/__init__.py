@@ -1,7 +1,8 @@
 """Stochastic LQ control of Markov regime-switching linear SDEs.
 
-Solves the coupled per-regime Riccati and offset systems backward on a
-time grid, synthesizes the optimal feedback law, and certifies the
+Solves the coupled per-regime Riccati system backward on a time grid,
+in the augmented state [x, 1] so that the offset and the value integral
+come with it, synthesizes the optimal feedback law, and certifies the
 optimality and value identities by Monte-Carlo simulation.
 """
 

@@ -218,6 +218,21 @@ class ProblemSpec:
             self, **{name: np.zeros_like(getattr(self, name)) for name in _OPTIONAL_FIELDS}
         )
 
+    def augmented(self) -> "ProblemSpec":
+        """The homogeneous problem in the n + 1 states [x, 1]: A_bar =
+        [[A, b], [0, 0]], C_bar = [[C, sigma], [0, 0]], B_bar = [B; 0],
+        D_bar = [D; 0], Q_bar = [[Q, q], [q^T, 0]], S_bar = [S, rho],
+        R_bar = R, G_bar = [[G, g], [g^T, 0]] and zero affine data."""
+        tails = _field_shapes(self.n + 1, self.m)
+        return replace(
+            self, n=self.n + 1, B=_bordered(self.B, 1, 0), D=_bordered(self.D, 1, 0),
+            A=_bordered(self.A, 1, 1, col=self.b), C=_bordered(self.C, 1, 1, col=self.sigma),
+            Q=_bordered(self.Q, 1, 1, col=self.q, row=self.q),
+            S=_bordered(self.S, 0, 1, col=self.rho),
+            G=_bordered(self.G, 1, 1, col=self.g, row=self.g),
+            **{f: np.zeros((*getattr(self, f).shape[:-1], *tails[f])) for f in _OPTIONAL_FIELDS},
+        )
+
     def with_steps(self, steps: int) -> "ProblemSpec":
         """Resample every node-indexed field onto a grid with ``steps`` steps."""
         new_grid = TimeGrid(self.grid.t0, self.grid.T, steps)
@@ -250,6 +265,22 @@ def _regime_stack(x, n_regimes: int, shape=None) -> np.ndarray:
             a = a.reshape(shape)
         stacked = np.broadcast_to(a, (n_regimes, *a.shape)).copy()
     return stacked
+
+
+def _bordered(core, rows: int, cols: int, col=None, row=None) -> np.ndarray:
+    """``core`` grown by ``rows`` zero rows and ``cols`` zero columns; ``col``
+    fills the new last column, ``row`` the new last row.  Node-constant
+    running data stays one read-only sample broadcast along the node axis."""
+    given = [x for x in (core, col, row) if x is not None]
+    if core.ndim == 4 and len(core) > 1 and all((x == x[:1]).all() for x in given):
+        one = _bordered(core[:1], rows, cols, *(x if x is None else x[:1] for x in (col, row)))
+        return np.broadcast_to(one, (len(core), *one.shape[1:]))
+    out = np.pad(core, [(0, 0)] * (core.ndim - 2) + [(0, rows), (0, cols)])
+    if col is not None:
+        out[..., :core.shape[-2], -1] = col
+    if row is not None:
+        out[..., -1, :core.shape[-1]] = row
+    return out
 
 
 def _hats(bk, dk, ck, sk, rk, p):

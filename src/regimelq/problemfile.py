@@ -33,6 +33,7 @@ on read.  The terminal G and g are constants, never per-node arrays.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,31 @@ def _depth(x) -> int:
     return d
 
 
+def _floats(raw, name: str) -> np.ndarray:
+    """Field data -> finite float array; errors name the field."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ProblemFileError(f"{name}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ProblemFileError(f"{name}: non-finite entries")
+    return arr
+
+
+def _number(doc: dict, section: str, key: str, integral: bool):
+    """A scalar setting: a number, integral if ``integral``; no bool or string."""
+    val = doc[section][key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ProblemFileError(f"{section}.{key}: expected a number, got {val!r}")
+    if integral and not (math.isfinite(val) and val == int(val)):
+        raise ProblemFileError(f"{section}.{key}: cannot convert {val!r} to an integer")
+    return int(val) if integral else float(val)
+
+
 def _field_nodes(raw, base_depth: int, n_nodes: int, name: str) -> np.ndarray:
     """Constant or per-node field -> (n_nodes, ...) float array."""
     d = _depth(raw)
-    arr = np.asarray(raw, dtype=float)
+    arr = _floats(raw, name)
     if d == base_depth:
         return np.broadcast_to(arr, (n_nodes, *arr.shape)).copy()
     if d == base_depth + 1:
@@ -81,14 +103,18 @@ def _field_nodes(raw, base_depth: int, n_nodes: int, name: str) -> np.ndarray:
 def build_spec(doc: dict) -> ProblemSpec:
     """Assemble a ProblemSpec from a parsed problem document."""
     try:
-        prob = doc["problem"]
-        n, m, n_reg = int(prob["n"]), int(prob["m"]), int(prob["regimes"])
-        g_sec = doc["grid"]
-        grid = TimeGrid(float(g_sec["t0"]), float(g_sec["T"]), int(g_sec["steps"]))
+        n, m, n_reg = (_number(doc, "problem", k, True) for k in ("n", "m", "regimes"))
+        t0, T = (_number(doc, "grid", k, False) for k in ("t0", "T"))
+        grid = TimeGrid(t0, T, _number(doc, "grid", "steps", True))
         rates_raw = doc["generator"]["rates"]
         regime_docs = doc["regimes"]
     except (KeyError, TypeError) as exc:
         raise ProblemFileError(f"missing or malformed section: {exc}") from exc
+    if not isinstance(regime_docs, list):
+        raise ProblemFileError(f"regimes: expected a list, got {regime_docs!r}")
+    for i, rd in enumerate(regime_docs):
+        if not isinstance(rd, dict):
+            raise ProblemFileError(f"regime {i + 1}: expected a mapping of fields, got {rd!r}")
     if len(regime_docs) != n_reg:
         raise ProblemFileError(
             f"regimes list has {len(regime_docs)} entries, problem.regimes={n_reg}"
@@ -110,7 +136,7 @@ def build_spec(doc: dict) -> ProblemSpec:
             raw = rd[name] if name in rd else np.zeros(shape).tolist()
             label = f"regime {i + 1}.{name}"
             arr = (_field_nodes(raw, len(shape), n_nodes, label) if lead
-                   else np.asarray(raw, dtype=float))
+                   else _floats(raw, label))
             if arr.shape[lead:] != shape:
                 raise ProblemFileError(f"{label}: shape {arr.shape[lead:]} != {shape}")
             per_regime.append(arr)

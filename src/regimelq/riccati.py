@@ -1,13 +1,16 @@
 """Backward sweeps for the coupled per-regime matrix ODE systems.
 
 Every backward system of the package (the quadratic Riccati system with
-the pseudo-inverse gain term, the linear Lyapunov system for a frozen
-feedback gain, and the affine offset and value-integral systems) runs
-through one classic fixed-step RK4 block stepper, :func:`_rk4_block`,
-from the terminal data, all regimes advanced together because the
-generator couples them; the matrix right-hand sides are exactly
-symmetric, so the iterates stay symmetric from a symmetric terminal
-value.  :func:`rk4_backward` drives it for one sweep.
+the pseudo-inverse gain term and the linear Lyapunov system for a frozen
+feedback gain) runs through one classic fixed-step RK4 block stepper,
+:func:`_rk4_block`, from the terminal data, all regimes advanced
+together because the generator couples them; the matrix right-hand
+sides are exactly symmetric, so the iterates stay symmetric from a
+symmetric terminal value.  :func:`rk4_backward` drives it for one sweep.
+
+Both Riccati routes sweep the problem in x_bar = [x, 1]
+(:meth:`ProblemSpec.augmented`); its solution [[P, eta], [eta^T, w]]
+holds P, the offset eta and the value integral w, all at RK4 order 4.
 
 A constructive fixed-point iteration (repeated Lyapunov solves through
 the current gain) provides an independent route to the strongly regular
@@ -131,22 +134,21 @@ class LyapunovSolution:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Node-sampled quadratic-value matrices with derived feedback gains."""
+    """Node-sampled quadratic-value matrices with derived feedback gains.
+    ``P_bar`` = [[P, eta], [eta^T, w]] solves the problem in [x, 1];
+    ``S_hat`` and ``Theta`` are the first n columns of its S_hat and gain."""
 
     grid: TimeGrid
+    P_bar: np.ndarray        # (N + 1, D, n + 1, n + 1)
     P: np.ndarray            # (N + 1, D, n, n)
     S_hat: np.ndarray        # (N + 1, D, m, n)
     R_hat: np.ndarray        # (N + 1, D, m, m)
-    R_hat_pinv: np.ndarray   # (N + 1, D, m, m)
     Theta: np.ndarray        # (N + 1, D, m, n), minimum-norm gain
     min_eig_R_hat: np.ndarray  # (N + 1, D)
     classification: Classification
     pinv_tol: float
     iteration_trace: list[float] | None = None
-    iterates: list[np.ndarray] | None = None  # fixed-point iterates, on request
-
-    def value_matrix_at(self, t: float, i: int) -> np.ndarray:
-        return interp_nodes(self.P, self.grid, t)[i]
+    iterates: list[np.ndarray] | None = None  # P_bar iterates, on request
 
     def gain_at(self, t: float, i: int) -> np.ndarray:
         return interp_nodes(self.Theta, self.grid, t)[i]
@@ -375,13 +377,16 @@ def _check_tols(pinv_tol: float, strong_tol: float) -> None:
 
 
 def _build_solution(
-    spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
+    aug, p_bar, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
 ) -> RiccatiSolution:
-    s_hat, r_hat, r_hat_pinv, theta, min_eig = _derived_tables(spec, p_path, pinv_tol)
+    """The solution from the path of ``aug``; the verdict reads S_hat only."""
+    n = aug.n - 1
+    s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = _derived_tables(aug, p_bar, pinv_tol)
+    s_hat, theta = (np.ascontiguousarray(x[..., :n]) for x in (s_bar, theta_bar))
     cls = _classify(s_hat, r_hat, r_hat_pinv, min_eig, strong_tol, psd_tol, range_tol)
     return RiccatiSolution(
-        grid=spec.grid, P=p_path, S_hat=s_hat, R_hat=r_hat,
-        R_hat_pinv=r_hat_pinv, Theta=theta, min_eig_R_hat=min_eig,
+        grid=aug.grid, P_bar=p_bar, P=np.ascontiguousarray(p_bar[..., :n, :n]),
+        S_hat=s_hat, R_hat=r_hat, Theta=theta, min_eig_R_hat=min_eig,
         classification=cls, pinv_tol=pinv_tol, iteration_trace=trace,
         iterates=iterates,
     )
@@ -394,7 +399,7 @@ def solve_riccati_direct(
     psd_tol: float = DEFAULT_PSD_TOL,
     range_tol: float = DEFAULT_RANGE_TOL,
 ) -> RiccatiSolution:
-    """Backward RK4 solve of the quadratic system with classification.
+    """Backward RK4 solve of ``spec.augmented()`` with classification.
 
     The minimum-norm gain is taken at every node (the free complement of
     the pseudo-inverse gain is fixed to zero).  Finite-time escape of
@@ -402,11 +407,12 @@ def solve_riccati_direct(
     propagating non-finite values into the classification.
     """
     _check_tols(pinv_tol, strong_tol)
-    p_path = rk4_backward(
+    aug = spec.augmented()
+    p_bar = rk4_backward(
         lambda c, p: _riccati_rhs(c, p, pinv_tol),
-        spec.G, _sweep_coefs(spec), spec.grid, derive=_riccati_tables,
+        aug.G, _sweep_coefs(aug), aug.grid, derive=_riccati_tables,
     )
-    return _build_solution(spec, p_path, pinv_tol, strong_tol, psd_tol, range_tol)
+    return _build_solution(aug, p_bar, pinv_tol, strong_tol, psd_tol, range_tol)
 
 
 def iterate_strongly_regular(
@@ -429,6 +435,7 @@ def iterate_strongly_regular(
     weight composite at any node aborts with
     :class:`NotStronglyRegularError`.
 
+    It runs on ``spec.augmented()``, so iterates and trace are of P_bar.
     The linear solves run staggered, one block apart, as in
     :class:`_Sweep`; results, trace and errors are those of solving them
     one after another.  When ``keep_iterates`` is set, all iterates are
@@ -442,14 +449,15 @@ def iterate_strongly_regular(
         raise matcore.InvalidInputError(
             f"conv_tol must be positive and finite, got {conv_tol}"
         )
-    bounds = _blocks(spec.grid.steps)
-    sweeps = [_Sweep(0, np.array(spec.G, dtype=float))]
+    aug = spec.augmented()
+    bounds = _blocks(aug.grid.steps)
+    sweeps = [_Sweep(0, aug.G)]
     while any(s.done < len(bounds) for s in sweeps):
-        _wave(spec, sweeps, bounds, pinv_tol, keep_iterates)
+        _wave(aug, sweeps, bounds, pinv_tol, keep_iterates)
         last = sweeps[-1]
         needed = last.j == 0 or last.delta >= conv_tol
         if needed and last.j < max_iter and not last.halted:
-            sweeps.append(_Sweep(last.j + 1, np.array(spec.G, dtype=float)))
+            sweeps.append(_Sweep(last.j + 1, aug.G))
     # the first exit of the loop solving the sweeps one after another
     for s in sweeps:
         if s.error is not None:
@@ -460,7 +468,7 @@ def iterate_strongly_regular(
                 paths.append(_joined(r.blocks))
                 r.blocks = []  # hold each path once
             return _build_solution(
-                spec, paths[-1], pinv_tol, strong_tol, psd_tol, range_tol,
+                aug, paths[-1], pinv_tol, strong_tol, psd_tol, range_tol,
                 trace=[r.delta for r in sweeps[1:s.j + 1]],
                 iterates=paths if keep_iterates else None,
             )

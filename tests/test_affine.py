@@ -91,7 +91,8 @@ def test_range_failure_on_strongly_regular_solution_raises_typed_error():
     spec = benchmarks.two_regime_inhomogeneous(steps=50)
     ric = solve_riccati_direct(spec)
     assert ric.classification.kind == "strongly_regular"
-    broken = dataclasses.replace(ric, R_hat_pinv=np.zeros_like(ric.R_hat_pinv))
+    # a zero R_hat has the zero pseudo-inverse, so rho_hat leaves its range
+    broken = dataclasses.replace(ric, R_hat=np.zeros_like(ric.R_hat))
     with pytest.raises(RangeConditionError, match="strongly regular"):
         solve_eta(spec, broken)
 

@@ -437,11 +437,11 @@ def test_verify_threads_do_not_change_bodies(tmp_path):
 def test_offset_range_failure_exit_code(tmp_path, monkeypatch, capsys):
     real_solve = riccati.solve_riccati_direct
 
-    def solve_with_zero_pinv(spec, **kw):
+    def solve_with_zero_r_hat(spec, **kw):
         sol = real_solve(spec, **kw)
-        return dataclasses.replace(sol, R_hat_pinv=np.zeros_like(sol.R_hat_pinv))
+        return dataclasses.replace(sol, R_hat=np.zeros_like(sol.R_hat))
 
-    monkeypatch.setattr(riccati, "solve_riccati_direct", solve_with_zero_pinv)
+    monkeypatch.setattr(riccati, "solve_riccati_direct", solve_with_zero_r_hat)
     problem = tmp_path / "tworeg.yaml"
     benchmarks.write_example(problem, "two_regime")
     assert main(_args("solve", problem, tmp_path / "out", steps=50)) == 2

@@ -191,6 +191,49 @@ def test_homogeneous_zeroes_affine_data():
     assert np.any(spec.A)
 
 
+def test_augmented_is_the_affine_problem_in_x_bar():
+    # in x_bar = [x, 1] the affine drift, diffusion and weights become
+    # linear and quadratic forms, and the last state stays constant
+    spec = _time_varying_two_regime(steps=6)
+    aug = spec.augmented()
+    assert validate(aug) == []
+    assert (aug.n, aug.m, aug.n_regimes) == (spec.n + 1, spec.m, spec.n_regimes)
+    for name in ("b", "sigma", "q", "rho", "g"):
+        assert not np.any(getattr(aug, name))
+    assert np.array_equal(aug.R, spec.R)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(spec.grid.steps + 1, spec.n_regimes, spec.n))
+    u = rng.normal(size=(spec.grid.steps + 1, spec.n_regimes, spec.m))
+    x_bar = np.concatenate((x, np.ones(x.shape[:-1] + (1,))), axis=-1)
+
+    def mv(mat, vec):
+        return np.einsum("...ij,...j->...i", mat, vec)
+
+    def quad(mat, vec):
+        return np.einsum("...i,...i->...", vec, mv(mat, vec))
+
+    drift = mv(aug.A, x_bar) + mv(aug.B, u)
+    assert np.allclose(drift[..., :-1], mv(spec.A, x) + mv(spec.B, u) + spec.b, atol=1e-14)
+    assert not drift[..., -1].any()
+    diffusion = mv(aug.C, x_bar) + mv(aug.D, u)
+    assert np.allclose(diffusion[..., :-1], mv(spec.C, x) + mv(spec.D, u) + spec.sigma,
+                       atol=1e-14)
+    assert not diffusion[..., -1].any()
+    running = quad(aug.Q, x_bar) + 2.0 * np.einsum("...i,...i->...", u, mv(aug.S, x_bar))
+    want = quad(spec.Q, x) + 2.0 * np.einsum("...i,...i->...", spec.q, x)
+    want += 2.0 * np.einsum("...i,...i->...", u, mv(spec.S, x) + spec.rho)
+    assert np.allclose(running, want, atol=1e-13)
+    terminal = quad(aug.G, x_bar[-1])
+    want = quad(spec.G, x[-1]) + 2.0 * np.einsum("...i,...i->...", spec.g, x[-1])
+    assert np.allclose(terminal, want, atol=1e-13)
+
+
+def _time_varying_two_regime(steps):
+    spec = benchmarks.two_regime_inhomogeneous(steps=steps)
+    ramp = np.linspace(1.0, 2.0, steps + 1)[:, None, None]
+    return dataclasses.replace(spec, b=spec.b * ramp, rho=spec.rho - ramp * spec.rho)
+
+
 def test_validate_reports_overflowing_generator_row():
     spec = benchmarks.two_regime_standard(steps=2)
     rates = np.broadcast_to([[-1e308, 1e308], [1e308, 1e308]], (3, 2, 2))

@@ -79,6 +79,9 @@ def _mutant(name, kind, where, value) -> bytes:
 
 @settings(max_examples=300)
 @given(_mutations())
+@example(("scalar", "replace", ("regimes", 0, "A"), {"a": 1.0}))
+@example(("two_regime", "replace", ("regimes", 1, "sigma", 0), "abc"))
+@example(("standard", "replace", ("regimes", 0, "G", 0, 0), math.nan))
 @example(("scalar", "replace", ("grid", "T"), math.inf))
 @example(("standard", "replace", ("grid", "t0"), -math.inf))
 @example(("two_regime", "replace", ("grid", "steps"), math.inf))
@@ -90,7 +93,11 @@ def test_malformed_file_is_rejected_or_admissible(mutation):
         path.write_bytes(_mutant(*mutation))
         try:
             spec, _ = parse_problem(path)
-        except ProblemFileError:
+        except ProblemFileError as exc:
+            _, kind, where, _ = mutation
+            if kind in ("drop", "replace") and len(where) >= 3 and where[0] == "regimes":
+                # a bad value of a regime's field is named by regime and field
+                assert f"regime {where[1] + 1}" in str(exc) and where[2] in str(exc), exc
             return
     assert validate(spec) == []
     assert 0.0 < spec.grid.h < math.inf
@@ -100,6 +107,18 @@ def _grid_variant(t0, T):
     text = TEXTS["scalar"].decode()
     assert "t0: 0.0, T: 1.0," in text
     return text.replace("t0: 0.0, T: 1.0,", f"t0: {t0}, T: {T},").encode()
+
+
+def _scalar_variant(old, new):
+    text = TEXTS["scalar"].decode()
+    assert old in text
+    return text.replace(old, new, 1).encode()
+
+
+def _regime_variant(old, new):
+    doc = yaml.safe_load(TEXTS["scalar"])
+    doc["regimes"][0] = new if old is None else {**doc["regimes"][0], old: new}
+    return yaml.safe_dump(doc, sort_keys=False).encode()
 
 
 @pytest.mark.parametrize(
@@ -112,8 +131,25 @@ def _grid_variant(t0, T):
         (_grid_variant("-1.0e+308", "1.0e+308"), "need finite t0, T and T - t0"),
         (TEXTS["scalar"].replace(b"steps: 1000", b"steps: .inf"), "cannot convert"),
         (TEXTS["scalar"].replace(b"n: 1,", b"n: .nan,"), "cannot convert"),
+        (_scalar_variant("steps: 1000", "steps: 1000.9"), "grid.steps: cannot convert"),
+        (_scalar_variant("steps: 1000", "steps: '1000'"), "grid.steps: expected a number"),
+        (_scalar_variant("steps: 1000", "steps: true"), "grid.steps: expected a number"),
+        (_scalar_variant("n: 1,", "n: true,"), "problem.n: expected a number"),
+        (_scalar_variant("m: 1,", "m: '1',"), "problem.m: expected a number"),
+        (_scalar_variant("m: 1,", "m: 1.5,"), "problem.m: cannot convert"),
+        (_scalar_variant("regimes: 1", "regimes: false"), "problem.regimes: expected a number"),
+        (_scalar_variant("regimes: 1", "regimes: 1.25"), "problem.regimes: cannot convert"),
+        (_scalar_variant("t0: 0.0", "t0: false"), "grid.t0: expected a number"),
+        (_scalar_variant("T: 1.0", "T: '1.0'"), "grid.T: expected a number"),
+        (_regime_variant("A", {"a": 1}), "regime 1.A: float"),
+        (_regime_variant("R", [["x"]]), "regime 1.R: could not convert"),
+        (_regime_variant("g", [math.inf]), "regime 1.g: non-finite entries"),
+        (_regime_variant(None, None), "regime 1: expected a mapping of fields"),
     ],
-    ids=["utf8-lead", "utf8-splice", "T-inf", "t0-inf", "span-overflow", "steps-inf", "n-nan"],
+    ids=["utf8-lead", "utf8-splice", "T-inf", "t0-inf", "span-overflow", "steps-inf", "n-nan",
+         "steps-fraction", "steps-string", "steps-bool", "n-bool", "m-string",
+         "m-fraction", "regimes-bool", "regimes-fraction", "t0-bool", "T-string",
+         "A-dict", "R-string", "g-inf", "regime-none"],
 )
 def test_cli_exits_1_with_one_line_on_malformed_file(tmp_path, text, message):
     problem = tmp_path / "bad.yaml"
@@ -131,3 +167,4 @@ def test_cli_exits_1_with_one_line_on_malformed_file(tmp_path, text, message):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("problem file error: "), run.stderr
     assert message in lines[0]
+

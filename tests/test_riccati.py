@@ -252,6 +252,23 @@ def test_direct_scalar_analytic_oracle():
     assert np.allclose(sol.Theta[:, 0, 0, 0], -sol.P[:, 0, 0, 0], atol=1e-14)
 
 
+@pytest.mark.parametrize("solver", [solve_riccati_direct, iterate_strongly_regular])
+def test_p_block_does_not_see_affine_data(solver):
+    # the zero rows of B_bar, C_bar and D_bar keep eta and w out of P, S_hat
+    # and Theta exactly (the iteration stops after as many solves on both),
+    # and the last row and column of P_bar hold eta and w
+    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=70))
+    affine, plain = solver(spec), solver(spec.homogeneous())
+    for name in ("P", "S_hat", "R_hat", "Theta", "min_eig_R_hat"):
+        assert np.array_equal(getattr(affine, name), getattr(plain, name)), name
+    assert affine.classification == plain.classification
+    assert np.array_equal(affine.P_bar[..., :-1, :-1], affine.P)
+    assert np.array_equal(affine.P_bar[..., -1, :-1], affine.P_bar[..., :-1, -1])
+    assert np.array_equal(affine.P_bar[-1, :, :-1, -1], spec.g)
+    assert not affine.P_bar[-1, :, -1, -1].any()
+    assert not plain.P_bar[..., -1, :].any()
+
+
 def test_direct_zero_weights_give_zero_solution():
     spec = benchmarks.scalar_benchmark(steps=32)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
@@ -287,6 +304,30 @@ def test_direct_rk4_order_on_oracle():
         errs.append(np.abs(sol.P[:, 0, 0, 0] - want).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
+
+
+@pytest.mark.parametrize(
+    "solver, steps, ref_steps",
+    [
+        (solve_riccati_direct, (10, 20, 40, 80, 160), 1280),
+        # the iteration's discrete fixed point has a larger fifth-order
+        # term: its w ratio from N = 10 to 20 reads 4.40, so start at 20
+        (iterate_strongly_regular, (20, 40, 80, 160, 320), 2560),
+    ],
+    ids=["direct", "iterate"],
+)
+def test_offset_and_value_integral_rk4_order(solver, steps, ref_steps):
+    # eta and w are blocks of the augmented Riccati solution, so they
+    # converge at the sweep's order 4, against a fine-grid reference at t0
+    def at_t0(n):
+        spec = benchmarks.two_regime_inhomogeneous(steps=n)
+        aff = solve_eta(spec, solver(spec))
+        return aff.eta[0], aff.value_integral[0]
+
+    ref = at_t0(ref_steps)
+    errs = np.array([[np.abs(x - r).max() for x, r in zip(at_t0(n), ref)] for n in steps])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all((orders >= 3.7) & (orders <= 4.3)), orders.T
 
 
 def test_rk4_backward_guards_every_sweep():
@@ -444,7 +485,9 @@ def test_iteration_rejects_bundled_nonconvex_at_first_iterate(name):
 
 def _iterate_one_by_one(spec, max_iter, conv_tol):
     """The fixed-point loop with each linear solve run to the end before
-    the next: the reference the staggered sweeps must reproduce."""
+    the next: the reference the staggered sweeps must reproduce.  Like
+    them it runs on the problem in x_bar = [x, 1]."""
+    spec = spec.augmented()
     p_n = solve_lyapunov(spec).P
     trace, iterates = [], [p_n]
     for _ in range(max_iter):
@@ -473,7 +516,7 @@ def _outcome(run):
 
 def _staggered(spec, **kwargs):
     sol = iterate_strongly_regular(spec, **kwargs)
-    return sol.P, sol.iteration_trace, sol.iterates
+    return sol.P_bar, sol.iteration_trace, sol.iterates
 
 
 @st.composite
