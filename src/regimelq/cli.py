@@ -139,8 +139,6 @@ def _load_and_solve(args):
 
     try:
         aff = affine.solve_eta(spec, sol)
-    except riccati.DivergenceError as exc:
-        return _solve_failed(out, spec, sol, "divergent", exc, EXIT_DIVERGENCE)
     except affine.RangeConditionError as exc:
         return _solve_failed(out, spec, sol, "not_regular", exc, EXIT_NOT_REGULAR)
     _write_affine_csv(out, args, spec, aff)

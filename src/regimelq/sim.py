@@ -26,10 +26,13 @@ and the trapezoidal cost added in the loop.  The laws share the P rows
 of regimes and increments, or each law has its own.  The estimators
 keep no trajectories, only per-path costs; states are recorded only for
 the single paths of :func:`simulate_policy`.  Since each step multiplies
-by every regime's block, its cost grows with the number of regimes D,
-but not with the number of laws.  The zero-control value matrix
-(:func:`feynman_kac_M0`) runs the same scheme on the transposed
-fundamental matrix Φᵀ stacked over paths.
+by every regime's block, its flops grow with the number of regimes D,
+but not with the number of laws.  The product runs in tiles of rows,
+because a whole batch's block outgrows the L2 cache before the take
+reads it (:func:`_regime_product`); a product per regime, forming only
+each path's own block, slowed the small batches of ``verify``.  The
+zero-control value matrix (:func:`feynman_kac_M0`) runs the same scheme
+on the transposed fundamental matrix Φᵀ stacked over paths.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
 ]
 
 BATCH_PATHS = 4096
+TILE_ROWS = 512
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -246,6 +250,38 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     return _Tables(W=w, terminal=_terminal_form(spec), grid=spec.grid)
 
 
+def _regime_product(tables: _Tables, state, width):
+    """``select(k, regime)``: the (L, R, width) block that row r of
+    ``state[l] @ W[k]`` has in regime ``regime[l, r]``; ``state`` is
+    updated in place between steps.  The product runs in tiles of
+    ``TILE_ROWS`` rows, whose blocks of every regime stay in cache for
+    the take.  A tile has two rows or more, because numpy forms a
+    one-row product as a matrix-vector product, which rounds
+    differently."""
+    w, (n_laws, n_rows), n_cols = tables.W, state.shape[:2], tables.W.shape[-1]
+    tile = max(TILE_ROWS, 2)
+    starts = list(range(0, max(n_rows - 1, 1), tile))  # a lone last row joins the tile before
+    buf = np.empty(n_laws * min(tile + 1, n_rows) * n_cols)
+    sel = np.empty((n_laws, n_rows, width))
+    tiles = []
+    for a, b in zip(starts, starts[1:] + [n_rows]):
+        block = buf[:n_laws * (b - a) * n_cols].reshape(n_laws, b - a, n_cols)
+        # flat row l (b - a) + p of the block is law l, row a + p
+        first = np.arange(n_laws * (b - a)).reshape(n_laws, b - a) * (n_cols // width)
+        tiles.append((slice(a, b), state[:, a:b], block, block.reshape(-1, width), first,
+                      sel[:, a:b]))
+
+    def select(k, regime):
+        for rows, part, block, flat, first, out in tiles:
+            np.matmul(part, w[k], block)
+            # with mode "raise", take writes to a copy of out and then
+            # copies it back; the indices are in range by construction
+            flat.take(first + regime[:, rows], 0, out, "clip")
+        return sel
+
+    return select
+
+
 def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law=False):
     """Euler-Maruyama of every law in ``tables`` from node ``k0``, with the
     cost accumulated in the loop; returns the (L, P) per-path costs.
@@ -256,27 +292,21 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law
     cost plus the terminal term.  ``states``, if given as (L, P, N + 1,
     n), receives the state at every node from k0.
     """
-    w = tables.W
-    n_laws, n = w.shape[1], w.shape[2] - 1
-    width = 3 * n + 1
+    n_laws, n = tables.W.shape[1], tables.W.shape[2] - 1
     lead = n_laws if per_law else 1
     n_paths, n_steps = dw.shape[0] // lead, dw.shape[1]
-    rows = np.arange(n_laws * n_paths).reshape(n_laws, n_paths) * (w.shape[3] // width)
     xbar = np.ones((n_laws, n_paths, n + 1))
     xbar[..., :n] = x0
     x = xbar[..., :n]
+    select = _regime_product(tables, xbar, 3 * n + 1)
     # [1, ΔW_k] for every law's rows: einsum is slow on a broadcast operand
     coef = np.ones((n_laws, n_paths, 2))
     if states is not None:
         states[:, :, k0] = x
 
-    def at(k):
-        regime = alpha[:, k].reshape(lead, n_paths)
-        return (xbar @ w[k]).reshape(-1, width).take(rows + regime, axis=0)
-
     cost = np.zeros((n_laws, n_paths))
     for k in range(k0, n_steps):
-        sel = at(k)
+        sel = select(k, alpha[:, k].reshape(lead, n_paths))
         run = np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
         cost += 0.5 * run if k == k0 else run
         coef[..., 1] = dw[:, k].reshape(lead, n_paths)
@@ -287,7 +317,8 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law
         if states is not None:
             states[:, :, k + 1] = x
     if k0 < n_steps:
-        cost += 0.5 * np.einsum("lpi,lpi->lp", xbar, at(n_steps)[..., 2 * n:])
+        sel = select(n_steps, alpha[:, n_steps].reshape(lead, n_paths))
+        cost += 0.5 * np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
     g_bar = tables.terminal[alpha[:, n_steps].reshape(lead, n_paths)]
     cost += np.einsum("lpi,lpij,lpj->lp", xbar, g_bar, xbar)
     return cost
@@ -425,17 +456,11 @@ def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
     product Ψ W[k] for all regimes, a row take on the path's regime and
     one einsum of [1, ΔW_k] against the step and diffusion blocks.
     """
-    w = tables.W
     n_paths, n_steps = dw.shape
-    n = w.shape[1]
-    width = 3 * n
-    base = np.arange(n_paths * n) * (w.shape[2] // width)
+    n = tables.W.shape[1]
     psi = np.tile(np.eye(n), (n_paths, 1))
+    select = _regime_product(tables, psi[None], 3 * n)
     coef = np.ones((n_paths, n, 2))  # [1, ΔW_k] for every row of Ψ
-
-    def at(k):
-        rows = base + np.repeat(alpha[:, k], n)
-        return (psi @ w[k]).reshape(-1, width).take(rows, axis=0)
 
     def weight(sel):
         blocks = sel[:, 2 * n:].reshape(n_paths, n, n)
@@ -443,14 +468,14 @@ def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
 
     acc = np.zeros((n_paths, n, n))
     for k in range(k0, n_steps):
-        sel = at(k)
+        sel = select(k, np.repeat(alpha[None, :, k], n, axis=1))[0]
         run = weight(sel)
         acc += 0.5 * run if k == k0 else run
         coef[..., 1] = dw[:, k, None]
         blocks = sel[:, :2 * n].reshape(-1, 2, n)
         np.einsum("rj,rjn->rn", coef.reshape(-1, 2), blocks, out=psi)
     if k0 < n_steps:
-        acc += 0.5 * weight(at(n_steps))
+        acc += 0.5 * weight(select(n_steps, np.repeat(alpha[None, :, n_steps], n, axis=1))[0])
     phi_t = psi.reshape(n_paths, n, n)
     acc += phi_t @ tables.terminal[alpha[:, n_steps]] @ np.swapaxes(phi_t, -1, -2)
     return acc

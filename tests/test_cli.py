@@ -454,13 +454,19 @@ def test_offset_range_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "affine.csv").exists()
 
 
-def test_offset_divergence_recorded_in_classification(tmp_path, monkeypatch):
-    def diverging_eta(spec, sol):
+def test_solve_eta_runs_no_sweep(monkeypatch):
+    # the offsets are read off the augmented Riccati solution, so the
+    # offset stage cannot diverge; main still maps a DivergenceError
+    # from any later stage to exit 3
+    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    sol = riccati.solve_riccati_direct(spec)
+
+    def no_sweep(*args, **kwargs):
         raise riccati.DivergenceError(7, 0.25)
 
-    monkeypatch.setattr(affine, "solve_eta", diverging_eta)
-    problem = tmp_path / "scalar.yaml"
-    benchmarks.write_example(problem, "scalar")
-    assert main(_args("solve", problem, tmp_path / "out", steps=50)) == 3
-    verdict = (tmp_path / "out" / "classification.txt").read_text()
-    assert verdict.startswith("divergent: integration diverged at node 7")
+    monkeypatch.setattr(riccati, "rk4_backward", no_sweep)
+    monkeypatch.setattr(riccati, "_rk4_block", no_sweep)
+    aff = affine.solve_eta(spec, sol)
+    assert aff.range_ok
+    np.testing.assert_array_equal(aff.eta, sol.P_bar[..., :-1, -1])
+    assert np.any(aff.eta)

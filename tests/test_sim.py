@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
+from regimelq import benchmarks, sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
 from regimelq.problemfile import parse_problem
@@ -683,6 +683,63 @@ def test_fundamental_loop_matches_per_path_recursion():
     est = feynman_kac_M0(spec, spec.grid.T, 1, 9, 0)
     assert np.array_equal(est.mean, spec.G[1])
     assert not np.any(est.std_error)
+
+
+# ------------------------------------------------------------- row tiles
+
+
+def _tiled_and_untiled(monkeypatch, tile, run):
+    """``run()`` in tiles of ``tile`` rows, and in one tile."""
+    monkeypatch.setattr(sim, "TILE_ROWS", tile)
+    tiled = run()
+    monkeypatch.setattr(sim, "TILE_ROWS", 1 << 30)
+    return tiled, run()
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize("n_paths", [10, 11])
+def test_tiled_policy_product_matches_untiled(monkeypatch, tile, n_paths):
+    # 10 and 11 paths leave a partial last tile or a lone row, which
+    # joins the tile before; the law offsets must count the tile's rows
+    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    n_steps = spec.grid.steps
+    theta, v = _three_laws(spec, closed_loop=True)
+    one = _closed_loop_tables(spec, theta[0], v[0])
+    three = _closed_loop_tables(spec, theta, v)
+    x0 = np.linspace(0.8, -0.6, spec.n)
+    for k0 in (0, n_steps // 3):
+        for tables, per_law in ((one, False), (three, False), (three, True)):
+            n_laws = tables.W.shape[1]
+            rows = n_laws * n_paths if per_law else n_paths
+            rng = np.random.default_rng([12, k0, rows])
+            alpha = _sample_regime_paths(spec.gen, spec.grid, 1, rows, rng, k0)
+            dw = brownian_increments(spec.grid, rng, rows, k0)
+
+            def run():
+                states = np.zeros((n_laws, n_paths, n_steps + 1, spec.n))
+                cost = _integrate_policy(tables, alpha, x0, dw, k0, states, per_law)
+                return cost, states
+
+            (cost, states), (want_cost, want_states) = _tiled_and_untiled(
+                monkeypatch, tile, run)
+            assert np.array_equal(cost, want_cost)
+            assert np.array_equal(states, want_states)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+@pytest.mark.parametrize(
+    "spec", [_varying_fk_spec(), benchmarks.two_regime_inhomogeneous(steps=60)],
+    ids=["n2", "n1"])
+def test_tiled_fundamental_product_matches_untiled(monkeypatch, tile, spec):
+    tables = _fundamental_tables(spec)
+    n_paths = 10
+    for k0 in (0, spec.grid.steps // 3):
+        rng = np.random.default_rng([13, k0])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
+        got, want = _tiled_and_untiled(
+            monkeypatch, tile, lambda: _integrate_fundamental(tables, alpha, dw, k0))
+        assert np.array_equal(got, want)
 
 
 def test_euler_weak_error_scaling():
