@@ -6,10 +6,7 @@ come with it, synthesizes the optimal feedback law, and certifies the
 optimality and value identities by Monte-Carlo simulation.
 """
 
-from .affine import (
-    AffineSolution, RangeConditionError, feedback_at, solve_eta, value_function,
-)
-from .matcore import min_eig_sym, pinv, range_included
+from .affine import AffineSolution, feedback_at, solve_eta, value_function
 from .model import (
     Generator,
     GridRangeError,

@@ -23,6 +23,8 @@ __all__ = [
     "two_regime_inhomogeneous",
     "three_regime_decoupled",
     "state_decoupled",
+    "dead_channel",
+    "dead_offset",
     "scalar_benchmark_solution",
     "write_example",
 ]
@@ -176,6 +178,46 @@ def state_decoupled(steps: int = 400) -> ProblemSpec:
     )
 
 
+def dead_channel(steps: int = 500) -> ProblemSpec:
+    """Regular but not strongly regular: a control dead in one regime.
+
+    Two regimes, n = 1 and m = 2, with affine data.  In regime 2 the
+    second control enters neither the dynamics nor the cost (zero B, D,
+    R and S entries), so R_hat is singular there with S_hat and rho_hat
+    inside its range: the minimum-norm law sets that control to zero,
+    and the fixed-point iteration, which needs R_hat > 0, stops at once.
+    """
+    grid = TimeGrid(0.0, 1.0, steps)
+    gen = Generator.constant([[-1.0, 1.0], [2.0, -2.0]], grid)
+    return ProblemSpec.from_regimes(
+        grid, gen,
+        A=[0.3, -0.4],
+        B=[np.array([[1.0, 0.5]]), np.array([[0.8, 0.0]])],
+        C=[0.4, 0.2],
+        D=[np.array([[0.3, 0.2]]), np.array([[0.1, 0.0]])],
+        Q=[1.0, 0.5],
+        S=[np.array([[0.2], [0.1]]), np.array([[-0.1], [0.0]])],
+        R=[np.diag([1.0, 0.8]), np.diag([1.5, 0.0])],
+        G=[1.0, 2.0],
+        b=[0.2, -0.1], sigma=[0.3, 0.5], q=[0.1, -0.2], g=[0.3, -0.2],
+    )
+
+
+def dead_offset(steps: int = 500) -> ProblemSpec:
+    """:func:`dead_channel` with a linear cost 0.4 on the dead control.
+
+    Then rho_hat has the entry 0.4 outside R(R_hat) in regime 2, and the
+    cost is unbounded below: shifting the dead control by -c while in
+    regime 2 lowers the cost by 0.8 c times the expected time spent
+    there and changes nothing else.  No closed-loop optimal law exists,
+    although P is regular.
+    """
+    spec = dead_channel(steps)
+    rho = spec.rho.copy()
+    rho[:, 1] = [0.0, 0.4]
+    return replace(spec, rho=rho)
+
+
 def write_example(path, which: str = "scalar") -> ProblemSpec:
     """Generate a bundled example problem file; returns the spec written."""
     builders = {
@@ -184,6 +226,8 @@ def write_example(path, which: str = "scalar") -> ProblemSpec:
         "standard": two_regime_standard,
         "blowup": scalar_blowup,
         "negative_r": negative_r,
+        "dead_channel": dead_channel,
+        "dead_offset": dead_offset,
     }
     spec = builders[which]()
     write_problem(path, spec, name=which)

@@ -5,10 +5,10 @@ Problem files are YAML; the schema is documented in
 
 Exit codes: 0 success, 1 problem-file/validation error, a run argument
 that does not fit the problem or the solver, or a flag other than
-``--out`` given to ``report``, 2 solution not regular (or
-the iteration certifies non-convexity, or the offset breaks the range
-condition of a strongly regular solution), 3 integration divergence, 4
-verification failure.
+``--out`` given to ``report``, 2 no closed-loop optimal law: the
+solution is not regular, or its offset rho_hat leaves the range of the
+control weight composite, or the iteration certifies non-convexity, 3
+integration divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _load_and_solve(args):
                 spec, pinv_tol=args.pinv_tol, strong_tol=args.strong_tol,
             )
     except riccati.DivergenceError as exc:
-        return _solve_failed(out, spec, None, "divergent", exc, EXIT_DIVERGENCE)
+        return _solve_failed(out, spec, "divergent", exc, EXIT_DIVERGENCE)
     except (riccati.NotStronglyRegularError, riccati.NonConvergenceError) as exc:
-        return _solve_failed(out, spec, None, "not_regular", exc, EXIT_NOT_REGULAR)
+        return _solve_failed(out, spec, "not_regular", exc, EXIT_NOT_REGULAR)
 
     _write_riccati_csv(out, args, spec, sol)
     (out / "classification.txt").write_text(str(sol.classification) + "\n")
@@ -137,10 +137,7 @@ def _load_and_solve(args):
         print(f"classification: {sol.classification}", file=sys.stderr)
         return spec, sol, None, EXIT_NOT_REGULAR
 
-    try:
-        aff = affine.solve_eta(spec, sol)
-    except affine.RangeConditionError as exc:
-        return _solve_failed(out, spec, sol, "not_regular", exc, EXIT_NOT_REGULAR)
+    aff = affine.solve_eta(spec, sol)
     _write_affine_csv(out, args, spec, aff)
     return spec, sol, aff, EXIT_OK
 
@@ -175,11 +172,11 @@ def _run_args_error(args, spec) -> str | None:
     return None
 
 
-def _solve_failed(out: Path, spec, sol, verdict: str, exc, code: int):
+def _solve_failed(out: Path, spec, verdict: str, exc, code: int):
     """Record a failed backward solve in classification.txt and stderr."""
     (out / "classification.txt").write_text(f"{verdict}: {exc}\n")
     print(f"error: {exc}", file=sys.stderr)
-    return spec, sol, None, code
+    return spec, None, None, code
 
 
 def _cmd_solve(args) -> int:

@@ -11,6 +11,10 @@ symmetric terminal value.  :func:`rk4_backward` drives it for one sweep.
 Both Riccati routes sweep the problem in x_bar = [x, 1]
 (:meth:`ProblemSpec.augmented`); its solution [[P, eta], [eta^T, w]]
 holds P, the offset eta and the value integral w, all at RK4 order 4.
+The feedback law is synthesized there too: S_bar = [S_hat, rho_hat]
+and Theta_bar = -R_hat^+ S_bar = [Theta, v*] give the gain and the
+offset in one product, and one range test over S_bar decides the
+closed-loop verdict (:func:`_classify`).
 
 A constructive fixed-point iteration (repeated Lyapunov solves through
 the current gain) provides an independent route to the strongly regular
@@ -39,6 +43,7 @@ of R_hat, taken by the symmetric eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,21 +139,34 @@ class LyapunovSolution:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Node-sampled quadratic-value matrices with derived feedback gains.
-    ``P_bar`` = [[P, eta], [eta^T, w]] solves the problem in [x, 1];
-    ``S_hat`` and ``Theta`` are the first n columns of its S_hat and gain."""
+    """Node-sampled solution of the problem in [x, 1] and its feedback law.
+
+    ``P_bar`` = [[P, eta], [eta^T, w]], ``S_bar`` = [S_hat, rho_hat] and
+    the minimum-norm ``Theta_bar`` = -R_hat^+ S_bar = [Theta, v*]; P,
+    ``S_hat`` and ``Theta`` are their leading blocks."""
 
     grid: TimeGrid
     P_bar: np.ndarray        # (N + 1, D, n + 1, n + 1)
-    P: np.ndarray            # (N + 1, D, n, n)
-    S_hat: np.ndarray        # (N + 1, D, m, n)
+    S_bar: np.ndarray        # (N + 1, D, m, n + 1)
     R_hat: np.ndarray        # (N + 1, D, m, m)
-    Theta: np.ndarray        # (N + 1, D, m, n), minimum-norm gain
+    Theta_bar: np.ndarray    # (N + 1, D, m, n + 1)
     min_eig_R_hat: np.ndarray  # (N + 1, D)
     classification: Classification
     pinv_tol: float
     iteration_trace: list[float] | None = None
     iterates: list[np.ndarray] | None = None  # P_bar iterates, on request
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return np.ascontiguousarray(self.P_bar[..., :-1, :-1])
+
+    @cached_property
+    def S_hat(self) -> np.ndarray:
+        return np.ascontiguousarray(self.S_bar[..., :-1])
+
+    @cached_property
+    def Theta(self) -> np.ndarray:
+        return np.ascontiguousarray(self.Theta_bar[..., :-1])
 
     def gain_at(self, t: float, i: int) -> np.ndarray:
         return interp_nodes(self.Theta, self.grid, t)[i]
@@ -323,45 +341,52 @@ def _derived_tables(
     ``p_path``, the path at the grid ``nodes``."""
     coefs = (x[nodes] for x in (spec.B, spec.D, spec.C, spec.S, spec.R))
     s_hat, r_hat = _hats(*coefs, p_path)
-    eig, r_hat_pinv = matcore._eigh_pinv(r_hat, pinv_tol)
+    eig, r_hat_pinv = matcore.pinv(r_hat, pinv_tol)
     theta = -(r_hat_pinv @ s_hat)
     return s_hat, r_hat, r_hat_pinv, theta, eig[..., 0]
 
 
 def _classify(
-    s_hat, r_hat, r_hat_pinv, min_eig,
+    s_bar, r_hat, r_hat_pinv, min_eig,
     strong_tol: float, psd_tol: float, range_tol: float,
 ) -> Classification:
+    """The verdict on the law Theta_bar = -R_hat^+ S_bar.
+
+    P is regular if R_hat >= 0 and R(S_hat) lies in R(R_hat) at every
+    node; R_hat > 0 (strongly regular) implies the inclusion, so that
+    case skips the S_hat test.  The law is closed-loop optimal iff P is
+    regular and, in addition, rho_hat (the last column of S_bar) lies in
+    R(R_hat) (Sun, Li & Yong, SIAM J. Control Optim. 54, 2016; extended
+    to regime switching in arXiv 1809.01891), so that column is tested
+    whenever R_hat >= 0.
+    """
+    tols = dict(strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol)
     lam_min = float(min_eig.min())
-    if lam_min >= strong_tol:
-        return Classification(
-            "strongly_regular", lambda_min=lam_min,
-            strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol,
-        )
-    if lam_min < -psd_tol:
+    strong = lam_min >= strong_tol
+    if not strong and lam_min < -psd_tol:
         k, i = np.unravel_index(int(min_eig.argmin()), min_eig.shape)
         return Classification(
             "not_regular",
             reason=f"control weight composite indefinite at node {k}, "
                    f"regime {i} (min eig {lam_min:.3e})",
-            strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol,
+            **tols,
         )
-    resid = s_hat - r_hat @ (r_hat_pinv @ s_hat)
-    resid_norm = np.linalg.norm(resid, axis=(-2, -1))
-    bound = range_tol * np.maximum(1.0, np.linalg.norm(s_hat, axis=(-2, -1)))
-    bad = resid_norm > bound
-    if bad.any():
-        k, i = np.unravel_index(int(bad.argmax()), bad.shape)
-        return Classification(
-            "not_regular",
-            reason=f"range inclusion fails at node {k}, regime {i} "
-                   f"(residual {resid_norm[k, i]:.3e})",
-            strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol,
-        )
-    return Classification(
-        "regular",
-        strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol,
-    )
+    n = s_bar.shape[-1] - 1
+    tests = [] if strong else [("range inclusion", s_bar[..., :n])]
+    tests.append(("offset range condition", s_bar[..., n:]))
+    for what, cols in tests:
+        resid, bad = matcore.outside_range(r_hat, r_hat_pinv, cols, range_tol)
+        if bad.any():
+            k, i = np.unravel_index(int(bad.argmax()), bad.shape)
+            return Classification(
+                "not_regular",
+                reason=f"{what} fails at node {k}, regime {i} "
+                       f"(residual {resid[k, i]:.3e})",
+                **tols,
+            )
+    if strong:
+        return Classification("strongly_regular", lambda_min=lam_min, **tols)
+    return Classification("regular", **tols)
 
 
 def _check_tols(pinv_tol: float, strong_tol: float) -> None:
@@ -379,16 +404,15 @@ def _check_tols(pinv_tol: float, strong_tol: float) -> None:
 def _build_solution(
     aug, p_bar, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
 ) -> RiccatiSolution:
-    """The solution from the path of ``aug``; the verdict reads S_hat only."""
-    n = aug.n - 1
+    """The solution, its feedback law and its verdict from the path of ``aug``."""
     s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = _derived_tables(aug, p_bar, pinv_tol)
-    s_hat, theta = (np.ascontiguousarray(x[..., :n]) for x in (s_bar, theta_bar))
-    cls = _classify(s_hat, r_hat, r_hat_pinv, min_eig, strong_tol, psd_tol, range_tol)
     return RiccatiSolution(
-        grid=aug.grid, P_bar=p_bar, P=np.ascontiguousarray(p_bar[..., :n, :n]),
-        S_hat=s_hat, R_hat=r_hat, Theta=theta, min_eig_R_hat=min_eig,
-        classification=cls, pinv_tol=pinv_tol, iteration_trace=trace,
-        iterates=iterates,
+        grid=aug.grid, P_bar=p_bar, S_bar=s_bar, R_hat=r_hat, Theta_bar=theta_bar,
+        min_eig_R_hat=min_eig,
+        classification=_classify(
+            s_bar, r_hat, r_hat_pinv, min_eig, strong_tol, psd_tol, range_tol,
+        ),
+        pinv_tol=pinv_tol, iteration_trace=trace, iterates=iterates,
     )
 
 

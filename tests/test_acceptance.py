@@ -202,12 +202,13 @@ def test_criterion_09_kernel_properties():
     rng = np.random.default_rng(909)
     penrose_ok = True
     for _ in range(100):
-        r, c = rng.integers(1, 9, size=2)
-        m = rng.normal(size=(r, c))
-        if rng.uniform() < 0.4 and min(r, c) > 1:
-            rank = int(rng.integers(1, min(r, c)))
-            m = rng.normal(size=(r, rank)) @ rng.normal(size=(rank, c))
-        mp = matcore.pinv(m)
+        dim = int(rng.integers(1, 9))
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        lam = rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+        if rng.uniform() < 0.4 and dim > 1:
+            lam[: int(rng.integers(1, dim))] = 0.0  # rank-deficient
+        m = q @ (lam[:, None] * q.T)  # symmetric, indefinite
+        _, mp = matcore.pinv(m)
         tol = 1e-8 * (1.0 + np.linalg.norm(m))
         penrose_ok = penrose_ok and (
             np.linalg.norm(m @ mp @ m - m) <= tol
@@ -228,13 +229,13 @@ def test_criterion_09_kernel_properties():
         oracle = np.linalg.matrix_rank(np.hstack([r_mat, s]), tol=1e-8) == (
             np.linalg.matrix_rank(r_mat, tol=1e-8)
         )
-        range_ok = range_ok and (
-            matcore.range_included(s, r_mat, tol=1e-8) == oracle
-        )
+        _, outside = matcore.outside_range(r_mat, matcore.pinv(r_mat)[1], s, 1e-8)
+        range_ok = range_ok and bool(outside) == (not oracle)
     ok = penrose_ok and range_ok
     _verdict(
         9, ok, "pseudo-inverse axioms and range test vs rank oracle",
-        "100 random matrices incl. rank-deficient; 100 range instances",
+        "100 random symmetric matrices incl. rank-deficient and indefinite; "
+        "100 range instances",
     )
 
 

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
-from regimelq.affine import RangeConditionError, feedback_at, solve_eta, value_function
+from regimelq import benchmarks, matcore
+from regimelq.affine import feedback_at, solve_eta, value_function
 from regimelq.model import Generator, GridRangeError, TimeGrid
 from regimelq.riccati import solve_riccati_direct
 
@@ -21,7 +21,6 @@ def test_homogeneous_problem_has_zero_offsets():
     assert not np.any(aff.eta)
     assert not np.any(aff.v_star)
     assert not np.any(aff.value_integral)
-    assert aff.range_ok
 
 
 def test_pure_state_cost_offset_closed_form():
@@ -84,17 +83,37 @@ def test_range_condition_holds_when_strongly_regular():
     spec = benchmarks.two_regime_inhomogeneous(steps=50)
     ric, aff = _solved(spec)
     assert ric.classification.kind == "strongly_regular"
-    assert aff.range_ok and aff.range_report is None
+    _, r_hat_pinv = matcore.pinv(ric.R_hat, ric.pinv_tol)
+    _, outside = matcore.outside_range(
+        ric.R_hat, r_hat_pinv, aff.rho_hat[..., None], ric.classification.range_tol,
+    )
+    assert np.any(aff.rho_hat) and not outside.any()
 
 
-def test_range_failure_on_strongly_regular_solution_raises_typed_error():
+def test_offsets_are_the_last_columns_of_the_augmented_law():
     spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    ric, aff = _solved(spec)
+    assert np.array_equal(aff.rho_hat, ric.S_bar[..., -1])
+    assert np.array_equal(aff.v_star, ric.Theta_bar[..., -1])
+    assert np.array_equal(aff.eta, ric.P_bar[..., :-1, -1])
+    assert np.array_equal(aff.value_integral, ric.P_bar[..., -1, -1])
+    # rho_hat = B^T eta + D^T P sigma + rho and v* = -R_hat^+ rho_hat
+    rho_hat = (
+        np.einsum("kdji,kdj->kdi", spec.B, aff.eta)
+        + np.einsum("kdji,kdj->kdi", spec.D, np.einsum("kdij,kdj->kdi", ric.P, spec.sigma))
+        + spec.rho
+    )
+    assert np.abs(aff.rho_hat - rho_hat).max() <= 1e-14
+    _, r_hat_pinv = matcore.pinv(ric.R_hat, ric.pinv_tol)
+    v_star = -np.einsum("kdij,kdj->kdi", r_hat_pinv, aff.rho_hat)
+    assert np.abs(aff.v_star - v_star).max() <= 1e-14
+
+
+def test_offsets_need_a_regular_solution():
+    spec = benchmarks.dead_offset(steps=40)
     ric = solve_riccati_direct(spec)
-    assert ric.classification.kind == "strongly_regular"
-    # a zero R_hat has the zero pseudo-inverse, so rho_hat leaves its range
-    broken = dataclasses.replace(ric, R_hat=np.zeros_like(ric.R_hat))
-    with pytest.raises(RangeConditionError, match="strongly regular"):
-        solve_eta(spec, broken)
+    with pytest.raises(ValueError, match="regular solution"):
+        solve_eta(spec, ric)
 
 
 def test_feedback_zero_state_homogeneous():

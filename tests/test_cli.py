@@ -23,7 +23,8 @@ LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else 
 
 
 @pytest.mark.parametrize(
-    "which", ["scalar", "two_regime", "standard", "blowup", "negative_r"]
+    "which",
+    ["scalar", "two_regime", "standard", "blowup", "negative_r", "dead_channel", "dead_offset"],
 )
 def test_problem_file_round_trip(tmp_path, which):
     path = tmp_path / f"{which}.yaml"
@@ -370,11 +371,11 @@ def test_node_csv_rows_match_csv_writer(tmp_path):
     spec = benchmarks.two_regime_inhomogeneous(steps=6)
     ric = riccati.solve_riccati_direct(spec)
     aff = affine.solve_eta(spec, ric)
-    p = ric.P.copy()
-    p[2, 1, 0, 0] = -1.25e-7
-    p[3, 0, 0, 0] = 1.0000000000000001e-300
-    p[4, 1, 0, 0] = -0.0
-    ric = dataclasses.replace(ric, P=p)
+    p_bar = ric.P_bar.copy()
+    p_bar[2, 1, 0, 0] = -1.25e-7
+    p_bar[3, 0, 0, 0] = 1.0000000000000001e-300
+    p_bar[4, 1, 0, 0] = -0.0
+    ric = dataclasses.replace(ric, P_bar=p_bar)
     eta = aff.eta.copy()
     eta[1, 0, 0] = -2.5e-300
     aff = dataclasses.replace(aff, eta=eta)
@@ -434,24 +435,41 @@ def test_verify_threads_do_not_change_bodies(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def test_offset_range_failure_exit_code(tmp_path, monkeypatch, capsys):
-    real_solve = riccati.solve_riccati_direct
-
-    def solve_with_zero_r_hat(spec, **kw):
-        sol = real_solve(spec, **kw)
-        return dataclasses.replace(sol, R_hat=np.zeros_like(sol.R_hat))
-
-    monkeypatch.setattr(riccati, "solve_riccati_direct", solve_with_zero_r_hat)
-    problem = tmp_path / "tworeg.yaml"
-    benchmarks.write_example(problem, "two_regime")
-    assert main(_args("solve", problem, tmp_path / "out", steps=50)) == 2
+def test_offset_range_failure_exit_code(tmp_path, capsys):
+    # P is regular, but rho_hat leaves the range of R_hat in regime 2:
+    # no closed-loop optimal law, so exit 2 and no affine.csv
+    out = tmp_path / "out"
+    assert main(_args("solve", PROBLEMS / "dead_offset.yaml", out, steps=50)) == 2
     err = capsys.readouterr().err
-    assert "range condition fails" in err
+    want = "not_regular(offset range condition fails at node 0, regime 1 "
+    assert f"classification: {want}" in err
     assert "Traceback" not in err
-    verdict = (tmp_path / "out" / "classification.txt").read_text()
-    assert verdict.startswith("not_regular: ")
-    assert "range condition fails" in verdict
-    assert not (tmp_path / "out" / "affine.csv").exists()
+    assert (out / "classification.txt").read_text().startswith(want)
+    assert not (out / "affine.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cmd, problem, code",
+    [("solve", "dead_channel", 0), ("iterate", "dead_channel", 2),
+     ("simulate", "dead_channel", 0), ("verify", "dead_channel", 0),
+     ("solve", "dead_offset", 2), ("iterate", "dead_offset", 2),
+     ("simulate", "dead_offset", 2), ("verify", "dead_offset", 2)],
+)
+def test_dead_channel_exit_codes(tmp_path, capsys, cmd, problem, code):
+    out = tmp_path / "out"
+    flags = {"steps": 100}
+    if cmd in ("simulate", "verify"):
+        flags.update(paths=500, seed=7, threads=1)
+    assert main(_args(cmd, PROBLEMS / f"{problem}.yaml", out, **flags)) == code
+    assert "Traceback" not in capsys.readouterr().err
+    verdict = (out / "classification.txt").read_text()
+    if cmd == "iterate":
+        assert verdict.startswith("not_regular: control weight composite not positive")
+    elif problem == "dead_channel":
+        assert verdict == "regular\n"
+    else:
+        assert verdict.startswith("not_regular(offset range condition fails")
+    assert (out / "affine.csv").exists() == (code == 0)
 
 
 def test_solve_eta_runs_no_sweep(monkeypatch):
@@ -467,6 +485,5 @@ def test_solve_eta_runs_no_sweep(monkeypatch):
     monkeypatch.setattr(riccati, "rk4_backward", no_sweep)
     monkeypatch.setattr(riccati, "_rk4_block", no_sweep)
     aff = affine.solve_eta(spec, sol)
-    assert aff.range_ok
     np.testing.assert_array_equal(aff.eta, sol.P_bar[..., :-1, -1])
     assert np.any(aff.eta)

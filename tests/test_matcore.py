@@ -1,4 +1,5 @@
-"""Kernel contracts: pseudo-inverse, symmetric eigenvalues, range tests."""
+"""Kernel contracts: the symmetric pseudo-inverse with its eigenvalues,
+and the stacked range test."""
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ import pytest
 from regimelq import matcore
 
 
+def _pinv(m, rel_tol=matcore.DEFAULT_PINV_RTOL):
+    return matcore.pinv(m, rel_tol)[1]
+
+
 def test_pinv_identity():
-    assert np.allclose(matcore.pinv(np.eye(3), 1e-12), np.eye(3), atol=1e-14)
+    assert np.allclose(_pinv(np.eye(3), 1e-12), np.eye(3), atol=1e-14)
 
 
 def test_pinv_zero_matrix():
-    assert np.array_equal(matcore.pinv(np.zeros((2, 2))), np.zeros((2, 2)))
+    assert np.array_equal(_pinv(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_pinv_truncated_diagonal():
-    got = matcore.pinv(np.diag([2.0, 0.0]), 1e-12)
+    got = _pinv(np.diag([2.0, 0.0]), 1e-12)
     assert np.allclose(got, np.diag([0.5, 0.0]), atol=1e-15)
 
 
@@ -29,23 +34,22 @@ def test_pinv_rejects_bad_tolerance():
         matcore.pinv(np.eye(2), rel_tol=2.0)
 
 
-def _random_matrix(rng, allow_deficient=True):
-    r, c = rng.integers(1, 9, size=2)
-    m = rng.normal(size=(r, c))
-    if allow_deficient and rng.uniform() < 0.4 and min(r, c) > 1:
-        # force a rank drop by duplicating a column combination
-        rank = int(rng.integers(1, min(r, c)))
-        left = rng.normal(size=(r, rank))
-        right = rng.normal(size=(rank, c))
-        m = left @ right
-    return m
+def _random_symmetric(rng):
+    """A random symmetric matrix with eigenvalue magnitudes in [0.5, 2]
+    and random signs, rank-deficient with probability 0.4."""
+    dim = int(rng.integers(1, 9))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    lam = rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+    if rng.uniform() < 0.4 and dim > 1:
+        lam[: int(rng.integers(1, dim))] = 0.0
+    return q @ (lam[:, None] * q.T)
 
 
 def test_penrose_axioms_random_suite():
     rng = np.random.default_rng(2024)
     for _ in range(120):
-        m = _random_matrix(rng)
-        mp = matcore.pinv(m)
+        m = _random_symmetric(rng)
+        mp = _pinv(m)
         tol = 1e-8 * (1.0 + np.linalg.norm(m))
         assert np.linalg.norm(m @ mp @ m - m) <= tol
         assert np.linalg.norm(mp @ m @ mp - mp) <= tol
@@ -59,7 +63,7 @@ def test_pinv_spd_equals_inverse():
         dim = int(rng.integers(1, 7))
         w = rng.normal(size=(dim, dim))
         spd = w @ w.T + dim * np.eye(dim)
-        err = np.linalg.norm(matcore.pinv(spd) - np.linalg.inv(spd))
+        err = np.linalg.norm(_pinv(spd) - np.linalg.inv(spd))
         assert err <= 1e-8 * np.linalg.norm(np.linalg.inv(spd))
 
 
@@ -78,9 +82,11 @@ def _symmetric_stack(rng, kind, count=30, dim=4):
 
 @pytest.mark.parametrize("kind", ["spd", "deficient", "indefinite", "zero"])
 def test_pinv_hermitian_matches_svd(kind):
+    # numpy's SVD pseudo-inverse cuts singular values at rcond times the
+    # largest, the cutoff of the eigenvalue magnitudes here
     m = _symmetric_stack(np.random.default_rng(5), kind)
-    got = matcore.pinv(m, 1e-12, hermitian=True)
-    want = matcore.pinv(m, 1e-12)
+    got = _pinv(m, 1e-12)
+    want = np.linalg.pinv(m, rcond=1e-12)
     if kind == "zero":
         assert np.array_equal(got, np.zeros_like(m))
     else:
@@ -91,7 +97,7 @@ def test_pinv_hermitian_matches_svd(kind):
 @pytest.mark.parametrize("kind", ["spd", "deficient", "indefinite"])
 def test_pinv_hermitian_penrose_axioms(kind):
     for m in _symmetric_stack(np.random.default_rng(9), kind, count=10):
-        mp = matcore.pinv(m, hermitian=True)
+        mp = _pinv(m)
         tol = 1e-12 * (1.0 + np.linalg.norm(m)) * (1.0 + np.linalg.norm(mp)) ** 2
         assert np.linalg.norm(m @ mp @ m - m) <= tol
         assert np.linalg.norm(mp @ m @ mp - mp) <= tol
@@ -99,69 +105,89 @@ def test_pinv_hermitian_penrose_axioms(kind):
         assert np.linalg.norm((mp @ m).T - mp @ m) <= tol
 
 
+def test_pinv_returns_the_eigenvalues_of_eigh():
+    # the minimum eigenvalues written to riccati.csv are eigh's, bit for bit
+    m = _symmetric_stack(np.random.default_rng(13), "indefinite")
+    assert np.array_equal(matcore.pinv(m)[0], np.linalg.eigh(m)[0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pinv_hermitian_rejects_nonfinite(bad):
     with pytest.raises(matcore.InvalidInputError):
-        matcore.pinv(np.array([[1.0, bad], [bad, 1.0]]), hermitian=True)
+        matcore.pinv(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_pinv_hermitian_rejects_non_square():
     with pytest.raises(matcore.InvalidInputError):
-        matcore.pinv(np.ones((2, 3)), hermitian=True)
+        matcore.pinv(np.ones((2, 3)))
 
 
 def test_min_eig_diagonal():
-    assert matcore.min_eig_sym(np.diag([1.0, 3.0])) == pytest.approx(1.0)
+    assert matcore.pinv(np.diag([1.0, 3.0]))[0][0] == pytest.approx(1.0)
 
 
 def test_min_eig_offdiagonal():
-    assert matcore.min_eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
+    assert matcore.pinv(np.array([[0.0, 1.0], [1.0, 0.0]]))[0][0] == pytest.approx(-1.0)
 
 
 def test_min_eig_zero():
-    assert matcore.min_eig_sym(np.zeros((3, 3))) == 0.0
+    assert matcore.pinv(np.zeros((3, 3)))[0][0] == 0.0
+
+
+def _outside(s, r, tol=1e-8):
+    """The stacked range test on one matrix: whether R(s) leaves R(r)."""
+    return bool(matcore.outside_range(r, _pinv(r), s, tol)[1])
 
 
 def test_range_included_full_range():
     rng = np.random.default_rng(3)
     s = rng.normal(size=(4, 2))
-    assert matcore.range_included(s, np.eye(4))
+    assert not _outside(s, np.eye(4))
 
 
 def test_range_included_excluded_column():
     s = np.array([[1.0], [0.0]])
     r = np.diag([0.0, 1.0])
-    assert not matcore.range_included(s, r)
+    assert _outside(s, r)
 
 
 def test_range_included_zero_s():
-    assert matcore.range_included(np.zeros((3, 2)), np.diag([1.0, 0.0, 0.0]))
+    assert not _outside(np.zeros((3, 2)), np.diag([1.0, 0.0, 0.0]))
 
 
-def test_range_included_dimension_mismatch():
-    with pytest.raises(matcore.InvalidInputError):
-        matcore.range_included(np.zeros((3, 1)), np.eye(2))
+def _range_instance(rng, dim=None):
+    """A PSD r of random rank (and of random size unless ``dim`` is
+    given) and an s inside its range or not, with the rank oracle's
+    verdict."""
+    dim = int(rng.integers(1, 6)) if dim is None else dim
+    rank = int(rng.integers(0, dim + 1))
+    w = rng.normal(size=(dim, rank))
+    r = w @ w.T  # PSD with the prescribed rank
+    if rng.uniform() < 0.5:
+        s = r @ rng.normal(size=(dim, 2))  # inside the range
+    else:
+        s = rng.normal(size=(dim, 2))
+    inside = np.linalg.matrix_rank(np.hstack([r, s]), tol=1e-8) == (
+        np.linalg.matrix_rank(r, tol=1e-8)
+    )
+    return r, s, inside
 
 
 def test_range_included_matches_rank_oracle():
     rng = np.random.default_rng(11)
-    agree = 0
     for _ in range(100):
-        dim = int(rng.integers(1, 6))
-        rank = int(rng.integers(0, dim + 1))
-        w = rng.normal(size=(dim, rank))
-        r = w @ w.T  # PSD with the prescribed rank
-        if rng.uniform() < 0.5:
-            s = r @ rng.normal(size=(dim, 2))  # inside the range
-        else:
-            s = rng.normal(size=(dim, 2))
-        got = matcore.range_included(s, r, tol=1e-8)
-        want = np.linalg.matrix_rank(np.hstack([r, s]), tol=1e-8) == (
-            np.linalg.matrix_rank(r, tol=1e-8)
-        )
-        assert got == want
-        agree += 1
-    assert agree == 100
+        r, s, inside = _range_instance(rng)
+        assert _outside(s, r) == (not inside)
+
+
+def test_range_test_is_per_matrix_of_a_stack():
+    rng = np.random.default_rng(17)
+    cases = [_range_instance(rng, dim=3) for _ in range(40)]
+    r = np.stack([c[0] for c in cases])
+    s = np.stack([c[1] for c in cases])
+    resid, bad = matcore.outside_range(r, _pinv(r), s, 1e-8)
+    assert resid.shape == bad.shape == (len(cases),)
+    assert [bool(b) for b in bad] == [not c[2] for c in cases]
 
 
 def test_symmetrize_averages_with_transpose():

@@ -396,6 +396,62 @@ def test_direct_indefinite_classification():
     assert "indefinite" in sol.classification.reason
 
 
+def test_dead_channel_is_regular_and_dead_offset_is_not():
+    # the second control is dead in regime 2, so R_hat is singular there
+    # with S_hat inside its range: P is regular; a linear cost on the
+    # dead control puts rho_hat outside that range, which leaves no
+    # closed-loop optimal law
+    channel = solve_riccati_direct(benchmarks.dead_channel(steps=60))
+    offset = solve_riccati_direct(benchmarks.dead_offset(steps=60))
+    assert str(channel.classification) == "regular"
+    assert channel.classification.is_regular
+    assert channel.min_eig_R_hat.min() == 0.0
+    assert not channel.Theta_bar[:, 1, 1].any()
+    assert offset.classification.kind == "not_regular"
+    assert offset.classification.reason.startswith(
+        "offset range condition fails at node 0, regime 1 "
+    )
+    # the offset data reaches neither P nor its gain
+    assert np.array_equal(offset.P, channel.P)
+    assert np.array_equal(offset.Theta, channel.Theta)
+    for spec in (benchmarks.dead_channel(steps=60), benchmarks.dead_offset(steps=60)):
+        with pytest.raises(NotStronglyRegularError):
+            iterate_strongly_regular(spec)
+
+
+def _reclassify(sol, s_bar=None, r_hat=None):
+    """The verdict of ``sol`` with its S_bar or R_hat replaced."""
+    s_bar = sol.S_bar if s_bar is None else s_bar
+    r_hat = sol.R_hat if r_hat is None else r_hat
+    _, r_hat_pinv = matcore.pinv(r_hat, sol.pinv_tol)
+    cls = sol.classification
+    return riccati._classify(
+        s_bar, r_hat, r_hat_pinv, sol.min_eig_R_hat,
+        cls.strong_tol, cls.psd_tol, cls.range_tol,
+    )
+
+
+def test_offset_range_failure_on_strongly_regular_solution_is_not_regular():
+    sol = solve_riccati_direct(benchmarks.two_regime_inhomogeneous(steps=50))
+    assert sol.classification.kind == "strongly_regular"
+    # a zero R_hat has the zero pseudo-inverse, so rho_hat leaves its
+    # range; strong regularity skips the S_hat test, not the offset test
+    cls = _reclassify(sol, r_hat=np.zeros_like(sol.R_hat))
+    assert cls.kind == "not_regular"
+    assert cls.reason.startswith("offset range condition fails at node")
+
+
+def test_range_failures_name_the_column_that_fails():
+    sol = solve_riccati_direct(benchmarks.dead_offset(steps=40))
+    s_bar = sol.S_bar.copy()
+    s_bar[7, 1, 1, 0] = 0.25  # the dead control's S_hat entry in regime 2
+    cls = _reclassify(sol, s_bar=s_bar)
+    assert cls.reason == "range inclusion fails at node 7, regime 1 (residual 2.500e-01)"
+    s_bar[7, 1, 1, 0] = 0.0
+    s_bar[:, 1, 1, 1] = 0.0  # the dead control's rho_hat entry
+    assert str(_reclassify(sol, s_bar=s_bar)) == "regular"
+
+
 @pytest.mark.parametrize("solver", [solve_riccati_direct, iterate_strongly_regular])
 @pytest.mark.parametrize("strong_tol", [0.0, -5.0, np.nan, np.inf])
 def test_solvers_reject_bad_strong_tol(solver, strong_tol):
@@ -492,7 +548,7 @@ def _iterate_one_by_one(spec, max_iter, conv_tol):
     trace, iterates = [], [p_n]
     for _ in range(max_iter):
         s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
-        eig, r_hat_pinv = matcore._eigh_pinv(r_hat, DEFAULT_PINV_TOL)
+        eig, r_hat_pinv = matcore.pinv(r_hat, DEFAULT_PINV_TOL)
         if eig[..., 0].min() <= 0.0:
             raise NotStronglyRegularError(float(eig[..., 0].min()))
         p_next = solve_lyapunov(spec, -(r_hat_pinv @ s_hat)).P
