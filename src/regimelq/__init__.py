@@ -3,7 +3,8 @@
 Solves the coupled per-regime Riccati system backward on a time grid,
 in the augmented state [x, 1] so that the offset and the value integral
 come with it, synthesizes the optimal feedback law, and certifies the
-optimality and value identities by Monte-Carlo simulation.
+optimality and value identities by Monte-Carlo simulation and by exact
+expectations of the Euler scheme.
 """
 
 from .affine import AffineSolution, feedback_at, solve_eta, value_function
@@ -28,11 +29,9 @@ from .riccati import (
 from .sim import (
     ChainPath,
     MCEstimate,
-    MCMatrixEstimate,
     StatePath,
     brownian_increments,
     evaluate_cost,
-    feynman_kac_M0,
     mc_value,
     simulate_chain,
     simulate_closed_loop,

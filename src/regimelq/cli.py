@@ -233,19 +233,21 @@ def _write_report(out: Path, args, report) -> None:
 def _cmd_verify(args) -> int:
     spec, sol, aff, code = _load_and_solve(args)
     out = Path(args.out)
-    probe_paths, threads = max(args.paths // 5, 200), args.threads
+    i0, t0 = args.i0 - 1, spec.grid.t0
     if code != EXIT_OK:
-        if spec is not None and code == EXIT_NOT_REGULAR:
-            # no solution to certify, but the convexity probe still
-            # documents why (a flagged probe explains a failed iteration)
-            _write_report(out, args, verify.convexity_probe(
-                spec, spec.grid.t0, args.i0 - 1, args.controls, probe_paths,
-                args.seed, threads=threads,
-            ))
+        if code == EXIT_NOT_REGULAR:
+            # no solution to certify, but the report still documents why:
+            # the failed range test, and the convexity probe (a flagged
+            # probe explains a failed iteration)
+            report = verify.VerificationReport()
+            if sol is not None and sol.classification.residual is not None:
+                cls = sol.classification
+                report.add("offset_range_residual", cls.residual, cls.range_tol,
+                           reason=cls.reason)
+            _write_report(out, args, report.extend(
+                verify.convexity_probe(spec, t0, i0, args.controls, args.seed)))
         return code
     x0 = np.asarray(args.x0 or [1.0] * spec.n, dtype=float)
-    i0 = args.i0 - 1
-    t0 = spec.grid.t0
     report = verify.VerificationReport()
 
     rng = np.random.default_rng([args.seed, 1])
@@ -258,14 +260,11 @@ def _cmd_verify(args) -> int:
     )
 
     report.extend(verify.value_consistency(
-        spec, sol, aff, t0, i0, x0, args.paths, args.seed, threads=threads
+        spec, sol, aff, t0, i0, x0, args.paths, args.seed, threads=args.threads
     ))
-    report.extend(
-        verify.m0_crosscheck(spec, t0, i0, args.paths, args.seed, threads=threads)
-    )
-    report.extend(verify.convexity_probe(
-        spec, t0, i0, args.controls, probe_paths, args.seed, threads=threads
-    ))
+    report.extend(verify.euler_bias(spec, sol, aff, t0, i0, x0))
+    report.extend(verify.m0_crosscheck(spec, t0, i0))
+    report.extend(verify.convexity_probe(spec, t0, i0, args.controls, args.seed))
     _, u_path = sim.simulate_closed_loop(
         spec, sol, aff, i0, x0, np.random.default_rng([args.seed, 2])
     )
@@ -273,8 +272,8 @@ def _cmd_verify(args) -> int:
         size=(spec.grid.steps + 1, spec.m)
     )
     report.extend(verify.frechet_gradient_check(
-        spec, t0, i0, x0, u_path.u, v_dir, (0.05, 0.1), probe_paths, args.seed,
-        threads=threads,
+        spec, t0, i0, x0, u_path.u, v_dir, (0.05, 0.1), max(args.paths // 5, 200),
+        args.seed, threads=args.threads,
     ))
     _write_report(out, args, report)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED

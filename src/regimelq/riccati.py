@@ -110,11 +110,15 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Classification:
-    """Regularity verdict with the tolerances that produced it."""
+    """Regularity verdict with the tolerances that produced it.
+
+    ``reason`` labels regimes from 1 and nodes from 0; ``residual`` is the
+    failing node's range-test residual when a range test decided."""
 
     kind: str  # "strongly_regular" | "regular" | "not_regular"
     lambda_min: float | None = None
     reason: str | None = None
+    residual: float | None = None
     strong_tol: float = DEFAULT_STRONG_TOL
     psd_tol: float = DEFAULT_PSD_TOL
     range_tol: float = DEFAULT_RANGE_TOL
@@ -368,7 +372,7 @@ def _classify(
         return Classification(
             "not_regular",
             reason=f"control weight composite indefinite at node {k}, "
-                   f"regime {i} (min eig {lam_min:.3e})",
+                   f"regime {i + 1} (min eig {lam_min:.3e})",
             **tols,
         )
     n = s_bar.shape[-1] - 1
@@ -380,9 +384,9 @@ def _classify(
             k, i = np.unravel_index(int(bad.argmax()), bad.shape)
             return Classification(
                 "not_regular",
-                reason=f"{what} fails at node {k}, regime {i} "
+                reason=f"{what} fails at node {k}, regime {i + 1} "
                        f"(residual {resid[k, i]:.3e})",
-                **tols,
+                residual=float(resid[k, i]), **tols,
             )
     if strong:
         return Classification("strongly_regular", lambda_min=lam_min, **tols)

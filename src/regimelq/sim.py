@@ -1,4 +1,5 @@
-"""Monte-Carlo engine: chain sampling, Euler-Maruyama, cost evaluation.
+"""Monte-Carlo engine: chain sampling, Euler-Maruyama, cost evaluation,
+and the exact expectation of the Euler scheme.
 
 One node-aligned sampler serves single paths and batches alike.  It
 thins against a piecewise-constant dominating rate, with the
@@ -30,9 +31,14 @@ by every regime's block, its flops grow with the number of regimes D,
 but not with the number of laws.  The product runs in tiles of rows,
 because a whole batch's block outgrows the L2 cache before the take
 reads it (:func:`_regime_product`); a product per regime, forming only
-each path's own block, slowed the small batches of ``verify``.  The
-zero-control value matrix (:func:`feynman_kac_M0`) runs the same scheme
-on the transposed fundamental matrix Φᵀ stacked over paths.
+each path's own block, slowed the small batches of ``verify``.
+
+Given the regime, one Euler step is linear in x̄, so the expected cost of
+the scheme is a quadratic form in x̄ whose matrices follow a backward
+per-regime recursion over the same tables (:func:`_expected_values`),
+with the chain's cell transitions (:func:`_cell_transitions`): the
+exact expectation of what the loop samples, for every initial state and
+law at once.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ __all__ = [
     "ChainPath",
     "StatePath",
     "MCEstimate",
-    "MCMatrixEstimate",
     "simulate_chain",
     "brownian_increments",
     "simulate_state",
@@ -58,7 +63,6 @@ __all__ = [
     "simulate_closed_loop",
     "evaluate_cost",
     "mc_value",
-    "feynman_kac_M0",
 ]
 
 BATCH_PATHS = 4096
@@ -99,14 +103,6 @@ class StatePath:
 class MCEstimate:
     mean: float
     std_error: float
-    paths: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class MCMatrixEstimate:
-    mean: np.ndarray       # (n, n)
-    std_error: np.ndarray  # (n, n)
     paths: int
     seed: int
 
@@ -175,6 +171,30 @@ def _sample_regime_paths(
     return alpha
 
 
+def _cell_transitions(gen: Generator, grid: TimeGrid) -> np.ndarray:
+    """Tₖ[i, j] = P(α_{k+1} = j | α_k = i) of every cell, (N, D, D).
+
+    RK4 on the Kolmogorov forward equation dT/dt = T Q(t) from T = I,
+    with Q linear over the cell (the law the sampler draws from), all
+    cells at once.  A cell takes 8 substeps, or more where h times the
+    largest exit rate is large, so that every substep stays well inside
+    RK4's stability region.
+    """
+    q0, q1 = gen.rates[:-1], gen.rates[1:]
+    top_rate = float((-np.einsum("kii->ki", gen.rates)).max(initial=0.0))
+    n_sub = max(8, int(np.ceil(8.0 * grid.h * top_rate)))
+    dt = grid.h / n_sub
+    trans = np.broadcast_to(np.eye(gen.n_regimes), q0.shape).copy()
+    for s in range(n_sub):
+        qa, qm, qb = (q0 + (w / n_sub) * (q1 - q0) for w in (s, s + 0.5, s + 1))
+        k1 = trans @ qa
+        k2 = (trans + 0.5 * dt * k1) @ qm
+        k3 = (trans + 0.5 * dt * k2) @ qm
+        k4 = (trans + dt * k3) @ qb
+        trans += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return trans
+
+
 def _open_loop_table(spec: ProblemSpec, u) -> np.ndarray:
     """Per-node control samples (..., N + 1, m) as a regime-broadcast
     offset table (..., N + 1, D, m), so that u = v runs through the
@@ -215,8 +235,6 @@ class _Tables:
     columns are [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so
     one product x̄ W[k, l] gives every regime's x + h drift, diffusion and
     h M x̄, with M = KᵀLK the running-cost form of the closed loop.
-    :func:`_fundamental_tables` fills the same record for the matrix loop,
-    without the law axis.
     """
 
     W: np.ndarray         # (N + 1, L, n + 1, D (3n + 1))
@@ -242,12 +260,16 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     drift = np.concatenate([spec.A, spec.B, spec.b[..., None]], axis=-1) @ k_map
     diff = np.concatenate([spec.C, spec.D, spec.sigma[..., None]], axis=-1) @ k_map
     cost = np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map
-    step = np.eye(n + 1, n) + h * np.swapaxes(drift, -1, -2)
-    w = np.concatenate([step, np.swapaxes(diff, -1, -2), h * cost], axis=-1)
-    # (L, N + 1, D, n + 1, 3n + 1) -> (N + 1, L, n + 1, D (3n + 1))
-    w = w.reshape(-1, *w.shape[-4:]).transpose(1, 0, 3, 2, 4)
-    w = np.ascontiguousarray(w).reshape(*w.shape[:3], -1)
-    return _Tables(W=w, terminal=_terminal_form(spec), grid=spec.grid)
+    lead = (-1, *k_map.shape[-4:-2])  # (L, N + 1, D)
+    drift, diff, cost = (a.reshape(*lead, *a.shape[-2:]) for a in (drift, diff, cost))
+    # each block goes straight to its place in (N + 1, L, n + 1, D (3n + 1))
+    w = np.empty((lead[1], drift.shape[0], n + 1, lead[2], 3 * n + 1))
+    blocks = w.transpose(1, 0, 3, 2, 4)
+    np.multiply(h, np.swapaxes(drift, -1, -2), out=blocks[..., :n])
+    blocks[..., :n] += np.eye(n + 1, n)
+    blocks[..., n:2 * n] = np.swapaxes(diff, -1, -2)
+    np.multiply(h, cost, out=blocks[..., 2 * n:])
+    return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=_terminal_form(spec), grid=spec.grid)
 
 
 def _regime_product(tables: _Tables, state, width):
@@ -322,6 +344,43 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law
     g_bar = tables.terminal[alpha[:, n_steps].reshape(lead, n_paths)]
     cost += np.einsum("lpi,lpij,lpj->lp", xbar, g_bar, xbar)
     return cost
+
+
+def _expected_values(tables: _Tables, trans, k0=0) -> np.ndarray:
+    """Exact expectation of :func:`_integrate_policy`'s cost from node
+    ``k0``: V, (L, D, n + 1, n + 1), with E[cost | x̄ at k0, regime i] =
+    x̄ V[l, i] x̄ᵀ under law l, for every initial state at once.
+
+    Given the regime, a step is x̄ₖ₊₁ = x̄ₖ S + ΔWₖ x̄ₖ D, with S the step
+    block bordered by e_{n+1} and D the diffusion block bordered by zeros,
+    and the jump drawn in cell k (``trans[k]``) takes effect at node k + 1.
+    So V_N = G + ½hM_N and, backward, V_k(i) = S V̄ Sᵀ + h D V̄ Dᵀ + hM_k
+    with V̄ = Σⱼ Tₖ[i, j] V_{k+1}(j); the start keeps half its hM_{k0}, as
+    in the trapezoidal cost (Costa, Fragoso & Marques, Discrete-Time
+    Markov Jump Linear Systems, Springer 2005).
+    """
+    w, h, n_steps = tables.W, tables.grid.h, tables.W.shape[0] - 1
+    n_laws, n, n_reg = w.shape[1], w.shape[2] - 1, tables.terminal.shape[0]
+
+    def blocks(k):  # [step, diffusion, hM] per law and regime, (L, D, n + 1, 3n + 1)
+        return w[k].reshape(n_laws, n + 1, n_reg, 3 * n + 1).swapaxes(1, 2)
+
+    vals = np.broadcast_to(tables.terminal, (n_laws, n_reg, n + 1, n + 1)).copy()
+    if k0 == n_steps:
+        return vals
+    vals += 0.5 * blocks(n_steps)[..., 2 * n:]
+    sd = np.zeros((n_laws, n_reg, 2, n + 1, n + 1))  # [S, D]
+    sd[:, :, 0, n, n] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps - 1, k0 - 1, -1):
+            blk = blocks(k)
+            sd[..., :n] = blk[..., :2 * n].reshape(n_laws, n_reg, n + 1, 2, n).swapaxes(2, 3)
+            mixed = (trans[k] @ vals.reshape(n_laws, n_reg, -1)).reshape(vals.shape)
+            moments = sd @ mixed[:, :, None] @ sd.swapaxes(-1, -2)
+            vals = moments[:, :, 0] + h * moments[:, :, 1] + blk[..., 2 * n:]
+            if not np.isfinite(vals).all():
+                raise DivergenceError(k, tables.grid.nodes()[k])
+    return vals - 0.5 * blocks(k0)[..., 2 * n:]
 
 
 def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None, dw=None) -> StatePath:
@@ -433,83 +492,3 @@ def mc_value(
     return MCEstimate(
         mean=float(costs.mean()), std_error=se, paths=n_paths, seed=rng_seed
     )
-
-
-def _fundamental_tables(spec: ProblemSpec) -> _Tables:
-    """Tables of the zero-control fundamental matrix Φ, laid out for its
-    transpose Ψ = Φᵀ: ``W[k]`` is (n, D 3n), for regime r the columns
-    [(I + hA)ᵀ, Cᵀ, hQ], so Ψ W[k] gives every regime's Ψ(I + hA)ᵀ, ΨCᵀ
-    and ΨhQ (the running weight is then ΨhQΨᵀ = ΦᵀhQΦ)."""
-    n, h = spec.n, spec.grid.h
-    step = np.eye(n) + h * spec.A
-    w = np.concatenate([step, spec.C], axis=-2)
-    w = np.concatenate([np.swapaxes(w, -1, -2), h * spec.Q], axis=-1)
-    # (N + 1, D, n, 3n) -> (N + 1, n, D * 3n)
-    w = np.ascontiguousarray(np.swapaxes(w, 1, 2)).reshape(w.shape[0], n, -1)
-    return _Tables(W=w, terminal=spec.G, grid=spec.grid)
-
-
-def _integrate_fundamental(tables: _Tables, alpha, dw, k0=0) -> np.ndarray:
-    """Per-path ΦᵀGΦ + trapezoidal ∫ΦᵀQΦ dt from node ``k0``, (P, n, n).
-
-    The state is Ψ = Φᵀ stacked as (P n, n), so one Euler step is one
-    product Ψ W[k] for all regimes, a row take on the path's regime and
-    one einsum of [1, ΔW_k] against the step and diffusion blocks.
-    """
-    n_paths, n_steps = dw.shape
-    n = tables.W.shape[1]
-    psi = np.tile(np.eye(n), (n_paths, 1))
-    select = _regime_product(tables, psi[None], 3 * n)
-    coef = np.ones((n_paths, n, 2))  # [1, ΔW_k] for every row of Ψ
-
-    def weight(sel):
-        blocks = sel[:, 2 * n:].reshape(n_paths, n, n)
-        return blocks @ np.swapaxes(psi.reshape(n_paths, n, n), -1, -2)
-
-    acc = np.zeros((n_paths, n, n))
-    for k in range(k0, n_steps):
-        sel = select(k, np.repeat(alpha[None, :, k], n, axis=1))[0]
-        run = weight(sel)
-        acc += 0.5 * run if k == k0 else run
-        coef[..., 1] = dw[:, k, None]
-        blocks = sel[:, :2 * n].reshape(-1, 2, n)
-        np.einsum("rj,rjn->rn", coef.reshape(-1, 2), blocks, out=psi)
-    if k0 < n_steps:
-        acc += 0.5 * weight(select(n_steps, np.repeat(alpha[None, :, n_steps], n, axis=1))[0])
-    phi_t = psi.reshape(n_paths, n, n)
-    acc += phi_t @ tables.terminal[alpha[:, n_steps]] @ np.swapaxes(phi_t, -1, -2)
-    return acc
-
-
-def feynman_kac_M0(
-    spec: ProblemSpec,
-    t0: float,
-    i0: int,
-    n_paths: int,
-    rng_seed: int,
-    threads: int = 1,
-) -> MCMatrixEstimate:
-    """Path-functional estimate of the zero-control quadratic value matrix.
-
-    Integrates the fundamental-matrix SDE per path and averages the
-    terminal-weighted outer product plus the trapezoidal running weight;
-    the comparable deterministic object is the zero-gain backward solve
-    evaluated at (t0, i0).
-    """
-    k0 = spec.grid.node_index(t0)
-    tables = _fundamental_tables(spec)
-
-    def worker(batch_start, size):
-        rng = np.random.default_rng([rng_seed, batch_start])
-        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
-        dw = brownian_increments(spec.grid, rng, size, k0)
-        return _integrate_fundamental(tables, alpha, dw, k0)
-
-    samples = np.concatenate(_run_batched(worker, n_paths, threads))
-    mean = samples.mean(axis=0)
-    if n_paths > 1:
-        se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
-        se[np.all(samples == samples[0], axis=0)] = 0.0
-    else:
-        se = np.zeros_like(mean)
-    return MCMatrixEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed)

@@ -1,11 +1,15 @@
 """Numerical certification of the optimality and value identities.
 
-Each check compares a Monte-Carlo or path-wise quantity against its
-solver-side counterpart and records statistic, tolerance, and verdict.
-Statistical checks accept at three standard errors plus an explicit
-discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale`` (the
-coefficient was calibrated once against the closed-form scalar benchmark
-and is recorded in every report that uses it).  Every check is
+Each check compares a Monte-Carlo, path-wise or exact discrete quantity
+against its solver-side counterpart and records statistic, tolerance,
+and verdict.  Monte-Carlo checks accept at three standard errors; those
+that meet a continuous-time quantity add an explicit discretization-bias
+allowance ``BIAS_BUDGET_COEFF * h * scale`` (the coefficient was
+calibrated once against the closed-form scalar benchmark and is recorded
+in every report that uses it).  The Euler-bias, zero-control value
+matrix and convexity checks take the exact expectation of the Euler
+scheme (:func:`regimelq.sim._expected_values`) instead of a sample mean,
+so they carry no standard error and use no paths.  Every check is
 deterministic given its seed.
 """
 
@@ -23,13 +27,14 @@ from .riccati import RiccatiSolution, solve_lyapunov
 from .sim import (
     ChainPath,
     StatePath,
+    _cell_transitions,
     _closed_loop_tables,
+    _expected_values,
     _integrate_policy,
     _open_loop_table,
     _run_batched,
     _sample_regime_paths,
     brownian_increments,
-    feynman_kac_M0,
     mc_value,
 )
 
@@ -41,6 +46,7 @@ __all__ = [
     "frechet_gradient_check",
     "convexity_probe",
     "value_consistency",
+    "euler_bias",
     "m0_crosscheck",
 ]
 
@@ -48,11 +54,6 @@ __all__ = [
 # observed closed-loop Euler/quadrature bias there is below h, so a
 # factor of 5 leaves ample headroom while still scaling out with h.
 BIAS_BUDGET_COEFF = 5.0
-
-# Most paths the convexity probe puts in one fused Euler call.  Each
-# stacked control is a law of the call and meets only its own blocks, so
-# the cap bounds only the memory of the alpha and dw rows held at once.
-STACK_PATHS = 1024
 
 
 def euler_bias_budget(h: float, scale: float = 1.0) -> float:
@@ -246,21 +247,20 @@ def convexity_probe(
     t0: float,
     i0: int,
     n_controls: int,
-    n_paths: int,
     rng_seed: int,
-    threads: int = 1,
 ) -> VerificationReport:
     """Uniform-convexity probe of the homogeneous cost at zero state.
 
-    Draws unit-energy control samples, estimates the homogeneous cost of
-    each, and reports the smallest cost-to-energy ratio; a ratio negative
-    beyond three standard errors flags the problem as non-convex.
+    Draws unit-energy control samples and takes the exact expected
+    homogeneous cost of each under the Euler scheme, all of them laws of
+    one recursion; the smallest cost-to-energy ratio is reported, and a
+    negative one flags the problem as non-convex.
     """
     k0 = spec.grid.node_index(t0)
     if k0 == spec.grid.steps:
         raise ValueError("t0 = T leaves no horizon for a control of unit energy")
-    if n_controls < 1 or n_paths < 1:
-        raise ValueError(f"need at least 1 control and 1 path, got {n_controls}, {n_paths}")
+    if n_controls < 1:
+        raise ValueError(f"need at least 1 control, got {n_controls}")
     hspec = spec.homogeneous()
     n_nodes = spec.grid.steps + 1
     h = spec.grid.h
@@ -272,41 +272,15 @@ def convexity_probe(
         sq = np.einsum("ki,ki->k", u[c], u[c])
         u[c] /= np.sqrt(h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1])))
 
-    # Controls share fused Euler calls, each control a law of the call
-    # with its own seeded chain and Brownian stream.
-    zero = np.zeros(spec.n)
-    per_call = max(1, STACK_PATHS // n_paths)
-    vals = np.empty((n_controls, n_paths))
-    for first in range(0, n_controls, per_call):
-        group = range(first, min(first + per_call, n_controls))
-        tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u[group]))
-
-        def worker(batch_start, size):
-            alpha = np.empty((len(group) * size, n_nodes), dtype=np.int64)
-            dw = np.empty((len(group) * size, n_nodes - 1))
-            for j, c in enumerate(group):
-                rng = np.random.default_rng([rng_seed, c, batch_start])
-                rows = slice(j * size, (j + 1) * size)
-                alpha[rows] = _sample_regime_paths(
-                    hspec.gen, hspec.grid, i0, size, rng, k0)
-                dw[rows] = brownian_increments(hspec.grid, rng, size, k0)
-            return _integrate_policy(tables, alpha, zero, dw, k0, per_law=True)
-
-        vals[group] = np.concatenate(_run_batched(worker, n_paths, threads), axis=1)
-    ratios = vals.mean(axis=1)
-    if n_paths > 1:
-        ses = vals.std(axis=1, ddof=1) / np.sqrt(n_paths)
-    else:
-        ses = np.zeros(n_controls)
-
+    tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u))
+    vals = _expected_values(tables, _cell_transitions(hspec.gen, hspec.grid), k0)
+    ratios = vals[:, i0, -1, -1]  # zero state: x̄ = [0, 1]
     eps_hat = float(ratios.min())
-    worst = float((-ratios - 3.0 * ses).max())
     report = VerificationReport()
     report.add(
-        "convexity_nonnegative_ratios", worst, 0.0,
-        eps_hat=eps_hat, n_controls=n_controls, paths=n_paths, seed=rng_seed,
-        ratios=ratios.tolist(), std_errors=ses.tolist(),
-        flagged_nonconvex=bool(worst > 0.0),
+        "convexity_nonnegative_ratios", -eps_hat, 0.0,
+        eps_hat=eps_hat, n_controls=n_controls, seed=rng_seed,
+        ratios=ratios.tolist(), flagged_nonconvex=bool(eps_hat < 0.0),
     )
     return report
 
@@ -380,27 +354,55 @@ def value_consistency(
     return report
 
 
-def m0_crosscheck(
+def euler_bias(
     spec: ProblemSpec,
+    ric: RiccatiSolution,
+    aff: AffineSolution,
     t0: float,
     i0: int,
-    n_paths: int,
-    rng_seed: int,
-    threads: int = 1,
+    x0,
 ) -> VerificationReport:
-    """Path-functional vs backward-ODE form of the zero-control value matrix."""
+    """Exact expected closed-loop cost of the Euler scheme against the
+    value function: the discretization bias that the Monte-Carlo value
+    check allows for, measured without sampling error."""
     k0 = spec.grid.node_index(t0)
-    fk = feynman_kac_M0(spec, t0, i0, n_paths, rng_seed, threads)
+    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    vals = _expected_values(tables, _cell_transitions(spec.gen, spec.grid), k0)
+    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
+    e_h = float(x_bar @ vals[0, i0] @ x_bar)
+    v_fn = value_function(ric, aff, t0, i0, x0)
+    budget = euler_bias_budget(spec.grid.h, scale=v_fn)
+    report = VerificationReport()
+    report.add(
+        "euler_bias", abs(e_h - v_fn), budget,
+        discrete_mean=e_h, value_function=v_fn, bias=e_h - v_fn,
+        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
+    )
+    return report
+
+
+def m0_crosscheck(spec: ProblemSpec, t0: float, i0: int) -> VerificationReport:
+    """Euler-scheme vs backward-ODE form of the zero-control value matrix.
+
+    M0_h is the quadratic block of the exact expected zero-control cost of
+    the homogeneous problem under the Euler scheme, for every initial state
+    at once; only the discretization bias separates it from the zero-gain
+    backward solve evaluated at (t0, i0).
+    """
+    k0 = spec.grid.node_index(t0)
+    hspec = spec.homogeneous()
+    zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m))
+    vals = _expected_values(_closed_loop_tables(hspec, None, zero),
+                            _cell_transitions(spec.gen, spec.grid), k0)
+    m0_h = vals[0, i0, :spec.n, :spec.n]
     ode = solve_lyapunov(spec).P[k0, i0]
     budget = euler_bias_budget(
         spec.grid.h, scale=float(np.abs(ode).max())
     )
-    excess = np.abs(fk.mean - ode) - 3.0 * fk.std_error
+    diff = float(np.abs(m0_h - ode).max())
     report = VerificationReport()
     report.add(
-        "m0_feynman_kac_vs_ode", float(excess.max()), budget,
-        max_abs_diff=float(np.abs(fk.mean - ode).max()),
-        max_se=float(fk.std_error.max()), bias_budget=budget,
-        bias_coeff=BIAS_BUDGET_COEFF, paths=n_paths, seed=rng_seed,
+        "m0_feynman_kac_vs_ode", diff, budget,
+        max_abs_diff=diff, bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
     )
     return report

@@ -1,5 +1,6 @@
 """Problem-file round trip, CLI exit codes, output files, reproducibility."""
 
+import csv
 import dataclasses
 import tempfile
 import types
@@ -441,11 +442,35 @@ def test_offset_range_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(_args("solve", PROBLEMS / "dead_offset.yaml", out, steps=50)) == 2
     err = capsys.readouterr().err
-    want = "not_regular(offset range condition fails at node 0, regime 1 "
+    want = "not_regular(offset range condition fails at node 0, regime 2 "
     assert f"classification: {want}" in err
     assert "Traceback" not in err
     assert (out / "classification.txt").read_text().startswith(want)
     assert not (out / "affine.csv").exists()
+
+
+def test_verify_reports_the_failed_offset_range_test(tmp_path):
+    # the exit code says the offset condition fails; the report says so
+    # too, beside the convexity probe, which drops the offset and passes
+    out = tmp_path / "out"
+    args = _args("verify", PROBLEMS / "dead_offset.yaml", out, paths=500, seed=1, threads=1)
+    assert main(args) == 2
+    rows = list(csv.DictReader(_non_comment_bytes(out / "verification.csv").splitlines()))
+    assert [r["check"] for r in rows] == ["offset_range_residual",
+                                          "convexity_nonnegative_ratios"]
+    assert [r["pass"] for r in rows] == ["false", "true"]
+    assert float(rows[0]["statistic"]) == pytest.approx(0.4, rel=1e-12)
+    assert float(rows[0]["tolerance"]) == riccati.DEFAULT_RANGE_TOL
+    assert "1/2 checks passed" in (out / "summary.txt").read_text()
+
+
+def test_solve_names_regimes_from_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_args("solve", PROBLEMS / "negative_r.yaml", out)) == 2
+    verdict = (out / "classification.txt").read_text()
+    assert verdict.startswith("not_regular(control weight composite indefinite at node ")
+    assert ", regime 1 (min eig" in verdict
+    assert ", regime 1 (min eig" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -394,6 +394,9 @@ def test_direct_indefinite_classification():
     sol = solve_riccati_direct(benchmarks.negative_r(steps=50))
     assert sol.classification.kind == "not_regular"
     assert "indefinite" in sol.classification.reason
+    # regimes are labelled from 1, as in the problem file and the CLI
+    assert "regime 1 " in sol.classification.reason
+    assert sol.classification.residual is None  # no range test decided
 
 
 def test_dead_channel_is_regular_and_dead_offset_is_not():
@@ -409,8 +412,9 @@ def test_dead_channel_is_regular_and_dead_offset_is_not():
     assert not channel.Theta_bar[:, 1, 1].any()
     assert offset.classification.kind == "not_regular"
     assert offset.classification.reason.startswith(
-        "offset range condition fails at node 0, regime 1 "
+        "offset range condition fails at node 0, regime 2 "
     )
+    assert offset.classification.residual == pytest.approx(0.4, rel=1e-12)
     # the offset data reaches neither P nor its gain
     assert np.array_equal(offset.P, channel.P)
     assert np.array_equal(offset.Theta, channel.Theta)
@@ -446,7 +450,8 @@ def test_range_failures_name_the_column_that_fails():
     s_bar = sol.S_bar.copy()
     s_bar[7, 1, 1, 0] = 0.25  # the dead control's S_hat entry in regime 2
     cls = _reclassify(sol, s_bar=s_bar)
-    assert cls.reason == "range inclusion fails at node 7, regime 1 (residual 2.500e-01)"
+    assert cls.reason == "range inclusion fails at node 7, regime 2 (residual 2.500e-01)"
+    assert cls.residual == 0.25
     s_bar[7, 1, 1, 0] = 0.0
     s_bar[:, 1, 1, 1] = 0.0  # the dead control's rho_hat entry
     assert str(_reclassify(sol, s_bar=s_bar)) == "regular"

@@ -1,6 +1,7 @@
 """Chain sampling, state integration, cost evaluation, MC estimators."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,15 +15,14 @@ from regimelq.problemfile import parse_problem
 from regimelq.riccati import DivergenceError, solve_riccati_direct
 from regimelq.sim import (
     StatePath,
+    _cell_transitions,
     _closed_loop_tables,
-    _fundamental_tables,
-    _integrate_fundamental,
+    _expected_values,
     _integrate_policy,
     _open_loop_table,
     _sample_regime_paths,
     brownian_increments,
     evaluate_cost,
-    feynman_kac_M0,
     mc_value,
     simulate_chain,
     simulate_closed_loop,
@@ -609,6 +609,13 @@ def test_frechet_check_matches_one_law_per_call():
 # -------------------------------------------------- path functionals
 
 
+def _zero_law_tables(spec):
+    """Tables of the zero control on the homogeneous problem, whose state
+    from x0 = e_j is column j of the fundamental matrix Φ."""
+    hspec = spec.homogeneous()
+    return _closed_loop_tables(hspec, None, np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m)))
+
+
 def test_feynman_kac_identity_case():
     spec = benchmarks.two_regime_standard(steps=20)
     spec = dataclasses.replace(
@@ -618,9 +625,10 @@ def test_feynman_kac_identity_case():
         G=np.broadcast_to(np.eye(2), spec.G.shape).copy(),
         gen=Generator.constant(np.zeros((2, 2)), spec.grid),
     )
-    est = feynman_kac_M0(spec, 0.0, 0, 40, 0)
-    assert np.array_equal(est.mean, np.eye(2))
-    assert not np.any(est.std_error)
+    trans = _cell_transitions(spec.gen, spec.grid)
+    assert np.array_equal(trans, np.broadcast_to(np.eye(2), trans.shape))
+    vals = _expected_values(_zero_law_tables(spec), trans)
+    assert np.array_equal(vals[0, 0, :2, :2], np.eye(2))
 
 
 def test_feynman_kac_scalar_exponential():
@@ -630,10 +638,11 @@ def test_feynman_kac_scalar_exponential():
     spec = dataclasses.replace(
         spec, A=np.full_like(spec.A, a), Q=np.zeros_like(spec.Q)
     )
-    est = feynman_kac_M0(spec, 0.0, 0, 16, 0)
+    m0_h = _expected_values(_zero_law_tables(spec), _cell_transitions(spec.gen, spec.grid))
+    assert m0_h[0, 0, 0, 0] == pytest.approx((1.0 + a / steps) ** (2 * steps), rel=1e-12)
     want = np.exp(2.0 * a)
     budget = 5.0 * spec.grid.h * max(1.0, want)
-    assert abs(est.mean[0, 0] - want) <= 3.0 * est.std_error[0, 0] + budget
+    assert abs(m0_h[0, 0, 0, 0] - want) <= budget
 
 
 def _varying_fk_spec(steps=60):
@@ -651,9 +660,10 @@ def _varying_fk_spec(steps=60):
 
 def _reference_fundamental(spec, alpha, dw, k0):
     """Per-path recursion Φ <- Φ + hAΦ + dW CΦ with the trapezoidal
-    running weight ΦᵀQΦ and the terminal ΦᵀGΦ."""
+    running weight ΦᵀQΦ and the terminal ΦᵀGΦ; returns the weights and
+    the terminal Φ."""
     h, n_steps = spec.grid.h, spec.grid.steps
-    out = []
+    out, phis = [], []
     for a, w in zip(alpha, dw):
         phi = np.eye(spec.n)
         prev = phi.T @ spec.Q[k0, a[k0]] @ phi
@@ -664,25 +674,173 @@ def _reference_fundamental(spec, alpha, dw, k0):
             acc += 0.5 * h * (prev + nxt)
             prev = nxt
         out.append(acc + phi.T @ spec.G[a[-1]] @ phi)
-    return np.array(out)
+        phis.append(phi)
+    return np.array(out), np.array(phis)
+
+
+def _fundamental_run(tables, alpha, dw, k0, n):
+    """The zero-control policy loop from every basis vector of every path:
+    row j of path p starts at e_j.  Returns the (P, n) costs, the diagonal
+    of ΦᵀGΦ + ∫ΦᵀQΦ, and the (P, n, N + 1, n) states, Φ e_j at each node."""
+    n_paths = alpha.shape[0]
+    states = np.zeros((1, n_paths * n, alpha.shape[1], n))
+    cost = _integrate_policy(tables, np.repeat(alpha, n, axis=0), np.tile(np.eye(n), (n_paths, 1)),
+                             np.repeat(dw, n, axis=0), k0, states)
+    return cost.reshape(n_paths, n), states.reshape(n_paths, n, -1, n)
 
 
 def test_fundamental_loop_matches_per_path_recursion():
     spec = _varying_fk_spec()
-    tables = _fundamental_tables(spec)
+    tables = _zero_law_tables(spec)
     n_steps = spec.grid.steps
     for k0 in (0, n_steps // 3, n_steps):
         rng = np.random.default_rng([6, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 1, 7, rng, k0)
         dw = brownian_increments(spec.grid, rng, 7, k0)
-        got = _integrate_fundamental(tables, alpha, dw, k0)
-        want = _reference_fundamental(spec, alpha, dw, k0)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        cost, states = _fundamental_run(tables, alpha, dw, k0, spec.n)
+        want, phi = _reference_fundamental(spec, alpha, dw, k0)
+        assert np.abs(cost - np.einsum("pii->pi", want)).max() <= 1e-12 * np.abs(want).max()
+        # states[p, j, N] is column j of the terminal Φ
+        got_phi = np.swapaxes(states[:, :, -1], 1, 2)
+        assert np.abs(got_phi - phi).max() <= 1e-12 * np.abs(phi).max()
         if k0 == n_steps:  # t0 = T: the terminal weight alone
-            assert np.array_equal(got, np.broadcast_to(spec.G[1], got.shape))
-    est = feynman_kac_M0(spec, spec.grid.T, 1, 9, 0)
-    assert np.array_equal(est.mean, spec.G[1])
-    assert not np.any(est.std_error)
+            assert np.array_equal(cost, np.broadcast_to(np.diag(spec.G[1]), cost.shape))
+    vals = _expected_values(tables, _cell_transitions(spec.gen, spec.grid), n_steps)
+    assert np.array_equal(vals[0, 1, :spec.n, :spec.n], spec.G[1])
+
+
+# ------------------------------------------- exact expectation of the scheme
+
+
+def test_cell_transitions_reproduce_kolmogorov_marginals():
+    grid = TimeGrid(0.0, 1.0, 40)
+    gen = _varying_generator(grid)
+    trans = _cell_transitions(gen, grid)
+    assert trans.shape == (40, 3, 3)
+    np.testing.assert_allclose(trans.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+    for i0, k0 in ((0, 0), (1, 0), (2, 13)):
+        want = _kolmogorov_marginals(gen, grid, i0, k0)
+        p = np.eye(3)[i0]
+        for k in range(k0, grid.steps):
+            p = p @ trans[k]  # row i of Tₖ is the law of α_{k+1} from α_k = i
+            assert np.abs(p - want[k + 1]).max() <= 1e-14
+
+
+def test_cell_transitions_substep_with_large_rates():
+    # h times the exit rate is 40: eight RK4 substeps would leave the
+    # stability region; T must still be a transition matrix near exp(hQ)
+    grid = TimeGrid(0.0, 1.0, 5)
+    q_mat = np.array([[-200.0, 200.0], [50.0, -50.0]])
+    trans = _cell_transitions(Generator.constant(q_mat, grid), grid)
+    # exp(hQ) = Π + exp(-250 h) (I - Π), Π the stationary law in every row
+    stationary = np.tile([0.2, 0.8], (2, 1))
+    want = stationary + np.exp(-250.0 * grid.h) * (np.eye(2) - stationary)
+    assert np.all(trans >= 0.0)
+    np.testing.assert_allclose(trans, np.broadcast_to(want, trans.shape), rtol=0, atol=1e-6)
+
+
+def _reference_costs(spec, theta, v, alpha, dw, x0, k0):
+    """Per-path Euler-Maruyama of u = Θx + v from the spec's coefficients,
+    trapezoidal running cost plus the terminal cost."""
+    h, n_steps = spec.grid.h, spec.grid.steps
+    out = []
+    for a, w in zip(alpha, dw):
+        x = np.array(x0, dtype=float)
+        run = []
+        for k in range(k0, n_steps + 1):
+            r = a[k]
+            u = theta[k, r] @ x + v[k, r]
+            run.append(x @ spec.Q[k, r] @ x + 2.0 * u @ spec.S[k, r] @ x + u @ spec.R[k, r] @ u
+                       + 2.0 * spec.q[k, r] @ x + 2.0 * spec.rho[k, r] @ u)
+            if k < n_steps:
+                x = (x + h * (spec.A[k, r] @ x + spec.B[k, r] @ u + spec.b[k, r])
+                     + w[k] * (spec.C[k, r] @ x + spec.D[k, r] @ u + spec.sigma[k, r]))
+        run = np.array(run)
+        trap = h * (run.sum() - 0.5 * (run[0] + run[-1])) if run.size > 1 else 0.0
+        out.append(trap + x @ spec.G[a[-1]] @ x + 2.0 * spec.g[a[-1]] @ x)
+    return np.array(out)
+
+
+def _exact_test_spec(steps, noise=True):
+    """Two regimes with asymmetric, time-varying rates and a full law."""
+    spec = benchmarks.two_regime_inhomogeneous(steps=steps)
+    ramp = spec.grid.nodes()[:, None, None, None]
+    q_mat = np.array([[-3.0, 3.0], [0.7, -0.7]])
+    spec = dataclasses.replace(
+        spec, gen=Generator((1.0 + 1.5 * ramp[..., 0]) * q_mat),
+        A=spec.A * (1.0 + ramp), Q=spec.Q + 0.2 * ramp,
+    )
+    if not noise:
+        spec = dataclasses.replace(spec, C=np.zeros_like(spec.C), D=np.zeros_like(spec.D),
+                                   sigma=np.zeros_like(spec.sigma))
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-1.0, 1.0, (spec.grid.steps + 1, 2, spec.m, spec.n))
+    v = rng.uniform(-1.0, 1.0, (spec.grid.steps + 1, 2, spec.m))
+    return spec, theta, v
+
+
+def test_expected_values_match_regime_sequence_enumeration():
+    # without noise the cost is a function of the regime sequence, whose
+    # law is the product of the cell transitions
+    spec, theta, v = _exact_test_spec(steps=4, noise=False)
+    trans = _cell_transitions(spec.gen, spec.grid)
+    vals = _expected_values(_closed_loop_tables(spec, theta, v), trans)
+    seqs = np.array(list(itertools.product(range(2), repeat=4)))
+    for i0 in range(2):
+        alpha = np.column_stack([np.full(len(seqs), i0), seqs])
+        weight = np.prod(trans[np.arange(4), alpha[:, :-1], alpha[:, 1:]], axis=1)
+        assert weight.sum() == pytest.approx(1.0, abs=1e-14)
+        for x0 in ([0.0], [1.3], [-0.4]):
+            costs = _reference_costs(spec, theta, v, alpha, np.zeros((len(seqs), 4)), x0, 0)
+            x_bar = np.append(x0, 1.0)
+            assert x_bar @ vals[0, i0] @ x_bar == pytest.approx(weight @ costs, rel=1e-12)
+
+
+def test_expected_values_match_closed_form_second_moment():
+    # one regime, dx = a x dt + c x dW: E x_(k+1)^2 = ((1 + ha)^2 + hc^2) E x_k^2
+    a, c, q, g, steps = 0.7, 0.9, 1.6, 2.5, 50
+    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = dataclasses.replace(spec, A=np.full_like(spec.A, a), C=np.full_like(spec.C, c),
+                               Q=np.full_like(spec.Q, q), G=np.full_like(spec.G, g))
+    h = spec.grid.h
+    growth = (1.0 + h * a) ** 2 + h * c * c
+    trans = _cell_transitions(spec.gen, spec.grid)
+    for k0 in (0, 17, steps - 1, steps):
+        vals = _expected_values(_zero_law_tables(spec), trans, k0)
+        m = steps - k0
+        moments = growth ** np.arange(m + 1)
+        want = g * moments[-1] + q * h * (moments.sum() - 0.5 * (1.0 + moments[-1])) * (m > 0)
+        assert vals[0, 0, 0, 0] == pytest.approx(want, rel=1e-12)
+        assert not vals[0, 0, 0, 1] and not vals[0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("k0", [0, 4, 12])
+def test_expected_values_match_monte_carlo(k0):
+    spec, theta, v = _exact_test_spec(steps=12)
+    tables = _closed_loop_tables(spec, theta, v)
+    vals = _expected_values(tables, _cell_transitions(spec.gen, spec.grid), k0)
+    x0, n_paths = np.array([0.8]), 100_000
+    x_bar = np.append(x0, 1.0)
+    for i0 in range(2):
+        rng = np.random.default_rng([77, k0, i0])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
+        costs = _integrate_policy(tables, alpha, x0, dw, k0)[0]
+        exact = x_bar @ vals[0, i0] @ x_bar
+        if k0 == spec.grid.steps:  # the terminal cost alone, no randomness
+            assert np.array_equal(vals[0, i0], tables.terminal[i0])
+            assert np.all(costs == costs[0]) and costs[0] == pytest.approx(exact, rel=1e-14)
+            continue
+        se = costs.std(ddof=1) / np.sqrt(n_paths)
+        assert abs(costs.mean() - exact) <= 4.5 * se
+
+
+def test_expected_values_name_the_node_where_they_overflow():
+    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = dataclasses.replace(spec, A=np.full_like(spec.A, 1e4))
+    with pytest.raises(DivergenceError) as err:
+        _expected_values(_zero_law_tables(spec), _cell_transitions(spec.gen, spec.grid))
+    assert 0 < err.value.node < 100
 
 
 # ------------------------------------------------------------- row tiles
@@ -731,15 +889,17 @@ def test_tiled_policy_product_matches_untiled(monkeypatch, tile, n_paths):
     "spec", [_varying_fk_spec(), benchmarks.two_regime_inhomogeneous(steps=60)],
     ids=["n2", "n1"])
 def test_tiled_fundamental_product_matches_untiled(monkeypatch, tile, spec):
-    tables = _fundamental_tables(spec)
+    # n rows per path (one per basis vector), on time-varying tables
+    tables = _zero_law_tables(spec)
     n_paths = 10
     for k0 in (0, spec.grid.steps // 3):
         rng = np.random.default_rng([13, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        got, want = _tiled_and_untiled(
-            monkeypatch, tile, lambda: _integrate_fundamental(tables, alpha, dw, k0))
-        assert np.array_equal(got, want)
+        (cost, states), (want_cost, want_states) = _tiled_and_untiled(
+            monkeypatch, tile, lambda: _fundamental_run(tables, alpha, dw, k0, spec.n))
+        assert np.array_equal(cost, want_cost)
+        assert np.array_equal(states, want_states)
 
 
 def test_euler_weak_error_scaling():

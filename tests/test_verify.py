@@ -1,14 +1,20 @@
 """Certification checks: stationarity, expansion, convexity, value, kernels."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regimelq import benchmarks, verify
+from regimelq import benchmarks
 from regimelq.affine import solve_eta, value_function
+from regimelq.problemfile import parse_problem
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
+    _cell_transitions,
+    _closed_loop_tables,
+    _expected_values,
+    _open_loop_table,
     brownian_increments,
     evaluate_cost,
     mc_value,
@@ -19,11 +25,14 @@ from regimelq.sim import (
 )
 from regimelq.verify import (
     convexity_probe,
+    euler_bias,
     frechet_gradient_check,
     m0_crosscheck,
     stationarity_residual,
     value_consistency,
 )
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def _solved(spec):
@@ -128,15 +137,16 @@ def test_frechet_quadratic_coefficient_stochastic():
 
 def test_convexity_standard_conditions_positive():
     report = convexity_probe(
-        benchmarks.two_regime_standard(steps=80), 0.0, 0, 15, 600, 13
+        benchmarks.two_regime_standard(steps=80), 0.0, 0, 15, 13
     )
     check = report["convexity_nonnegative_ratios"]
     assert check.passed
     assert check.details["eps_hat"] > 0.0
+    assert check.statistic == -check.details["eps_hat"]
 
 
 def test_convexity_flags_negative_control_weight():
-    report = convexity_probe(benchmarks.negative_r(steps=80), 0.0, 0, 8, 200, 14)
+    report = convexity_probe(benchmarks.negative_r(steps=80), 0.0, 0, 8, 14)
     check = report["convexity_nonnegative_ratios"]
     assert not check.passed
     assert check.details["flagged_nonconvex"]
@@ -145,29 +155,35 @@ def test_convexity_flags_negative_control_weight():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "t0, n_controls, n_paths, message",
+    "t0, n_controls, message",
     [
-        (1.0, 4, 50, "t0 = T leaves no horizon"),
-        (0.0, 0, 50, "at least 1 control and 1 path"),
-        (0.0, 4, 0, "at least 1 control and 1 path"),
+        (1.0, 4, "t0 = T leaves no horizon"),
+        (0.0, 0, "at least 1 control"),
     ],
 )
-def test_convexity_probe_rejects_empty_inputs(t0, n_controls, n_paths, message):
+def test_convexity_probe_rejects_empty_inputs(t0, n_controls, message):
     spec = benchmarks.scalar_benchmark(steps=20)
     with pytest.raises(ValueError, match=message):
-        convexity_probe(spec, t0, 0, n_controls, n_paths, 3)
+        convexity_probe(spec, t0, 0, n_controls, 3)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.25])
-def test_convexity_stacked_controls_match_per_control_runs(monkeypatch, t0):
+def test_convexity_stacked_controls_match_per_control_runs(t0):
+    # the probe runs its controls as the laws of one recursion; each law
+    # must meet only its own blocks
     spec = benchmarks.two_regime_standard(steps=60)
-    stacked = convexity_probe(spec, t0, 0, 7, 150, 21)
-    monkeypatch.setattr(verify, "STACK_PATHS", 1)  # one control per call
-    single = convexity_probe(spec, t0, 0, 7, 150, 21)
-    for key in ("ratios", "std_errors"):
-        a = np.array(stacked["convexity_nonnegative_ratios"].details[key])
-        b = np.array(single["convexity_nonnegative_ratios"].details[key])
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    stacked = convexity_probe(spec, t0, 1, 7, 21)["convexity_nonnegative_ratios"]
+    hspec, k0 = spec.homogeneous(), spec.grid.node_index(t0)
+    trans = _cell_transitions(spec.gen, spec.grid)
+    u = np.zeros((spec.grid.steps + 1, spec.m))
+    single = []
+    for c in range(7):
+        u[k0:] = np.random.default_rng([21, 31337, c]).normal(size=(spec.grid.steps + 1, spec.m))[k0:]
+        sq = np.einsum("ki,ki->k", u, u)
+        energy = spec.grid.h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1]))
+        tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u))
+        single.append(_expected_values(tables, trans, k0)[0, 1, -1, -1] / energy)
+    np.testing.assert_allclose(stacked.details["ratios"], single, rtol=1e-12, atol=0)
 
 
 def test_homogeneous_cost_scales_quadratically_in_control():
@@ -262,7 +278,7 @@ def test_m0_exact_identity_case():
         Q=np.zeros_like(spec.Q),
         G=np.broadcast_to(np.eye(2), spec.G.shape).copy(),
     )
-    report = m0_crosscheck(spec, 0.0, 0, 50, 18)
+    report = m0_crosscheck(spec, 0.0, 0)
     check = report["m0_feynman_kac_vs_ode"]
     assert check.passed
     assert check.details["max_abs_diff"] <= 1e-12
@@ -274,13 +290,38 @@ def test_m0_scalar_exponential():
     spec = dataclasses.replace(
         spec, A=np.full_like(spec.A, a), Q=np.zeros_like(spec.Q)
     )
-    report = m0_crosscheck(spec, 0.0, 0, 64, 19)
+    report = m0_crosscheck(spec, 0.0, 0)
     assert report.all_passed
+    # the Euler second moment (1 + ha)^2N = 1 + 2aT - O(h) undershoots e^2aT
+    diff = report["m0_feynman_kac_vs_ode"].details["max_abs_diff"]
+    want = np.exp(2.0 * a) - (1.0 + a / 300) ** 600
+    assert diff == pytest.approx(want, rel=1e-3)
 
 
 def test_m0_two_regime_coupled():
-    report = m0_crosscheck(benchmarks.two_regime_standard(steps=200), 0.0, 1, 4000, 20)
+    report = m0_crosscheck(benchmarks.two_regime_standard(steps=200), 0.0, 1)
     assert report.all_passed
+
+
+# --------------------------------------------------------- Euler bias
+
+
+@pytest.mark.parametrize("name", ["scalar", "standard", "two_regime", "dead_channel"])
+def test_euler_bias_is_small_and_first_order(name):
+    spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    x0 = np.ones(spec.n)
+    biases = []
+    for steps in (spec.grid.steps, 2 * spec.grid.steps):
+        fine = spec.with_steps(steps)
+        ric, aff = _solved(fine)
+        check = euler_bias(fine, ric, aff, fine.grid.t0, 0, x0)["euler_bias"]
+        assert check.passed
+        assert check.statistic <= 0.1 * check.tolerance
+        biases.append(check.details["bias"])
+    if name == "scalar":  # Euler is exact here to rounding
+        assert max(map(abs, biases)) <= 1e-12
+    else:  # halving h halves the bias
+        assert 1.8 < biases[0] / biases[1] < 2.2
 
 
 # -------------------------------------------------- exact identities
@@ -315,7 +356,7 @@ def test_completion_of_squares_identity():
 
 
 def test_report_serialization_shape():
-    report = m0_crosscheck(benchmarks.two_regime_standard(steps=40), 0.0, 0, 200, 1)
+    report = m0_crosscheck(benchmarks.two_regime_standard(steps=40), 0.0, 0)
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "check,statistic,tolerance,pass"
