@@ -167,6 +167,8 @@ def _run_args_error(args, spec) -> str | None:
         return f"--i0 {args.i0} is not a regime in 1..{spec.n_regimes}"
     if args.paths < 1:
         return f"--paths must be at least 1, got {args.paths}"
+    if args.dump_paths < 0:
+        return f"--dump-paths must be non-negative, got {args.dump_paths}"
     if args.command == "verify" and args.controls < 1:
         return f"--controls must be at least 1, got {args.controls}"
     return None

@@ -2,11 +2,13 @@
 
 Every backward system of the package (the quadratic Riccati system with
 the pseudo-inverse gain term and the linear Lyapunov system for a frozen
-feedback gain) runs through one classic fixed-step RK4 block stepper,
-:func:`_rk4_block`, from the terminal data, all regimes advanced
+feedback gain) runs through one stacked RK4 driver, :func:`_rk4_stack`,
+classic fixed-step RK4 from the terminal data, all regimes advanced
 together because the generator couples them; the matrix right-hand
 sides are exactly symmetric, so the iterates stay symmetric from a
-symmetric terminal value.  :func:`rk4_backward` drives it for one sweep.
+symmetric terminal value.  The driver steps a stack of slices, each
+from its own top node over its own span; :func:`rk4_backward` is its
+one-slice call over the whole grid.
 
 Both Riccati routes sweep the problem in x_bar = [x, 1]
 (:meth:`ProblemSpec.augmented`); its solution [[P, eta], [eta^T, w]]
@@ -21,20 +23,21 @@ the current gain) provides an independent route to the strongly regular
 solution.  Its solves run staggered: the solve for P_(j+1) needs P_j
 only at the nodes of the block it runs, so it starts one block behind
 the solve for P_j, and every running solve moves back by one block per
-wave, all of them in one stacked RK4 pass over states (J, D, n, n).
-Solve j + 1 starts once the running maximum of ||P_j - P_(j-1)||_F over
-the nodes done reaches the convergence tolerance (P_1 always, and none
-beyond the iteration limit), which is when the loop doing one solve
-after another would certainly run it.
+wave, all of them as the slices of one driver call over states
+(J, D, n, n).  Solve j + 1 starts once the running maximum of
+||P_j - P_(j-1)||_F over the nodes done reaches the convergence
+tolerance (P_1 always, and none beyond the iteration limit), which is
+when the loop doing one solve after another would certainly run it.
 Results, iteration trace and errors are those of that loop, bit for
 bit: an error of a later solve is held back until every earlier one has
 finished clean.
 
-The core runs in blocks of ``_BLOCK_STEPS`` steps.  Per block each sweep
-turns the node and midpoint samples of its coefficients into derived
-tables in one stacked pass: the Lyapunov solve its closed-loop
-A + B Theta, C + D Theta and weight Q + S^T Theta + Theta^T S +
-Theta^T R Theta, the Riccati solve its pre-transposed factors.  An RK4
+The driver runs in chunks of at most ``_BLOCK_STEPS`` steps.  Per chunk
+it turns the node and midpoint samples of the coefficients, taken at
+each slice's own nodes, into derived tables in one stacked pass: the
+Lyapunov solve its closed-loop A + B Theta, C + D Theta and weight
+Q + S^T Theta + Theta^T S + Theta^T R Theta, the Riccati solve its
+pre-transposed factors.  An RK4
 stage then evaluates only the terms that depend on P; in the Riccati
 stage that includes the composites S_hat, R_hat and the pseudo-inverse
 of R_hat, taken by the symmetric eigensolver.
@@ -241,10 +244,10 @@ def _sweep_coefs(spec: ProblemSpec) -> list[np.ndarray]:
     return [getattr(spec, f) for f in names] + [spec.gen.rates]
 
 
-# Steps per block of rk4_backward: the derived tables of a block are
-# built in one stacked pass, so the state-independent work costs a few
-# numpy calls per block instead of per RHS evaluation, while the tables
-# held at once stay a small fraction of the returned path.
+# Steps per chunk of _rk4_stack: the derived tables of a chunk are built
+# in one stacked pass, so the state-independent work costs a few numpy
+# calls per chunk instead of per RHS evaluation, while the tables held
+# at once stay a small fraction of the returned path.
 _BLOCK_STEPS = 64
 
 
@@ -277,46 +280,92 @@ def _rk4_block(rhs, y, samples, h, out, start=0):
     return len(out), y
 
 
-def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarray:
-    """Classic RK4 from ``terminal`` at T back to t0 over every grid step.
+def _samples(table):
+    """Node samples of ``table`` interleaved with the midpoint averages of
+    the steps between them: node j at 2j, the midpoint of step j at
+    2j + 1."""
+    out = np.empty((2 * len(table) - 1, *table.shape[1:]))
+    out[0::2] = table
+    out[1::2] = 0.5 * (table[:-1] + table[1:])
+    return out
 
-    ``tables`` are node tables, each shaped ``(N + 1, ...)``.  The steps
-    run in blocks of ``_BLOCK_STEPS``; per block the node samples of every
-    table, interleaved with the midpoint averages of the steps, are
-    stacked along a leading axis (:func:`_block_samples`), and ``derive``
-    (if given) maps that tuple of stacks to the tuple of stacked tables
-    the right-hand side reads, so everything that does not depend on
-    ``y`` is formed once per block.  Products are formed from averaged
-    factors, never averaged themselves.
-    ``rhs(coef, y)`` is the time derivative of ``y``; ``coef`` holds one
-    sample of each (derived) table: the node sample at an end of the
-    step, or the midpoint sample inside it.  Returns the path, shape
+
+def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
+    """Classic RK4 backward for a stack of slices, each over its own span.
+
+    Slice p starts from ``tops[p]`` at node hi of ``spans[p] = (lo, hi)``
+    and steps back to node lo; all slices step together, so the states
+    are stacked along a new axis 1.  ``tables`` are node tables, each
+    shaped ``(N + 1, ...)``, sampled at each slice's own nodes; a
+    ``per_slice`` table is ``(S + 1, J, ...)``, S the longest span and J
+    the number of slices, its row S - i holding slice p's node hi - i.
+    The steps run in chunks of at most ``_BLOCK_STEPS``; per chunk the
+    node samples of every table, interleaved with the midpoint averages
+    of the steps, are stacked along a leading axis (:func:`_samples`),
+    and ``derive`` (if given) maps that tuple of stacks to the tuple of
+    stacked tables the right-hand side reads, so everything that does
+    not depend on the state is formed once per chunk.  Products are
+    formed from averaged factors, never averaged themselves.
+    ``rhs(coef, y)`` is the time derivative of the stacked state ``y``;
+    ``coef`` holds one sample of each (derived) table.
+
+    Returns the path (S + 1, J, ...), row S - i holding slice p's state
+    at node hi - i, and the node at which each diverged slice first had
+    a non-finite entry or one beyond ``BLOWUP_LIMIT``.  Below its span,
+    and from the step it diverged, a slice idles on zero tables, where
+    the right-hand side is zero; the run ends once every slice diverged.
+    """
+    y = np.array(tops, dtype=float)
+    n_slices = len(y)
+    his = np.array([hi for _, hi in spans])
+    lengths = [hi - lo for lo, hi in spans]
+    steps = max(lengths)
+    path = np.empty((steps + 1, *y.shape))
+    path[steps] = y
+    out = path[-2::-1]  # step i of every slice at out[i]
+    failed = {}
+    # the tables held at once cover one block's worth of slice steps
+    chunk = -(-min(steps, _BLOCK_STEPS) // n_slices)
+    for i0 in range(0, steps, chunk):
+        i1 = min(i0 + chunk, steps)
+        nodes = np.maximum(np.arange(i1 - i0 + 1)[:, None] + (his - i1), 0)  # bottom up
+        coef = [_samples(a[nodes]) for a in tables]
+        coef += [_samples(a[steps - i1:steps - i0 + 1]) for a in per_slice]
+        if derive is not None:
+            coef = derive(coef)
+        for p, length in enumerate(lengths):
+            idle = 2 * (i1 - i0) + 1 if p in failed else 2 * (i1 - length)
+            if idle > 0:
+                for a in coef:
+                    a[:idle, p] = 0.0
+        samples = [tuple(a[j] for a in coef) for j in range(2 * (i1 - i0), -1, -1)]
+        chunk_out = out[i0:i1]
+        done, y = _rk4_block(rhs, y, samples, h, chunk_out)
+        while done < i1 - i0:
+            size = np.abs(y).reshape(n_slices, -1).max(axis=1)
+            for p in np.flatnonzero(~(size <= BLOWUP_LIMIT)):
+                if i0 + done < lengths[p]:
+                    failed.setdefault(int(p), int(his[p]) - 1 - i0 - done)
+                y[p] = 0.0
+                for a in coef:
+                    a[:, p] = 0.0
+            if len(failed) == n_slices:
+                return path, failed
+            chunk_out[done] = y
+            done, y = _rk4_block(rhs, y, samples, h, chunk_out, done + 1)
+    return path, failed
+
+
+def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarray:
+    """Classic RK4 from ``terminal`` at T back to t0 over every grid step:
+    one slice of :func:`_rk4_stack`, whose path it returns, shape
     ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
     ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node.
     """
-    y = np.array(terminal, dtype=float)
-    path = np.empty((grid.steps + 1, *y.shape))
-    path[grid.steps] = y
-    for lo, hi in _blocks(grid.steps):
-        coef = tuple(_block_samples(a, lo, hi) for a in tables)
-        if derive is not None:
-            coef = derive(coef)
-        samples = [tuple(a[j] for a in coef) for j in range(2 * (hi - lo), -1, -1)]
-        done, y = _rk4_block(rhs, y, samples, grid.h, path[lo:hi][::-1])
-        if done < hi - lo:
-            k = hi - 1 - done
-            raise DivergenceError(k, grid.nodes()[k])
-    return path
-
-
-def _block_samples(table, lo, hi):
-    """Node samples lo..hi of ``table`` interleaved with the midpoint
-    averages of the steps between them: node j at 2(j - lo), the midpoint
-    of step k at 2(k - lo) + 1."""
-    out = np.empty((2 * (hi - lo) + 1, *table.shape[1:]))
-    out[0::2] = table[lo:hi + 1]
-    out[1::2] = 0.5 * (table[lo:hi] + table[lo + 1:hi + 1])
-    return out
+    path, failed = _rk4_stack(rhs, derive, tables, [terminal], [(0, grid.steps)], grid.h)
+    if failed:
+        raise DivergenceError(failed[0], grid.nodes()[failed[0]])
+    return path[:, 0]
 
 
 def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> LyapunovSolution:
@@ -350,10 +399,7 @@ def _derived_tables(
     return s_hat, r_hat, r_hat_pinv, theta, eig[..., 0]
 
 
-def _classify(
-    s_bar, r_hat, r_hat_pinv, min_eig,
-    strong_tol: float, psd_tol: float, range_tol: float,
-) -> Classification:
+def _classify(s_bar, r_hat, r_hat_pinv, min_eig, strong_tol: float) -> Classification:
     """The verdict on the law Theta_bar = -R_hat^+ S_bar.
 
     P is regular if R_hat >= 0 and R(S_hat) lies in R(R_hat) at every
@@ -362,35 +408,35 @@ def _classify(
     regular and, in addition, rho_hat (the last column of S_bar) lies in
     R(R_hat) (Sun, Li & Yong, SIAM J. Control Optim. 54, 2016; extended
     to regime switching in arXiv 1809.01891), so that column is tested
-    whenever R_hat >= 0.
+    whenever R_hat >= 0.  The R_hat >= 0 test and the range tests use the
+    fixed tolerances ``DEFAULT_PSD_TOL`` and ``DEFAULT_RANGE_TOL``.
     """
-    tols = dict(strong_tol=strong_tol, psd_tol=psd_tol, range_tol=range_tol)
     lam_min = float(min_eig.min())
     strong = lam_min >= strong_tol
-    if not strong and lam_min < -psd_tol:
+    if not strong and lam_min < -DEFAULT_PSD_TOL:
         k, i = np.unravel_index(int(min_eig.argmin()), min_eig.shape)
         return Classification(
             "not_regular",
             reason=f"control weight composite indefinite at node {k}, "
                    f"regime {i + 1} (min eig {lam_min:.3e})",
-            **tols,
+            strong_tol=strong_tol,
         )
     n = s_bar.shape[-1] - 1
     tests = [] if strong else [("range inclusion", s_bar[..., :n])]
     tests.append(("offset range condition", s_bar[..., n:]))
     for what, cols in tests:
-        resid, bad = matcore.outside_range(r_hat, r_hat_pinv, cols, range_tol)
+        resid, bad = matcore.outside_range(r_hat, r_hat_pinv, cols, DEFAULT_RANGE_TOL)
         if bad.any():
             k, i = np.unravel_index(int(bad.argmax()), bad.shape)
             return Classification(
                 "not_regular",
                 reason=f"{what} fails at node {k}, regime {i + 1} "
                        f"(residual {resid[k, i]:.3e})",
-                residual=float(resid[k, i]), **tols,
+                residual=float(resid[k, i]), strong_tol=strong_tol,
             )
     if strong:
-        return Classification("strongly_regular", lambda_min=lam_min, **tols)
-    return Classification("regular", **tols)
+        return Classification("strongly_regular", lambda_min=lam_min, strong_tol=strong_tol)
+    return Classification("regular", strong_tol=strong_tol)
 
 
 def _check_tols(pinv_tol: float, strong_tol: float) -> None:
@@ -406,16 +452,14 @@ def _check_tols(pinv_tol: float, strong_tol: float) -> None:
 
 
 def _build_solution(
-    aug, p_bar, pinv_tol, strong_tol, psd_tol, range_tol, trace=None, iterates=None,
+    aug, p_bar, pinv_tol, strong_tol, trace=None, iterates=None,
 ) -> RiccatiSolution:
     """The solution, its feedback law and its verdict from the path of ``aug``."""
     s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = _derived_tables(aug, p_bar, pinv_tol)
     return RiccatiSolution(
         grid=aug.grid, P_bar=p_bar, S_bar=s_bar, R_hat=r_hat, Theta_bar=theta_bar,
         min_eig_R_hat=min_eig,
-        classification=_classify(
-            s_bar, r_hat, r_hat_pinv, min_eig, strong_tol, psd_tol, range_tol,
-        ),
+        classification=_classify(s_bar, r_hat, r_hat_pinv, min_eig, strong_tol),
         pinv_tol=pinv_tol, iteration_trace=trace, iterates=iterates,
     )
 
@@ -424,8 +468,6 @@ def solve_riccati_direct(
     spec: ProblemSpec,
     pinv_tol: float = DEFAULT_PINV_TOL,
     strong_tol: float = DEFAULT_STRONG_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    range_tol: float = DEFAULT_RANGE_TOL,
 ) -> RiccatiSolution:
     """Backward RK4 solve of ``spec.augmented()`` with classification.
 
@@ -440,7 +482,7 @@ def solve_riccati_direct(
         lambda c, p: _riccati_rhs(c, p, pinv_tol),
         aug.G, _sweep_coefs(aug), aug.grid, derive=_riccati_tables,
     )
-    return _build_solution(aug, p_bar, pinv_tol, strong_tol, psd_tol, range_tol)
+    return _build_solution(aug, p_bar, pinv_tol, strong_tol)
 
 
 def iterate_strongly_regular(
@@ -449,8 +491,6 @@ def iterate_strongly_regular(
     conv_tol: float = 1e-10,
     pinv_tol: float = DEFAULT_PINV_TOL,
     strong_tol: float = DEFAULT_STRONG_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    range_tol: float = DEFAULT_RANGE_TOL,
     keep_iterates: bool = False,
 ) -> RiccatiSolution:
     """Constructive fixed-point route to the strongly regular solution.
@@ -496,7 +536,7 @@ def iterate_strongly_regular(
                 paths.append(_joined(r.blocks))
                 r.blocks = []  # hold each path once
             return _build_solution(
-                aug, paths[-1], pinv_tol, strong_tol, psd_tol, range_tol,
+                aug, paths[-1], pinv_tol, strong_tol,
                 trace=[r.delta for r in sweeps[1:s.j + 1]],
                 iterates=paths if keep_iterates else None,
             )
@@ -540,7 +580,7 @@ class _Sweep:
 def _wave(spec, sweeps, bounds, pinv_tol, keep_iterates) -> None:
     """Move every unfinished sweep back by one block: first take the
     gains of the block from the predecessors' path blocks, then step the
-    running sweeps together in :func:`_step_stack`."""
+    running sweeps together as the slices of one :func:`_rk4_stack`."""
     run = []  # (sweep, gain block or None for P_0, predecessor's path block)
     for s in list(sweeps):
         if s.j >= len(sweeps):
@@ -566,78 +606,28 @@ def _wave(spec, sweeps, bounds, pinv_tol, keep_iterates) -> None:
         return
 
     spans = [bounds[s.done - 1] for s, _, _ in run]
-    tops, thetas = [s.y for s, _, _ in run], [t for _, t, _ in run]
-    out, failed = _step_stack(spec, tops, thetas, spans)
+    steps = max(hi - lo for lo, hi in spans)
+    gains = np.zeros((steps + 1, len(run), spec.n_regimes, spec.m, spec.n))
+    for p, ((_, theta, _), (lo, hi)) in enumerate(zip(run, spans)):
+        if theta is not None:
+            gains[steps - (hi - lo):, p] = theta
+    path, failed = _rk4_stack(
+        _lyapunov_rhs, _lyapunov_tables, _sweep_coefs(spec), [s.y for s, _, _ in run],
+        spans, spec.grid.h, per_slice=(gains,),
+    )
     for p, ((s, _, pred_blk), (lo, hi)) in enumerate(zip(run, spans)):
         if s.j >= len(sweeps):
             break
         if p in failed:
-            k = hi - 1 - failed[p]
-            s.error = DivergenceError(k, spec.grid.nodes()[k])
+            s.error = DivergenceError(failed[p], spec.grid.nodes()[failed[p]])
             del sweeps[s.j + 1:]
             continue
-        blk = np.empty((hi - lo + 1, *s.y.shape))
-        blk[-1] = s.y
-        blk[:-1] = out[:hi - lo, p][::-1]
+        blk = path[steps - (hi - lo):, p].copy()
         s.y = blk[0]
         s.blocks.append(blk)
         if pred_blk is not None:
             diff = np.linalg.norm(blk - pred_blk, axis=(-2, -1))
             s.delta = max(s.delta, float(diff.max()))
-
-
-def _step_stack(spec, tops, thetas, spans):
-    """Lyapunov RK4 steps of a stack of sweeps, each over its own block.
-
-    Slice p starts from ``tops[p]`` at node ``hi`` of ``spans[p] = (lo,
-    hi)`` and runs under the gains ``thetas[p]`` at nodes lo..hi (None
-    for the zero gain).  Returns the states (steps, J, D, n, n), step i
-    of each slice at ``out[i]``, and the step at which each diverged
-    slice failed.  The tables are built in chunks of steps for all
-    slices at once.  Below the bottom of a short block, and from the
-    step it diverged, a slice idles on zero tables, where the right-hand
-    side is zero, so it never overflows.
-    """
-    steps = max(hi - lo for lo, hi in spans)
-    his = np.array([hi for _, hi in spans])
-    gains = np.zeros((steps + 1, len(tops), spec.n_regimes, spec.m, spec.n))
-    for p, (theta, (lo, hi)) in enumerate(zip(thetas, spans)):
-        if theta is not None:
-            gains[steps - (hi - lo):, p] = theta
-    coefs = _sweep_coefs(spec)
-    y = np.stack(tops)
-    out = np.empty((steps, *y.shape))
-    failed = {}
-    # the tables held at once cover one block's worth of steps in all
-    chunk = -(-steps // len(tops))
-    for i0 in range(0, steps, chunk):
-        i1 = min(i0 + chunk, steps)
-        nodes = np.arange(i1 - i0 + 1)[:, None] + (his - i1)  # bottom up, per slice
-        safe = np.maximum(nodes, 0)
-        coef = _lyapunov_tables(
-            [_block_samples(a[safe], 0, i1 - i0) for a in coefs]
-            + [_block_samples(gains[steps - i1:steps - i0 + 1], 0, i1 - i0)]
-        )
-        for p, hi in enumerate(his):
-            idle = 2 * (i1 - i0) + 1 if p in failed else 2 * (i1 - hi)
-            if idle > 0:
-                for a in coef:
-                    a[:idle, p] = 0.0
-        samples = list(zip(*(a[::-1] for a in coef)))  # top down
-        chunk_out = out[i0:i1]
-        done, y = _rk4_block(_lyapunov_rhs, y, samples, spec.grid.h, chunk_out)
-        while done < i1 - i0:
-            size = np.abs(y).reshape(len(tops), -1).max(axis=1)
-            for p in np.flatnonzero(~(size <= BLOWUP_LIMIT)):
-                failed[int(p)] = i0 + done
-                y[p] = 0.0
-                for a in coef:
-                    a[:, p] = 0.0
-            out[i0 + done] = y
-            done, y = _rk4_block(
-                _lyapunov_rhs, y, samples, spec.grid.h, chunk_out, done + 1,
-            )
-    return out, failed
 
 
 def _joined(blocks) -> np.ndarray:

@@ -10,9 +10,11 @@ jump candidate of every path (Lewis & Shedler, Naval Res. Logist. Q.
 26, 1979).  A jump takes effect at the next grid node, consistent with
 the Euler-Maruyama order, so only the node values of the regime are
 kept; they have the exact joint law of the chain at the nodes.  Batched
-internals carry all paths as leading axes; path streams are addressed
-by (seed, batch) so reductions are deterministic regardless of
-scheduling.
+internals carry all paths as leading axes.  Every estimator runs its
+paths through one seeded runner, :func:`_path_costs`: batch b of
+``BATCH_PATHS`` paths draws from ``default_rng([*stream, b])``, so
+reductions are deterministic regardless of scheduling, and
+:func:`_mean_se` gives equal samples an exact-zero standard error.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
@@ -24,11 +26,11 @@ n + 1), and one Euler step is one batched product x̄ W[k] in which each
 law's rows meet only that law's blocks, a row take on the path's
 regime, one einsum of [1, ΔWₖ] against the step and diffusion blocks,
 and the trapezoidal cost added in the loop.  The laws share the P rows
-of regimes and increments, or each law has its own.  The estimators
-keep no trajectories, only per-path costs; states are recorded only for
-the single paths of :func:`simulate_policy`.  Since each step multiplies
-by every regime's block, its flops grow with the number of regimes D,
-but not with the number of laws.  The product runs in tiles of rows,
+of regimes and increments.  The estimators keep no trajectories, only
+per-path costs; states are recorded only for the single paths of
+:func:`simulate_policy`.  Since each step multiplies by every regime's
+block, its flops grow with the number of regimes D, but not with the
+number of laws.  The product runs in tiles of rows,
 because a whole batch's block outgrows the L2 cache before the take
 reads it (:func:`_regime_product`); a product per regime, forming only
 each path's own block, slowed the small batches of ``verify``.
@@ -304,19 +306,17 @@ def _regime_product(tables: _Tables, state, width):
     return select
 
 
-def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law=False):
+def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
     """Euler-Maruyama of every law in ``tables`` from node ``k0``, with the
     cost accumulated in the loop; returns the (L, P) per-path costs.
 
-    ``alpha`` (regime indices) and ``dw`` are 2-D over nodes: P rows
-    shared by every law or, with ``per_law``, L P law-major rows (law l
-    in rows l P .. l P + P - 1).  The cost is the trapezoidal running
+    The P rows of ``alpha`` (regime indices, (P, N + 1)) and ``dw``
+    ((P, N)) are shared by every law.  The cost is the trapezoidal running
     cost plus the terminal term.  ``states``, if given as (L, P, N + 1,
     n), receives the state at every node from k0.
     """
     n_laws, n = tables.W.shape[1], tables.W.shape[2] - 1
-    lead = n_laws if per_law else 1
-    n_paths, n_steps = dw.shape[0] // lead, dw.shape[1]
+    n_paths, n_steps = dw.shape
     xbar = np.ones((n_laws, n_paths, n + 1))
     xbar[..., :n] = x0
     x = xbar[..., :n]
@@ -328,10 +328,10 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law
 
     cost = np.zeros((n_laws, n_paths))
     for k in range(k0, n_steps):
-        sel = select(k, alpha[:, k].reshape(lead, n_paths))
+        sel = select(k, alpha[None, :, k])
         run = np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
         cost += 0.5 * run if k == k0 else run
-        coef[..., 1] = dw[:, k].reshape(lead, n_paths)
+        coef[..., 1] = dw[:, k]
         blocks = sel[..., :2 * n].reshape(n_laws, n_paths, 2, n)
         np.einsum("lpj,lpjn->lpn", coef, blocks, out=x)
         if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
@@ -339,9 +339,9 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None, per_law
         if states is not None:
             states[:, :, k + 1] = x
     if k0 < n_steps:
-        sel = select(n_steps, alpha[:, n_steps].reshape(lead, n_paths))
+        sel = select(n_steps, alpha[None, :, n_steps])
         cost += 0.5 * np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
-    g_bar = tables.terminal[alpha[:, n_steps].reshape(lead, n_paths)]
+    g_bar = tables.terminal[alpha[None, :, n_steps]]
     cost += np.einsum("lpi,lpij,lpj->lp", xbar, g_bar, xbar)
     return cost
 
@@ -451,16 +451,37 @@ def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float
     return float(run + x_bar @ _terminal_form(spec)[reg[-1]] @ x_bar)
 
 
-def _run_batched(worker, n_paths: int, threads: int = 1):
-    """Run seed-addressed batch workers ``worker(batch_start, size)`` over
-    ``BATCH_PATHS``-path batches; results come back in batch order."""
+def _path_costs(spec: ProblemSpec, runs, i0: int, k0: int, n_paths: int, stream,
+                threads: int = 1) -> list[np.ndarray]:
+    """Per-path costs of every ``(tables, x0)`` run from node ``k0`` and
+    regime ``i0``, all runs on the same paths: one (L, n_paths) array per
+    run.  Batch b of ``BATCH_PATHS`` paths draws its regimes, then its
+    increments, from ``default_rng([*stream, b])``, b its first path;
+    batches run on ``threads`` threads and join in batch order, so the
+    costs do not depend on ``threads``."""
+    def batch(start):
+        size = min(start + BATCH_PATHS, n_paths) - start
+        rng = np.random.default_rng([*stream, start])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
+        dw = brownian_increments(spec.grid, rng, size, k0)
+        return [_integrate_policy(tables, alpha, x0, dw, k0) for tables, x0 in runs]
+
     starts = range(0, n_paths, BATCH_PATHS)
-    batches = [(b, min(b + BATCH_PATHS, n_paths) - b) for b in starts]
-    if threads <= 1 or len(batches) == 1:
-        return [worker(b, size) for b, size in batches]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, b, size) for b, size in batches]
-        return [f.result() for f in futures]
+    if threads <= 1 or len(starts) == 1:
+        parts = [batch(b) for b in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(batch, starts))
+    return [np.concatenate(costs, axis=-1) for costs in zip(*parts)]
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a 1-D sample; equal samples (degenerate
+    randomness) get an exact-zero standard error."""
+    se = 0.0
+    if samples.size > 1 and not np.all(samples == samples[0]):
+        se = float(samples.std(ddof=1) / np.sqrt(samples.size))
+    return float(samples.mean()), se
 
 
 def mc_value(
@@ -474,21 +495,11 @@ def mc_value(
     rng_seed: int,
     threads: int = 1,
 ) -> MCEstimate:
-    """Closed-loop cost estimate from (t0, x0, i0) over independent paths."""
-    k0 = spec.grid.node_index(t0)
+    """Closed-loop cost estimate from (t0, x0, i0) over independent paths,
+    drawn from the stream ``(rng_seed,)``."""
     tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
-
-    def worker(batch_start, size):
-        rng = np.random.default_rng([rng_seed, batch_start])
-        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
-        dw = brownian_increments(spec.grid, rng, size, k0)
-        return _integrate_policy(tables, alpha, x0, dw, k0)[0]
-
-    costs = np.concatenate(_run_batched(worker, n_paths, threads))
-    if n_paths > 1 and not np.all(costs == costs[0]):
-        se = float(costs.std(ddof=1) / np.sqrt(n_paths))
-    else:
-        se = 0.0  # degenerate randomness: report an exact zero
-    return MCEstimate(
-        mean=float(costs.mean()), std_error=se, paths=n_paths, seed=rng_seed
+    (costs,) = _path_costs(
+        spec, [(tables, x0)], i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
     )
+    mean, se = _mean_se(costs[0])
+    return MCEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed)

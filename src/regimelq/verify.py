@@ -9,8 +9,11 @@ calibrated once against the closed-form scalar benchmark and is recorded
 in every report that uses it).  The Euler-bias, zero-control value
 matrix and convexity checks take the exact expectation of the Euler
 scheme (:func:`regimelq.sim._expected_values`) instead of a sample mean,
-so they carry no standard error and use no paths.  Every check is
-deterministic given its seed.
+so they carry no standard error and use no paths.  The Monte-Carlo
+checks draw their paths and sample statistics through the one seeded
+runner of :mod:`regimelq.sim` (:func:`regimelq.sim._path_costs` and
+:func:`regimelq.sim._mean_se`), so every check is deterministic given
+its seed and does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -30,11 +33,9 @@ from .sim import (
     _cell_transitions,
     _closed_loop_tables,
     _expected_values,
-    _integrate_policy,
+    _mean_se,
     _open_loop_table,
-    _run_batched,
-    _sample_regime_paths,
-    brownian_increments,
+    _path_costs,
     mc_value,
 )
 
@@ -54,6 +55,10 @@ __all__ = [
 # observed closed-loop Euler/quadrature bias there is below h, so a
 # factor of 5 leaves ample headroom while still scaling out with h.
 BIAS_BUDGET_COEFF = 5.0
+
+# Perturbed laws of the value check move the gain and the offset by up to
+# this fraction of the largest optimal gain and offset norms.
+PERTURBATION_SCALE = 0.5
 
 
 def euler_bias_budget(h: float, scale: float = 1.0) -> float:
@@ -174,7 +179,8 @@ def frechet_gradient_check(
     the step parameter, so the fitted curvature must meet the independent
     homogeneous cost of the direction, and the fitted slope must meet its
     centered-difference estimate.  Details carry the path-wise slope and
-    curvature statistics for downstream assertions.
+    curvature statistics for downstream assertions.  The paths come from
+    the stream ``(rng_seed,)``, as those of :func:`regimelq.sim.mc_value`.
     """
     k0 = spec.grid.node_index(t0)
     u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
@@ -189,17 +195,10 @@ def frechet_gradient_check(
     u_eps = u + eps_grid[:, None, None] * v
     eps_tables = _closed_loop_tables(spec, None, _open_loop_table(spec, u_eps))
     v_tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, v))
-    zero = np.zeros(spec.n)
-
-    def worker(batch_start, size):
-        rng = np.random.default_rng([rng_seed, batch_start])
-        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
-        dw = brownian_increments(spec.grid, rng, size, k0)
-        return (_integrate_policy(eps_tables, alpha, x0, dw, k0),
-                _integrate_policy(v_tables, alpha, zero, dw, k0)[0])
-
-    blocks = _run_batched(worker, n_paths, threads)
-    costs, j0 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    costs, (j0,) = _path_costs(
+        spec, [(eps_tables, x0), (v_tables, np.zeros(spec.n))], i0, k0, n_paths,
+        (rng_seed,), threads,
+    )
 
     means = costs.mean(axis=1)
     coef = np.polyfit(eps_grid, means, 2)
@@ -212,14 +211,9 @@ def frechet_gradient_check(
     jz = costs[np.searchsorted(eps_grid, 0.0)]
     c1_path = (jp - jm) / (2.0 * e_ref)
     c2_path = (jp + jm - 2.0 * jz) / (2.0 * e_ref**2)
-
-    def mean_se(x):
-        se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
-        return float(x.mean()), se
-
-    j0_mean, j0_se = mean_se(j0)
-    c1_mean, c1_se = mean_se(c1_path)
-    c2_mean, c2_se = mean_se(c2_path)
+    j0_mean, j0_se = _mean_se(j0)
+    c1_mean, c1_se = _mean_se(c1_path)
+    c2_mean, c2_se = _mean_se(c2_path)
 
     scale = max(1.0, abs(c0))
     report = VerificationReport()
@@ -295,7 +289,6 @@ def value_consistency(
     n_paths: int,
     rng_seed: int,
     n_perturbations: int = 5,
-    perturbation_scale: float = 0.5,
     perturbation_paths: int | None = None,
     threads: int = 1,
 ) -> VerificationReport:
@@ -304,7 +297,10 @@ def value_consistency(
     (a) the Monte-Carlo closed-loop cost must meet the evaluated value
     function within three standard errors plus the bias allowance;
     (b) paired-path cost differences against randomly perturbed feedback
-    laws must not be negative beyond three standard errors.
+    laws must not be negative beyond three standard errors.  Each law is
+    perturbed by ``PERTURBATION_SCALE`` times the largest gain and offset
+    norms, and runs with the optimal law on the paths of the stream
+    ``(rng_seed, 888, perturbation index)``.
     """
     k0 = spec.grid.node_index(t0)
     report = VerificationReport()
@@ -325,28 +321,18 @@ def value_consistency(
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([rng_seed, 777])
     for p_id in range(n_perturbations):
-        d_theta = perturbation_scale * scale_theta * prng.uniform(
+        d_theta = PERTURBATION_SCALE * scale_theta * prng.uniform(
             -1.0, 1.0, (spec.m, spec.n))
-        d_v = perturbation_scale * scale_v * prng.uniform(-1.0, 1.0, spec.m)
+        d_v = PERTURBATION_SCALE * scale_v * prng.uniform(-1.0, 1.0, spec.m)
         # the optimal and the perturbed law run on the same paths
         laws = _closed_loop_tables(
             spec, np.stack([ric.Theta, ric.Theta + d_theta]),
             np.stack([aff.v_star, aff.v_star + d_v]),
         )
-
-        def worker(batch_start, size):
-            rng = np.random.default_rng([rng_seed, 888, p_id, batch_start])
-            alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
-            dw = brownian_increments(spec.grid, rng, size, k0)
-            base, perturbed = _integrate_policy(laws, alpha, x0, dw, k0)
-            return perturbed - base
-
-        diff = np.concatenate(_run_batched(worker, pert_paths, threads))
-        gap = float(diff.mean())
-        if pert_paths > 1 and not np.all(diff == diff[0]):
-            se = float(diff.std(ddof=1) / np.sqrt(pert_paths))
-        else:
-            se = 0.0
+        (costs,) = _path_costs(
+            spec, [(laws, x0)], i0, k0, pert_paths, (rng_seed, 888, p_id), threads,
+        )
+        gap, se = _mean_se(costs[1] - costs[0])
         report.add(
             f"value_no_improvement_perturbation_{p_id + 1}", -gap, 3.0 * se,
             paired_cost_gap=gap, gap_se=se, paths=pert_paths, seed=rng_seed,

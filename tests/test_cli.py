@@ -239,6 +239,7 @@ def test_parse_error_exit_code(tmp_path):
         ("verify", {"controls": 0}, "--controls must be at least 1"),
         ("simulate", {"x0": [1.0, "nan"]}, "--x0 must be finite"),
         ("verify", {"x0": [0.5, "inf"]}, "--x0 must be finite"),
+        ("simulate", {"dump_paths": -2}, "--dump-paths must be non-negative, got -2"),
     ],
 )
 def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):

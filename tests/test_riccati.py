@@ -342,6 +342,36 @@ def test_rk4_backward_guards_every_sweep():
     assert err.value.node == grid.steps - 1
 
 
+def test_stacked_slices_match_their_one_slice_runs():
+    # Riccati slices from terminals 0.5 and 4.0 over the whole grid and a
+    # short span in between, stepped together in chunks of other sizes
+    # than their one-slice runs: every finished slice is its own run, bit
+    # for bit, and the escaping one names the node solve_riccati_direct does
+    aug = benchmarks.scalar_blowup(steps=1000).augmented()
+    tables, h = riccati._sweep_coefs(aug), aug.grid.h
+
+    def run(tops, spans):
+        return riccati._rk4_stack(
+            lambda c, p: riccati._riccati_rhs(c, p, DEFAULT_PINV_TOL),
+            riccati._riccati_tables, tables, tops, spans, h,
+        )
+
+    def top(g):
+        y = aug.G.copy()
+        y[:, 0, 0] = g
+        return y
+
+    tops, spans = [top(0.5), top(0.5), top(4.0)], [(0, 1000), (300, 370), (0, 1000)]
+    path, failed = run(tops, spans)
+    assert failed == {2: 749}
+    assert run(tops[2:], spans[2:])[1] == {0: 749}
+    for p in (0, 1):
+        lo, hi = spans[p]
+        own, own_failed = run([tops[p]], [spans[p]])
+        assert not own_failed
+        assert np.array_equal(path[1000 - (hi - lo):, p], own[:, 0])
+
+
 def _paths_by_block_size(monkeypatch, spec, block):
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
     direct = solve_riccati_direct(spec)
@@ -428,10 +458,8 @@ def _reclassify(sol, s_bar=None, r_hat=None):
     s_bar = sol.S_bar if s_bar is None else s_bar
     r_hat = sol.R_hat if r_hat is None else r_hat
     _, r_hat_pinv = matcore.pinv(r_hat, sol.pinv_tol)
-    cls = sol.classification
     return riccati._classify(
-        s_bar, r_hat, r_hat_pinv, sol.min_eig_R_hat,
-        cls.strong_tol, cls.psd_tol, cls.range_tol,
+        s_bar, r_hat, r_hat_pinv, sol.min_eig_R_hat, sol.classification.strong_tol,
     )
 
 

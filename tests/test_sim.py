@@ -520,8 +520,7 @@ def _three_laws(spec, closed_loop):
 
 @pytest.mark.parametrize("problem", ["standard", "two_regime"])
 @pytest.mark.parametrize("closed_loop", [True, False])
-@pytest.mark.parametrize("per_law", [False, True])
-def test_stacked_laws_match_one_law_calls(problem, closed_loop, per_law):
+def test_stacked_laws_match_one_law_calls(problem, closed_loop):
     spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
     n_steps, n_paths = spec.grid.steps, 5
     theta, v = _three_laws(spec, closed_loop)
@@ -530,18 +529,16 @@ def test_stacked_laws_match_one_law_calls(problem, closed_loop, per_law):
     x0 = np.linspace(0.8, -0.6, spec.n)
     for k0 in (0, n_steps // 3, n_steps):
         rng = np.random.default_rng([11, k0])
-        rows = 3 * n_paths if per_law else n_paths
-        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, rows, rng, k0)
-        dw = brownian_increments(spec.grid, rng, rows, k0)
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
         states = np.zeros((3, n_paths, n_steps + 1, spec.n))
-        got = _integrate_policy(stacked, alpha, x0, dw, k0, states, per_law=per_law)
+        got = _integrate_policy(stacked, alpha, x0, dw, k0, states)
         assert got.shape == (3, n_paths)
         for law in range(3):
             one = _closed_loop_tables(
                 spec, None if theta is None else theta[law], v[law])
-            own = slice(law * n_paths, (law + 1) * n_paths) if per_law else slice(None)
             one_states = np.zeros((1, n_paths, n_steps + 1, spec.n))
-            (want,) = _integrate_policy(one, alpha[own], x0, dw[own], k0, one_states)
+            (want,) = _integrate_policy(one, alpha, x0, dw, k0, one_states)
             np.testing.assert_allclose(got[law], want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(
                 states[law], one_states[0], rtol=1e-12,
@@ -866,16 +863,15 @@ def test_tiled_policy_product_matches_untiled(monkeypatch, tile, n_paths):
     three = _closed_loop_tables(spec, theta, v)
     x0 = np.linspace(0.8, -0.6, spec.n)
     for k0 in (0, n_steps // 3):
-        for tables, per_law in ((one, False), (three, False), (three, True)):
+        for tables in (one, three):
             n_laws = tables.W.shape[1]
-            rows = n_laws * n_paths if per_law else n_paths
-            rng = np.random.default_rng([12, k0, rows])
-            alpha = _sample_regime_paths(spec.gen, spec.grid, 1, rows, rng, k0)
-            dw = brownian_increments(spec.grid, rng, rows, k0)
+            rng = np.random.default_rng([12, k0, n_paths])
+            alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
+            dw = brownian_increments(spec.grid, rng, n_paths, k0)
 
             def run():
                 states = np.zeros((n_laws, n_paths, n_steps + 1, spec.n))
-                cost = _integrate_policy(tables, alpha, x0, dw, k0, states, per_law)
+                cost = _integrate_policy(tables, alpha, x0, dw, k0, states)
                 return cost, states
 
             (cost, states), (want_cost, want_states) = _tiled_and_untiled(
