@@ -4,8 +4,9 @@ Problem files are YAML; the schema is documented in
 :mod:`regimelq.problemfile`.
 
 Exit codes: 0 success, 1 problem-file/validation error, a run argument
-that does not fit the problem or the solver, or a flag other than
-``--out`` given to ``report``, 2 no closed-loop optimal law: the
+that does not fit the problem or the solver, a flag given to a command
+it does not apply to, or a flag other than ``--out`` given to
+``report``, 2 no closed-loop optimal law: the
 solution is not regular, or its offset rho_hat leaves the range of the
 control weight composite, or the iteration certifies non-convexity, 3
 integration divergence, 4 verification failure.
@@ -33,6 +34,19 @@ EXIT_PARSE = 1
 EXIT_NOT_REGULAR = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
+
+# Flags that apply to some commands only: the commands and the default.
+# Given to any other command, such a flag exits 1 instead of being
+# ignored.  --seed and --threads apply to every command but report.
+_VERB_FLAGS = {
+    "--x0": (("simulate", "verify"), None),
+    "--i0": (("simulate", "verify"), 1),
+    "--paths": (("simulate", "verify"), 10000),
+    "--dump-paths": (("simulate",), 0),
+    "--controls": (("verify",), 20),
+    "--max-iter": (("iterate",), 50),
+    "--conv-tol": (("iterate",), 1e-10),
+}
 
 
 def _meta_line(args, extra: dict | None = None) -> str:
@@ -140,6 +154,18 @@ def _load_and_solve(args):
     aff = affine.solve_eta(spec, sol)
     _write_affine_csv(out, args, spec, aff)
     return spec, sol, aff, EXIT_OK
+
+
+def _verb_flag_error(args) -> str | None:
+    """Which flag of ``_VERB_FLAGS`` was given to a command it does not
+    apply to, or None; every such flag not given gets its default."""
+    for flag, (verbs, default) in _VERB_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.command not in verbs:
+            return f"{flag} applies to {' and '.join(verbs)} only, not to {args.command}"
+    return None
 
 
 def _run_args_error(args, spec) -> str | None:
@@ -321,18 +347,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", required=True, help="YAML problem file")
         p.add_argument("--steps", type=int, default=0,
                        help="override grid steps (0 = use problem file)")
-        p.add_argument("--paths", type=int, default=10000)
+        p.add_argument("--paths", type=int)
         p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--pinv-tol", type=float, default=riccati.DEFAULT_PINV_TOL)
         p.add_argument("--strong-tol", type=float, default=riccati.DEFAULT_STRONG_TOL)
-        p.add_argument("--conv-tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=50)
-        p.add_argument("--i0", type=int, default=1, help="initial regime (1-based)")
-        p.add_argument("--x0", type=float, nargs="+", default=None)
-        p.add_argument("--controls", type=int, default=20,
+        p.add_argument("--conv-tol", type=float)
+        p.add_argument("--max-iter", type=int)
+        p.add_argument("--i0", type=int, help="initial regime (1-based)")
+        p.add_argument("--x0", type=float, nargs="+")
+        p.add_argument("--controls", type=int,
                        help="random controls for the convexity probe")
-        p.add_argument("--dump-paths", type=int, default=0,
+        p.add_argument("--dump-paths", type=int,
                        help="write this many closed-loop path CSVs")
     return parser
 
@@ -345,6 +371,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    bad = args.command != "report" and _verb_flag_error(args)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except ProblemFileError as exc:

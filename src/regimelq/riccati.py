@@ -8,7 +8,8 @@ together because the generator couples them; the matrix right-hand
 sides are exactly symmetric, so the iterates stay symmetric from a
 symmetric terminal value.  The driver steps a stack of slices, each
 from its own top node over its own span; :func:`rk4_backward` is its
-one-slice call over the whole grid.
+one-slice call over the whole grid, and :func:`solve_lyapunov` runs one
+slice per frozen gain, its gain table a per-slice table of the driver.
 
 Both Riccati routes sweep the problem in x_bar = [x, 1]
 (:meth:`ProblemSpec.augmented`); its solution [[P, eta], [eta^T, w]]
@@ -141,7 +142,7 @@ class Classification:
 @dataclass(frozen=True)
 class LyapunovSolution:
     grid: TimeGrid
-    P: np.ndarray  # (N + 1, D, n, n)
+    P: np.ndarray  # (N + 1, D, n, n), or (L, N + 1, D, n, n) for L gains
 
 
 @dataclass(frozen=True)
@@ -371,20 +372,33 @@ def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarr
 def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> LyapunovSolution:
     """Backward solve of the linear matrix system for a frozen gain.
 
-    ``theta`` holds per-node per-regime gains (N + 1, D, m, n); None means
-    the zero gain, which drops every control-channel term.
+    ``theta`` holds per-node per-regime gains (N + 1, D, m, n), or a stack
+    of L such gain tables (L, N + 1, D, m, n), which run as the L slices
+    of one driver call and give P of shape (L, N + 1, D, n, n); each slice
+    is, bit for bit, the solve for its gain alone.  None means the zero
+    gain, which drops every control-channel term.  A diverging solve
+    raises :class:`DivergenceError` naming its node (the first diverging
+    slice's, for a stack).
     """
     want = (spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n)
     if theta is None:
         theta = np.broadcast_to(0.0, want)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != want:
-        raise matcore.InvalidInputError(f"theta shape {theta.shape} != {want}")
-    p_path = rk4_backward(
-        _lyapunov_rhs, spec.G, [*_sweep_coefs(spec), theta], spec.grid,
-        derive=_lyapunov_tables,
+    stacked = theta.ndim == len(want) + 1
+    gains = theta if stacked else theta[None]
+    if gains.shape[1:] != want or len(gains) == 0:
+        raise matcore.InvalidInputError(
+            f"theta shape {theta.shape} is neither {want} nor (L >= 1, *{want})")
+    path, failed = _rk4_stack(
+        _lyapunov_rhs, _lyapunov_tables, _sweep_coefs(spec), [spec.G] * len(gains),
+        [(0, spec.grid.steps)] * len(gains), spec.grid.h,
+        per_slice=(np.moveaxis(gains, 0, 1),),
     )
-    return LyapunovSolution(grid=spec.grid, P=p_path)
+    if failed:
+        node = failed[min(failed)]
+        raise DivergenceError(node, spec.grid.nodes()[node])
+    p_path = np.moveaxis(path, 1, 0)
+    return LyapunovSolution(grid=spec.grid, P=p_path if stacked else p_path[0])
 
 
 def _derived_tables(

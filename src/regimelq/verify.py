@@ -1,17 +1,20 @@
 """Numerical certification of the optimality and value identities.
 
-Each check compares a Monte-Carlo, path-wise or exact discrete quantity
-against its solver-side counterpart and records statistic, tolerance,
-and verdict.  Monte-Carlo checks accept at three standard errors; those
-that meet a continuous-time quantity add an explicit discretization-bias
-allowance ``BIAS_BUDGET_COEFF * h * scale`` (the coefficient was
-calibrated once against the closed-form scalar benchmark and is recorded
-in every report that uses it).  The Euler-bias, zero-control value
-matrix and convexity checks take the exact expectation of the Euler
-scheme (:func:`regimelq.sim._expected_values`) instead of a sample mean,
-so they carry no standard error and use no paths.  The Monte-Carlo
-checks draw their paths and sample statistics through the one seeded
-runner of :mod:`regimelq.sim` (:func:`regimelq.sim._path_costs` and
+Each check compares a Monte-Carlo, path-wise, exact discrete or
+continuous-time quantity against its solver-side counterpart and records
+statistic, tolerance, and verdict.  Monte-Carlo checks accept at three
+standard errors; those that meet a continuous-time quantity add an
+explicit discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale``
+(the coefficient was calibrated once against the closed-form scalar
+benchmark and is recorded in every report that uses it).  The Euler-bias,
+zero-control value matrix and convexity checks take the exact
+expectation of the Euler scheme (:func:`regimelq.sim._expected_values`)
+instead of a sample mean, and the value check's perturbation rows take
+the continuous-time cost of each frozen law from its Lyapunov solution
+(:func:`regimelq.riccati.solve_lyapunov`), so none of these carries a
+standard error or uses paths.  The Monte-Carlo checks draw their paths
+and sample statistics through the one seeded runner of
+:mod:`regimelq.sim` (:func:`regimelq.sim._path_costs` and
 :func:`regimelq.sim._mean_se`), so every check is deterministic given
 its seed and does not depend on the thread count.
 """
@@ -289,18 +292,21 @@ def value_consistency(
     n_paths: int,
     rng_seed: int,
     n_perturbations: int = 5,
-    perturbation_paths: int | None = None,
     threads: int = 1,
 ) -> VerificationReport:
     """Closed-loop value agreement plus no-improvement under perturbations.
 
     (a) the Monte-Carlo closed-loop cost must meet the evaluated value
     function within three standard errors plus the bias allowance;
-    (b) paired-path cost differences against randomly perturbed feedback
-    laws must not be negative beyond three standard errors.  Each law is
-    perturbed by ``PERTURBATION_SCALE`` times the largest gain and offset
-    norms, and runs with the optimal law on the paths of the stream
-    ``(rng_seed, 888, perturbation index)``.
+    (b) no randomly perturbed feedback law may cost less than the optimal
+    one (tolerance 0).  Each law is perturbed by ``PERTURBATION_SCALE``
+    times the largest gain and offset norms, drawn from the stream
+    ``(rng_seed, 777)``.  The costs of (b) are continuous-time and exact
+    up to the RK4 error: a frozen law Theta_bar = [Theta, v] costs
+    x_bar^T P_bar x_bar, P_bar its Lyapunov solution on
+    ``spec.augmented()``, and the optimal and every perturbed law run as
+    the slices of one :func:`regimelq.riccati.solve_lyapunov` call, so
+    (b) uses no paths.
     """
     k0 = spec.grid.node_index(t0)
     report = VerificationReport()
@@ -316,26 +322,24 @@ def value_consistency(
         paths=n_paths, seed=rng_seed,
     )
 
-    pert_paths = n_paths if perturbation_paths is None else perturbation_paths
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([rng_seed, 777])
-    for p_id in range(n_perturbations):
+    laws = [ric.Theta_bar]
+    for _ in range(n_perturbations):
         d_theta = PERTURBATION_SCALE * scale_theta * prng.uniform(
             -1.0, 1.0, (spec.m, spec.n))
         d_v = PERTURBATION_SCALE * scale_v * prng.uniform(-1.0, 1.0, spec.m)
-        # the optimal and the perturbed law run on the same paths
-        laws = _closed_loop_tables(
-            spec, np.stack([ric.Theta, ric.Theta + d_theta]),
-            np.stack([aff.v_star, aff.v_star + d_v]),
-        )
-        (costs,) = _path_costs(
-            spec, [(laws, x0)], i0, k0, pert_paths, (rng_seed, 888, p_id), threads,
-        )
-        gap, se = _mean_se(costs[1] - costs[0])
+        laws.append(ric.Theta_bar + np.column_stack([d_theta, d_v]))
+    p_bar = solve_lyapunov(spec.augmented(), np.stack(laws)).P[:, k0, i0]
+    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
+    costs = p_bar @ x_bar @ x_bar
+    for p_id, cost in enumerate(costs[1:]):
+        gap = float(cost - costs[0])
         report.add(
-            f"value_no_improvement_perturbation_{p_id + 1}", -gap, 3.0 * se,
-            paired_cost_gap=gap, gap_se=se, paths=pert_paths, seed=rng_seed,
+            f"value_no_improvement_perturbation_{p_id + 1}", -gap, 0.0,
+            cost_gap=gap, optimal_cost_minus_value=float(costs[0] - v_fn),
+            seed=rng_seed,
         )
     return report
 

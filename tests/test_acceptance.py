@@ -139,14 +139,13 @@ def test_criterion_05_value_consistency_with_perturbations():
     for label, spec, x0, i0 in cases:
         ric, aff = _solved(spec)
         report = value_consistency(
-            spec, ric, aff, spec.grid.t0, i0, x0, 10000, 515,
-            n_perturbations=5, perturbation_paths=4000,
+            spec, ric, aff, spec.grid.t0, i0, x0, 10000, 515, n_perturbations=5,
         )
         all_ok = all_ok and report.all_passed
         main_check = report["value_mc_vs_function"]
         metrics.append(
             f"{label}: |mc-V| {main_check.statistic:.2e} <= {main_check.tolerance:.2e}, "
-            f"5 perturbation gaps >= -3se"
+            f"5 perturbation gaps >= 0"
         )
     _verdict(5, all_ok, "closed-loop MC matches value; no perturbation wins",
              "; ".join(metrics))

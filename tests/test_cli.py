@@ -240,6 +240,14 @@ def test_parse_error_exit_code(tmp_path):
         ("simulate", {"x0": [1.0, "nan"]}, "--x0 must be finite"),
         ("verify", {"x0": [0.5, "inf"]}, "--x0 must be finite"),
         ("simulate", {"dump_paths": -2}, "--dump-paths must be non-negative, got -2"),
+        ("verify", {"dump_paths": 2}, "--dump-paths applies to simulate only, not to verify"),
+        ("solve", {"x0": [1.0, 2.0, 3.0], "paths": 3},
+         "--x0 applies to simulate and verify only, not to solve"),
+        ("simulate", {"controls": 0}, "--controls applies to verify only, not to simulate"),
+        ("iterate", {"paths": 500}, "--paths applies to simulate and verify only"),
+        ("solve", {"i0": 1}, "--i0 applies to simulate and verify only"),
+        ("verify", {"max_iter": 50}, "--max-iter applies to iterate only, not to verify"),
+        ("simulate", {"conv_tol": 1e-9}, "--conv-tol applies to iterate only"),
     ],
 )
 def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):

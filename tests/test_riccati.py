@@ -372,6 +372,36 @@ def test_stacked_slices_match_their_one_slice_runs():
         assert np.array_equal(path[1000 - (hi - lo):, p], own[:, 0])
 
 
+def test_stacked_lyapunov_slices_match_their_one_law_calls():
+    # the optimal law on the augmented problem, a constant shift of it and
+    # a node- and regime-varying law: each slice of the stacked solve is
+    # its one-law solve, bit for bit
+    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=150))
+    aug, theta_bar = spec.augmented(), solve_riccati_direct(spec).Theta_bar
+    rng = np.random.default_rng(3)
+    laws = np.stack([theta_bar, theta_bar + 0.4,
+                     theta_bar + rng.uniform(-1.0, 1.0, theta_bar.shape)])
+    stacked = solve_lyapunov(aug, laws).P
+    assert stacked.shape == (3, *solve_lyapunov(aug).P.shape)
+    for law, p_law in zip(laws, stacked):
+        assert np.array_equal(p_law, solve_lyapunov(aug, law).P)
+
+
+def test_stacked_lyapunov_names_the_diverging_law():
+    # the gain 50 makes P escape 1e12 within the horizon; the stack
+    # raises at the node the one-law solve names
+    spec = benchmarks.scalar_benchmark(steps=1000)
+    gains = np.stack([np.zeros((1001, 1, 1, 1)), np.full((1001, 1, 1, 1), 50.0)])
+    with pytest.raises(DivergenceError) as one:
+        solve_lyapunov(spec, gains[1])
+    with pytest.raises(DivergenceError) as stack:
+        solve_lyapunov(spec, gains)
+    assert stack.value.node == one.value.node
+    assert 0 < one.value.node < 1000
+    with pytest.raises(InvalidInputError, match="theta shape"):
+        solve_lyapunov(spec, gains[:0])
+
+
 def _paths_by_block_size(monkeypatch, spec, block):
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
     direct = solve_riccati_direct(spec)

@@ -12,7 +12,7 @@ from regimelq import benchmarks, sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
 from regimelq.problemfile import parse_problem
-from regimelq.riccati import DivergenceError, solve_riccati_direct
+from regimelq.riccati import DivergenceError, solve_lyapunov, solve_riccati_direct
 from regimelq.sim import (
     StatePath,
     _cell_transitions,
@@ -546,29 +546,33 @@ def test_stacked_laws_match_one_law_calls(problem, closed_loop):
 
 
 def test_value_consistency_matches_one_law_per_call():
+    # every perturbation row's gap is the difference of the one-law
+    # Lyapunov costs of its law and the optimal one on the augmented problem
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
     ric, aff = _solved(spec)
-    x0, seed, n_paths, k0 = np.full(spec.n, 0.9), 23, 150, 0
-    report = value_consistency(spec, ric, aff, 0.0, 1, x0, n_paths, seed,
+    x0, seed, i0 = np.full(spec.n, 0.9), 23, 1
+    report = value_consistency(spec, ric, aff, 0.0, i0, x0, 150, seed,
                                n_perturbations=3)
+    aug = spec.augmented()
+    x_bar = np.append(x0, 1.0)
+
+    def cost(theta_bar):
+        return x_bar @ solve_lyapunov(aug, theta_bar).P[0, i0] @ x_bar
+
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([seed, 777])
-    optimal = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    optimal = cost(ric.Theta_bar)
+    v_fn = value_function(ric, aff, 0.0, i0, x0)
     for p_id in range(3):
         d_theta = 0.5 * scale_theta * prng.uniform(-1.0, 1.0, (spec.m, spec.n))
         d_v = 0.5 * scale_v * prng.uniform(-1.0, 1.0, spec.m)
-        perturbed = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
-        rng = np.random.default_rng([seed, 888, p_id, 0])
-        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
-        dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        diff = (_integrate_policy(perturbed, alpha, x0, dw)[0]
-                - _integrate_policy(optimal, alpha, x0, dw)[0])
-        details = report[f"value_no_improvement_perturbation_{p_id + 1}"].details
-        scale = 1e-12 * np.abs(diff).max()
-        assert abs(details["paired_cost_gap"] - diff.mean()) <= scale
-        want_se = diff.std(ddof=1) / np.sqrt(n_paths)
-        assert abs(details["gap_se"] - want_se) <= 1e-12 * want_se
+        d_bar = np.concatenate([d_theta, d_v[:, None]], axis=1)
+        want = cost(ric.Theta_bar + d_bar) - optimal
+        row = report[f"value_no_improvement_perturbation_{p_id + 1}"]
+        assert row.tolerance == 0.0 and row.statistic == -row.details["cost_gap"]
+        np.testing.assert_allclose(row.details["cost_gap"], want, rtol=1e-12, atol=0)
+        assert abs(row.details["optimal_cost_minus_value"]) <= 1e-10 * abs(v_fn)
 
 
 def test_frechet_check_matches_one_law_per_call():

@@ -8,6 +8,7 @@ import pytest
 
 from regimelq import benchmarks
 from regimelq.affine import solve_eta, value_function
+from regimelq.cli import main
 from regimelq.problemfile import parse_problem
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
@@ -251,6 +252,34 @@ def test_value_consistency_inhomogeneous_two_regime():
     ric, aff = _solved(spec)
     report = value_consistency(spec, ric, aff, 0.0, 0, np.array([0.7]), 4000, 17)
     assert report.all_passed
+
+
+def test_value_perturbation_rows_catch_a_suboptimal_law():
+    # the same seeded perturbations that the optimal law survives find a
+    # cheaper law around a shifted one
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    ric, aff = _solved(spec)
+    rows = [f"value_no_improvement_perturbation_{p}" for p in range(1, 6)]
+    x0, seed = np.ones(spec.n), 1
+    good = value_consistency(spec, ric, aff, 0.0, 0, x0, 50, seed)
+    assert all(good[r].passed for r in rows)
+    shifted = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + 0.2)
+    bad = value_consistency(spec, shifted, aff, 0.0, 0, x0, 50, seed)
+    assert not all(bad[r].passed for r in rows)
+
+
+def test_value_perturbation_rows_pass_where_the_euler_gap_is_negative(tmp_path):
+    # at seed 249 perturbation 5 costs 2.9e-6 more than the optimal law in
+    # continuous time but 3.7e-6 less under the Euler scheme, for which the
+    # continuous-time optimal law is only O(h) optimal
+    out = tmp_path / "out"
+    main(["verify", "--problem", str(PROBLEMS / "two_regime.yaml"), "--paths", "500",
+          "--seed", "249", "--threads", "1", "--out", str(out)])
+    rows = [line.split(",") for line in (out / "verification.csv").read_text().splitlines()
+            if line.startswith("value_no_improvement_perturbation_")]
+    assert len(rows) == 5
+    assert all(row[2] == "0" and row[3] == "true" for row in rows), rows
+    assert 0.0 < -float(rows[4][1]) < 1e-5
 
 
 def test_eta_certified_by_mc_value_differences():
