@@ -5,8 +5,9 @@ Problem files are YAML; the schema is documented in
 
 Exit codes: 0 success, 1 problem-file/validation error, a run argument
 that does not fit the problem or the solver, a flag given to a command
-it does not apply to, or a flag other than ``--out`` given to
-``report``, 2 no closed-loop optimal law: the
+it does not apply to, a flag other than ``--out`` given to
+``report``, or a ``verification.csv`` that ``report`` cannot read, 2 no
+closed-loop optimal law: the
 solution is not regular, or its offset rho_hat leaves the range of the
 control weight composite, or the iteration certifies non-convexity, 3
 integration divergence, 4 verification failure.
@@ -300,11 +301,30 @@ def _cmd_verify(args) -> int:
         size=(spec.grid.steps + 1, spec.m)
     )
     report.extend(verify.frechet_gradient_check(
-        spec, t0, i0, x0, u_path.u, v_dir, (0.05, 0.1), max(args.paths // 5, 200),
-        args.seed, threads=args.threads,
+        spec, t0, i0, x0, u_path.u, v_dir, (0.05, 0.1),
     ))
     _write_report(out, args, report)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+
+
+def _read_report(src: Path) -> verify.VerificationReport:
+    """The checks of a ``verification.csv``; a ValueError (bytes that are
+    not UTF-8 raise one too) says why the file holds none to report."""
+    body = [
+        line for line in src.read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    reader = csv.DictReader(io.StringIO("\n".join(body)), restval="")
+    columns = reader.fieldnames or ()
+    missing = [c for c in ("check", "statistic", "tolerance") if c not in columns]
+    if missing:
+        raise ValueError(f"no {', '.join(missing)} column")
+    report = verify.VerificationReport()
+    for row in reader:
+        report.add(row["check"], float(row["statistic"]), float(row["tolerance"]))
+    if not report.checks:
+        raise ValueError("no checks")
+    return report
 
 
 def _cmd_report(args) -> int:
@@ -313,14 +333,11 @@ def _cmd_report(args) -> int:
     if not src.exists():
         print(f"error: {src} not found; run verify first", file=sys.stderr)
         return EXIT_PARSE
-    body = [
-        line for line in src.read_text(encoding="utf-8").splitlines()
-        if line and not line.startswith("#")
-    ]
-    reader = csv.DictReader(io.StringIO("\n".join(body)))
-    report = verify.VerificationReport()
-    for row in reader:
-        report.add(row["check"], float(row["statistic"]), float(row["tolerance"]))
+    try:
+        report = _read_report(src)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"error: {src}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     (out / "summary.txt").write_text(report.summary())
     print(report.summary(), end="")
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED

@@ -162,7 +162,6 @@ class RiccatiSolution:
     classification: Classification
     pinv_tol: float
     iteration_trace: list[float] | None = None
-    iterates: list[np.ndarray] | None = None  # P_bar iterates, on request
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -466,7 +465,7 @@ def _check_tols(pinv_tol: float, strong_tol: float) -> None:
 
 
 def _build_solution(
-    aug, p_bar, pinv_tol, strong_tol, trace=None, iterates=None,
+    aug, p_bar, pinv_tol, strong_tol, trace=None,
 ) -> RiccatiSolution:
     """The solution, its feedback law and its verdict from the path of ``aug``."""
     s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = _derived_tables(aug, p_bar, pinv_tol)
@@ -474,7 +473,7 @@ def _build_solution(
         grid=aug.grid, P_bar=p_bar, S_bar=s_bar, R_hat=r_hat, Theta_bar=theta_bar,
         min_eig_R_hat=min_eig,
         classification=_classify(s_bar, r_hat, r_hat_pinv, min_eig, strong_tol),
-        pinv_tol=pinv_tol, iteration_trace=trace, iterates=iterates,
+        pinv_tol=pinv_tol, iteration_trace=trace,
     )
 
 
@@ -505,7 +504,6 @@ def iterate_strongly_regular(
     conv_tol: float = 1e-10,
     pinv_tol: float = DEFAULT_PINV_TOL,
     strong_tol: float = DEFAULT_STRONG_TOL,
-    keep_iterates: bool = False,
 ) -> RiccatiSolution:
     """Constructive fixed-point route to the strongly regular solution.
 
@@ -520,9 +518,7 @@ def iterate_strongly_regular(
     It runs on ``spec.augmented()``, so iterates and trace are of P_bar.
     The linear solves run staggered, one block apart, as in
     :class:`_Sweep`; results, trace and errors are those of solving them
-    one after another.  When ``keep_iterates`` is set, all iterates are
-    retained on the returned solution as ``iterates`` for diagnosis
-    (None otherwise).
+    one after another.
     """
     _check_tols(pinv_tol, strong_tol)
     if not max_iter >= 1:
@@ -535,7 +531,7 @@ def iterate_strongly_regular(
     bounds = _blocks(aug.grid.steps)
     sweeps = [_Sweep(0, aug.G)]
     while any(s.done < len(bounds) for s in sweeps):
-        _wave(aug, sweeps, bounds, pinv_tol, keep_iterates)
+        _wave(aug, sweeps, bounds, pinv_tol)
         last = sweeps[-1]
         needed = last.j == 0 or last.delta >= conv_tol
         if needed and last.j < max_iter and not last.halted:
@@ -545,14 +541,10 @@ def iterate_strongly_regular(
         if s.error is not None:
             raise s.error
         if s.j > 0 and s.delta < conv_tol:
-            paths = []
-            for r in sweeps[:s.j + 1] if keep_iterates else [s]:
-                paths.append(_joined(r.blocks))
-                r.blocks = []  # hold each path once
+            p_bar, s.blocks = _joined(s.blocks), []  # hold the path once
             return _build_solution(
-                aug, paths[-1], pinv_tol, strong_tol,
+                aug, p_bar, pinv_tol, strong_tol,
                 trace=[r.delta for r in sweeps[1:s.j + 1]],
-                iterates=paths if keep_iterates else None,
             )
         if s.j == max_iter:
             raise NonConvergenceError(s.j, s.delta)
@@ -573,9 +565,9 @@ class _Sweep:
     and never beyond ``max_iter``.  A sweep that diverges, or whose gain
     check is bound to fail, halts: it stops stepping, every later sweep
     is dropped, and it goes on only taking gains, so that the check sees
-    every node.  A path block is freed once the next sweep has used it,
-    unless kept for ``keep_iterates``; a sweep without a successor may
-    still be the result and keeps all of its blocks.
+    every node.  A path block is freed once the next sweep has used it;
+    a sweep without a successor may still be the result and keeps all of
+    its blocks.
     """
 
     j: int
@@ -591,7 +583,7 @@ class _Sweep:
         return self.error is not None or self.gain_min <= 0.0
 
 
-def _wave(spec, sweeps, bounds, pinv_tol, keep_iterates) -> None:
+def _wave(spec, sweeps, bounds, pinv_tol) -> None:
     """Move every unfinished sweep back by one block: first take the
     gains of the block from the predecessors' path blocks, then step the
     running sweeps together as the slices of one :func:`_rk4_stack`."""
@@ -606,8 +598,7 @@ def _wave(spec, sweeps, bounds, pinv_tol, keep_iterates) -> None:
         if s.j > 0:
             pred = sweeps[s.j - 1]
             pred_blk = pred.blocks[s.done]
-            if not keep_iterates:
-                pred.blocks[s.done] = None
+            pred.blocks[s.done] = None
             nodes = slice(lo, hi + 1)
             *_, theta, min_eig = _derived_tables(spec, pred_blk, pinv_tol, nodes)
             s.gain_min = min(s.gain_min, float(min_eig.min()))

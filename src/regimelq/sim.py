@@ -10,11 +10,12 @@ jump candidate of every path (Lewis & Shedler, Naval Res. Logist. Q.
 26, 1979).  A jump takes effect at the next grid node, consistent with
 the Euler-Maruyama order, so only the node values of the regime are
 kept; they have the exact joint law of the chain at the nodes.  Batched
-internals carry all paths as leading axes.  Every estimator runs its
-paths through one seeded runner, :func:`_path_costs`: batch b of
-``BATCH_PATHS`` paths draws from ``default_rng([*stream, b])``, so
-reductions are deterministic regardless of scheduling, and
-:func:`_mean_se` gives equal samples an exact-zero standard error.
+internals carry all paths as leading axes.  The one estimator,
+:func:`mc_value`, runs its paths through the seeded runner
+:func:`_path_costs`: batch b of ``BATCH_PATHS`` paths draws from
+``default_rng([*stream, b])``, so reductions are deterministic
+regardless of scheduling, and :func:`_mean_se` gives equal samples an
+exact-zero standard error.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
@@ -40,7 +41,8 @@ the scheme is a quadratic form in x̄ whose matrices follow a backward
 per-regime recursion over the same tables (:func:`_expected_values`),
 with the chain's cell transitions (:func:`_cell_transitions`): the
 exact expectation of what the loop samples, for every initial state and
-law at once.
+law at once.  The checks of :mod:`regimelq.verify` that compare several
+laws read this recursion, not sampled paths.
 """
 
 from __future__ import annotations
@@ -451,11 +453,11 @@ def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float
     return float(run + x_bar @ _terminal_form(spec)[reg[-1]] @ x_bar)
 
 
-def _path_costs(spec: ProblemSpec, runs, i0: int, k0: int, n_paths: int, stream,
-                threads: int = 1) -> list[np.ndarray]:
-    """Per-path costs of every ``(tables, x0)`` run from node ``k0`` and
-    regime ``i0``, all runs on the same paths: one (L, n_paths) array per
-    run.  Batch b of ``BATCH_PATHS`` paths draws its regimes, then its
+def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_paths: int,
+                stream, threads: int = 1) -> np.ndarray:
+    """Per-path costs (L, n_paths) of every law in ``tables`` from state
+    ``x0``, node ``k0`` and regime ``i0``, all laws on the same paths.
+    Batch b of ``BATCH_PATHS`` paths draws its regimes, then its
     increments, from ``default_rng([*stream, b])``, b its first path;
     batches run on ``threads`` threads and join in batch order, so the
     costs do not depend on ``threads``."""
@@ -464,7 +466,7 @@ def _path_costs(spec: ProblemSpec, runs, i0: int, k0: int, n_paths: int, stream,
         rng = np.random.default_rng([*stream, start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        return [_integrate_policy(tables, alpha, x0, dw, k0) for tables, x0 in runs]
+        return _integrate_policy(tables, alpha, x0, dw, k0)
 
     starts = range(0, n_paths, BATCH_PATHS)
     if threads <= 1 or len(starts) == 1:
@@ -472,7 +474,7 @@ def _path_costs(spec: ProblemSpec, runs, i0: int, k0: int, n_paths: int, stream,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(batch, starts))
-    return [np.concatenate(costs, axis=-1) for costs in zip(*parts)]
+    return np.concatenate(parts, axis=-1)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -498,8 +500,8 @@ def mc_value(
     """Closed-loop cost estimate from (t0, x0, i0) over independent paths,
     drawn from the stream ``(rng_seed,)``."""
     tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
-    (costs,) = _path_costs(
-        spec, [(tables, x0)], i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
+    costs = _path_costs(
+        spec, tables, x0, i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
     )
     mean, se = _mean_se(costs[0])
     return MCEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed)

@@ -2,21 +2,20 @@
 
 Each check compares a Monte-Carlo, path-wise, exact discrete or
 continuous-time quantity against its solver-side counterpart and records
-statistic, tolerance, and verdict.  Monte-Carlo checks accept at three
-standard errors; those that meet a continuous-time quantity add an
-explicit discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale``
-(the coefficient was calibrated once against the closed-form scalar
-benchmark and is recorded in every report that uses it).  The Euler-bias,
-zero-control value matrix and convexity checks take the exact
-expectation of the Euler scheme (:func:`regimelq.sim._expected_values`)
-instead of a sample mean, and the value check's perturbation rows take
-the continuous-time cost of each frozen law from its Lyapunov solution
+statistic, tolerance, and verdict.  The one Monte-Carlo check, the
+closed-loop value, accepts at three standard errors plus an explicit
+discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale`` (the
+coefficient was calibrated once against the closed-form scalar benchmark
+and is recorded in every report that uses it); it draws its paths
+through the one seeded runner of :mod:`regimelq.sim`, so it is
+deterministic given its seed and does not depend on the thread count.
+The Euler-bias, zero-control value matrix, convexity and Fréchet checks
+take the exact expectation of the Euler scheme
+(:func:`regimelq.sim._expected_values`) instead of a sample mean, and
+the value check's perturbation rows take the continuous-time cost of
+each frozen law from its Lyapunov solution
 (:func:`regimelq.riccati.solve_lyapunov`), so none of these carries a
-standard error or uses paths.  The Monte-Carlo checks draw their paths
-and sample statistics through the one seeded runner of
-:mod:`regimelq.sim` (:func:`regimelq.sim._path_costs` and
-:func:`regimelq.sim._mean_se`), so every check is deterministic given
-its seed and does not depend on the thread count.
+standard error or uses paths.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from .sim import (
     _cell_transitions,
     _closed_loop_tables,
     _expected_values,
-    _mean_se,
     _open_loop_table,
-    _path_costs,
     mc_value,
 )
 
@@ -172,18 +169,16 @@ def frechet_gradient_check(
     u: np.ndarray,
     v: np.ndarray,
     epsilons,
-    n_paths: int,
-    rng_seed: int,
-    threads: int = 1,
 ) -> VerificationReport:
     """Quadratic-expansion check of the cost along a control direction.
 
-    With common random numbers the per-path cost is an exact quadratic in
-    the step parameter, so the fitted curvature must meet the independent
-    homogeneous cost of the direction, and the fitted slope must meet its
-    centered-difference estimate.  Details carry the path-wise slope and
-    curvature statistics for downstream assertions.  The paths come from
-    the stream ``(rng_seed,)``, as those of :func:`regimelq.sim.mc_value`.
+    The state is affine in the control, so the exact expected cost of the
+    Euler scheme under u + eps v is J(u) + 2 eps <grad J(u), v> + eps^2
+    J0(v), with J0(v) the homogeneous cost of v from zero state.  The
+    eps-laws run as laws of one recursion; the quadratic fitted through
+    them must be exact, its curvature must meet J0(v), a second recursion
+    on ``spec.homogeneous()``, and its slope the centered difference at
+    the largest eps.  No paths are drawn.
     """
     k0 = spec.grid.node_index(t0)
     u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
@@ -195,46 +190,35 @@ def frechet_gradient_check(
         sorted({0.0} | {e for e in e_pos} | {-e for e in e_pos})
     )
     hspec = spec.homogeneous()
+    trans = _cell_transitions(spec.gen, spec.grid)
     u_eps = u + eps_grid[:, None, None] * v
-    eps_tables = _closed_loop_tables(spec, None, _open_loop_table(spec, u_eps))
-    v_tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, v))
-    costs, (j0,) = _path_costs(
-        spec, [(eps_tables, x0), (v_tables, np.zeros(spec.n))], i0, k0, n_paths,
-        (rng_seed,), threads,
-    )
+    eps_vals = _expected_values(
+        _closed_loop_tables(spec, None, _open_loop_table(spec, u_eps)), trans, k0)
+    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
+    costs = eps_vals[:, i0] @ x_bar @ x_bar
+    v_vals = _expected_values(
+        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)), trans, k0)
+    j0 = float(v_vals[0, i0, -1, -1])  # zero state: x̄ = [0, 1]
 
-    means = costs.mean(axis=1)
-    coef = np.polyfit(eps_grid, means, 2)
-    fit_resid = float(np.abs(np.polyval(coef, eps_grid) - means).max())
+    coef = np.polyfit(eps_grid, costs, 2)
+    fit_resid = float(np.abs(np.polyval(coef, eps_grid) - costs).max())
     c2, c1, c0 = (float(c) for c in coef)
-
     e_ref = e_pos[-1]
-    jp = costs[np.searchsorted(eps_grid, e_ref)]
-    jm = costs[np.searchsorted(eps_grid, -e_ref)]
-    jz = costs[np.searchsorted(eps_grid, 0.0)]
-    c1_path = (jp - jm) / (2.0 * e_ref)
-    c2_path = (jp + jm - 2.0 * jz) / (2.0 * e_ref**2)
-    j0_mean, j0_se = _mean_se(j0)
-    c1_mean, c1_se = _mean_se(c1_path)
-    c2_mean, c2_se = _mean_se(c2_path)
+    jp, jm = costs[np.searchsorted(eps_grid, [e_ref, -e_ref])]
+    c1_centered = float((jp - jm) / (2.0 * e_ref))
 
     scale = max(1.0, abs(c0))
     report = VerificationReport()
-    shared = dict(paths=n_paths, seed=rng_seed, epsilons=eps_grid.tolist())
     report.add(
         "frechet_fit_residual", fit_resid, 1e-9 * scale,
-        c0=c0, c1=c1, c2=c2, **shared,
+        c0=c0, c1=c1, c2=c2, epsilons=eps_grid.tolist(),
     )
     report.add(
-        "frechet_quadratic_coefficient", abs(c2 - j0_mean),
-        3.0 * j0_se + 3.0 * c2_se + 1e-8 * scale,
-        j0_mean=j0_mean, j0_se=j0_se, c2=c2, c2_mean=c2_mean, c2_se=c2_se,
-        **shared,
+        "frechet_quadratic_coefficient", abs(c2 - j0), 1e-8 * scale, j0=j0, c2=c2,
     )
     report.add(
-        "frechet_linear_vs_centered_difference", abs(c1 - c1_mean),
-        1e-8 * scale,
-        c1=c1, c1_mean=c1_mean, c1_se=c1_se, **shared,
+        "frechet_linear_vs_centered_difference", abs(c1 - c1_centered),
+        1e-8 * scale, c1=c1, c1_centered=c1_centered,
     )
     return report
 

@@ -350,6 +350,38 @@ def test_report_regenerates_summary(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "body, reason",
+    [
+        (b"check,statistic,tolerance,pass\nmade_up_check,abc,1.0,false\n",
+         "could not convert string to float: 'abc'"),
+        (b"name,statistic,tolerance,pass\nmade_up_check,0.5,1.0,true\n", "no check column"),
+        (b"check,statistic,tolerance,pass\nmade_up_\xff\xfe,0.5,1.0,true\n",
+         "'utf-8' codec can't decode byte 0xff"),
+        (b"# generated=test\ncheck,statistic,tolerance,pass\n", "no checks"),
+    ],
+    ids=["non_numeric", "missing_column", "undecodable", "header_only"],
+)
+def test_report_rejects_unreadable_verification_csv(tmp_path, capsys, body, reason):
+    # each exits 1 with one line; a header-only file certifies nothing
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "verification.csv").write_bytes(body)
+    assert main(_args("report", None, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out / 'verification.csv'}: ")
+    assert reason in err[0]
+    assert not (out / "summary.txt").exists()
+
+
+def test_report_on_unreadable_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "verification.csv").mkdir(parents=True)
+    assert main(_args("report", None, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out / 'verification.csv'}: ")
+
+
+@pytest.mark.parametrize(
     "flags", [{"steps": 1, "strong_tol": -5}, {"seed": 3}, {"paths": 10}],
 )
 def test_report_rejects_run_flags(tmp_path, capsys, flags):

@@ -28,6 +28,8 @@ from regimelq.riccati import (
     solve_riccati_direct,
 )
 
+from reference import iterate_one_by_one
+
 
 # ---------------------------------------------------------------- rhs
 
@@ -540,7 +542,6 @@ def test_iteration_scalar_matches_analytic():
     assert np.abs(sol.P[:, 0, 0, 0] - want).max() <= 1e-8
     deltas = sol.iteration_trace
     assert all(d1 > d2 for d1, d2 in zip(deltas, deltas[1:]))
-    assert sol.iterates is None
     assert np.array_equal(sol.P[-1], spec.G)
     assert np.array_equal(sol.P, np.swapaxes(sol.P, -1, -2))
 
@@ -568,8 +569,8 @@ def test_iteration_agrees_with_direct_on_standard_conditions():
 
 def test_iteration_monotone_decrease():
     spec = benchmarks.two_regime_standard(steps=120)
-    sol = iterate_strongly_regular(spec, conv_tol=1e-10, keep_iterates=True)
-    for p_prev, p_next in zip(sol.iterates, sol.iterates[1:]):
+    _, _, iterates = iterate_one_by_one(spec, 50, 1e-10)
+    for p_prev, p_next in zip(iterates, iterates[1:]):
         diff = p_prev - p_next
         min_eig = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2)))
         assert min_eig.min() >= -1e-8
@@ -602,40 +603,19 @@ def test_iteration_rejects_bundled_nonconvex_at_first_iterate(name):
     assert err.value.min_eig == float(min_eig.min()) <= 0.0
 
 
-def _iterate_one_by_one(spec, max_iter, conv_tol):
-    """The fixed-point loop with each linear solve run to the end before
-    the next: the reference the staggered sweeps must reproduce.  Like
-    them it runs on the problem in x_bar = [x, 1]."""
-    spec = spec.augmented()
-    p_n = solve_lyapunov(spec).P
-    trace, iterates = [], [p_n]
-    for _ in range(max_iter):
-        s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
-        eig, r_hat_pinv = matcore.pinv(r_hat, DEFAULT_PINV_TOL)
-        if eig[..., 0].min() <= 0.0:
-            raise NotStronglyRegularError(float(eig[..., 0].min()))
-        p_next = solve_lyapunov(spec, -(r_hat_pinv @ s_hat)).P
-        trace.append(float(np.linalg.norm(p_next - p_n, axis=(-2, -1)).max()))
-        iterates.append(p_next)
-        p_n = p_next
-        if trace[-1] < conv_tol:
-            return p_n, trace, iterates
-    raise NonConvergenceError(len(trace), trace[-1])
-
-
 def _outcome(run):
-    """The bytes of P, the trace and the bytes of the iterates (None if
-    not kept) of a run, or its error's type and message."""
+    """The bytes of P and the trace of a run, or its error's type and
+    message."""
     try:
-        p, trace, iterates = run()
+        p, trace, *_ = run()
     except (DivergenceError, NotStronglyRegularError, NonConvergenceError) as exc:
         return type(exc), str(exc)
-    return p.tobytes(), trace, None if iterates is None else [x.tobytes() for x in iterates]
+    return p.tobytes(), trace
 
 
 def _staggered(spec, **kwargs):
     sol = iterate_strongly_regular(spec, **kwargs)
-    return sol.P_bar, sol.iteration_trace, sol.iterates
+    return sol.P_bar, sol.iteration_trace
 
 
 @st.composite
@@ -719,23 +699,19 @@ def test_iteration_raises_the_earliest_sweeps_error(monkeypatch, case, max_iter,
     # the later sweep's error is found first and must be held back
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", 1)
     spec = _error_race(case)
-    want = _outcome(lambda: _iterate_one_by_one(spec, max_iter, 1e-10))
+    want = _outcome(lambda: iterate_one_by_one(spec, max_iter, 1e-10))
     assert want[0] is error
     assert _outcome(lambda: _staggered(spec, max_iter=max_iter)) == want
 
 
 @given(
     _small_specs(), st.integers(1, 4), st.sampled_from([1e-10, 1e-3, 1e-1, 10.0]),
-    st.integers(1, 8), st.booleans(),
+    st.integers(1, 8),
 )
 @settings(max_examples=300)
-def test_iteration_property_equals_one_by_one(spec, max_iter, conv_tol, block, keep):
+def test_iteration_property_equals_one_by_one(spec, max_iter, conv_tol, block):
     # blocks of 1..8 steps on N <= 40 stagger several sweeps at once
     with mock.patch.object(riccati, "_BLOCK_STEPS", block):
-        want = _outcome(lambda: _iterate_one_by_one(spec, max_iter, conv_tol))
-        got = _outcome(lambda: _staggered(
-            spec, max_iter=max_iter, conv_tol=conv_tol, keep_iterates=keep,
-        ))
-    if len(want) == 3 and not keep:
-        want = (*want[:2], None)
+        want = _outcome(lambda: iterate_one_by_one(spec, max_iter, conv_tol))
+        got = _outcome(lambda: _staggered(spec, max_iter=max_iter, conv_tol=conv_tol))
     assert got == want

@@ -577,32 +577,28 @@ def test_value_consistency_matches_one_law_per_call():
 
 def test_frechet_check_matches_one_law_per_call():
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
-    n_steps, n_paths, seed = spec.grid.steps, 120, 31
+    n_steps = spec.grid.steps
     rng = np.random.default_rng(5)
     u, v = rng.normal(size=(2, n_steps + 1, spec.m))
     x0 = np.array([1.0, -0.5])
-    report = frechet_gradient_check(
-        spec, 0.0, 0, x0, u, v, (0.05, 0.1), n_paths, seed)
-    rng = np.random.default_rng([seed, 0])
-    alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng)
-    dw = brownian_increments(spec.grid, rng, n_paths)
+    report = frechet_gradient_check(spec, 0.0, 0, x0, u, v, (0.05, 0.1))
+    trans = _cell_transitions(spec.gen, spec.grid)
+    x_bar = np.append(x0, 1.0)
     eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
     costs = np.array([
-        _integrate_policy(
-            _closed_loop_tables(spec, None, _open_loop_table(spec, u + e * v)),
-            alpha, x0, dw)[0]
+        x_bar @ _expected_values(
+            _closed_loop_tables(spec, None, _open_loop_table(spec, u + e * v)), trans)[0, 0]
+        @ x_bar
         for e in eps_grid
     ])
     hspec = spec.homogeneous()
-    (j0,) = _integrate_policy(
-        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)),
-        alpha, np.zeros(spec.n), dw)
-    c2, c1, c0 = np.polyfit(eps_grid, costs.mean(axis=1), 2)
-    c2_path = (costs[4] + costs[0] - 2.0 * costs[2]) / (2.0 * 0.1**2)
-    want = dict(c0=c0, c1=c1, c2=c2, j0_mean=j0.mean(), c2_mean=c2_path.mean(),
-                c2_se=c2_path.std(ddof=1) / np.sqrt(n_paths))
+    j0 = _expected_values(
+        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)), trans)[0, 0, -1, -1]
+    c2, c1, c0 = np.polyfit(eps_grid, costs, 2)
+    want = dict(c0=c0, c1=c1, c2=c2, j0=j0, c1_centered=(costs[4] - costs[0]) / 0.2)
     got = {**report["frechet_fit_residual"].details,
-           **report["frechet_quadratic_coefficient"].details}
+           **report["frechet_quadratic_coefficient"].details,
+           **report["frechet_linear_vs_centered_difference"].details}
     for key, val in want.items():
         assert abs(got[key] - val) <= 1e-12 * max(1.0, abs(c0)), key
 

@@ -84,8 +84,7 @@ def test_frechet_zero_direction():
     spec = benchmarks.two_regime_standard(steps=40)
     u = np.zeros((41, 1))
     report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)),
-        (0.1, 0.2), 200, 9,
+        spec, 0.0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2),
     )
     res = report["frechet_fit_residual"]
     assert abs(res.details["c1"]) <= 1e-9
@@ -99,12 +98,12 @@ def test_frechet_deterministic_exact_quadratic():
     u = rng.normal(size=(201, 1))
     v = rng.normal(size=(201, 1))
     report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2), 4, 1,
+        spec, 0.0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2),
     )
     assert report["frechet_fit_residual"].statistic <= 1e-10
     assert report.all_passed
     c2 = report["frechet_quadratic_coefficient"].details["c2"]
-    j0 = report["frechet_quadratic_coefficient"].details["j0_mean"]
+    j0 = report["frechet_quadratic_coefficient"].details["j0"]
     assert abs(c2 - j0) <= 1e-6 * abs(j0)
 
 
@@ -116,7 +115,7 @@ def test_frechet_linear_term_vanishes_at_feedback_optimum():
     )
     v = np.random.default_rng(10).normal(size=(301, 1))
     report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([0.5]), path.u, v, (0.05, 0.1), 4, 2,
+        spec, 0.0, 0, np.array([0.5]), path.u, v, (0.05, 0.1),
     )
     assert abs(report["frechet_fit_residual"].details["c1"]) <= 1e-6
     assert report["frechet_quadratic_coefficient"].details["c2"] >= 0.0
@@ -128,9 +127,51 @@ def test_frechet_quadratic_coefficient_stochastic():
     u = 0.3 * rng.normal(size=(81, 1))
     v = rng.normal(size=(81, 1))
     report = frechet_gradient_check(
-        spec, 0.0, 1, np.array([0.7]), u, v, (0.1, 0.2), 2000, 8,
+        spec, 0.0, 1, np.array([0.7]), u, v, (0.1, 0.2),
     )
     assert report.all_passed
+
+
+def _frechet_rows_of_verify(spec, ric, aff, seed):
+    """The Fréchet rows that ``verify --seed seed`` writes for ``spec``,
+    from the control, direction and epsilons it uses."""
+    x0 = np.ones(spec.n)
+    _, path = simulate_closed_loop(spec, ric, aff, 0, x0, np.random.default_rng([seed, 2]))
+    v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
+    return frechet_gradient_check(spec, 0.0, 0, x0, path.u, v, (0.05, 0.1))
+
+
+def test_frechet_quadratic_coefficient_sees_offset_kept_in_homogeneous(monkeypatch):
+    # with rho kept, J0(v) gains the term 2 int rho^T v, a shift inside a
+    # sampled row's 3 SE allowance but far above the exact row's tolerance
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    assert np.any(spec.rho)
+    ric, aff = _solved(spec)
+    assert _frechet_rows_of_verify(spec, ric, aff, 7).all_passed
+    drop_rho = type(spec).homogeneous
+
+    def keep_rho(self):
+        return dataclasses.replace(drop_rho(self), rho=self.rho)
+
+    monkeypatch.setattr(type(spec), "homogeneous", keep_rho)
+    report = _frechet_rows_of_verify(spec, ric, aff, 7)
+    assert not report["frechet_quadratic_coefficient"].passed
+    assert report["frechet_fit_residual"].passed
+
+
+@pytest.mark.parametrize("which", ["scalar", "standard", "two_regime", "dead_channel"])
+def test_frechet_rows_pass_at_their_exact_tolerances(which):
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    ric, aff = _solved(spec)
+    for seed in range(1, 31, 5):
+        report = _frechet_rows_of_verify(spec, ric, aff, seed)
+        assert report.all_passed, (seed, report.summary())
+        scale = max(1.0, abs(report["frechet_fit_residual"].details["c0"]))
+        assert [(c.name, c.tolerance) for c in report.checks] == [
+            ("frechet_fit_residual", 1e-9 * scale),
+            ("frechet_quadratic_coefficient", 1e-8 * scale),
+            ("frechet_linear_vs_centered_difference", 1e-8 * scale),
+        ]
 
 
 # --------------------------------------------------------- convexity
