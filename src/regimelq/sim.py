@@ -10,31 +10,33 @@ jump candidate of every path (Lewis & Shedler, Naval Res. Logist. Q.
 26, 1979).  A jump takes effect at the next grid node, consistent with
 the Euler-Maruyama order, so only the node values of the regime are
 kept; they have the exact joint law of the chain at the nodes.  Batched
-internals carry all paths as leading axes.  The one estimator,
-:func:`mc_value`, runs its paths through the seeded runner
-:func:`_path_costs`: batch b of ``BATCH_PATHS`` paths draws from
-``default_rng([*stream, b])``, so reductions are deterministic
-regardless of scheduling, and :func:`_mean_se` gives equal samples an
-exact-zero standard error.
+internals carry all paths as a leading axis, and a regime index takes
+one byte up to 128 regimes.  The one estimator, :func:`mc_value`, runs
+its paths through the seeded runner :func:`_path_costs`: batch b of
+``BATCH_PATHS`` paths draws from ``default_rng([*stream, b])``, so
+reductions are deterministic regardless of scheduling, and
+:func:`_mean_se` gives equal samples an exact-zero standard error.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
 running cost are affine or quadratic in the augmented state x̄ = [x, 1].
 Each Monte-Carlo call therefore builds, once, per-node tables that hold
-every regime's blocks side by side, with one such block row per control
-law (:func:`_closed_loop_tables`; open loop is Θ = 0).  Several laws on
-common random numbers run as a batch axis of one call: x̄ is (L, P,
-n + 1), and one Euler step is one batched product x̄ W[k] in which each
-law's rows meet only that law's blocks, a row take on the path's
-regime, one einsum of [1, ΔWₖ] against the step and diffusion blocks,
-and the trapezoidal cost added in the loop.  The laws share the P rows
-of regimes and increments.  The estimators keep no trajectories, only
-per-path costs; states are recorded only for the single paths of
-:func:`simulate_policy`.  Since each step multiplies by every regime's
-block, its flops grow with the number of regimes D, but not with the
-number of laws.  The product runs in tiles of rows,
-because a whole batch's block outgrows the L2 cache before the take
-reads it (:func:`_regime_product`); a product per regime, forming only
-each path's own block, slowed the small batches of ``verify``.
+every regime's blocks side by side (:func:`_closed_loop_tables`; open
+loop is Θ = 0).  The tables carry a law axis, which only the exact
+expectation below reads with more than one law; the Euler loop runs
+one.  There x̄ is (P, n + 1), and one Euler step is one product x̄ W[k],
+a row take on the path's regime, one einsum of [1, ΔWₖ] against the
+step and diffusion blocks, and the trapezoidal cost added in the loop.
+The estimators keep no trajectories, only per-path costs; states are
+recorded only for the single paths of :func:`simulate_policy`.  Since
+each step multiplies by every regime's block, its flops grow with the
+number of regimes D.  The unit of a batch is a tile of ``TILE_ROWS``
+paths: the batch draws all its regimes, then each tile draws its
+increments from the batch's stream and runs the Euler loop, so only one
+tile's increments and product blocks are held at a time, and a tile's
+blocks of every regime stay in the L2 cache until the take reads them.
+The tiles' draws together are the batch's one draw of increments.  A
+product per regime, forming only each path's own block, slowed the
+small batches of ``verify``.
 
 Given the regime, one Euler step is linear in x̄, so the expected cost of
 the scheme is a quadratic form in x̄ whose matrices follow a backward
@@ -89,7 +91,7 @@ class ChainPath:
 
     grid: TimeGrid
     i0: int
-    alpha: np.ndarray  # (N + 1,) int64
+    alpha: np.ndarray  # (N + 1,) int8 up to 128 regimes (see _sample_regime_paths)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,9 @@ def brownian_increments(grid: TimeGrid, rng, n_paths: int = 1, k0: int = 0) -> n
 def _sample_regime_paths(
     gen: Generator, grid: TimeGrid, i0: int, n_paths: int, rng, k0: int = 0
 ) -> np.ndarray:
-    """Node-aligned regime values for a batch of paths, (P, N + 1) int64.
+    """Node-aligned regime values for a batch of paths, (P, N + 1) of the
+    smallest signed integer type that holds D − 1 and the jump deltas
+    down to −(D − 1): int8 up to 128 regimes, int16 beyond.
 
     Thinning against the piecewise-constant dominating rate m_k, the
     largest exit rate at the endpoints of cell k.  Each path runs one
@@ -140,7 +144,7 @@ def _sample_regime_paths(
     every active path.  A jump inside cell k takes effect at node k + 1.
     """
     rng = as_rng(rng)
-    alpha = np.zeros((n_paths, grid.steps + 1), dtype=np.int64)
+    alpha = np.zeros((n_paths, grid.steps + 1), dtype=np.min_scalar_type(-gen.n_regimes))
     alpha[:, 0] = i0
     exit_rates = -np.einsum("kii->ki", gen.rates[k0:])
     node_max = exit_rates.max(axis=1)
@@ -276,75 +280,64 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=_terminal_form(spec), grid=spec.grid)
 
 
-def _regime_product(tables: _Tables, state, width):
-    """``select(k, regime)``: the (L, R, width) block that row r of
-    ``state[l] @ W[k]`` has in regime ``regime[l, r]``; ``state`` is
-    updated in place between steps.  The product runs in tiles of
-    ``TILE_ROWS`` rows, whose blocks of every regime stay in cache for
-    the take.  A tile has two rows or more, because numpy forms a
-    one-row product as a matrix-vector product, which rounds
-    differently."""
-    w, (n_laws, n_rows), n_cols = tables.W, state.shape[:2], tables.W.shape[-1]
-    tile = max(TILE_ROWS, 2)
-    starts = list(range(0, max(n_rows - 1, 1), tile))  # a lone last row joins the tile before
-    buf = np.empty(n_laws * min(tile + 1, n_rows) * n_cols)
-    sel = np.empty((n_laws, n_rows, width))
-    tiles = []
-    for a, b in zip(starts, starts[1:] + [n_rows]):
-        block = buf[:n_laws * (b - a) * n_cols].reshape(n_laws, b - a, n_cols)
-        # flat row l (b - a) + p of the block is law l, row a + p
-        first = np.arange(n_laws * (b - a)).reshape(n_laws, b - a) * (n_cols // width)
-        tiles.append((slice(a, b), state[:, a:b], block, block.reshape(-1, width), first,
-                      sel[:, a:b]))
+def _regime_product(w, state, width):
+    """``select(k, regime)``: the (P, width) block that row p of
+    ``state @ w[k]`` has in regime ``regime[p]``; ``state`` is updated in
+    place between steps.  Its caller hands it one tile of rows, whose
+    blocks of every regime stay in cache for the take."""
+    n_rows, n_cols = state.shape[0], w.shape[-1]
+    block = np.empty((n_rows, n_cols))
+    flat = block.reshape(-1, width)
+    first = np.arange(n_rows) * (n_cols // width)  # flat row of row p's first regime
+    sel = np.empty((n_rows, width))
 
     def select(k, regime):
-        for rows, part, block, flat, first, out in tiles:
-            np.matmul(part, w[k], block)
-            # with mode "raise", take writes to a copy of out and then
-            # copies it back; the indices are in range by construction
-            flat.take(first + regime[:, rows], 0, out, "clip")
+        np.matmul(state, w[k], block)
+        # with mode "raise", take writes to a copy of out and then
+        # copies it back; the indices are in range by construction
+        flat.take(first + regime, 0, sel, "clip")
         return sel
 
     return select
 
 
 def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
-    """Euler-Maruyama of every law in ``tables`` from node ``k0``, with the
-    cost accumulated in the loop; returns the (L, P) per-path costs.
+    """Euler-Maruyama of the one law in ``tables`` from node ``k0``, with
+    the cost accumulated in the loop; returns the (P,) per-path costs.
 
-    The P rows of ``alpha`` (regime indices, (P, N + 1)) and ``dw``
-    ((P, N)) are shared by every law.  The cost is the trapezoidal running
-    cost plus the terminal term.  ``states``, if given as (L, P, N + 1,
-    n), receives the state at every node from k0.
+    ``alpha`` holds the regime indices, (P, N + 1), and ``dw`` the
+    increments, (P, N).  The cost is the trapezoidal running cost plus
+    the terminal term.  ``states``, if given as (P, N + 1, n), receives
+    the state at every node from k0.
     """
-    n_laws, n = tables.W.shape[1], tables.W.shape[2] - 1
+    (w,) = tables.W.swapaxes(0, 1)  # the loop runs one law
+    n = w.shape[1] - 1
     n_paths, n_steps = dw.shape
-    xbar = np.ones((n_laws, n_paths, n + 1))
-    xbar[..., :n] = x0
-    x = xbar[..., :n]
-    select = _regime_product(tables, xbar, 3 * n + 1)
-    # [1, ΔW_k] for every law's rows: einsum is slow on a broadcast operand
-    coef = np.ones((n_laws, n_paths, 2))
+    xbar = np.ones((n_paths, n + 1))
+    xbar[:, :n] = x0
+    x = xbar[:, :n]
+    select = _regime_product(w, xbar, 3 * n + 1)
+    coef = np.ones((n_paths, 2))  # [1, ΔW_k] per row
     if states is not None:
-        states[:, :, k0] = x
+        states[:, k0] = x
 
-    cost = np.zeros((n_laws, n_paths))
+    cost = np.zeros(n_paths)
     for k in range(k0, n_steps):
-        sel = select(k, alpha[None, :, k])
-        run = np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
+        sel = select(k, alpha[:, k])
+        run = np.einsum("pi,pi->p", xbar, sel[:, 2 * n:])
         cost += 0.5 * run if k == k0 else run
-        coef[..., 1] = dw[:, k]
-        blocks = sel[..., :2 * n].reshape(n_laws, n_paths, 2, n)
-        np.einsum("lpj,lpjn->lpn", coef, blocks, out=x)
+        coef[:, 1] = dw[:, k]
+        blocks = sel[:, :2 * n].reshape(n_paths, 2, n)
+        np.einsum("pj,pjn->pn", coef, blocks, out=x)
         if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
             raise DivergenceError(k + 1, tables.grid.nodes()[k + 1])
         if states is not None:
-            states[:, :, k + 1] = x
+            states[:, k + 1] = x
     if k0 < n_steps:
-        sel = select(n_steps, alpha[None, :, n_steps])
-        cost += 0.5 * np.einsum("lpi,lpi->lp", xbar, sel[..., 2 * n:])
-    g_bar = tables.terminal[alpha[None, :, n_steps]]
-    cost += np.einsum("lpi,lpij,lpj->lp", xbar, g_bar, xbar)
+        sel = select(n_steps, alpha[:, n_steps])
+        cost += 0.5 * np.einsum("pi,pi->p", xbar, sel[:, 2 * n:])
+    g_bar = tables.terminal[alpha[:, n_steps]]
+    cost += np.einsum("pi,pij,pj->p", xbar, g_bar, xbar)
     return cost
 
 
@@ -401,10 +394,10 @@ def simulate_policy(
         dw = brownian_increments(spec.grid, rng, 1)
     else:
         dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
-    xs = np.zeros((1, 1, spec.grid.steps + 1, spec.n))
+    xs = np.zeros((1, spec.grid.steps + 1, spec.n))
     tables = _closed_loop_tables(spec, theta, v)
     _integrate_policy(tables, chain.alpha[None, :], x0, dw, states=xs)
-    idx, reg, x = np.arange(spec.grid.steps + 1), chain.alpha, xs[0, 0]
+    idx, reg, x = np.arange(spec.grid.steps + 1), chain.alpha, xs[0]
     u = v[idx, reg]
     if theta is not None:
         u += np.einsum("kij,kj->ki", theta[idx, reg], x)
@@ -455,18 +448,37 @@ def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float
 
 def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_paths: int,
                 stream, threads: int = 1) -> np.ndarray:
-    """Per-path costs (L, n_paths) of every law in ``tables`` from state
-    ``x0``, node ``k0`` and regime ``i0``, all laws on the same paths.
-    Batch b of ``BATCH_PATHS`` paths draws its regimes, then its
-    increments, from ``default_rng([*stream, b])``, b its first path;
-    batches run on ``threads`` threads and join in batch order, so the
-    costs do not depend on ``threads``."""
+    """Per-path costs (n_paths,) of the one law in ``tables`` from state
+    ``x0``, node ``k0`` and regime ``i0``.
+
+    Batch b of ``BATCH_PATHS`` paths draws its regimes, one byte per
+    node, from ``default_rng([*stream, b])``, b its first path.  It then
+    walks its rows in tiles of ``TILE_ROWS``, the unit of a batch: each
+    tile draws its increments from the batch's stream and runs the Euler
+    loop, so the tiles' draws are the batch's one draw of increments and
+    only one tile's are held.  A lone last row joins the tile before,
+    because numpy forms a one-row product as a matrix-vector product,
+    which rounds differently.  Every tile runs, and a diverging batch
+    raises the earliest node of its tiles.  Batches run on ``threads``
+    threads and join in batch order, so the costs do not depend on
+    ``threads``."""
+    tile = max(TILE_ROWS, 2)
+
     def batch(start):
         size = min(start + BATCH_PATHS, n_paths) - start
         rng = np.random.default_rng([*stream, start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
-        dw = brownian_increments(spec.grid, rng, size, k0)
-        return _integrate_policy(tables, alpha, x0, dw, k0)
+        costs, errors = np.empty(size), []
+        starts = list(range(0, max(size - 1, 1), tile))
+        for a, b in zip(starts, starts[1:] + [size]):
+            dw = brownian_increments(spec.grid, rng, b - a, k0)
+            try:
+                costs[a:b] = _integrate_policy(tables, alpha[a:b], x0, dw, k0)
+            except DivergenceError as err:
+                errors.append(err)
+        if errors:
+            raise min(errors, key=lambda err: err.node)
+        return costs
 
     starts = range(0, n_paths, BATCH_PATHS)
     if threads <= 1 or len(starts) == 1:
@@ -474,7 +486,7 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(batch, starts))
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate(parts)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -503,5 +515,5 @@ def mc_value(
     costs = _path_costs(
         spec, tables, x0, i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
     )
-    mean, se = _mean_se(costs[0])
+    mean, se = _mean_se(costs)
     return MCEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed)

@@ -114,7 +114,7 @@ def test_criterion_04_feynman_kac_crosscheck():
     dw = brownian_increments(spec.grid, rng, 10000)
     z_max = 0.0
     for x0 in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
-        costs = _integrate_policy(tables, alpha, np.array(x0), dw)[0]
+        costs = _integrate_policy(tables, alpha, np.array(x0), dw)
         se = costs.std(ddof=1) / np.sqrt(costs.size)
         z_max = max(z_max, abs(costs.mean() - x0 @ m0_h @ x0) / se)
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,7 +121,7 @@ def test_chain_invariants_and_reproducibility():
     a = simulate_chain(gen, grid, 0, np.random.default_rng(5))
     b = simulate_chain(gen, grid, 0, np.random.default_rng(5))
     assert np.array_equal(a.alpha, b.alpha)
-    assert a.alpha.dtype == np.int64 and a.alpha.shape == (grid.steps + 1,)
+    assert a.alpha.dtype == np.int8 and a.alpha.shape == (grid.steps + 1,)
     assert a.alpha[0] == 0 and set(a.alpha.tolist()) == {0, 1}
     # one path of the batched sampler, drawn from the same stream
     one = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(5))
@@ -170,7 +171,7 @@ def test_batched_sampler_marginals_match_kolmogorov(k0):
     counts = np.zeros((nodes.size, 3))
     for _ in range(batches):
         alpha = _sample_regime_paths(gen, grid, i0, size, rng, k0)
-        assert alpha.dtype == np.int64 and alpha.shape == (size, grid.steps + 1)
+        assert alpha.dtype == np.int8 and alpha.shape == (size, grid.steps + 1)
         assert np.all(alpha[:, :k0 + 1] == i0)
         counts += (alpha[:, nodes, None] == np.arange(3)).sum(axis=0)
     n_paths = batches * size
@@ -223,10 +224,25 @@ def test_batched_sampler_degenerate_generators():
     grid = TimeGrid(0.0, 1.0, 30)
     rng = np.random.default_rng(3)
     single = _sample_regime_paths(Generator.constant([[0.0]], grid), grid, 0, 50, rng)
-    assert single.dtype == np.int64 and not np.any(single)
+    assert single.dtype == np.int8 and not np.any(single)
     frozen = Generator.constant(np.zeros((3, 3)), grid)
     assert np.all(_sample_regime_paths(frozen, grid, 2, 50, rng) == 2)
     assert np.all(_sample_regime_paths(frozen, grid, 2, 50, rng, k0=30) == 2)
+
+
+@pytest.mark.parametrize("n_regimes, dtype", [(128, np.int8), (129, np.int16), (200, np.int16)])
+def test_batched_sampler_index_type_holds_every_regime(n_regimes, dtype):
+    # a cycle 0 -> D - 1 -> D - 2 -> ... -> 0 at rate 40 visits the top
+    # regimes first, which a type too narrow would wrap to negatives
+    grid = TimeGrid(0.0, 1.0, 50)
+    q = np.zeros((n_regimes, n_regimes))
+    nxt = (np.arange(n_regimes) - 1) % n_regimes
+    q[np.arange(n_regimes), nxt] = 40.0
+    np.fill_diagonal(q, -40.0)
+    gen = Generator.constant(q, grid)
+    alpha = _sample_regime_paths(gen, grid, 0, 200, np.random.default_rng(4))
+    assert alpha.dtype == dtype
+    assert alpha.min() >= 0 and alpha.max() == n_regimes - 1
 
 
 def test_batched_sampler_holds_regime_where_generator_vanishes():
@@ -485,7 +501,7 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
         rng = np.random.default_rng([9, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        (loop,) = _integrate_policy(tables, alpha, x0, dw, k0)
+        loop = _integrate_policy(tables, alpha, x0, dw, k0)
         if k0 == n_steps:  # t0 = T: the terminal term alone
             g, g_lin = spec.G[alpha[:, -1]], spec.g[alpha[:, -1]]
             want = np.einsum("i,pij,j->p", x0, g, x0) + 2.0 * g_lin @ x0
@@ -521,28 +537,24 @@ def _three_laws(spec, closed_loop):
 @pytest.mark.parametrize("problem", ["standard", "two_regime"])
 @pytest.mark.parametrize("closed_loop", [True, False])
 def test_stacked_laws_match_one_law_calls(problem, closed_loop):
+    # the exact expectation prices each law of stacked tables as a
+    # one-law call would; only the Euler loop is limited to one law
     spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
-    n_steps, n_paths = spec.grid.steps, 5
+    n_steps = spec.grid.steps
     theta, v = _three_laws(spec, closed_loop)
     stacked = _closed_loop_tables(spec, theta, v)
     assert stacked.W.shape[:2] == (n_steps + 1, 3)
-    x0 = np.linspace(0.8, -0.6, spec.n)
+    trans = _cell_transitions(spec.gen, spec.grid)
     for k0 in (0, n_steps // 3, n_steps):
-        rng = np.random.default_rng([11, k0])
-        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
-        dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        states = np.zeros((3, n_paths, n_steps + 1, spec.n))
-        got = _integrate_policy(stacked, alpha, x0, dw, k0, states)
-        assert got.shape == (3, n_paths)
+        got = _expected_values(stacked, trans, k0)
+        assert got.shape == (3, spec.n_regimes, spec.n + 1, spec.n + 1)
         for law in range(3):
-            one = _closed_loop_tables(
-                spec, None if theta is None else theta[law], v[law])
-            one_states = np.zeros((1, n_paths, n_steps + 1, spec.n))
-            (want,) = _integrate_policy(one, alpha, x0, dw, k0, one_states)
-            np.testing.assert_allclose(got[law], want, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(
-                states[law], one_states[0], rtol=1e-12,
-                atol=1e-12 * np.abs(one_states).max())
+            one = _closed_loop_tables(spec, None if theta is None else theta[law], v[law])
+            (want,) = _expected_values(one, trans, k0)
+            np.testing.assert_allclose(got[law], want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+    alpha = np.zeros((2, n_steps + 1), dtype=np.int8)
+    with pytest.raises(ValueError):  # the Euler loop runs one law
+        _integrate_policy(stacked, alpha, np.zeros(spec.n), np.zeros((2, n_steps)))
 
 
 def test_value_consistency_matches_one_law_per_call():
@@ -680,7 +692,7 @@ def _fundamental_run(tables, alpha, dw, k0, n):
     row j of path p starts at e_j.  Returns the (P, n) costs, the diagonal
     of ΦᵀGΦ + ∫ΦᵀQΦ, and the (P, n, N + 1, n) states, Φ e_j at each node."""
     n_paths = alpha.shape[0]
-    states = np.zeros((1, n_paths * n, alpha.shape[1], n))
+    states = np.zeros((n_paths * n, alpha.shape[1], n))
     cost = _integrate_policy(tables, np.repeat(alpha, n, axis=0), np.tile(np.eye(n), (n_paths, 1)),
                              np.repeat(dw, n, axis=0), k0, states)
     return cost.reshape(n_paths, n), states.reshape(n_paths, n, -1, n)
@@ -822,7 +834,7 @@ def test_expected_values_match_monte_carlo(k0):
         rng = np.random.default_rng([77, k0, i0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        costs = _integrate_policy(tables, alpha, x0, dw, k0)[0]
+        costs = _integrate_policy(tables, alpha, x0, dw, k0)
         exact = x_bar @ vals[0, i0] @ x_bar
         if k0 == spec.grid.steps:  # the terminal cost alone, no randomness
             assert np.array_equal(vals[0, i0], tables.terminal[i0])
@@ -843,48 +855,45 @@ def test_expected_values_name_the_node_where_they_overflow():
 # ------------------------------------------------------------- row tiles
 
 
-def _tiled_and_untiled(monkeypatch, tile, run):
-    """``run()`` in tiles of ``tile`` rows, and in one tile."""
-    monkeypatch.setattr(sim, "TILE_ROWS", tile)
-    tiled = run()
-    monkeypatch.setattr(sim, "TILE_ROWS", 1 << 30)
-    return tiled, run()
+def _in_tiles(n_rows, tile, run):
+    """``run(rows)`` on tiles of ``tile`` rows, two at least, with a lone
+    last row joined to the tile before; each output joined row-wise."""
+    tile = max(tile, 2)
+    starts = list(range(0, max(n_rows - 1, 1), tile))
+    parts = [run(slice(a, b)) for a, b in zip(starts, starts[1:] + [n_rows])]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
 @pytest.mark.parametrize("n_paths", [10, 11])
-def test_tiled_policy_product_matches_untiled(monkeypatch, tile, n_paths):
-    # 10 and 11 paths leave a partial last tile or a lone row, which
-    # joins the tile before; the law offsets must count the tile's rows
+def test_tiled_policy_product_matches_untiled(tile, n_paths):
+    # a tile's rows run alone give the bits they have in the whole batch;
+    # 10 and 11 paths leave a partial last tile or a lone row
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     n_steps = spec.grid.steps
     theta, v = _three_laws(spec, closed_loop=True)
-    one = _closed_loop_tables(spec, theta[0], v[0])
-    three = _closed_loop_tables(spec, theta, v)
+    tables = _closed_loop_tables(spec, theta[0], v[0])
     x0 = np.linspace(0.8, -0.6, spec.n)
     for k0 in (0, n_steps // 3):
-        for tables in (one, three):
-            n_laws = tables.W.shape[1]
-            rng = np.random.default_rng([12, k0, n_paths])
-            alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
-            dw = brownian_increments(spec.grid, rng, n_paths, k0)
+        rng = np.random.default_rng([12, k0, n_paths])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
+        dw = brownian_increments(spec.grid, rng, n_paths, k0)
 
-            def run():
-                states = np.zeros((n_laws, n_paths, n_steps + 1, spec.n))
-                cost = _integrate_policy(tables, alpha, x0, dw, k0, states)
-                return cost, states
+        def run(rows):
+            states = np.zeros((rows.stop - rows.start, n_steps + 1, spec.n))
+            return _integrate_policy(tables, alpha[rows], x0, dw[rows], k0, states), states
 
-            (cost, states), (want_cost, want_states) = _tiled_and_untiled(
-                monkeypatch, tile, run)
-            assert np.array_equal(cost, want_cost)
-            assert np.array_equal(states, want_states)
+        cost, states = _in_tiles(n_paths, tile, run)
+        want_cost, want_states = run(slice(0, n_paths))
+        assert np.array_equal(cost, want_cost)
+        assert np.array_equal(states, want_states)
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
 @pytest.mark.parametrize(
     "spec", [_varying_fk_spec(), benchmarks.two_regime_inhomogeneous(steps=60)],
     ids=["n2", "n1"])
-def test_tiled_fundamental_product_matches_untiled(monkeypatch, tile, spec):
+def test_tiled_fundamental_product_matches_untiled(tile, spec):
     # n rows per path (one per basis vector), on time-varying tables
     tables = _zero_law_tables(spec)
     n_paths = 10
@@ -892,10 +901,95 @@ def test_tiled_fundamental_product_matches_untiled(monkeypatch, tile, spec):
         rng = np.random.default_rng([13, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        (cost, states), (want_cost, want_states) = _tiled_and_untiled(
-            monkeypatch, tile, lambda: _fundamental_run(tables, alpha, dw, k0, spec.n))
+
+        def run(rows):
+            return _fundamental_run(tables, alpha[rows], dw[rows], k0, spec.n)
+
+        cost, states = _in_tiles(n_paths, tile, run)
+        want_cost, want_states = run(slice(0, n_paths))
         assert np.array_equal(cost, want_cost)
         assert np.array_equal(states, want_states)
+
+
+def _batch_draw_costs(spec, tables, x0, i0, k0, n_paths, stream):
+    """The runner's costs as one draw per batch: each batch draws its
+    regimes and then all its increments, and integrates untiled."""
+    parts = []
+    for start in range(0, n_paths, sim.BATCH_PATHS):
+        size = min(start + sim.BATCH_PATHS, n_paths) - start
+        rng = np.random.default_rng([*stream, start])
+        alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
+        dw = brownian_increments(spec.grid, rng, size, k0)
+        parts.append(_integrate_policy(tables, alpha, x0, dw, k0))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
+    # tiles of T = 3 rows in batches of B = 8: P in {1, 2, T, T + 1,
+    # 2T + 1, B + 3} covers one row, a lone last row, a partial tile and
+    # a second batch
+    tile, batch = 3, 8
+    monkeypatch.setattr(sim, "TILE_ROWS", tile)
+    monkeypatch.setattr(sim, "BATCH_PATHS", batch)
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    ric, aff = _solved(spec)
+    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    x0, n_steps = np.linspace(0.8, -0.6, spec.n), spec.grid.steps
+    for n_paths in (1, 2, tile, tile + 1, 2 * tile + 1, batch + 3):
+        for k0 in (0, n_steps // 3, n_steps):
+            stream = (5, n_paths, k0)
+            got = sim._path_costs(spec, tables, x0, 1, k0, n_paths, stream, threads)
+            want = _batch_draw_costs(spec, tables, x0, 1, k0, n_paths, stream)
+            assert got.shape == (n_paths,)
+            assert np.array_equal(got, want)
+
+
+def test_path_costs_raise_the_earliest_diverging_node(monkeypatch):
+    # regime 1 explodes and regime 0 holds still: each path diverges some
+    # steps after it first enters regime 1, so tiles diverge at different
+    # nodes, and the batch names the earliest, not its first tile's
+    monkeypatch.setattr(sim, "TILE_ROWS", 2)
+    base = benchmarks.two_regime_inhomogeneous(steps=100)
+    growth = np.where(np.arange(2) == 1, 300.0, 0.0)[None, :, None, None]
+    spec = dataclasses.replace(base, A=np.broadcast_to(growth, base.A.shape).copy(),
+                               C=np.zeros_like(base.C), b=np.zeros_like(base.b),
+                               sigma=np.zeros_like(base.sigma))
+    tables = _zero_law_tables(spec)
+    x0, n_paths, stream = np.ones(1), 8, (1,)
+    rng = np.random.default_rng([*stream, 0])
+    alpha = _sample_regime_paths(spec.gen, spec.grid, 0, n_paths, rng)
+    dw = brownian_increments(spec.grid, rng, n_paths)
+    nodes = {}
+    for a in range(0, n_paths, 2):
+        try:
+            _integrate_policy(tables, alpha[a:a + 2], x0, dw[a:a + 2])
+        except DivergenceError as err:
+            nodes[a] = err.node
+    earliest = min(nodes.values())
+    # neither the first nor the last tile diverges first, and one holds
+    assert len(nodes) == 3 and nodes.get(0) > earliest and nodes.get(6) > earliest
+    with pytest.raises(DivergenceError) as err:
+        sim._path_costs(spec, tables, x0, 0, 0, n_paths, stream)
+    assert err.value.node == earliest
+    with pytest.raises(DivergenceError) as whole:  # as the untiled batch does
+        _integrate_policy(tables, alpha, x0, dw)
+    assert whole.value.node == earliest
+
+
+def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
+    # one BATCH_PATHS batch on standard.yaml peaks near 6 MiB: 2 MiB of
+    # one-byte regimes and 2 MiB of one tile's increments; int64 regimes
+    # and a whole batch of increments would take 32 MiB
+    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    ric, aff = _solved(spec)
+    tracemalloc.start()
+    try:
+        mc_value(spec, ric, aff, 0.0, 0, np.ones(spec.n), sim.BATCH_PATHS, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_euler_weak_error_scaling():
