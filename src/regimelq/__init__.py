@@ -18,7 +18,6 @@ from .model import (
 from .riccati import (
     Classification,
     DivergenceError,
-    LyapunovSolution,
     NonConvergenceError,
     NotStronglyRegularError,
     RiccatiSolution,

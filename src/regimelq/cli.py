@@ -1,7 +1,11 @@
 """Command-line front end: solve, iterate, simulate, verify, report.
 
 Problem files are YAML; the schema is documented in
-:mod:`regimelq.problemfile`.
+:mod:`regimelq.problemfile`.  ``verify`` writes the report of
+:func:`regimelq.verify.certify`, or of
+:func:`regimelq.verify.not_regular_report` when there is no closed-loop
+optimal law; the seed streams, epsilons and tolerances of its rows live
+in :mod:`regimelq.verify`.
 
 Exit codes: 0 success, 1 problem-file/validation error, a run argument
 that does not fit the problem or the solver, a flag given to a command
@@ -50,7 +54,7 @@ _VERB_FLAGS = {
 }
 
 
-def _meta_line(args, extra: dict | None = None) -> str:
+def _meta_line(args) -> str:
     """Single leading comment line; carries the timestamp, so comparisons
     of repeated runs must skip comment lines."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -64,8 +68,6 @@ def _meta_line(args, extra: dict | None = None) -> str:
         f"strong_tol={args.strong_tol}",
         f"conv_tol={args.conv_tol}",
     ]
-    for k, v in (extra or {}).items():
-        parts.append(f"{k}={v}")
     return "# " + " ".join(parts) + "\n"
 
 
@@ -253,7 +255,7 @@ def _cmd_simulate(args) -> int:
 
 def _write_report(out: Path, args, report) -> None:
     with open(out / "verification.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(_meta_line(args, {"paths_main": args.paths}))
+        fh.write(_meta_line(args))
         fh.write(report.to_csv())
     (out / "summary.txt").write_text(report.summary())
     print(report.summary(), end="")
@@ -263,46 +265,15 @@ def _cmd_verify(args) -> int:
     spec, sol, aff, code = _load_and_solve(args)
     out = Path(args.out)
     i0, t0 = args.i0 - 1, spec.grid.t0
+    if code == EXIT_NOT_REGULAR:
+        # no solution to certify, but the report still documents why
+        _write_report(out, args, verify.not_regular_report(
+            spec, sol, t0, i0, args.controls, args.seed))
     if code != EXIT_OK:
-        if code == EXIT_NOT_REGULAR:
-            # no solution to certify, but the report still documents why:
-            # the failed range test, and the convexity probe (a flagged
-            # probe explains a failed iteration)
-            report = verify.VerificationReport()
-            if sol is not None and sol.classification.residual is not None:
-                cls = sol.classification
-                report.add("offset_range_residual", cls.residual, cls.range_tol,
-                           reason=cls.reason)
-            _write_report(out, args, report.extend(
-                verify.convexity_probe(spec, t0, i0, args.controls, args.seed)))
         return code
     x0 = np.asarray(args.x0 or [1.0] * spec.n, dtype=float)
-    report = verify.VerificationReport()
-
-    rng = np.random.default_rng([args.seed, 1])
-    chain, path = sim.simulate_closed_loop(spec, sol, aff, i0, x0, rng)
-    res = verify.stationarity_residual(spec, sol, aff, chain, path)
-    res_norm = float(np.linalg.norm(res, axis=1).max())
-    report.add(
-        "stationarity_max_residual", res_norm, 1e-6 + 10.0 * spec.grid.h,
-        seed=args.seed,
-    )
-
-    report.extend(verify.value_consistency(
-        spec, sol, aff, t0, i0, x0, args.paths, args.seed, threads=args.threads
-    ))
-    report.extend(verify.euler_bias(spec, sol, aff, t0, i0, x0))
-    report.extend(verify.m0_crosscheck(spec, t0, i0))
-    report.extend(verify.convexity_probe(spec, t0, i0, args.controls, args.seed))
-    _, u_path = sim.simulate_closed_loop(
-        spec, sol, aff, i0, x0, np.random.default_rng([args.seed, 2])
-    )
-    v_dir = np.random.default_rng([args.seed, 3]).normal(
-        size=(spec.grid.steps + 1, spec.m)
-    )
-    report.extend(verify.frechet_gradient_check(
-        spec, t0, i0, x0, u_path.u, v_dir, (0.05, 0.1),
-    ))
+    report = verify.certify(
+        spec, sol, aff, t0, i0, x0, args.paths, args.seed, args.controls, args.threads)
     _write_report(out, args, report)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 

@@ -60,7 +60,6 @@ __all__ = [
     "NotStronglyRegularError",
     "NonConvergenceError",
     "Classification",
-    "LyapunovSolution",
     "RiccatiSolution",
     "solve_lyapunov",
     "rk4_backward",
@@ -137,12 +136,6 @@ class Classification:
     @property
     def is_regular(self) -> bool:
         return self.kind in ("strongly_regular", "regular")
-
-
-@dataclass(frozen=True)
-class LyapunovSolution:
-    grid: TimeGrid
-    P: np.ndarray  # (N + 1, D, n, n), or (L, N + 1, D, n, n) for L gains
 
 
 @dataclass(frozen=True)
@@ -368,8 +361,9 @@ def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarr
     return path[:, 0]
 
 
-def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> LyapunovSolution:
-    """Backward solve of the linear matrix system for a frozen gain.
+def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> np.ndarray:
+    """Backward solve of the linear matrix system for a frozen gain: P on
+    the grid nodes, (N + 1, D, n, n).
 
     ``theta`` holds per-node per-regime gains (N + 1, D, m, n), or a stack
     of L such gain tables (L, N + 1, D, m, n), which run as the L slices
@@ -397,7 +391,7 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> Lyapun
         node = failed[min(failed)]
         raise DivergenceError(node, spec.grid.nodes()[node])
     p_path = np.moveaxis(path, 1, 0)
-    return LyapunovSolution(grid=spec.grid, P=p_path if stacked else p_path[0])
+    return p_path if stacked else p_path[0]
 
 
 def _derived_tables(

@@ -265,18 +265,21 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
         k_map[..., n:-1, :n] = theta
     k_map[..., n:-1, n] = v
     k_map[..., -1, n] = 1.0
-    drift = np.concatenate([spec.A, spec.B, spec.b[..., None]], axis=-1) @ k_map
-    diff = np.concatenate([spec.C, spec.D, spec.sigma[..., None]], axis=-1) @ k_map
-    cost = np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map
     lead = (-1, *k_map.shape[-4:-2])  # (L, N + 1, D)
-    drift, diff, cost = (a.reshape(*lead, *a.shape[-2:]) for a in (drift, diff, cost))
     # each block goes straight to its place in (N + 1, L, n + 1, D (3n + 1))
-    w = np.empty((lead[1], drift.shape[0], n + 1, lead[2], 3 * n + 1))
+    # as it is formed, the cost with its larger temporary first, so that
+    # one block at a time is held beside the tables
+    cost = (np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map).reshape(*lead, n + 1, n + 1)
+    w = np.empty((lead[1], cost.shape[0], n + 1, lead[2], 3 * n + 1))
     blocks = w.transpose(1, 0, 3, 2, 4)
-    np.multiply(h, np.swapaxes(drift, -1, -2), out=blocks[..., :n])
-    blocks[..., :n] += np.eye(n + 1, n)
-    blocks[..., n:2 * n] = np.swapaxes(diff, -1, -2)
     np.multiply(h, cost, out=blocks[..., 2 * n:])
+    del cost
+    drift = np.concatenate([spec.A, spec.B, spec.b[..., None]], axis=-1) @ k_map
+    np.multiply(h, np.swapaxes(drift.reshape(*lead, n, n + 1), -1, -2), out=blocks[..., :n])
+    blocks[..., :n] += np.eye(n + 1, n)
+    del drift
+    diff = np.concatenate([spec.C, spec.D, spec.sigma[..., None]], axis=-1) @ k_map
+    blocks[..., n:2 * n] = np.swapaxes(diff.reshape(*lead, n, n + 1), -1, -2)
     return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=_terminal_form(spec), grid=spec.grid)
 
 

@@ -1,21 +1,20 @@
 """Numerical certification of the optimality and value identities.
 
-Each check compares a Monte-Carlo, path-wise, exact discrete or
-continuous-time quantity against its solver-side counterpart and records
-statistic, tolerance, and verdict.  The one Monte-Carlo check, the
-closed-loop value, accepts at three standard errors plus an explicit
-discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale`` (the
-coefficient was calibrated once against the closed-form scalar benchmark
-and is recorded in every report that uses it); it draws its paths
-through the one seeded runner of :mod:`regimelq.sim`, so it is
-deterministic given its seed and does not depend on the thread count.
-The Euler-bias, zero-control value matrix, convexity and Fréchet checks
-take the exact expectation of the Euler scheme
-(:func:`regimelq.sim._expected_values`) instead of a sample mean, and
-the value check's perturbation rows take the continuous-time cost of
-each frozen law from its Lyapunov solution
-(:func:`regimelq.riccati.solve_lyapunov`), so none of these carries a
-standard error or uses paths.
+Each row of :func:`certify` compares a Monte-Carlo, path-wise, exact
+discrete or continuous-time quantity against its solver-side
+counterpart.  The one Monte-Carlo row, the closed-loop value, accepts at
+three standard errors plus a discretization-bias allowance
+``BIAS_BUDGET_COEFF * h * scale`` (calibrated once on the closed-form
+scalar benchmark, recorded in every report that uses it); its paths come
+from the one seeded runner of :mod:`regimelq.sim`, so it does not depend
+on the thread count.  The rows that compare laws carry no standard
+error: one :func:`regimelq.riccati.solve_lyapunov` stack on
+``spec.augmented()`` prices the continuous-time cost of the optimal, the
+perturbed and the zero law, and two exact expectations of the Euler
+scheme (:func:`regimelq.sim._expected_values`), on the problem and on
+``spec.homogeneous()``, price every other law.  The rows are pure
+functions of the priced slices.  Without a closed-loop optimal law,
+:func:`not_regular_report` gives the failed range test and the probe.
 """
 
 from __future__ import annotations
@@ -31,12 +30,14 @@ from .model import ProblemSpec
 from .riccati import RiccatiSolution, solve_lyapunov
 from .sim import (
     ChainPath,
+    MCEstimate,
     StatePath,
     _cell_transitions,
     _closed_loop_tables,
     _expected_values,
     _open_loop_table,
     mc_value,
+    simulate_closed_loop,
 )
 
 __all__ = [
@@ -44,11 +45,9 @@ __all__ = [
     "VerificationReport",
     "euler_bias_budget",
     "stationarity_residual",
-    "frechet_gradient_check",
+    "certify",
     "convexity_probe",
-    "value_consistency",
-    "euler_bias",
-    "m0_crosscheck",
+    "not_regular_report",
 ]
 
 # Calibrated on the scalar closed-form benchmark (T=1, N=1000): the
@@ -59,6 +58,10 @@ BIAS_BUDGET_COEFF = 5.0
 # Perturbed laws of the value check move the gain and the offset by up to
 # this fraction of the largest optimal gain and offset norms.
 PERTURBATION_SCALE = 0.5
+N_PERTURBATIONS = 5
+
+# The Fréchet laws u + eps v: eps = 0 and two sizes of each sign.
+FRECHET_EPSILONS = (-0.1, -0.05, 0.0, 0.05, 0.1)
 
 
 def euler_bias_budget(h: float, scale: float = 1.0) -> float:
@@ -81,13 +84,12 @@ class CheckResult:
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name, statistic, tolerance, **details) -> CheckResult:
-        res = CheckResult(
+    def add(self, name, statistic, tolerance, **details) -> "VerificationReport":
+        self.checks.append(CheckResult(
             name=name, statistic=float(statistic), tolerance=float(tolerance),
             passed=bool(statistic <= tolerance), details=details,
-        )
-        self.checks.append(res)
-        return res
+        ))
+        return self
 
     def extend(self, other: "VerificationReport") -> "VerificationReport":
         self.checks.extend(other.checks)
@@ -161,66 +163,205 @@ def stationarity_residual(
     return res
 
 
-def frechet_gradient_check(
-    spec: ProblemSpec,
-    t0: float,
-    i0: int,
-    x0,
-    u: np.ndarray,
-    v: np.ndarray,
-    epsilons,
-) -> VerificationReport:
-    """Quadratic-expansion check of the cost along a control direction.
+def _perturbed_laws(
+    spec: ProblemSpec, ric: RiccatiSolution, aff: AffineSolution, seed: int,
+) -> np.ndarray:
+    """The optimal law Theta_bar = [Theta, v*] and ``N_PERTURBATIONS``
+    perturbed ones, (1 + N_PERTURBATIONS, N + 1, D, m, n + 1).  Each law
+    moves the gain and the offset by ``PERTURBATION_SCALE`` times the
+    largest gain and offset norms, drawn from the stream ``(seed, 777)``."""
+    scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
+    scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
+    prng = np.random.default_rng([seed, 777])
+    laws = [ric.Theta_bar]
+    for _ in range(N_PERTURBATIONS):
+        d_theta = PERTURBATION_SCALE * scale_theta * prng.uniform(
+            -1.0, 1.0, (spec.m, spec.n))
+        d_v = PERTURBATION_SCALE * scale_v * prng.uniform(-1.0, 1.0, spec.m)
+        laws.append(ric.Theta_bar + np.column_stack([d_theta, d_v]))
+    return np.stack(laws)
+
+
+def _probe_controls(spec: ProblemSpec, k0: int, n_controls: int, seed: int) -> np.ndarray:
+    """The convexity probe's controls, (n_controls, N + 1, m): control c is
+    drawn from the stream ``(seed, 31337, c)``, zero before node k0 and of
+    unit trapezoidal energy from k0 on."""
+    if k0 == spec.grid.steps:
+        raise ValueError("t0 = T leaves no horizon for a control of unit energy")
+    if n_controls < 1:
+        raise ValueError(f"need at least 1 control, got {n_controls}")
+    n_nodes = spec.grid.steps + 1
+    u = np.empty((n_controls, n_nodes, spec.m))
+    for c in range(n_controls):
+        crng = np.random.default_rng([seed, 31337, c])
+        u[c] = crng.normal(size=(n_nodes, spec.m))
+        u[c, :k0] = 0.0
+        sq = np.einsum("ki,ki->k", u[c], u[c])
+        u[c] /= np.sqrt(spec.grid.h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1])))
+    return u
+
+
+def _value_rows(est: MCEstimate, v_fn: float, costs: np.ndarray, h: float) -> VerificationReport:
+    """Closed-loop value agreement plus no-improvement under perturbations.
+
+    (a) the Monte-Carlo closed-loop cost must meet the evaluated value
+    function within three standard errors plus the bias allowance;
+    (b) no perturbed law (:func:`_perturbed_laws`) may cost less than the
+    optimal one (tolerance 0).  ``costs`` holds the optimal law's cost,
+    then each perturbed law's: continuous-time and exact up to the RK4
+    error, since a frozen law Theta_bar costs x_bar^T P_bar x_bar, P_bar
+    its Lyapunov solution on ``spec.augmented()``.
+    """
+    budget = euler_bias_budget(h, scale=v_fn)
+    report = VerificationReport().add(
+        "value_mc_vs_function", abs(est.mean - v_fn),
+        3.0 * est.std_error + budget,
+        mc_mean=est.mean, mc_se=est.std_error, value_function=v_fn,
+        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
+        paths=est.paths, seed=est.seed,
+    )
+    for p_id, cost in enumerate(costs[1:]):
+        gap = float(cost - costs[0])
+        report.add(
+            f"value_no_improvement_perturbation_{p_id + 1}", -gap, 0.0,
+            cost_gap=gap, optimal_cost_minus_value=float(costs[0] - v_fn),
+            seed=est.seed,
+        )
+    return report
+
+
+def _euler_bias_row(e_h: float, v_fn: float, h: float) -> VerificationReport:
+    """Exact expected closed-loop cost E_h of the Euler scheme against the
+    value function: the discretization bias that the Monte-Carlo value
+    row allows for, measured without sampling error."""
+    budget = euler_bias_budget(h, scale=v_fn)
+    return VerificationReport().add(
+        "euler_bias", abs(e_h - v_fn), budget,
+        discrete_mean=e_h, value_function=v_fn, bias=e_h - v_fn,
+        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
+    )
+
+
+def _m0_row(m0_h: np.ndarray, ode: np.ndarray, h: float) -> VerificationReport:
+    """Euler-scheme vs backward-ODE form of the zero-control value matrix.
+
+    M0_h is the quadratic block of the exact expected zero-control cost of
+    the homogeneous problem under the Euler scheme, for every initial state
+    at once; only the discretization bias separates it from the zero-gain
+    backward solve ``ode``.
+    """
+    budget = euler_bias_budget(h, scale=float(np.abs(ode).max()))
+    diff = float(np.abs(m0_h - ode).max())
+    return VerificationReport().add(
+        "m0_feynman_kac_vs_ode", diff, budget,
+        max_abs_diff=diff, bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
+    )
+
+
+def _probe_row(ratios: np.ndarray, seed: int) -> VerificationReport:
+    """Uniform-convexity probe: ``ratios`` are the exact expected
+    homogeneous costs at zero state of the unit-energy controls of
+    :func:`_probe_controls`.  The smallest one is reported, and a negative
+    one flags the problem as non-convex."""
+    eps_hat = float(ratios.min())
+    return VerificationReport().add(
+        "convexity_nonnegative_ratios", -eps_hat, 0.0,
+        eps_hat=eps_hat, n_controls=len(ratios), seed=seed,
+        ratios=ratios.tolist(), flagged_nonconvex=bool(eps_hat < 0.0),
+    )
+
+
+def _frechet_rows(eps: np.ndarray, costs: np.ndarray, j0: float) -> VerificationReport:
+    """Quadratic-expansion rows of the cost along a control direction.
 
     The state is affine in the control, so the exact expected cost of the
     Euler scheme under u + eps v is J(u) + 2 eps <grad J(u), v> + eps^2
-    J0(v), with J0(v) the homogeneous cost of v from zero state.  The
-    eps-laws run as laws of one recursion; the quadratic fitted through
-    them must be exact, its curvature must meet J0(v), a second recursion
-    on ``spec.homogeneous()``, and its slope the centered difference at
-    the largest eps.  No paths are drawn.
+    J0(v), with J0(v) the homogeneous cost of v from zero state.  ``eps``
+    is sorted and symmetric about 0, and ``costs`` holds the cost of each
+    eps-law.  The quadratic fitted through them must be exact, its
+    curvature must meet ``j0``, and its slope the centered difference at
+    the largest eps.
     """
-    k0 = spec.grid.node_index(t0)
-    u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    v = np.asarray(v, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    e_pos = sorted({abs(float(e)) for e in epsilons if e != 0})
-    if not e_pos:
-        raise ValueError("need at least one nonzero epsilon")
-    eps_grid = np.array(
-        sorted({0.0} | {e for e in e_pos} | {-e for e in e_pos})
-    )
-    hspec = spec.homogeneous()
-    trans = _cell_transitions(spec.gen, spec.grid)
-    u_eps = u + eps_grid[:, None, None] * v
-    eps_vals = _expected_values(
-        _closed_loop_tables(spec, None, _open_loop_table(spec, u_eps)), trans, k0)
-    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    costs = eps_vals[:, i0] @ x_bar @ x_bar
-    v_vals = _expected_values(
-        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)), trans, k0)
-    j0 = float(v_vals[0, i0, -1, -1])  # zero state: x̄ = [0, 1]
-
-    coef = np.polyfit(eps_grid, costs, 2)
-    fit_resid = float(np.abs(np.polyval(coef, eps_grid) - costs).max())
+    coef = np.polyfit(eps, costs, 2)
+    fit_resid = float(np.abs(np.polyval(coef, eps) - costs).max())
     c2, c1, c0 = (float(c) for c in coef)
-    e_ref = e_pos[-1]
-    jp, jm = costs[np.searchsorted(eps_grid, [e_ref, -e_ref])]
-    c1_centered = float((jp - jm) / (2.0 * e_ref))
+    c1_centered = float((costs[-1] - costs[0]) / (2.0 * eps[-1]))
 
     scale = max(1.0, abs(c0))
-    report = VerificationReport()
-    report.add(
+    report = VerificationReport().add(
         "frechet_fit_residual", fit_resid, 1e-9 * scale,
-        c0=c0, c1=c1, c2=c2, epsilons=eps_grid.tolist(),
+        c0=c0, c1=c1, c2=c2, epsilons=eps.tolist(),
     )
-    report.add(
-        "frechet_quadratic_coefficient", abs(c2 - j0), 1e-8 * scale, j0=j0, c2=c2,
-    )
-    report.add(
+    report.add("frechet_quadratic_coefficient", abs(c2 - j0), 1e-8 * scale, j0=j0, c2=c2)
+    return report.add(
         "frechet_linear_vs_centered_difference", abs(c1 - c1_centered),
         1e-8 * scale, c1=c1, c1_centered=c1_centered,
     )
-    return report
+
+
+def certify(
+    spec: ProblemSpec,
+    ric: RiccatiSolution,
+    aff: AffineSolution,
+    t0: float,
+    i0: int,
+    x0,
+    paths: int,
+    seed: int,
+    controls: int,
+    threads: int = 1,
+) -> VerificationReport:
+    """Every row of the report on a regular solution from (t0, x0, i0).
+
+    Sampled: the stationarity residual along the closed-loop path of the
+    stream ``(seed, 1)``, the Monte-Carlo value, and the Fréchet control
+    u, that of the closed-loop path of ``(seed, 2)``, along noise v from
+    ``(seed, 3)``.  Priced: the three stacked calls of the module
+    docstring, which share one table of cell transitions.
+    """
+    k0 = spec.grid.node_index(t0)
+    n, h, n_nodes = spec.n, spec.grid.h, spec.grid.steps + 1
+    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
+    v_fn = value_function(ric, aff, t0, i0, x0)
+
+    chain, path = simulate_closed_loop(spec, ric, aff, i0, x0, np.random.default_rng([seed, 1]))
+    res = stationarity_residual(spec, ric, aff, chain, path)
+    report = VerificationReport().add(
+        "stationarity_max_residual", float(np.linalg.norm(res, axis=1).max()),
+        1e-6 + 10.0 * h, seed=seed,
+    )
+    est = mc_value(spec, ric, aff, t0, i0, x0, paths, seed, threads)
+    _, u_path = simulate_closed_loop(spec, ric, aff, i0, x0, np.random.default_rng([seed, 2]))
+    v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
+    probes = _probe_controls(spec, k0, controls, seed)
+
+    # continuous time: the optimal and perturbed laws, then the zero law
+    laws = _perturbed_laws(spec, ric, aff, seed)
+    p_bar = solve_lyapunov(spec.augmented(), np.concatenate([laws, np.zeros_like(laws[:1])]))
+    p_bar = p_bar[:, k0, i0]
+
+    # Euler scheme: the optimal law, then the eps-laws u + eps v (no gain)
+    trans = _cell_transitions(spec.gen, spec.grid)
+    eps = np.array(FRECHET_EPSILONS)
+    theta = np.zeros((1 + eps.size, *ric.Theta.shape))
+    theta[0] = ric.Theta
+    offsets = np.concatenate(
+        [aff.v_star[None], _open_loop_table(spec, u_path.u + eps[:, None, None] * v_dir)])
+    vals = _expected_values(_closed_loop_tables(spec, theta, offsets), trans, k0)[:, i0]
+
+    # homogeneous Euler scheme from zero state: the zero law, the probe
+    # controls, then v
+    hspec = spec.homogeneous()
+    h_controls = np.concatenate([np.zeros((1, n_nodes, spec.m)), probes, v_dir[None]])
+    h_vals = _expected_values(
+        _closed_loop_tables(hspec, None, _open_loop_table(hspec, h_controls)), trans, k0)
+    h_vals = h_vals[:, i0]
+
+    report.extend(_value_rows(est, v_fn, p_bar[:-1] @ x_bar @ x_bar, h))
+    report.extend(_euler_bias_row(float(x_bar @ vals[0] @ x_bar), v_fn, h))
+    report.extend(_m0_row(h_vals[0, :n, :n], p_bar[-1, :n, :n], h))
+    report.extend(_probe_row(h_vals[1:-1, -1, -1], seed))
+    return report.extend(_frechet_rows(eps, vals[1:] @ x_bar @ x_bar, float(h_vals[-1, -1, -1])))
 
 
 def convexity_probe(
@@ -230,153 +371,30 @@ def convexity_probe(
     n_controls: int,
     rng_seed: int,
 ) -> VerificationReport:
-    """Uniform-convexity probe of the homogeneous cost at zero state.
-
-    Draws unit-energy control samples and takes the exact expected
-    homogeneous cost of each under the Euler scheme, all of them laws of
-    one recursion; the smallest cost-to-energy ratio is reported, and a
-    negative one flags the problem as non-convex.
-    """
+    """Uniform-convexity probe of the homogeneous cost at zero state, on
+    its own: the controls of :func:`_probe_controls` as the laws of one
+    exact expectation of the Euler scheme."""
     k0 = spec.grid.node_index(t0)
-    if k0 == spec.grid.steps:
-        raise ValueError("t0 = T leaves no horizon for a control of unit energy")
-    if n_controls < 1:
-        raise ValueError(f"need at least 1 control, got {n_controls}")
+    u = _probe_controls(spec, k0, n_controls, rng_seed)
     hspec = spec.homogeneous()
-    n_nodes = spec.grid.steps + 1
-    h = spec.grid.h
-    u = np.empty((n_controls, n_nodes, spec.m))
-    for c in range(n_controls):
-        crng = np.random.default_rng([rng_seed, 31337, c])
-        u[c] = crng.normal(size=(n_nodes, spec.m))
-        u[c, :k0] = 0.0
-        sq = np.einsum("ki,ki->k", u[c], u[c])
-        u[c] /= np.sqrt(h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1])))
-
     tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u))
     vals = _expected_values(tables, _cell_transitions(hspec.gen, hspec.grid), k0)
-    ratios = vals[:, i0, -1, -1]  # zero state: x̄ = [0, 1]
-    eps_hat = float(ratios.min())
-    report = VerificationReport()
-    report.add(
-        "convexity_nonnegative_ratios", -eps_hat, 0.0,
-        eps_hat=eps_hat, n_controls=n_controls, seed=rng_seed,
-        ratios=ratios.tolist(), flagged_nonconvex=bool(eps_hat < 0.0),
-    )
-    return report
+    return _probe_row(vals[:, i0, -1, -1], rng_seed)  # zero state: x̄ = [0, 1]
 
 
-def value_consistency(
+def not_regular_report(
     spec: ProblemSpec,
-    ric: RiccatiSolution,
-    aff: AffineSolution,
+    ric: RiccatiSolution | None,
     t0: float,
     i0: int,
-    x0,
-    n_paths: int,
-    rng_seed: int,
-    n_perturbations: int = 5,
-    threads: int = 1,
+    n_controls: int,
+    seed: int,
 ) -> VerificationReport:
-    """Closed-loop value agreement plus no-improvement under perturbations.
-
-    (a) the Monte-Carlo closed-loop cost must meet the evaluated value
-    function within three standard errors plus the bias allowance;
-    (b) no randomly perturbed feedback law may cost less than the optimal
-    one (tolerance 0).  Each law is perturbed by ``PERTURBATION_SCALE``
-    times the largest gain and offset norms, drawn from the stream
-    ``(rng_seed, 777)``.  The costs of (b) are continuous-time and exact
-    up to the RK4 error: a frozen law Theta_bar = [Theta, v] costs
-    x_bar^T P_bar x_bar, P_bar its Lyapunov solution on
-    ``spec.augmented()``, and the optimal and every perturbed law run as
-    the slices of one :func:`regimelq.riccati.solve_lyapunov` call, so
-    (b) uses no paths.
-    """
-    k0 = spec.grid.node_index(t0)
+    """The report of a problem with no closed-loop optimal law to certify:
+    the failed range test, when one decided the verdict, and the convexity
+    probe (a flagged probe explains a failed iteration)."""
     report = VerificationReport()
-
-    est = mc_value(spec, ric, aff, t0, i0, x0, n_paths, rng_seed, threads)
-    v_fn = value_function(ric, aff, t0, i0, x0)
-    budget = euler_bias_budget(spec.grid.h, scale=v_fn)
-    report.add(
-        "value_mc_vs_function", abs(est.mean - v_fn),
-        3.0 * est.std_error + budget,
-        mc_mean=est.mean, mc_se=est.std_error, value_function=v_fn,
-        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
-        paths=n_paths, seed=rng_seed,
-    )
-
-    scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
-    scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
-    prng = np.random.default_rng([rng_seed, 777])
-    laws = [ric.Theta_bar]
-    for _ in range(n_perturbations):
-        d_theta = PERTURBATION_SCALE * scale_theta * prng.uniform(
-            -1.0, 1.0, (spec.m, spec.n))
-        d_v = PERTURBATION_SCALE * scale_v * prng.uniform(-1.0, 1.0, spec.m)
-        laws.append(ric.Theta_bar + np.column_stack([d_theta, d_v]))
-    p_bar = solve_lyapunov(spec.augmented(), np.stack(laws)).P[:, k0, i0]
-    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    costs = p_bar @ x_bar @ x_bar
-    for p_id, cost in enumerate(costs[1:]):
-        gap = float(cost - costs[0])
-        report.add(
-            f"value_no_improvement_perturbation_{p_id + 1}", -gap, 0.0,
-            cost_gap=gap, optimal_cost_minus_value=float(costs[0] - v_fn),
-            seed=rng_seed,
-        )
-    return report
-
-
-def euler_bias(
-    spec: ProblemSpec,
-    ric: RiccatiSolution,
-    aff: AffineSolution,
-    t0: float,
-    i0: int,
-    x0,
-) -> VerificationReport:
-    """Exact expected closed-loop cost of the Euler scheme against the
-    value function: the discretization bias that the Monte-Carlo value
-    check allows for, measured without sampling error."""
-    k0 = spec.grid.node_index(t0)
-    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
-    vals = _expected_values(tables, _cell_transitions(spec.gen, spec.grid), k0)
-    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    e_h = float(x_bar @ vals[0, i0] @ x_bar)
-    v_fn = value_function(ric, aff, t0, i0, x0)
-    budget = euler_bias_budget(spec.grid.h, scale=v_fn)
-    report = VerificationReport()
-    report.add(
-        "euler_bias", abs(e_h - v_fn), budget,
-        discrete_mean=e_h, value_function=v_fn, bias=e_h - v_fn,
-        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
-    )
-    return report
-
-
-def m0_crosscheck(spec: ProblemSpec, t0: float, i0: int) -> VerificationReport:
-    """Euler-scheme vs backward-ODE form of the zero-control value matrix.
-
-    M0_h is the quadratic block of the exact expected zero-control cost of
-    the homogeneous problem under the Euler scheme, for every initial state
-    at once; only the discretization bias separates it from the zero-gain
-    backward solve evaluated at (t0, i0).
-    """
-    k0 = spec.grid.node_index(t0)
-    hspec = spec.homogeneous()
-    zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m))
-    vals = _expected_values(_closed_loop_tables(hspec, None, zero),
-                            _cell_transitions(spec.gen, spec.grid), k0)
-    m0_h = vals[0, i0, :spec.n, :spec.n]
-    ode = solve_lyapunov(spec).P[k0, i0]
-    budget = euler_bias_budget(
-        spec.grid.h, scale=float(np.abs(ode).max())
-    )
-    diff = float(np.abs(m0_h - ode).max())
-    report = VerificationReport()
-    report.add(
-        "m0_feynman_kac_vs_ode", diff, budget,
-        max_abs_diff=diff, bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
-    )
-    return report
+    if ric is not None and ric.classification.residual is not None:
+        cls = ric.classification
+        report.add("offset_range_residual", cls.residual, cls.range_tol, reason=cls.reason)
+    return report.extend(convexity_probe(spec, t0, i0, n_controls, seed))

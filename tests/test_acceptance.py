@@ -27,14 +27,13 @@ from regimelq.sim import (
     simulate_closed_loop,
 )
 from regimelq.verify import (
+    certify,
     convexity_probe,
     euler_bias_budget,
-    frechet_gradient_check,
     stationarity_residual,
-    value_consistency,
 )
 
-from reference import iterate_one_by_one
+from reference import frechet_rows, iterate_one_by_one
 
 
 def _verdict(num: int, ok: bool, desc: str, metric: str) -> None:
@@ -118,7 +117,7 @@ def test_criterion_04_feynman_kac_crosscheck():
         se = costs.std(ddof=1) / np.sqrt(costs.size)
         z_max = max(z_max, abs(costs.mean() - x0 @ m0_h @ x0) / se)
     elapsed = time.perf_counter() - start
-    ode = solve_lyapunov(spec).P[0, 0]
+    ode = solve_lyapunov(spec)[0, 0]
     budget = euler_bias_budget(spec.grid.h, scale=float(np.abs(ode).max()))
     gap = float(np.abs(m0_h - ode).max())
     ok = gap <= budget and z_max <= 4.5 and elapsed < 30.0
@@ -142,10 +141,9 @@ def test_criterion_05_value_consistency_with_perturbations():
     all_ok, metrics = True, []
     for label, spec, x0, i0 in cases:
         ric, aff = _solved(spec)
-        report = value_consistency(
-            spec, ric, aff, spec.grid.t0, i0, x0, 10000, 515, n_perturbations=5,
-        )
-        all_ok = all_ok and report.all_passed
+        report = certify(spec, ric, aff, spec.grid.t0, i0, x0, 10000, 515, 2)
+        value_rows = [c for c in report.checks if c.name.startswith("value_")]
+        all_ok = all_ok and len(value_rows) == 6 and all(c.passed for c in value_rows)
         main_check = report["value_mc_vs_function"]
         metrics.append(
             f"{label}: |mc-V| {main_check.statistic:.2e} <= {main_check.tolerance:.2e}, "
@@ -188,9 +186,7 @@ def test_criterion_07_quadratic_expansion():
         spec, ric, aff, 0, x0, np.random.default_rng(77)
     )
     v_dir = np.random.default_rng(78).normal(size=(spec.grid.steps + 1, spec.m))
-    report = frechet_gradient_check(
-        spec, 0.0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2)
-    )
+    report = frechet_rows(spec, 0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2))
     fit_resid = report["frechet_fit_residual"].statistic
     details = report["frechet_quadratic_coefficient"].details
     rel_quad = abs(details["c2"] - details["j0"]) / abs(details["j0"])

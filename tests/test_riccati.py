@@ -186,8 +186,8 @@ def test_lyapunov_constant_solution():
     gen = Generator.constant([[0.0]], grid)
     spec = benchmarks.scalar_benchmark(steps=16)
     spec = dataclasses.replace(spec, gen=gen, B=np.zeros_like(spec.B))
-    sol = solve_lyapunov(spec)
-    assert np.array_equal(sol.P, np.ones_like(sol.P))
+    p = solve_lyapunov(spec)
+    assert np.array_equal(p, np.ones_like(p))
 
 
 def test_lyapunov_exponential_closed_form():
@@ -198,9 +198,9 @@ def test_lyapunov_exponential_closed_form():
     spec = benchmarks.scalar_benchmark(steps=steps)
     a_arr = np.full_like(spec.A, a)
     spec = dataclasses.replace(spec, gen=gen, A=a_arr, B=np.zeros_like(spec.B))
-    sol = solve_lyapunov(spec)
+    p = solve_lyapunov(spec)
     want = np.exp(2.0 * a * (1.0 - grid.nodes()))
-    assert np.abs(sol.P[:, 0, 0, 0] - want).max() < 1e-10
+    assert np.abs(p[:, 0, 0, 0] - want).max() < 1e-10
 
 
 def test_lyapunov_time_varying_closed_form():
@@ -210,9 +210,9 @@ def test_lyapunov_time_varying_closed_form():
     spec = benchmarks.scalar_benchmark(steps=steps)
     t = spec.grid.nodes()
     spec = dataclasses.replace(spec, A=(0.7 - 1.2 * t)[:, None, None, None])
-    sol = solve_lyapunov(spec)
+    p = solve_lyapunov(spec)
     want = np.exp(2.0 * (0.7 * (1.0 - t) - 0.6 * (1.0 - t * t)))
-    assert np.abs(sol.P[:, 0, 0, 0] - want).max() < 1e-10
+    assert np.abs(p[:, 0, 0, 0] - want).max() < 1e-10
 
 
 def test_lyapunov_identical_regimes_stay_identical():
@@ -228,14 +228,14 @@ def test_lyapunov_identical_regimes_stay_identical():
     gv = base.g.copy()
     gv[1] = gv[0]
     spec = dataclasses.replace(base, G=g_arr, g=gv, **kw)
-    sol = solve_lyapunov(spec)
-    assert np.array_equal(sol.P[:, 0], sol.P[:, 1])
+    p = solve_lyapunov(spec)
+    assert np.array_equal(p[:, 0], p[:, 1])
 
 
 def test_lyapunov_terminal_condition_exact():
     spec = benchmarks.two_regime_standard(steps=12)
-    sol = solve_lyapunov(spec)
-    assert np.array_equal(sol.P[-1], spec.G)
+    p = solve_lyapunov(spec)
+    assert np.array_equal(p[-1], spec.G)
 
 
 # ------------------------------------------------------ direct solve
@@ -383,10 +383,10 @@ def test_stacked_lyapunov_slices_match_their_one_law_calls():
     rng = np.random.default_rng(3)
     laws = np.stack([theta_bar, theta_bar + 0.4,
                      theta_bar + rng.uniform(-1.0, 1.0, theta_bar.shape)])
-    stacked = solve_lyapunov(aug, laws).P
-    assert stacked.shape == (3, *solve_lyapunov(aug).P.shape)
+    stacked = solve_lyapunov(aug, laws)
+    assert stacked.shape == (3, *solve_lyapunov(aug).shape)
     for law, p_law in zip(laws, stacked):
-        assert np.array_equal(p_law, solve_lyapunov(aug, law).P)
+        assert np.array_equal(p_law, solve_lyapunov(aug, law))
 
 
 def test_stacked_lyapunov_names_the_diverging_law():
@@ -409,7 +409,7 @@ def _paths_by_block_size(monkeypatch, spec, block):
     direct = solve_riccati_direct(spec)
     aff = solve_eta(spec, direct)
     lyap = solve_lyapunov(spec, direct.Theta)
-    return direct.P, lyap.P, aff.eta, aff.value_integral
+    return direct.P, lyap, aff.eta, aff.value_integral
 
 
 BLOCK = riccati._BLOCK_STEPS
@@ -437,11 +437,11 @@ def test_lyapunov_tables_stay_blocked():
     spec = benchmarks.two_regime_standard(steps=20000)
     tracemalloc.start()
     try:
-        sol = solve_lyapunov(spec)
+        p = solve_lyapunov(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * sol.P.nbytes, peak / sol.P.nbytes
+    assert peak < 2.5 * p.nbytes, peak / p.nbytes
 
 
 def test_direct_blowup_reports_first_bad_node():
@@ -599,7 +599,7 @@ def test_iteration_rejects_bundled_nonconvex_at_first_iterate(name):
     spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
     with pytest.raises(NotStronglyRegularError) as err:
         iterate_strongly_regular(spec)
-    *_, min_eig = riccati._derived_tables(spec, solve_lyapunov(spec).P, DEFAULT_PINV_TOL)
+    *_, min_eig = riccati._derived_tables(spec, solve_lyapunov(spec), DEFAULT_PINV_TOL)
     assert err.value.min_eig == float(min_eig.min()) <= 0.0
 
 

@@ -30,7 +30,7 @@ from regimelq.sim import (
     simulate_policy,
     simulate_state,
 )
-from regimelq.verify import frechet_gradient_check, value_consistency
+from regimelq.verify import N_PERTURBATIONS, certify
 
 
 def _solved(spec):
@@ -563,20 +563,19 @@ def test_value_consistency_matches_one_law_per_call():
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
     ric, aff = _solved(spec)
     x0, seed, i0 = np.full(spec.n, 0.9), 23, 1
-    report = value_consistency(spec, ric, aff, 0.0, i0, x0, 150, seed,
-                               n_perturbations=3)
+    report = certify(spec, ric, aff, 0.0, i0, x0, 150, seed, 2)
     aug = spec.augmented()
     x_bar = np.append(x0, 1.0)
 
     def cost(theta_bar):
-        return x_bar @ solve_lyapunov(aug, theta_bar).P[0, i0] @ x_bar
+        return x_bar @ solve_lyapunov(aug, theta_bar)[0, i0] @ x_bar
 
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
     scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
     prng = np.random.default_rng([seed, 777])
     optimal = cost(ric.Theta_bar)
     v_fn = value_function(ric, aff, 0.0, i0, x0)
-    for p_id in range(3):
+    for p_id in range(N_PERTURBATIONS):
         d_theta = 0.5 * scale_theta * prng.uniform(-1.0, 1.0, (spec.m, spec.n))
         d_v = 0.5 * scale_v * prng.uniform(-1.0, 1.0, spec.m)
         d_bar = np.concatenate([d_theta, d_v[:, None]], axis=1)
@@ -588,12 +587,15 @@ def test_value_consistency_matches_one_law_per_call():
 
 
 def test_frechet_check_matches_one_law_per_call():
+    # certify's control u is the closed-loop path of the stream (seed, 2),
+    # its direction v noise from (seed, 3)
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
-    n_steps = spec.grid.steps
-    rng = np.random.default_rng(5)
-    u, v = rng.normal(size=(2, n_steps + 1, spec.m))
-    x0 = np.array([1.0, -0.5])
-    report = frechet_gradient_check(spec, 0.0, 0, x0, u, v, (0.05, 0.1))
+    ric, aff = _solved(spec)
+    x0, seed = np.array([1.0, -0.5]), 5
+    report = certify(spec, ric, aff, 0.0, 0, x0, 1, seed, 1)
+    _, path = simulate_closed_loop(spec, ric, aff, 0, x0, np.random.default_rng([seed, 2]))
+    u = path.u
+    v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
     trans = _cell_transitions(spec.gen, spec.grid)
     x_bar = np.append(x0, 1.0)
     eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])

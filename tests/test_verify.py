@@ -1,14 +1,17 @@
 """Certification checks: stationarity, expansion, convexity, value, kernels."""
 
+import collections
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regimelq import benchmarks
+from regimelq import benchmarks, riccati, sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.cli import main
+from regimelq.model import ProblemSpec
 from regimelq.problemfile import parse_problem
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
@@ -25,13 +28,13 @@ from regimelq.sim import (
     simulate_state,
 )
 from regimelq.verify import (
+    VerificationReport,
+    certify,
     convexity_probe,
-    euler_bias,
-    frechet_gradient_check,
-    m0_crosscheck,
     stationarity_residual,
-    value_consistency,
 )
+
+from reference import certify_one_law_per_call, frechet_rows
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -39,6 +42,19 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 def _solved(spec):
     ric = solve_riccati_direct(spec)
     return ric, solve_eta(spec, ric)
+
+
+def _certified(spec, i0=0, x0=None, paths=50, seed=1, controls=2):
+    """certify's report on ``spec`` from its first node, x0 all ones by
+    default."""
+    ric, aff = _solved(spec)
+    x0 = np.ones(spec.n) if x0 is None else x0
+    return certify(spec, ric, aff, spec.grid.t0, i0, x0, paths, seed, controls)
+
+
+def _rows(report, prefix):
+    """The rows of ``report`` whose names start with ``prefix``."""
+    return VerificationReport([c for c in report.checks if c.name.startswith(prefix)])
 
 
 # ------------------------------------------------------- stationarity
@@ -83,9 +99,7 @@ def test_stationarity_zero_state_is_exactly_zero():
 def test_frechet_zero_direction():
     spec = benchmarks.two_regime_standard(steps=40)
     u = np.zeros((41, 1))
-    report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2),
-    )
+    report = frechet_rows(spec, 0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2))
     res = report["frechet_fit_residual"]
     assert abs(res.details["c1"]) <= 1e-9
     assert abs(res.details["c2"]) <= 1e-9
@@ -97,9 +111,7 @@ def test_frechet_deterministic_exact_quadratic():
     rng = np.random.default_rng(21)
     u = rng.normal(size=(201, 1))
     v = rng.normal(size=(201, 1))
-    report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2),
-    )
+    report = frechet_rows(spec, 0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2))
     assert report["frechet_fit_residual"].statistic <= 1e-10
     assert report.all_passed
     c2 = report["frechet_quadratic_coefficient"].details["c2"]
@@ -114,9 +126,7 @@ def test_frechet_linear_term_vanishes_at_feedback_optimum():
         spec, ric, aff, 0, np.array([0.5]), np.random.default_rng(0)
     )
     v = np.random.default_rng(10).normal(size=(301, 1))
-    report = frechet_gradient_check(
-        spec, 0.0, 0, np.array([0.5]), path.u, v, (0.05, 0.1),
-    )
+    report = frechet_rows(spec, 0, 0, np.array([0.5]), path.u, v, (0.05, 0.1))
     assert abs(report["frechet_fit_residual"].details["c1"]) <= 1e-6
     assert report["frechet_quadratic_coefficient"].details["c2"] >= 0.0
 
@@ -126,19 +136,14 @@ def test_frechet_quadratic_coefficient_stochastic():
     rng = np.random.default_rng(31)
     u = 0.3 * rng.normal(size=(81, 1))
     v = rng.normal(size=(81, 1))
-    report = frechet_gradient_check(
-        spec, 0.0, 1, np.array([0.7]), u, v, (0.1, 0.2),
-    )
+    report = frechet_rows(spec, 0, 1, np.array([0.7]), u, v, (0.1, 0.2))
     assert report.all_passed
 
 
 def _frechet_rows_of_verify(spec, ric, aff, seed):
-    """The Fréchet rows that ``verify --seed seed`` writes for ``spec``,
-    from the control, direction and epsilons it uses."""
-    x0 = np.ones(spec.n)
-    _, path = simulate_closed_loop(spec, ric, aff, 0, x0, np.random.default_rng([seed, 2]))
-    v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
-    return frechet_gradient_check(spec, 0.0, 0, x0, path.u, v, (0.05, 0.1))
+    """The Fréchet rows that ``verify --seed seed`` writes for ``spec``."""
+    report = certify(spec, ric, aff, 0.0, 0, np.ones(spec.n), 1, seed, 1)
+    return _rows(report, "frechet_")
 
 
 def test_frechet_quadratic_coefficient_sees_offset_kept_in_homogeneous(monkeypatch):
@@ -259,16 +264,14 @@ def test_value_consistency_zero_problem():
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
         S=np.zeros_like(spec.S),
     )
-    ric, aff = _solved(spec)
-    report = value_consistency(spec, ric, aff, 0.0, 0, np.ones(2), 300, 15)
+    report = _rows(_certified(spec, paths=300, seed=15), "value_")
     assert report["value_mc_vs_function"].statistic == 0.0
     assert report.all_passed
 
 
 def test_value_consistency_scalar_oracle():
     spec = benchmarks.scalar_benchmark(steps=400)
-    ric, aff = _solved(spec)
-    report = value_consistency(spec, ric, aff, 0.0, 0, np.array([1.0]), 2000, 16)
+    report = _rows(_certified(spec, paths=2000, seed=16), "value_")
     assert report.all_passed
     assert report["value_mc_vs_function"].details["value_function"] == pytest.approx(
         0.5, rel=1e-9
@@ -290,8 +293,7 @@ def test_value_perturbed_gain_costs_more():
 
 def test_value_consistency_inhomogeneous_two_regime():
     spec = benchmarks.two_regime_inhomogeneous(steps=200)
-    ric, aff = _solved(spec)
-    report = value_consistency(spec, ric, aff, 0.0, 0, np.array([0.7]), 4000, 17)
+    report = _rows(_certified(spec, x0=np.array([0.7]), paths=4000, seed=17), "value_")
     assert report.all_passed
 
 
@@ -302,10 +304,10 @@ def test_value_perturbation_rows_catch_a_suboptimal_law():
     ric, aff = _solved(spec)
     rows = [f"value_no_improvement_perturbation_{p}" for p in range(1, 6)]
     x0, seed = np.ones(spec.n), 1
-    good = value_consistency(spec, ric, aff, 0.0, 0, x0, 50, seed)
+    good = certify(spec, ric, aff, 0.0, 0, x0, 50, seed, 2)
     assert all(good[r].passed for r in rows)
     shifted = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + 0.2)
-    bad = value_consistency(spec, shifted, aff, 0.0, 0, x0, 50, seed)
+    bad = certify(spec, shifted, aff, 0.0, 0, x0, 50, seed, 2)
     assert not all(bad[r].passed for r in rows)
 
 
@@ -348,8 +350,7 @@ def test_m0_exact_identity_case():
         Q=np.zeros_like(spec.Q),
         G=np.broadcast_to(np.eye(2), spec.G.shape).copy(),
     )
-    report = m0_crosscheck(spec, 0.0, 0)
-    check = report["m0_feynman_kac_vs_ode"]
+    check = _certified(spec)["m0_feynman_kac_vs_ode"]
     assert check.passed
     assert check.details["max_abs_diff"] <= 1e-12
 
@@ -360,7 +361,7 @@ def test_m0_scalar_exponential():
     spec = dataclasses.replace(
         spec, A=np.full_like(spec.A, a), Q=np.zeros_like(spec.Q)
     )
-    report = m0_crosscheck(spec, 0.0, 0)
+    report = _rows(_certified(spec), "m0_")
     assert report.all_passed
     # the Euler second moment (1 + ha)^2N = 1 + 2aT - O(h) undershoots e^2aT
     diff = report["m0_feynman_kac_vs_ode"].details["max_abs_diff"]
@@ -369,7 +370,7 @@ def test_m0_scalar_exponential():
 
 
 def test_m0_two_regime_coupled():
-    report = m0_crosscheck(benchmarks.two_regime_standard(steps=200), 0.0, 1)
+    report = _rows(_certified(benchmarks.two_regime_standard(steps=200), i0=1), "m0_")
     assert report.all_passed
 
 
@@ -379,12 +380,9 @@ def test_m0_two_regime_coupled():
 @pytest.mark.parametrize("name", ["scalar", "standard", "two_regime", "dead_channel"])
 def test_euler_bias_is_small_and_first_order(name):
     spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
-    x0 = np.ones(spec.n)
     biases = []
     for steps in (spec.grid.steps, 2 * spec.grid.steps):
-        fine = spec.with_steps(steps)
-        ric, aff = _solved(fine)
-        check = euler_bias(fine, ric, aff, fine.grid.t0, 0, x0)["euler_bias"]
+        check = _certified(spec.with_steps(steps), paths=1)["euler_bias"]
         assert check.passed
         assert check.statistic <= 0.1 * check.tolerance
         biases.append(check.details["bias"])
@@ -426,9 +424,59 @@ def test_completion_of_squares_identity():
 
 
 def test_report_serialization_shape():
-    report = m0_crosscheck(benchmarks.two_regime_standard(steps=40), 0.0, 0)
+    report = _certified(benchmarks.two_regime_standard(steps=40))
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "check,statistic,tolerance,pass"
     assert len(lines) == 1 + len(report.checks)
     assert "PASS" in report.summary() or "FAIL" in report.summary()
+
+
+# ------------------------------------------------------------ certify
+
+
+@pytest.mark.parametrize("which, third", [
+    ("standard", False), ("two_regime", False), ("two_regime", True), ("dead_channel", False),
+])
+def test_certify_matches_one_law_per_call(which, third):
+    # the three stacked pricings give every statistic and detail bit for
+    # bit as one call per law, and the zero-law slice of the Lyapunov
+    # stack as the zero-gain solve of the problem itself
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    ric, aff = _solved(spec)
+    t0 = spec.grid.nodes()[spec.grid.steps // 3 if third else 0]
+    args = (spec, ric, aff, t0, spec.n_regimes - 1, np.linspace(0.5, 1.5, spec.n), 300, 5, 4)
+    got, want = certify(*args), certify_one_law_per_call(*args)
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for row, ref in zip(got.checks, want.checks):
+        assert row == ref, row.name
+
+
+def test_verify_prices_every_row_in_three_stacked_calls(monkeypatch, tmp_path):
+    # one Lyapunov stack and two Euler recursions, on the problem and on
+    # its one homogeneous copy, sharing one table of cell transitions
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        # every module that imported the function by name calls it there
+        for module in [m for k, m in sys.modules.items() if k.startswith("regimelq")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+        if owner is ProblemSpec:
+            monkeypatch.setattr(owner, name, counted)
+
+    count(riccati, "solve_lyapunov")
+    count(sim, "_expected_values")
+    count(sim, "_cell_transitions")
+    count(ProblemSpec, "homogeneous")
+    code = main(["verify", "--problem", str(PROBLEMS / "standard.yaml"), "--paths", "50",
+                 "--seed", "3", "--threads", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == {"solve_lyapunov": 1, "_expected_values": 2, "_cell_transitions": 1,
+                     "homogeneous": 1}
