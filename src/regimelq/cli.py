@@ -7,9 +7,10 @@ Problem files are YAML; the schema is documented in
 optimal law; the seed streams, epsilons and tolerances of its rows live
 in :mod:`regimelq.verify`.
 
-Exit codes: 0 success, 1 problem-file/validation error, a run argument
-that does not fit the problem or the solver, a flag given to a command
-it does not apply to, a flag other than ``--out`` given to
+Exit codes: 0 success, 1 problem-file/validation error, a usage error
+(an unknown flag, a missing ``--problem``, a value of the wrong type), a
+run argument that does not fit the problem or the solver, a flag given
+to a command it does not apply to, a flag other than ``--out`` given to
 ``report``, or a ``verification.csv`` that ``report`` cannot read, 2 no
 closed-loop optimal law: the
 solution is not regular, or its offset rho_hat leaves the range of the
@@ -314,8 +315,17 @@ def _cmd_report(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2,
+    which is the exit code of no closed-loop optimal law."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regimelq",
         description="Regime-switching LQ control: solve, simulate, verify.",
     )

@@ -381,10 +381,10 @@ def _expected_values(tables: _Tables, trans, k0=0) -> np.ndarray:
     return vals - 0.5 * blocks(k0)[..., 2 * n:]
 
 
-def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None, dw=None) -> StatePath:
+def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None) -> StatePath:
     """Integrate one state path under given control samples per node."""
     u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    return simulate_policy(spec, chain, None, _open_loop_table(spec, u), x0, rng, dw)
+    return simulate_policy(spec, chain, None, _open_loop_table(spec, u), x0, rng)
 
 
 def simulate_policy(
@@ -416,14 +416,12 @@ def simulate_closed_loop(
     i0: int,
     x0,
     rng,
-    chain: ChainPath | None = None,
-    dw=None,
 ) -> tuple[ChainPath, StatePath]:
     """Sample the closed-loop system under the synthesized feedback law.
 
-    Draws the chain and Brownian increments unless given (pass both to
-    reuse common random numbers).  Returns the chain together with the
-    state path because cost evaluation needs the realized regimes.
+    Draws the chain, then the Brownian increments.  Returns the chain
+    together with the state path because cost evaluation needs the
+    realized regimes.
     """
     if not ric.classification.is_regular:
         raise ValueError(
@@ -431,10 +429,8 @@ def simulate_closed_loop(
             f"{ric.classification}"
         )
     rng = as_rng(rng)
-    if chain is None:
-        chain = simulate_chain(spec.gen, spec.grid, i0, rng)
-    path = simulate_policy(spec, chain, ric.Theta, aff.v_star, x0, rng, dw)
-    return chain, path
+    chain = simulate_chain(spec.gen, spec.grid, i0, rng)
+    return chain, simulate_policy(spec, chain, ric.Theta, aff.v_star, x0, rng)
 
 
 def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float:

@@ -1,20 +1,23 @@
 """Numerical certification of the optimality and value identities.
 
-Each row of :func:`certify` compares a Monte-Carlo, path-wise, exact
-discrete or continuous-time quantity against its solver-side
-counterpart.  The one Monte-Carlo row, the closed-loop value, accepts at
-three standard errors plus a discretization-bias allowance
-``BIAS_BUDGET_COEFF * h * scale`` (calibrated once on the closed-form
-scalar benchmark, recorded in every report that uses it); its paths come
-from the one seeded runner of :mod:`regimelq.sim`, so it does not depend
-on the thread count.  The rows that compare laws carry no standard
-error: one :func:`regimelq.riccati.solve_lyapunov` stack on
+Each row of :func:`certify` compares a Monte-Carlo, exact discrete or
+continuous-time quantity against its solver-side counterpart, or reads
+the feedback law itself.  The one Monte-Carlo row, the closed-loop
+value, accepts at three standard errors plus a discretization-bias
+allowance ``BIAS_BUDGET_COEFF * h * scale`` (calibrated once on the
+closed-form scalar benchmark, recorded in every report that uses it);
+its paths come from the one seeded runner of :mod:`regimelq.sim`, so it
+does not depend on the thread count.  No other row draws a path.  The
+stationarity row is the law's own range residual S_bar + R_hat
+Theta_bar at every node and regime.  The rows that compare laws carry
+no standard error: one :func:`regimelq.riccati.solve_lyapunov` stack on
 ``spec.augmented()`` prices the continuous-time cost of the optimal, the
 perturbed and the zero law, and two exact expectations of the Euler
 scheme (:func:`regimelq.sim._expected_values`), on the problem and on
 ``spec.homogeneous()``, price every other law.  The rows are pure
-functions of the priced slices.  Without a closed-loop optimal law,
-:func:`not_regular_report` gives the failed range test and the probe.
+functions of the law and the priced slices.  Without a closed-loop
+optimal law, :func:`not_regular_report` gives the failed range test and
+the probe.
 """
 
 from __future__ import annotations
@@ -27,24 +30,20 @@ import numpy as np
 
 from .affine import AffineSolution, value_function
 from .model import ProblemSpec
-from .riccati import RiccatiSolution, solve_lyapunov
+from .riccati import DEFAULT_RANGE_TOL, RiccatiSolution, solve_lyapunov
 from .sim import (
-    ChainPath,
     MCEstimate,
-    StatePath,
     _cell_transitions,
     _closed_loop_tables,
     _expected_values,
     _open_loop_table,
     mc_value,
-    simulate_closed_loop,
 )
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
     "euler_bias_budget",
-    "stationarity_residual",
     "certify",
     "convexity_probe",
     "not_regular_report",
@@ -60,7 +59,8 @@ BIAS_BUDGET_COEFF = 5.0
 PERTURBATION_SCALE = 0.5
 N_PERTURBATIONS = 5
 
-# The Fréchet laws u + eps v: eps = 0 and two sizes of each sign.
+# The Fréchet laws eps v about the zero control: eps = 0 and two sizes of
+# each sign.
 FRECHET_EPSILONS = (-0.1, -0.05, 0.0, 0.05, 0.1)
 
 
@@ -131,36 +131,22 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def stationarity_residual(
-    spec: ProblemSpec,
-    ric: RiccatiSolution,
-    aff: AffineSolution,
-    chain: ChainPath,
-    path: StatePath,
-) -> np.ndarray:
-    """First-order optimality residual along a realized closed-loop path.
+def _stationarity_row(ric: RiccatiSolution, k0: int) -> VerificationReport:
+    """First-order optimality of the feedback law at every state.
 
-    Evaluated node-wise with the adjoint pair reconstructed from the
-    quadratic-value matrices and offsets; vanishes (to rounding plus
-    discretization) for regular solutions.  Shape (N + 1, m).
+    Along any state x̄ = [x, 1] in regime i at node k, the FBSDE constraint
+    Bᵀ Y + Dᵀ Z + S X + R u + ρ of the adjoint pair Y = P x + η,
+    Z = P(C x + D u + σ) under u = Θ̄ x̄ is Ŝ x + R̂ u + ρ̂ = (S̄ + R̂Θ̄) x̄.
+    So it holds at every state iff S̄ + R̂Θ̄ = 0, which is the law's own
+    range test: Θ̄ = −(R̂⁺S̄), so S̄ + R̂Θ̄ is bit for bit S̄ − R̂(R̂⁺S̄), the
+    residual of :func:`regimelq.matcore.outside_range`.  The statistic is
+    its largest ‖·‖_F / max(1, ‖S̄‖_F) over nodes k0..N and every regime,
+    at the classification's range tolerance ``DEFAULT_RANGE_TOL``.
     """
-    idx = np.arange(spec.grid.steps + 1)
-    reg = chain.alpha
-    b_k = spec.B[idx, reg]
-    d_k = spec.D[idx, reg]
-    p_k = ric.P[idx, reg]
-    theta_k = ric.Theta[idx, reg]
-    y = np.einsum("kij,kj->ki", p_k, path.X) + aff.eta[idx, reg]
-    c_eff = spec.C[idx, reg] + d_k @ theta_k
-    z_arg = np.einsum("kij,kj->ki", c_eff, path.X)
-    z_arg += np.einsum("kij,kj->ki", d_k, aff.v_star[idx, reg])
-    z_arg += spec.sigma[idx, reg]
-    z = np.einsum("kij,kj->ki", p_k, z_arg)
-    res = np.einsum("kji,kj->ki", b_k, y) + np.einsum("kji,kj->ki", d_k, z)
-    res += np.einsum("kij,kj->ki", spec.S[idx, reg], path.X)
-    res += np.einsum("kij,kj->ki", spec.R[idx, reg], path.u)
-    res += spec.rho[idx, reg]
-    return res
+    s_bar = ric.S_bar[k0:]
+    resid = np.linalg.norm(s_bar + ric.R_hat[k0:] @ ric.Theta_bar[k0:], axis=(-2, -1))
+    scaled = resid / np.maximum(1.0, np.linalg.norm(s_bar, axis=(-2, -1)))
+    return VerificationReport().add("stationarity_max_residual", scaled.max(), DEFAULT_RANGE_TOL)
 
 
 def _perturbed_laws(
@@ -313,25 +299,19 @@ def certify(
 ) -> VerificationReport:
     """Every row of the report on a regular solution from (t0, x0, i0).
 
-    Sampled: the stationarity residual along the closed-loop path of the
-    stream ``(seed, 1)``, the Monte-Carlo value, and the Fréchet control
-    u, that of the closed-loop path of ``(seed, 2)``, along noise v from
-    ``(seed, 3)``.  Priced: the three stacked calls of the module
-    docstring, which share one table of cell transitions.
+    Sampled: the Monte-Carlo value, and the Fréchet direction v, noise
+    from the stream ``(seed, 3)``.  The stationarity row reads the law
+    itself.  Every other row reads the three stacked calls of the module
+    docstring, which share one table of cell transitions.  The Fréchet
+    rows expand the cost about the zero control, so their eps-laws are
+    the open-loop controls eps v; the expansion holds at any control.
     """
     k0 = spec.grid.node_index(t0)
     n, h, n_nodes = spec.n, spec.grid.h, spec.grid.steps + 1
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
     v_fn = value_function(ric, aff, t0, i0, x0)
 
-    chain, path = simulate_closed_loop(spec, ric, aff, i0, x0, np.random.default_rng([seed, 1]))
-    res = stationarity_residual(spec, ric, aff, chain, path)
-    report = VerificationReport().add(
-        "stationarity_max_residual", float(np.linalg.norm(res, axis=1).max()),
-        1e-6 + 10.0 * h, seed=seed,
-    )
     est = mc_value(spec, ric, aff, t0, i0, x0, paths, seed, threads)
-    _, u_path = simulate_closed_loop(spec, ric, aff, i0, x0, np.random.default_rng([seed, 2]))
     v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
     probes = _probe_controls(spec, k0, controls, seed)
 
@@ -340,13 +320,13 @@ def certify(
     p_bar = solve_lyapunov(spec.augmented(), np.concatenate([laws, np.zeros_like(laws[:1])]))
     p_bar = p_bar[:, k0, i0]
 
-    # Euler scheme: the optimal law, then the eps-laws u + eps v (no gain)
+    # Euler scheme: the optimal law, then the eps-laws eps v (no gain)
     trans = _cell_transitions(spec.gen, spec.grid)
     eps = np.array(FRECHET_EPSILONS)
     theta = np.zeros((1 + eps.size, *ric.Theta.shape))
     theta[0] = ric.Theta
     offsets = np.concatenate(
-        [aff.v_star[None], _open_loop_table(spec, u_path.u + eps[:, None, None] * v_dir)])
+        [aff.v_star[None], _open_loop_table(spec, eps[:, None, None] * v_dir)])
     vals = _expected_values(_closed_loop_tables(spec, theta, offsets), trans, k0)[:, i0]
 
     # homogeneous Euler scheme from zero state: the zero law, the probe
@@ -357,6 +337,7 @@ def certify(
         _closed_loop_tables(hspec, None, _open_loop_table(hspec, h_controls)), trans, k0)
     h_vals = h_vals[:, i0]
 
+    report = _stationarity_row(ric, k0)
     report.extend(_value_rows(est, v_fn, p_bar[:-1] @ x_bar @ x_bar, h))
     report.extend(_euler_bias_row(float(x_bar @ vals[0] @ x_bar), v_fn, h))
     report.extend(_m0_row(h_vals[0, :n, :n], p_bar[-1, :n, :n], h))

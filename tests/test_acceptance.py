@@ -30,10 +30,9 @@ from regimelq.verify import (
     certify,
     convexity_probe,
     euler_bias_budget,
-    stationarity_residual,
 )
 
-from reference import frechet_rows, iterate_one_by_one
+from reference import frechet_rows, iterate_one_by_one, stationarity_residual
 
 
 def _verdict(num: int, ok: bool, desc: str, metric: str) -> None:

@@ -397,10 +397,33 @@ def test_report_rejects_run_flags(tmp_path, capsys, flags):
 
 
 def test_other_commands_keep_argparse_exit_for_unknown_flags(tmp_path, capsys):
+    # argparse's message, but exit 1: 2 means no closed-loop optimal law
     with pytest.raises(SystemExit) as exc:
         main(_args("solve", PROBLEMS / "scalar.yaml", tmp_path / "out", bogus=1))
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--problem", "scalar.yaml", "--steps", "abc"], "invalid int value: 'abc'"),
+    (["verify", "--problem", "standard.yaml", "--paths", "x"], "invalid int value: 'x'"),
+    (["solve"], "the following arguments are required: --problem"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(PROBLEMS / a) if a.endswith(".yaml") else a for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def _non_comment_bytes(path):

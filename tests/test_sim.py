@@ -587,21 +587,19 @@ def test_value_consistency_matches_one_law_per_call():
 
 
 def test_frechet_check_matches_one_law_per_call():
-    # certify's control u is the closed-loop path of the stream (seed, 2),
-    # its direction v noise from (seed, 3)
+    # certify expands about the zero control along the direction v, noise
+    # from the stream (seed, 3), so its eps-laws are the controls eps v
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     ric, aff = _solved(spec)
     x0, seed = np.array([1.0, -0.5]), 5
     report = certify(spec, ric, aff, 0.0, 0, x0, 1, seed, 1)
-    _, path = simulate_closed_loop(spec, ric, aff, 0, x0, np.random.default_rng([seed, 2]))
-    u = path.u
     v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
     trans = _cell_transitions(spec.gen, spec.grid)
     x_bar = np.append(x0, 1.0)
     eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
     costs = np.array([
         x_bar @ _expected_values(
-            _closed_loop_tables(spec, None, _open_loop_table(spec, u + e * v)), trans)[0, 0]
+            _closed_loop_tables(spec, None, _open_loop_table(spec, e * v)), trans)[0, 0]
         @ x_bar
         for e in eps_grid
     ])

@@ -29,12 +29,12 @@ from regimelq.sim import (
 )
 from regimelq.verify import (
     VerificationReport,
+    _stationarity_row,
     certify,
     convexity_probe,
-    stationarity_residual,
 )
 
-from reference import certify_one_law_per_call, frechet_rows
+from reference import certify_one_law_per_call, frechet_rows, stationarity_residual
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -68,29 +68,47 @@ def test_stationarity_vanishes_on_closed_loop_path():
     )
     res = stationarity_residual(spec, ric, aff, chain, path)
     assert np.abs(res).max() <= 1e-10
+    assert _stationarity_row(ric, 0).all_passed
 
 
 def test_stationarity_detects_off_optimal_gain():
     spec = benchmarks.scalar_benchmark(steps=100)
-    ric, aff = _solved(spec)
-    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(3))
-    path = simulate_policy(
-        spec, chain, ric.Theta + 0.1, aff.v_star, np.array([1.0]),
-        np.random.default_rng(3),
-    )
-    res = stationarity_residual(spec, ric, aff, chain, path)
-    assert np.linalg.norm(res, axis=1).max() >= 0.05
+    ric, _ = _solved(spec)
+    assert _stationarity_row(ric, 0).all_passed
+    for nodes in (slice(None), 0, -1):  # every node, the first and the last alone
+        off = ric.Theta_bar.copy()
+        off[nodes, ..., :-1] += 0.1
+        row = _stationarity_row(dataclasses.replace(ric, Theta_bar=off), 0)
+        assert not row.all_passed
+        assert row["stationarity_max_residual"].statistic >= 0.05
 
 
-def test_stationarity_zero_state_is_exactly_zero():
-    spec = benchmarks.two_regime_standard(steps=50)
+@pytest.mark.parametrize("shift", [0.0, 0.1])
+@pytest.mark.parametrize("which", ["two_regime_inhomogeneous", "dead_channel"])
+def test_path_residual_is_the_law_residual_at_the_path_state(which, shift):
+    # along any state the constraint B^T Y + D^T Z + S X + R u + rho of a
+    # law Theta_bar is (S_bar + R_hat Theta_bar) x_bar, which is what the
+    # stationarity row bounds at every node and regime; shift 0.1 moves the
+    # gain and the offset off the optimal law
+    if which == "dead_channel":
+        spec, _ = parse_problem(PROBLEMS / "dead_channel.yaml")
+    else:
+        spec = benchmarks.two_regime_inhomogeneous(steps=200)
     ric, aff = _solved(spec)
-    spec0 = dataclasses.replace(spec, sigma=np.zeros_like(spec.sigma))
+    ric = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + shift)
+    aff = dataclasses.replace(aff, v_star=ric.Theta_bar[..., -1])
     chain, path = simulate_closed_loop(
-        spec0, ric, aff, 1, np.zeros(2), np.random.default_rng(5)
-    )
-    res = stationarity_residual(spec0, ric, aff, chain, path)
-    assert not np.any(res)
+        spec, ric, aff, 0, np.linspace(-0.8, 1.2, spec.n), np.random.default_rng(9))
+    got = stationarity_residual(spec, ric, aff, chain, path)
+    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
+    x_bar = np.column_stack([path.X, np.ones(idx.size)])
+    law = ric.S_bar + ric.R_hat @ ric.Theta_bar
+    want = np.einsum("kij,kj->ki", law[idx, reg], x_bar)
+    # relative to the size of the terms that cancel at the optimum
+    scale = np.linalg.norm(ric.S_bar[idx, reg], axis=(-2, -1)) * np.linalg.norm(x_bar, axis=1)
+    assert np.abs(got - want).max() <= 1e-12 * scale.max()
+    if shift:
+        assert np.abs(want).max() >= 0.01 * scale.max()
 
 
 # ---------------------------------------------------------- frechet
@@ -454,7 +472,8 @@ def test_certify_matches_one_law_per_call(which, third):
 
 def test_verify_prices_every_row_in_three_stacked_calls(monkeypatch, tmp_path):
     # one Lyapunov stack and two Euler recursions, on the problem and on
-    # its one homogeneous copy, sharing one table of cell transitions
+    # its one homogeneous copy, sharing one table of cell transitions, and
+    # no sample path but those of the Monte-Carlo value
     calls = collections.Counter()
 
     def count(owner, name):
@@ -475,8 +494,11 @@ def test_verify_prices_every_row_in_three_stacked_calls(monkeypatch, tmp_path):
     count(sim, "_expected_values")
     count(sim, "_cell_transitions")
     count(ProblemSpec, "homogeneous")
-    code = main(["verify", "--problem", str(PROBLEMS / "standard.yaml"), "--paths", "50",
+    count(sim, "simulate_closed_loop")
+    count(sim, "_sample_regime_paths")
+    code = main(["verify", "--problem", str(PROBLEMS / "standard.yaml"), "--paths", "500",
                  "--seed", "3", "--threads", "1", "--out", str(tmp_path)])
     assert code == 0
+    # the one sampled row, mc_value's value, draws its paths in one batch
     assert calls == {"solve_lyapunov": 1, "_expected_values": 2, "_cell_transitions": 1,
-                     "homogeneous": 1}
+                     "homogeneous": 1, "_sample_regime_paths": 1}
