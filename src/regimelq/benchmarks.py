@@ -213,9 +213,9 @@ def dead_offset(steps: int = 500) -> ProblemSpec:
     although P is regular.
     """
     spec = dead_channel(steps)
-    rho = spec.rho.copy()
-    rho[:, 1] = [0.0, 0.4]
-    return replace(spec, rho=rho)
+    rho = np.array(spec.rho[0])
+    rho[1] = [0.0, 0.4]
+    return replace(spec, rho=np.broadcast_to(rho, spec.rho.shape))
 
 
 def write_example(path, which: str = "scalar") -> ProblemSpec:

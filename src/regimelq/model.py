@@ -3,7 +3,9 @@
 Coefficients are stored as samples on the uniform grid, one array per
 field with shape ``(N + 1, n_regimes, ...)``, and evaluated anywhere in
 ``[t0, T]`` by piecewise-linear interpolation (exact at the nodes).
-Terminal weights are per-regime constants.
+Terminal weights are per-regime constants.  Every array of a spec is
+read-only, and a field that is constant in time is one sample broadcast
+along the node axis (stride 0), so it is held once, not N + 1 times.
 """
 
 from __future__ import annotations
@@ -99,6 +101,26 @@ class TimeGrid:
         raise GridRangeError(f"t={t} is not a grid node (step {self.h})")
 
 
+def _on_nodes(sample, n_nodes: int) -> np.ndarray:
+    """One read-only copy of ``sample`` broadcast along a new leading node
+    axis of length ``n_nodes``."""
+    one = np.array(sample, dtype=float)
+    one.flags.writeable = False
+    return np.broadcast_to(one, (n_nodes, *one.shape))
+
+
+def _is_node_constant(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is one sample broadcast along its node axis."""
+    return arr.strides[0] == 0
+
+
+def _frozen(arr) -> np.ndarray:
+    """A read-only float view of ``arr``; the caller's array is untouched."""
+    view = np.asarray(arr, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 def interp_nodes(arr: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
     """Piecewise-linear interpolation of node samples arr[k, ...] at time t."""
     k, w = grid.locate(t)
@@ -112,13 +134,14 @@ class Generator:
     """Chain generator: per-node D x D transition intensities.
 
     Off-diagonal entries are nonnegative rates, rows sum to zero.  A
-    time-dependent generator is just non-constant node samples.
+    time-dependent generator is just non-constant node samples.  The
+    rates are read-only; constant rates are one broadcast sample.
     """
 
     rates: np.ndarray  # (N + 1, D, D)
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
+        object.__setattr__(self, "rates", _frozen(self.rates))
         if self.rates.ndim != 3 or self.rates.shape[1] != self.rates.shape[2]:
             raise ValueError(f"rates must be (nodes, D, D), got {self.rates.shape}")
 
@@ -128,8 +151,7 @@ class Generator:
 
     @classmethod
     def constant(cls, q_matrix, grid: TimeGrid) -> "Generator":
-        q = np.asarray(q_matrix, dtype=float)
-        return cls(np.broadcast_to(q, (grid.steps + 1, *q.shape)).copy())
+        return cls(_on_nodes(q_matrix, grid.steps + 1))
 
     def violations(self, atol: float = 1e-10) -> list[str]:
         out = []
@@ -154,8 +176,12 @@ class ProblemSpec:
     """All problem data: dimensions, grid, generator, coefficient samples.
 
     Running coefficients have shape (N + 1, D, ...); terminal weights G
-    (D, n, n) and g (D, n).  Immutable once built; safe to share across
-    simulation workers.
+    (D, n, n) and g (D, n).  Immutable once built: every field array is
+    read-only (a write raises ``ValueError``), so a spec is safe to share
+    across simulation workers.  Every constructor here keeps a running
+    field that is constant in time as one symmetrized sample broadcast
+    along the node axis, a view with stride 0 there; a per-node field
+    stays per node.  Code that needs to write into a field takes a copy.
     """
 
     n: int
@@ -175,6 +201,10 @@ class ProblemSpec:
     rho: np.ndarray
     G: np.ndarray
     g: np.ndarray
+
+    def __post_init__(self):
+        for name in _FIELDS:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n_regimes(self) -> int:
@@ -207,16 +237,14 @@ class ProblemSpec:
             if x is None and name in _OPTIONAL_FIELDS:
                 x = np.zeros(tail)
             arr = _regime_stack(x, n_reg, tail)
-            if name in _RUNNING_FIELDS:
-                arr = np.broadcast_to(arr, (grid.steps + 1, *arr.shape)).copy()
-            kw[name] = symmetrize(arr) if name in _SYM_FIELDS else arr
+            if name in _SYM_FIELDS:
+                arr = symmetrize(arr)
+            kw[name] = _on_nodes(arr, grid.steps + 1) if name in _RUNNING_FIELDS else arr
         return cls(n=n, m=m, grid=grid, gen=gen, **kw)
 
     def homogeneous(self) -> "ProblemSpec":
         """Copy with all affine data (the optional fields) zeroed."""
-        return replace(
-            self, **{name: np.zeros_like(getattr(self, name)) for name in _OPTIONAL_FIELDS}
-        )
+        return replace(self, **_zero_fields(self, _field_shapes(self.n, self.m)))
 
     def augmented(self) -> "ProblemSpec":
         """The homogeneous problem in the n + 1 states [x, 1]: A_bar =
@@ -230,16 +258,24 @@ class ProblemSpec:
             Q=_bordered(self.Q, 1, 1, col=self.q, row=self.q),
             S=_bordered(self.S, 0, 1, col=self.rho),
             G=_bordered(self.G, 1, 1, col=self.g, row=self.g),
-            **{f: np.zeros((*getattr(self, f).shape[:-1], *tails[f])) for f in _OPTIONAL_FIELDS},
+            **_zero_fields(self, tails),
         )
 
     def with_steps(self, steps: int) -> "ProblemSpec":
-        """Resample every node-indexed field onto a grid with ``steps`` steps."""
+        """Resample every node-indexed field onto a grid with ``steps`` steps.
+
+        A node-constant field stays one broadcast sample.  Interpolation
+        returns such a sample unchanged except that it turns a -0.0 entry
+        into +0.0 between the old nodes, so a sample holding -0.0 is
+        resampled node by node, as a per-node field is.
+        """
         new_grid = TimeGrid(self.grid.t0, self.grid.T, steps)
         old_t = self.grid.nodes()
         new_t = new_grid.nodes()
 
         def resample(arr):
+            if _is_node_constant(arr) and not np.signbit(arr[0][arr[0] == 0.0]).any():
+                return _on_nodes(arr[0], steps + 1)
             flat = arr.reshape(arr.shape[0], -1)
             out = np.empty((steps + 1, flat.shape[1]))
             for j in range(flat.shape[1]):
@@ -250,6 +286,16 @@ class ProblemSpec:
             self, grid=new_grid, gen=Generator(resample(self.gen.rates)),
             **{name: resample(getattr(self, name)) for name in _RUNNING_FIELDS},
         )
+
+
+def _zero_fields(spec: ProblemSpec, tails: dict) -> dict:
+    """Zero arrays of the optional fields with per-regime shapes ``tails``;
+    the running ones are one broadcast sample."""
+    out = {}
+    for name in _OPTIONAL_FIELDS:
+        zero = np.zeros((spec.n_regimes, *tails[name]))
+        out[name] = _on_nodes(zero, spec.grid.steps + 1) if name in _RUNNING_FIELDS else zero
+    return out
 
 
 def _regime_stack(x, n_regimes: int, shape=None) -> np.ndarray:
@@ -272,9 +318,9 @@ def _bordered(core, rows: int, cols: int, col=None, row=None) -> np.ndarray:
     fills the new last column, ``row`` the new last row.  Node-constant
     running data stays one read-only sample broadcast along the node axis."""
     given = [x for x in (core, col, row) if x is not None]
-    if core.ndim == 4 and len(core) > 1 and all((x == x[:1]).all() for x in given):
-        one = _bordered(core[:1], rows, cols, *(x if x is None else x[:1] for x in (col, row)))
-        return np.broadcast_to(one, (len(core), *one.shape[1:]))
+    if core.ndim == 4 and all(_is_node_constant(x) for x in given):
+        one = _bordered(core[0], rows, cols, *(x if x is None else x[0] for x in (col, row)))
+        return _on_nodes(one, len(core))
     out = np.pad(core, [(0, 0)] * (core.ndim - 2) + [(0, rows), (0, cols)])
     if col is not None:
         out[..., :core.shape[-2], -1] = col

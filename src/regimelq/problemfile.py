@@ -29,6 +29,9 @@ The fields and their shapes come from the one field schema,
 ``regimelq.model._FIELDS``.  The optional fields b, sigma, q, rho and g
 are zero when absent; the symmetric fields Q, R and G are symmetrized
 on read.  The terminal G and g are constants, never per-node arrays.
+A running field (or the generator) given as a constant in every regime
+is held as one read-only sample broadcast along the node axis; if one
+regime gives it per node, every regime's samples are stored per node.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import yaml
 from .matcore import symmetrize
 from .model import (
     _FIELDS, _OPTIONAL_FIELDS, _RUNNING_FIELDS, _SYM_FIELDS, Generator, ProblemSpec,
-    TimeGrid, _field_shapes, validate,
+    TimeGrid, _field_shapes, _is_node_constant, _on_nodes, validate,
 )
 
 __all__ = ["ProblemFileError", "build_spec", "parse_problem", "write_problem"]
@@ -85,11 +88,12 @@ def _number(doc: dict, section: str, key: str, integral: bool):
 
 
 def _field_nodes(raw, base_depth: int, n_nodes: int, name: str) -> np.ndarray:
-    """Constant or per-node field -> (n_nodes, ...) float array."""
+    """Constant or per-node field -> (n_nodes, ...) float array; a
+    constant is one read-only sample broadcast along the node axis."""
     d = _depth(raw)
     arr = _floats(raw, name)
     if d == base_depth:
-        return np.broadcast_to(arr, (n_nodes, *arr.shape)).copy()
+        return _on_nodes(arr, n_nodes)
     if d == base_depth + 1:
         if arr.shape[0] != n_nodes:
             raise ProblemFileError(
@@ -140,8 +144,14 @@ def build_spec(doc: dict) -> ProblemSpec:
             if arr.shape[lead:] != shape:
                 raise ProblemFileError(f"{label}: shape {arr.shape[lead:]} != {shape}")
             per_regime.append(arr)
-        stacked = np.stack(per_regime, axis=lead)
-        fields[name] = symmetrize(stacked) if name in _SYM_FIELDS else stacked
+        constant = lead and all(_is_node_constant(a) for a in per_regime)
+        if constant:
+            stacked = np.stack([a[0] for a in per_regime])
+        else:
+            stacked = np.stack(per_regime, axis=lead)
+        if name in _SYM_FIELDS:
+            stacked = symmetrize(stacked)
+        fields[name] = _on_nodes(stacked, n_nodes) if constant else stacked
 
     spec = ProblemSpec(n=n, m=m, grid=grid, gen=gen, **fields)
     problems = validate(spec)

@@ -31,9 +31,10 @@ recorded only for the single paths of :func:`simulate_policy`.  Since
 each step multiplies by every regime's block, its flops grow with the
 number of regimes D.  The unit of a batch is a tile of ``TILE_ROWS``
 paths: the batch draws all its regimes, then each tile draws its
-increments from the batch's stream and runs the Euler loop, so only one
-tile's increments and product blocks are held at a time, and a tile's
-blocks of every regime stay in the L2 cache until the take reads them.
+increments from the batch's stream and runs the Euler loop, and drops
+them before the next tile draws, so only one tile's increments and
+product blocks are held at a time, and a tile's blocks of every regime
+stay in the L2 cache until the take reads them.
 The tiles' draws together are the batch's one draw of increments.  A
 product per regime, forming only each path's own block, slowed the
 small batches of ``verify``.
@@ -250,6 +251,16 @@ class _Tables:
     grid: TimeGrid
 
 
+def _side_by_side(*parts) -> np.ndarray:
+    """``parts`` joined along the last axis, in C order.  numpy lays out a
+    join of node-constant (stride-0) fields in their stride order, node
+    axis innermost, and a matmul need not round alike on matrices that
+    are not C-ordered; in C order every product reads the layout that
+    per-node fields give."""
+    shape = (*parts[0].shape[:-1], sum(p.shape[-1] for p in parts))
+    return np.concatenate(parts, axis=-1, out=np.empty(shape))
+
+
 def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     """Tables of the affine control u = Θx + v (``theta`` None: Θ = 0).
 
@@ -274,11 +285,11 @@ def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     blocks = w.transpose(1, 0, 3, 2, 4)
     np.multiply(h, cost, out=blocks[..., 2 * n:])
     del cost
-    drift = np.concatenate([spec.A, spec.B, spec.b[..., None]], axis=-1) @ k_map
+    drift = _side_by_side(spec.A, spec.B, spec.b[..., None]) @ k_map
     np.multiply(h, np.swapaxes(drift.reshape(*lead, n, n + 1), -1, -2), out=blocks[..., :n])
     blocks[..., :n] += np.eye(n + 1, n)
     del drift
-    diff = np.concatenate([spec.C, spec.D, spec.sigma[..., None]], axis=-1) @ k_map
+    diff = _side_by_side(spec.C, spec.D, spec.sigma[..., None]) @ k_map
     blocks[..., n:2 * n] = np.swapaxes(diff.reshape(*lead, n, n + 1), -1, -2)
     return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=_terminal_form(spec), grid=spec.grid)
 
@@ -454,8 +465,9 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
     node, from ``default_rng([*stream, b])``, b its first path.  It then
     walks its rows in tiles of ``TILE_ROWS``, the unit of a batch: each
     tile draws its increments from the batch's stream and runs the Euler
-    loop, so the tiles' draws are the batch's one draw of increments and
-    only one tile's are held.  A lone last row joins the tile before,
+    loop, so the tiles' draws are the batch's one draw of increments.  A
+    tile's increments are dropped before the next tile draws, so only
+    one tile's are held.  A lone last row joins the tile before,
     because numpy forms a one-row product as a matrix-vector product,
     which rounds differently.  Every tile runs, and a diverging batch
     raises the earliest node of its tiles.  Batches run on ``threads``
@@ -474,7 +486,8 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
             try:
                 costs[a:b] = _integrate_policy(tables, alpha[a:b], x0, dw, k0)
             except DivergenceError as err:
-                errors.append(err)
+                errors.append(err.with_traceback(None))  # whose frames hold dw
+            del dw  # before the next tile draws its own
         if errors:
             raise min(errors, key=lambda err: err.node)
         return costs

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from regimelq.model import (
     ProblemSpec,
     TimeGrid,
     _hats,
+    _is_node_constant,
     interp_nodes,
     validate,
 )
+from regimelq.problemfile import parse_problem
 
 
 @pytest.mark.filterwarnings("error")
@@ -269,3 +272,90 @@ def _any_specs(draw):
 def test_validate_property_never_raises(spec):
     problems = validate(spec)
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+
+
+def _bundled(name):
+    return parse_problem(Path(__file__).resolve().parents[1] / "problems" / f"{name}.yaml")[0]
+
+
+def _spec_arrays(spec):
+    return {**{name: getattr(spec, name) for name in _FIELDS}, "rates": spec.gen.rates}
+
+
+@pytest.mark.parametrize("name", ["scalar", "standard", "two_regime", "dead_channel"])
+def test_every_field_of_a_parsed_spec_is_read_only(name):
+    for label, arr in _spec_arrays(_bundled(name)).items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+        assert not arr.flags.writeable, label
+
+
+def test_per_node_fields_are_read_only_and_the_callers_arrays_are_not():
+    base = benchmarks.two_regime_standard(steps=4)
+    a_var = np.array(base.A)
+    rates = np.array(base.gen.rates)
+    spec = dataclasses.replace(base, A=a_var, gen=Generator(rates))
+    for arr in (spec.A, spec.gen.rates):
+        assert not _is_node_constant(arr)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0, ...] = 1.0
+    a_var[0, 0, 0, 0] = 7.0  # the caller keeps its own array writable
+    rates[0, 0, 0] = 7.0
+
+
+def test_node_constant_fields_keep_stride_zero_through_every_constructor():
+    parsed = _bundled("dead_channel")
+    built = benchmarks.dead_channel()
+    grid = parsed.grid
+    made = {
+        "parse_problem": parsed,
+        "from_regimes": built,
+        "with_steps": parsed.with_steps(37),
+        "homogeneous": parsed.homogeneous(),
+        "augmented": parsed.augmented(),
+        "augmented, homogeneous": parsed.homogeneous().augmented(),
+    }
+    for how, spec in made.items():
+        assert validate(spec) == [], how
+        for label, arr in _spec_arrays(spec).items():
+            if label in _RUNNING_FIELDS or label == "rates":
+                assert _is_node_constant(arr), (how, label)
+            assert not arr.flags.writeable, (how, label)
+    assert _is_node_constant(Generator.constant([[-1.0, 1.0], [2.0, -2.0]], grid).rates)
+    for name in _FIELDS:  # the same data as the per-node route
+        assert np.array_equal(getattr(parsed, name), getattr(built, name)), name
+    assert np.array_equal(parsed.gen.rates, built.gen.rates)
+
+
+def test_per_node_fields_stay_per_node_through_every_constructor():
+    # b and rho vary in time, the rates are a per-node copy of constants
+    spec = _time_varying_two_regime(steps=6)
+    spec = dataclasses.replace(spec, gen=Generator(np.array(spec.gen.rates)))
+    for how, made in (("with_steps", spec.with_steps(9)), ("homogeneous", spec.homogeneous()),
+                      ("augmented", spec.augmented())):
+        assert not _is_node_constant(made.gen.rates), how
+        assert _is_node_constant(made.B) and _is_node_constant(made.R), how
+    assert not _is_node_constant(spec.with_steps(9).b)
+    assert not _is_node_constant(spec.with_steps(9).rho)
+    assert not _is_node_constant(spec.augmented().A)  # bordered by the varying b
+    assert not _is_node_constant(spec.augmented().S)  # bordered by the varying rho
+    assert _is_node_constant(spec.augmented().C)
+    assert _is_node_constant(spec.homogeneous().augmented().A)
+
+
+@pytest.mark.parametrize("steps", [3, 11, 40])
+def test_with_steps_of_a_constant_field_equals_the_per_node_resample(steps):
+    # np.interp turns a -0.0 sample into +0.0 between the old nodes, so a
+    # sample holding -0.0 is resampled node by node
+    base = benchmarks.two_regime_standard(steps=8)
+    a_neg = np.array(base.A[0])
+    a_neg[0, 0, 1] = -0.0
+    spec = dataclasses.replace(base, A=np.broadcast_to(a_neg, base.A.shape))
+    per_node = dataclasses.replace(
+        spec, gen=Generator(np.array(spec.gen.rates)),
+        **{name: np.array(getattr(spec, name)) for name in _RUNNING_FIELDS})
+    fine, want = spec.with_steps(steps), per_node.with_steps(steps)
+    for name in _RUNNING_FIELDS:
+        assert getattr(fine, name).tobytes() == getattr(want, name).tobytes(), name
+    assert fine.gen.rates.tobytes() == want.gen.rates.tobytes()
+    assert _is_node_constant(fine.B) and not _is_node_constant(fine.A)

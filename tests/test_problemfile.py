@@ -14,14 +14,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regimelq
-from regimelq.model import validate
-from regimelq.problemfile import ProblemFileError, parse_problem
+from regimelq.model import _FIELDS, validate
+from regimelq.problemfile import ProblemFileError, parse_problem, write_problem
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 TEXTS = {p.stem: p.read_bytes() for p in sorted(PROBLEMS.glob("*.yaml"))}
@@ -168,3 +169,29 @@ def test_cli_exits_1_with_one_line_on_malformed_file(tmp_path, text, message):
     assert len(lines) == 1 and lines[0].startswith("problem file error: "), run.stderr
     assert message in lines[0]
 
+
+
+def test_one_per_node_regime_makes_its_field_per_node(tmp_path):
+    doc = yaml.safe_load(TEXTS["two_regime"])
+    steps = doc["grid"]["steps"]
+    ramp = [[[0.3 + 0.001 * k]] for k in range(steps + 1)]
+    doc["regimes"][0]["A"] = ramp
+    path = tmp_path / "ramp.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    spec, _ = parse_problem(path)
+    const, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    assert spec.A.strides[0] != 0 and spec.A.flags.c_contiguous
+    assert np.array_equal(spec.A[:, 0, 0, 0], np.ravel(ramp))
+    assert np.array_equal(spec.A[:, 1], const.A[:, 1])
+    for name in _FIELDS:
+        if name != "A":
+            assert np.array_equal(getattr(spec, name), getattr(const, name)), name
+            assert getattr(spec, name).strides[0] == 0 or name in ("G", "g"), name
+    assert spec.gen.rates.strides[0] == 0
+
+
+@pytest.mark.parametrize("which", sorted(TEXTS))
+def test_writing_a_parsed_file_gives_its_bytes(tmp_path, which):
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    write_problem(tmp_path / "out.yaml", spec, name=which)
+    assert (tmp_path / "out.yaml").read_bytes() == TEXTS[which]

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -978,7 +979,7 @@ def test_path_costs_raise_the_earliest_diverging_node(monkeypatch):
 
 
 def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
-    # one BATCH_PATHS batch on standard.yaml peaks near 6 MiB: 2 MiB of
+    # one BATCH_PATHS batch on standard.yaml peaks near 5 MiB: 2 MiB of
     # one-byte regimes and 2 MiB of one tile's increments; int64 regimes
     # and a whole batch of increments would take 32 MiB
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
@@ -1006,3 +1007,29 @@ def test_euler_weak_error_scaling():
         biases.append(est.mean - v_ref)
     ratio = biases[0] / biases[1]
     assert 1.3 < ratio < 3.5
+
+
+@pytest.mark.parametrize("diverging", [False, True])
+def test_path_costs_hold_one_tile_of_increments(monkeypatch, diverging):
+    # each tile's increments must be gone when the next tile draws, also
+    # after a tile diverged: the error's frames would hold them
+    monkeypatch.setattr(sim, "TILE_ROWS", 3)
+    draws, real = [], sim.brownian_increments
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in draws), "an earlier tile's increments are alive"
+        out = real(*args, **kwargs)
+        draws.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(sim, "brownian_increments", tracked)
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    if diverging:
+        spec = dataclasses.replace(spec, A=np.full(spec.A.shape, 300.0))
+        with pytest.raises(DivergenceError):
+            sim._path_costs(spec, _zero_law_tables(spec), np.ones(1), 0, 0, 10, (2,))
+    else:
+        ric, aff = _solved(spec)
+        tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+        sim._path_costs(spec, tables, np.ones(1), 0, 0, 10, (2,))
+    assert len(draws) == 3

@@ -11,7 +11,7 @@ import pytest
 from regimelq import benchmarks, riccati, sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.cli import main
-from regimelq.model import ProblemSpec
+from regimelq.model import _RUNNING_FIELDS, Generator, ProblemSpec
 from regimelq.problemfile import parse_problem
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
@@ -502,3 +502,34 @@ def test_verify_prices_every_row_in_three_stacked_calls(monkeypatch, tmp_path):
     # the one sampled row, mc_value's value, draws its paths in one batch
     assert calls == {"solve_lyapunov": 1, "_expected_values": 2, "_cell_transitions": 1,
                      "homogeneous": 1, "_sample_regime_paths": 1}
+
+
+def _per_node(spec):
+    """``spec`` with every node-constant running field and the generator
+    rates copied out to one C-ordered sample per node."""
+    return dataclasses.replace(
+        spec, gen=Generator(np.array(spec.gen.rates)),
+        **{name: np.array(getattr(spec, name)) for name in _RUNNING_FIELDS})
+
+
+@pytest.mark.parametrize("which", ["standard", "two_regime", "dead_channel"])
+def test_per_node_expansion_gives_the_same_bits(which):
+    # numpy lays out a join of stride-0 fields in their stride order, and
+    # a product read from that layout rounds differently: the tables must
+    # join in C order for a problem and its per-node expansion to agree
+    const, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    expanded = _per_node(const)
+    assert const.A.strides[0] == 0 and expanded.A.strides[0] != 0
+    x0, i0 = np.linspace(0.5, 1.5, const.n), const.n_regimes - 1
+    results = []
+    for spec in (const, expanded):
+        ric, aff = _solved(spec)
+        tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+        h_tables = _closed_loop_tables(
+            spec.homogeneous(), None, _open_loop_table(spec, np.ones((spec.grid.steps + 1, spec.m))))
+        costs = sim._path_costs(spec, tables, x0, i0, 0, 700, (4,))
+        report = certify(spec, ric, aff, spec.grid.t0, i0, x0, 300, 5, 4)
+        results.append([ric.P_bar, ric.Theta_bar, tables.W, h_tables.W, costs,
+                        report.to_csv().encode()])
+    for got, want in zip(*results):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
