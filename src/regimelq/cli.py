@@ -53,22 +53,31 @@ _VERB_FLAGS = {
     "--max-iter": (("iterate",), 50),
     "--conv-tol": (("iterate",), 1e-10),
 }
+# The entry of every coordinate of the initial state when --x0 is not given.
+_X0_FILL = {"simulate": 0.0, "verify": 1.0}
 
 
 def _meta_line(args) -> str:
-    """Single leading comment line; carries the timestamp, so comparisons
-    of repeated runs must skip comment lines."""
+    """Single leading comment line: the flags every command takes, then
+    those of ``_VERB_FLAGS`` that apply to this one, each with the value
+    the command ran with.  It carries the timestamp, so comparisons of
+    repeated runs must skip comment lines."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     parts = [
         f"generated={stamp}",
         f"seed={args.seed}",
         f"steps={args.steps or 'file'}",
-        f"paths={args.paths}",
         f"threads={args.threads}",
         f"pinv_tol={args.pinv_tol}",
         f"strong_tol={args.strong_tol}",
-        f"conv_tol={args.conv_tol}",
     ]
+    for flag, (verbs, _) in _VERB_FLAGS.items():
+        if args.command in verbs:
+            dest = flag[2:].replace("-", "_")
+            val = getattr(args, dest)
+            if isinstance(val, list):
+                val = ",".join(map(str, val))
+            parts.append(f"{dest}={val}")
     return "# " + " ".join(parts) + "\n"
 
 
@@ -132,6 +141,8 @@ def _load_and_solve(args):
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return spec, None, None, EXIT_PARSE
+    if args.x0 is None and args.command in _X0_FILL:
+        args.x0 = [_X0_FILL[args.command]] * spec.n
     if args.steps:
         spec = spec.with_steps(args.steps)
 
@@ -226,7 +237,7 @@ def _cmd_simulate(args) -> int:
     if code != EXIT_OK:
         return code
     out = Path(args.out)
-    x0 = np.asarray(args.x0 or [0.0] * spec.n, dtype=float)
+    x0 = np.asarray(args.x0, dtype=float)
     i0 = args.i0 - 1
     est = sim.mc_value(
         spec, sol, aff, spec.grid.t0, i0, x0, args.paths, args.seed,
@@ -273,7 +284,7 @@ def _cmd_verify(args) -> int:
             spec, sol, t0, i0, args.controls, args.seed))
     if code != EXIT_OK:
         return code
-    x0 = np.asarray(args.x0 or [1.0] * spec.n, dtype=float)
+    x0 = np.asarray(args.x0, dtype=float)
     report = verify.certify(
         spec, sol, aff, t0, i0, x0, args.paths, args.seed, args.controls, args.threads)
     _write_report(out, args, report)

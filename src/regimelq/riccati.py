@@ -210,7 +210,9 @@ def _lyapunov_tables(coef):
 
     A + B Theta, (C + D Theta)^T, C + D Theta and the closed-loop weight
     Q + S^T Theta + Theta^T S + Theta^T R Theta, each built from the
-    (averaged) samples of its factors.
+    (averaged) samples of its factors.  The Euler tables of
+    :func:`regimelq.sim._closed_loop_tables` read it too, from node
+    samples of the augmented problem and Theta_bar = [Theta | v].
     """
     a, b, c, d, q, s, r, lam, theta = coef
     theta_t = np.swapaxes(theta, -1, -2)

@@ -18,14 +18,17 @@ reductions are deterministic regardless of scheduling, and
 :func:`_mean_se` gives equal samples an exact-zero standard error.
 
 Under an affine control u = Θx + v the drift, the diffusion and the
-running cost are affine or quadratic in the augmented state x̄ = [x, 1].
-Each Monte-Carlo call therefore builds, once, per-node tables that hold
-every regime's blocks side by side (:func:`_closed_loop_tables`; open
-loop is Θ = 0).  The tables carry a law axis, which only the exact
-expectation below reads with more than one law; the Euler loop runs
-one.  There x̄ is (P, n + 1), and one Euler step is one product x̄ W[k],
-a row take on the path's regime, one einsum of [1, ΔWₖ] against the
-step and diffusion blocks, and the trapezoidal cost added in the loop.
+running cost are affine or quadratic in the augmented state x̄ = [x, 1]:
+their coefficients are the closed-loop A_cl, C_cl and Q_cl of the law
+Θ̄ = [Θ | v] on ``spec.augmented()``, which the Lyapunov solve of
+:mod:`regimelq.riccati` forms too.  Each Monte-Carlo call therefore
+builds, once, per-node tables that hold every regime's blocks side by
+side (:func:`_closed_loop_tables`; open loop is Θ = 0).  The tables
+carry a law axis, which only the exact expectation below reads with
+more than one law; the Euler loop runs one.  There x̄ is (P, n + 1),
+and one Euler step is one product x̄ W[k], a row take on the path's
+regime, one einsum of [1, ΔWₖ] against the step and diffusion blocks,
+and the trapezoidal cost added in the loop.
 The estimators keep no trajectories, only per-path costs; states are
 recorded only for the single paths of :func:`simulate_policy`.  Since
 each step multiplies by every regime's block, its flops grow with the
@@ -57,7 +60,10 @@ import numpy as np
 
 from .affine import AffineSolution
 from .model import Generator, ProblemSpec, TimeGrid
-from .riccati import BLOWUP_LIMIT, DivergenceError, RiccatiSolution
+from .riccati import (
+    _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _lyapunov_tables,
+    _sweep_coefs,
+)
 
 __all__ = [
     "ChainPath",
@@ -213,37 +219,15 @@ def _open_loop_table(spec: ProblemSpec, u) -> np.ndarray:
     return np.broadcast_to(u[..., None, :], shape)
 
 
-def _running_form(spec: ProblemSpec) -> np.ndarray:
-    """Running cost as a quadratic form in z = [x, u, 1], (N + 1, D, l, l)
-    with l = n + m + 1: zᵀ L z = xᵀQx + 2uᵀSx + uᵀRu + 2qᵀx + 2ρᵀu."""
-    n, m = spec.n, spec.m
-    form = np.zeros((*spec.Q.shape[:2], n + m + 1, n + m + 1))
-    form[..., :n, :n] = spec.Q
-    form[..., n:-1, :n] = spec.S
-    form[..., :n, n:-1] = np.swapaxes(spec.S, -1, -2)
-    form[..., n:-1, n:-1] = spec.R
-    form[..., :n, -1] = form[..., -1, :n] = spec.q
-    form[..., n:-1, -1] = form[..., -1, n:-1] = spec.rho
-    return form
-
-
-def _terminal_form(spec: ProblemSpec) -> np.ndarray:
-    """Terminal cost as a quadratic form in [x, 1], (D, n + 1, n + 1)."""
-    n = spec.n
-    form = np.zeros((spec.n_regimes, n + 1, n + 1))
-    form[:, :n, :n] = spec.G
-    form[:, :n, n] = form[:, n, :n] = spec.g
-    return form
-
-
 @dataclass(frozen=True)
 class _Tables:
     """Closed-loop Euler tables over the augmented state x̄ = [x, 1].
 
     ``W[k, l]`` is (n + 1, D (3n + 1)) for law l: for regime r its
-    columns are [I + h (A + BΘ | b + Bv)ᵀ, (C + DΘ | σ + Dv)ᵀ, h M], so
-    one product x̄ W[k, l] gives every regime's x + h drift, diffusion and
-    h M x̄, with M = KᵀLK the running-cost form of the closed loop.
+    columns are the first n columns of I + h A_clᵀ and of C_clᵀ, then
+    h Q_cl, the closed-loop coefficients of Θ̄ = [Θ | v] on
+    ``spec.augmented()``.  So one product x̄ W[k, l] gives every regime's
+    x + h drift, diffusion and h Q_cl x̄; ``terminal`` is the augmented G.
     """
 
     W: np.ndarray         # (N + 1, L, n + 1, D (3n + 1))
@@ -251,47 +235,39 @@ class _Tables:
     grid: TimeGrid
 
 
-def _side_by_side(*parts) -> np.ndarray:
-    """``parts`` joined along the last axis, in C order.  numpy lays out a
-    join of node-constant (stride-0) fields in their stride order, node
-    axis innermost, and a matmul need not round alike on matrices that
-    are not C-ordered; in C order every product reads the layout that
-    per-node fields give."""
-    shape = (*parts[0].shape[:-1], sum(p.shape[-1] for p in parts))
-    return np.concatenate(parts, axis=-1, out=np.empty(shape))
-
-
 def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
     """Tables of the affine control u = Θx + v (``theta`` None: Θ = 0).
 
     ``v`` is (N + 1, D, m) for one law or (L, N + 1, D, m) for L laws;
-    ``theta`` (..., N + 1, D, m, n) broadcasts against it.
+    ``theta`` (..., N + 1, D, m, n) broadcasts against it.  The
+    coefficients of the law Θ̄ = [Θ | v] on ``spec.augmented()`` come
+    from the Lyapunov solve's tables, node chunk by node chunk, each
+    written straight to its place, so that one chunk's are held beside
+    the tables.
     """
-    n, m, h = spec.n, spec.m, spec.grid.h
+    n, h = spec.n, spec.grid.h
     v = np.asarray(v, dtype=float)
-    # z = [x, u, 1] = K x̄ with K = [[I, 0], [Θ, v], [0, 1]]
-    k_map = np.zeros((*v.shape[:-1], n + m + 1, n + 1))
-    k_map[..., :n, :n] = np.eye(n)
+    lead = np.broadcast_shapes(v.shape[:-1], () if theta is None else np.shape(theta)[:-2])
+    theta_bar = np.zeros((*lead, spec.m, n + 1))
     if theta is not None:
-        k_map[..., n:-1, :n] = theta
-    k_map[..., n:-1, n] = v
-    k_map[..., -1, n] = 1.0
-    lead = (-1, *k_map.shape[-4:-2])  # (L, N + 1, D)
-    # each block goes straight to its place in (N + 1, L, n + 1, D (3n + 1))
-    # as it is formed, the cost with its larger temporary first, so that
-    # one block at a time is held beside the tables
-    cost = (np.swapaxes(k_map, -1, -2) @ _running_form(spec) @ k_map).reshape(*lead, n + 1, n + 1)
-    w = np.empty((lead[1], cost.shape[0], n + 1, lead[2], 3 * n + 1))
-    blocks = w.transpose(1, 0, 3, 2, 4)
-    np.multiply(h, cost, out=blocks[..., 2 * n:])
-    del cost
-    drift = _side_by_side(spec.A, spec.B, spec.b[..., None]) @ k_map
-    np.multiply(h, np.swapaxes(drift.reshape(*lead, n, n + 1), -1, -2), out=blocks[..., :n])
-    blocks[..., :n] += np.eye(n + 1, n)
-    del drift
-    diff = _side_by_side(spec.C, spec.D, spec.sigma[..., None]) @ k_map
-    blocks[..., n:2 * n] = np.swapaxes(diff.reshape(*lead, n, n + 1), -1, -2)
-    return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=_terminal_form(spec), grid=spec.grid)
+        theta_bar[..., :n] = theta
+    theta_bar[..., n] = v
+    theta_bar = theta_bar.reshape(-1, *theta_bar.shape[-4:])  # (L, N + 1, D, m, n + 1)
+    n_laws, n_nodes, n_reg = theta_bar.shape[:3]
+    aug = spec.augmented()
+    coefs = _sweep_coefs(aug)
+    w = np.empty((n_nodes, n_laws, n + 1, n_reg, 3 * n + 1))
+    blocks = w.transpose(1, 0, 3, 2, 4)  # (L, N + 1, D, n + 1, 3n + 1)
+    for lo in range(0, n_nodes, _BLOCK_STEPS):
+        nodes = slice(lo, lo + _BLOCK_STEPS)
+        a_cl, c_cl_t, _, q_cl, _ = _lyapunov_tables(
+            [x[nodes] for x in coefs] + [theta_bar[:, nodes]])
+        out = blocks[:, nodes]
+        np.multiply(h, np.swapaxes(a_cl, -1, -2)[..., :n], out=out[..., :n])
+        out[..., :n] += np.eye(n + 1, n)
+        out[..., n:2 * n] = c_cl_t[..., :n]
+        np.multiply(h, q_cl, out=out[..., 2 * n:])
+    return _Tables(W=w.reshape(*w.shape[:3], -1), terminal=aug.G, grid=spec.grid)
 
 
 def _regime_product(w, state, width):
@@ -446,14 +422,21 @@ def simulate_closed_loop(
 
 def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float:
     """Quadratic cost of one realized (chain, state, control) trajectory:
-    the running form in [x, u, 1] at every node at once, trapezoidal in
-    time, plus the terminal form in [x, 1]."""
+    the running cost xᵀQx + 2uᵀSx + uᵀRu + 2qᵀx + 2ρᵀu at every node at
+    once, trapezoidal in time, plus the terminal cost xᵀGx + 2gᵀx, each
+    read from the spec's fields, not from the Euler tables."""
     idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
-    z = np.column_stack([path.X, path.u, np.ones(idx.size)])
-    integrand = np.einsum("ki,kij,kj->k", z, _running_form(spec)[idx, reg], z)
+    x, u = path.X, path.u
+    q_xx, s_ux, r_uu, q_x, rho_u = (
+        f[idx, reg] for f in (spec.Q, spec.S, spec.R, spec.q, spec.rho))
+    integrand = (
+        np.einsum("ki,kij,kj->k", x, q_xx, x) + 2.0 * np.einsum("ki,kij,kj->k", u, s_ux, x)
+        + np.einsum("ki,kij,kj->k", u, r_uu, u)
+        + 2.0 * (np.einsum("ki,ki->k", q_x, x) + np.einsum("ki,ki->k", rho_u, u))
+    )
     run = spec.grid.h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-    x_bar = np.append(path.X[-1], 1.0)
-    return float(run + x_bar @ _terminal_form(spec)[reg[-1]] @ x_bar)
+    x_end, i_end = x[-1], reg[-1]
+    return float(run + x_end @ spec.G[i_end] @ x_end + 2.0 * spec.g[i_end] @ x_end)
 
 
 def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_paths: int,

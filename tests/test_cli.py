@@ -433,6 +433,28 @@ def _non_comment_bytes(path):
     )
 
 
+@pytest.mark.parametrize("cmd, flags, files, tail", [
+    ("solve", {}, ["affine", "riccati"], ""),
+    ("iterate", {"max_iter": 40}, ["affine", "riccati"], " max_iter=40 conv_tol=1e-10"),
+    ("simulate", {"paths": 64, "x0": [0.5, -0.3]}, ["affine", "riccati", "value_mc"],
+     " x0=0.5,-0.3 i0=1 paths=64 dump_paths=0"),
+    ("verify", {"paths": 200, "controls": 3, "i0": 2}, ["affine", "riccati", "verification"],
+     " x0=1.0,1.0 i0=2 paths=200 controls=3"),
+], ids=["solve", "iterate", "simulate", "verify"])
+def test_meta_line_records_the_flags_the_command_ran_with(cmd, flags, files, tail, tmp_path):
+    # the flags every command takes, then those that apply to this one,
+    # with the values it ran with: verify's x0 is its default start
+    out = tmp_path / "out"
+    assert main(_args(cmd, PROBLEMS / "standard.yaml", out, seed=4, threads=1, **flags)) == 0
+    assert sorted(p.stem for p in out.glob("*.csv")) == files
+    for name in files:
+        meta = (out / f"{name}.csv").read_text().splitlines()[0]
+        stamp = meta.split(" ")[1]
+        assert stamp.startswith("generated=")
+        assert meta == (f"# {stamp} seed=4 steps=file threads=1 pinv_tol=1e-12 "
+                        f"strong_tol=1e-08{tail}"), name
+
+
 def test_node_csv_rows_match_csv_writer(tmp_path):
     spec = benchmarks.two_regime_inhomogeneous(steps=6)
     ric = riccati.solve_riccati_direct(spec)
@@ -446,8 +468,7 @@ def test_node_csv_rows_match_csv_writer(tmp_path):
     eta[1, 0, 0] = -2.5e-300
     aff = dataclasses.replace(aff, eta=eta)
     args = types.SimpleNamespace(
-        seed=1, steps=None, paths=10, threads=1,
-        pinv_tol=1e-12, strong_tol=1e-8, conv_tol=1e-10,
+        command="solve", seed=1, steps=None, threads=1, pinv_tol=1e-12, strong_tol=1e-8,
     )
     cli._write_riccati_csv(tmp_path, args, spec, ric)
     cli._write_affine_csv(tmp_path, args, spec, aff)

@@ -558,6 +558,23 @@ def test_stacked_laws_match_one_law_calls(problem, closed_loop):
         _integrate_policy(stacked, alpha, np.zeros(spec.n), np.zeros((2, n_steps)))
 
 
+def test_closed_loop_tables_stay_blocked():
+    # the closed-loop coefficients of every node at once, or a per-node
+    # [x, u, 1] map beside the tables, would hold more than one further
+    # copy of the tables; node chunks hold one chunk's coefficients
+    spec = benchmarks.two_regime_inhomogeneous(steps=20000)
+    rng = np.random.default_rng(5)
+    shape = (spec.grid.steps + 1, spec.n_regimes, spec.m)
+    theta, v = rng.normal(size=(*shape, spec.n)), rng.normal(size=shape)
+    tracemalloc.start()
+    try:
+        tables = _closed_loop_tables(spec, theta, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * tables.W.nbytes, peak / tables.W.nbytes
+
+
 def test_value_consistency_matches_one_law_per_call():
     # every perturbation row's gap is the difference of the one-law
     # Lyapunov costs of its law and the optimal one on the augmented problem

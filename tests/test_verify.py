@@ -514,22 +514,26 @@ def _per_node(spec):
 
 @pytest.mark.parametrize("which", ["standard", "two_regime", "dead_channel"])
 def test_per_node_expansion_gives_the_same_bits(which):
-    # numpy lays out a join of stride-0 fields in their stride order, and
-    # a product read from that layout rounds differently: the tables must
-    # join in C order for a problem and its per-node expansion to agree
+    # a node-constant field is one stride-0 sample, a per-node one is not;
+    # every product must round alike on both layouts, for one law and for
+    # a stack of laws, as verify builds
     const, _ = parse_problem(PROBLEMS / f"{which}.yaml")
     expanded = _per_node(const)
     assert const.A.strides[0] == 0 and expanded.A.strides[0] != 0
     x0, i0 = np.linspace(0.5, 1.5, const.n), const.n_regimes - 1
+    rng = np.random.default_rng(31)
+    shape = (3, const.grid.steps + 1, const.n_regimes, const.m)
+    d_theta, d_v = rng.uniform(-0.3, 0.3, (*shape, const.n)), rng.uniform(-0.3, 0.3, shape)
     results = []
     for spec in (const, expanded):
         ric, aff = _solved(spec)
         tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
         h_tables = _closed_loop_tables(
             spec.homogeneous(), None, _open_loop_table(spec, np.ones((spec.grid.steps + 1, spec.m))))
+        laws = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
         costs = sim._path_costs(spec, tables, x0, i0, 0, 700, (4,))
         report = certify(spec, ric, aff, spec.grid.t0, i0, x0, 300, 5, 4)
-        results.append([ric.P_bar, ric.Theta_bar, tables.W, h_tables.W, costs,
+        results.append([ric.P_bar, ric.Theta_bar, tables.W, h_tables.W, laws.W, costs,
                         report.to_csv().encode()])
     for got, want in zip(*results):
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
