@@ -131,8 +131,8 @@ def _write_affine_csv(out: Path, args, spec, aff) -> None:
 def _load_and_solve(args):
     """Shared front half: parse, apply overrides, solve, write solve outputs.
 
-    Returns (spec, ric, aff, exit_code); on a nonzero exit code the other
-    entries may be None.
+    Returns (spec, ric, exit_code); on a nonzero exit code ``ric`` may be
+    None.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -140,7 +140,7 @@ def _load_and_solve(args):
     bad = _run_args_error(args, spec)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
-        return spec, None, None, EXIT_PARSE
+        return spec, None, EXIT_PARSE
     if args.x0 is None and args.command in _X0_FILL:
         args.x0 = [_X0_FILL[args.command]] * spec.n
     if args.steps:
@@ -165,11 +165,10 @@ def _load_and_solve(args):
     (out / "classification.txt").write_text(str(sol.classification) + "\n")
     if not sol.classification.is_regular:
         print(f"classification: {sol.classification}", file=sys.stderr)
-        return spec, sol, None, EXIT_NOT_REGULAR
+        return spec, sol, EXIT_NOT_REGULAR
 
-    aff = affine.solve_eta(spec, sol)
-    _write_affine_csv(out, args, spec, aff)
-    return spec, sol, aff, EXIT_OK
+    _write_affine_csv(out, args, spec, affine.solve_eta(spec, sol))
+    return spec, sol, EXIT_OK
 
 
 def _verb_flag_error(args) -> str | None:
@@ -220,11 +219,11 @@ def _solve_failed(out: Path, spec, verdict: str, exc, code: int):
     """Record a failed backward solve in classification.txt and stderr."""
     (out / "classification.txt").write_text(f"{verdict}: {exc}\n")
     print(f"error: {exc}", file=sys.stderr)
-    return spec, None, None, code
+    return spec, None, code
 
 
 def _cmd_solve(args) -> int:
-    _, sol, _, code = _load_and_solve(args)
+    _, sol, code = _load_and_solve(args)
     if code == EXIT_OK:
         print(f"classification: {sol.classification}")
         if args.command == "iterate":
@@ -233,16 +232,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec, sol, aff, code = _load_and_solve(args)
+    spec, sol, code = _load_and_solve(args)
     if code != EXIT_OK:
         return code
     out = Path(args.out)
     x0 = np.asarray(args.x0, dtype=float)
     i0 = args.i0 - 1
-    est = sim.mc_value(
-        spec, sol, aff, spec.grid.t0, i0, x0, args.paths, args.seed,
-        threads=args.threads,
-    )
+    est = sim.mc_value(spec, sol, spec.grid.t0, i0, x0, args.paths, args.seed, args.threads)
     _write_csv(
         out / "value_mc.csv", _meta_line(args),
         ["mean", "std_error", "paths", "seed"],
@@ -252,7 +248,7 @@ def _cmd_simulate(args) -> int:
     if args.dump_paths:
         for p in range(args.dump_paths):
             rng = np.random.default_rng([args.seed, 424242, p])
-            chain, path = sim.simulate_closed_loop(spec, sol, aff, i0, x0, rng)
+            chain, path = sim.simulate_closed_loop(spec, sol, i0, x0, rng)
             rows = []
             for k, t in enumerate(spec.grid.nodes()):
                 rows.append(
@@ -275,7 +271,7 @@ def _write_report(out: Path, args, report) -> None:
 
 
 def _cmd_verify(args) -> int:
-    spec, sol, aff, code = _load_and_solve(args)
+    spec, sol, code = _load_and_solve(args)
     out = Path(args.out)
     i0, t0 = args.i0 - 1, spec.grid.t0
     if code == EXIT_NOT_REGULAR:
@@ -286,7 +282,7 @@ def _cmd_verify(args) -> int:
         return code
     x0 = np.asarray(args.x0, dtype=float)
     report = verify.certify(
-        spec, sol, aff, t0, i0, x0, args.paths, args.seed, args.controls, args.threads)
+        spec, sol, t0, i0, x0, args.paths, args.seed, args.controls, args.threads)
     _write_report(out, args, report)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 

@@ -23,7 +23,8 @@ their coefficients are the closed-loop A_cl, C_cl and Q_cl of the law
 Θ̄ = [Θ | v] on ``spec.augmented()``, which the Lyapunov solve of
 :mod:`regimelq.riccati` forms too.  Each Monte-Carlo call therefore
 builds, once, per-node tables that hold every regime's blocks side by
-side (:func:`_closed_loop_tables`; open loop is Θ = 0).  The tables
+side (:func:`_closed_loop_tables`, from Θ̄ as the Riccati solution holds
+it, (..., N + 1, D, m, n + 1); open loop u is the law [0 | u]).  The tables
 carry a law axis, which only the exact expectation below reads with
 more than one law; the Euler loop runs one.  There x̄ is (P, n + 1),
 and one Euler step is one product x̄ W[k], a row take on the path's
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineSolution
 from .model import Generator, ProblemSpec, TimeGrid
 from .riccati import (
     _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _lyapunov_tables,
@@ -120,6 +120,11 @@ class MCEstimate:
     seed: int
 
 
+def _check_regime(i0: int, n_regimes: int) -> None:
+    if not 0 <= i0 < n_regimes:
+        raise ValueError(f"initial regime i0 = {i0} is not in 0..{n_regimes - 1}")
+
+
 def simulate_chain(gen: Generator, grid: TimeGrid, i0: int, rng) -> ChainPath:
     """Sample one regime path: a one-path call of the batched sampler."""
     alpha = _sample_regime_paths(gen, grid, i0, 1, rng)[0]
@@ -150,6 +155,7 @@ def _sample_regime_paths(
     the candidate's cell and time, so one round handles one candidate of
     every active path.  A jump inside cell k takes effect at node k + 1.
     """
+    _check_regime(i0, gen.n_regimes)
     rng = as_rng(rng)
     alpha = np.zeros((n_paths, grid.steps + 1), dtype=np.min_scalar_type(-gen.n_regimes))
     alpha[:, 0] = i0
@@ -211,12 +217,13 @@ def _cell_transitions(gen: Generator, grid: TimeGrid) -> np.ndarray:
 
 
 def _open_loop_table(spec: ProblemSpec, u) -> np.ndarray:
-    """Per-node control samples (..., N + 1, m) as a regime-broadcast
-    offset table (..., N + 1, D, m), so that u = v runs through the
-    feedback tables with no gain."""
+    """Per-node control samples (..., N + 1, m) as the open-loop law
+    [0 | u], (..., N + 1, D, m, n + 1): no gain, and the offset u in every
+    regime."""
     u = np.asarray(u, dtype=float)
-    shape = (*u.shape[:-1], spec.n_regimes, spec.m)
-    return np.broadcast_to(u[..., None, :], shape)
+    law = np.zeros((*u.shape[:-1], spec.n_regimes, spec.m, spec.n + 1))
+    law[..., spec.n] = u[..., None, :]
+    return law
 
 
 @dataclass(frozen=True)
@@ -235,24 +242,17 @@ class _Tables:
     grid: TimeGrid
 
 
-def _closed_loop_tables(spec: ProblemSpec, theta, v) -> _Tables:
-    """Tables of the affine control u = Θx + v (``theta`` None: Θ = 0).
+def _closed_loop_tables(spec: ProblemSpec, theta_bar) -> _Tables:
+    """Tables of the affine control u = Θ̄ x̄ = Θx + v.
 
-    ``v`` is (N + 1, D, m) for one law or (L, N + 1, D, m) for L laws;
-    ``theta`` (..., N + 1, D, m, n) broadcasts against it.  The
-    coefficients of the law Θ̄ = [Θ | v] on ``spec.augmented()`` come
-    from the Lyapunov solve's tables, node chunk by node chunk, each
-    written straight to its place, so that one chunk's are held beside
-    the tables.
+    ``theta_bar`` is (N + 1, D, m, n + 1) for one law or
+    (L, N + 1, D, m, n + 1) for L laws.  The coefficients of each law on
+    ``spec.augmented()`` come from the Lyapunov solve's tables, node
+    chunk by node chunk, each written straight to its place, so that one
+    chunk's are held beside the tables.
     """
     n, h = spec.n, spec.grid.h
-    v = np.asarray(v, dtype=float)
-    lead = np.broadcast_shapes(v.shape[:-1], () if theta is None else np.shape(theta)[:-2])
-    theta_bar = np.zeros((*lead, spec.m, n + 1))
-    if theta is not None:
-        theta_bar[..., :n] = theta
-    theta_bar[..., n] = v
-    theta_bar = theta_bar.reshape(-1, *theta_bar.shape[-4:])  # (L, N + 1, D, m, n + 1)
+    theta_bar = np.reshape(theta_bar, (-1, *np.shape(theta_bar)[-4:]))  # (L, N + 1, D, m, n + 1)
     n_laws, n_nodes, n_reg = theta_bar.shape[:3]
     aug = spec.augmented()
     coefs = _sweep_coefs(aug)
@@ -371,26 +371,24 @@ def _expected_values(tables: _Tables, trans, k0=0) -> np.ndarray:
 def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None) -> StatePath:
     """Integrate one state path under given control samples per node."""
     u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    return simulate_policy(spec, chain, None, _open_loop_table(spec, u), x0, rng)
+    return simulate_policy(spec, chain, _open_loop_table(spec, u), x0, rng)
 
 
 def simulate_policy(
-    spec: ProblemSpec, chain: ChainPath, theta: np.ndarray | None, v: np.ndarray,
-    x0, rng=None, dw=None,
+    spec: ProblemSpec, chain: ChainPath, theta_bar: np.ndarray, x0, rng=None, dw=None,
 ) -> StatePath:
-    """Integrate one state path under a node/regime-indexed feedback law
-    (``theta`` None: open loop u = v)."""
+    """Integrate one state path under a node/regime-indexed affine law
+    ``theta_bar`` = Θ̄, (N + 1, D, m, n + 1): u = Θ̄ x̄ with x̄ = [x, 1]."""
     if dw is None:
         dw = brownian_increments(spec.grid, rng, 1)
     else:
         dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
     xs = np.zeros((1, spec.grid.steps + 1, spec.n))
-    tables = _closed_loop_tables(spec, theta, v)
+    tables = _closed_loop_tables(spec, theta_bar)
     _integrate_policy(tables, chain.alpha[None, :], x0, dw, states=xs)
-    idx, reg, x = np.arange(spec.grid.steps + 1), chain.alpha, xs[0]
-    u = v[idx, reg]
-    if theta is not None:
-        u += np.einsum("kij,kj->ki", theta[idx, reg], x)
+    law, x = np.asarray(theta_bar)[np.arange(spec.grid.steps + 1), chain.alpha], xs[0]
+    # Θx + v: one sum over the n + 1 entries of x̄ may round otherwise
+    u = np.einsum("kij,kj->ki", law[..., :-1], x) + law[..., -1]
     return StatePath(
         grid=spec.grid, x0=np.asarray(x0, dtype=float), X=x, u=u, dw=dw[0],
     )
@@ -399,7 +397,6 @@ def simulate_policy(
 def simulate_closed_loop(
     spec: ProblemSpec,
     ric: RiccatiSolution,
-    aff: AffineSolution,
     i0: int,
     x0,
     rng,
@@ -417,7 +414,7 @@ def simulate_closed_loop(
         )
     rng = as_rng(rng)
     chain = simulate_chain(spec.gen, spec.grid, i0, rng)
-    return chain, simulate_policy(spec, chain, ric.Theta, aff.v_star, x0, rng)
+    return chain, simulate_policy(spec, chain, ric.Theta_bar, x0, rng)
 
 
 def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float:
@@ -496,7 +493,6 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 def mc_value(
     spec: ProblemSpec,
     ric: RiccatiSolution,
-    aff: AffineSolution,
     t0: float,
     i0: int,
     x0,
@@ -504,9 +500,12 @@ def mc_value(
     rng_seed: int,
     threads: int = 1,
 ) -> MCEstimate:
-    """Closed-loop cost estimate from (t0, x0, i0) over independent paths,
-    drawn from the stream ``(rng_seed,)``."""
-    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    """Cost estimate of the law ``ric.Theta_bar`` from (t0, x0, i0) over
+    ``n_paths`` >= 1 independent paths, drawn from the stream
+    ``(rng_seed,)``."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    tables = _closed_loop_tables(spec, ric.Theta_bar)
     costs = _path_costs(
         spec, tables, x0, i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
     )

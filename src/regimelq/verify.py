@@ -14,10 +14,11 @@ no standard error: one :func:`regimelq.riccati.solve_lyapunov` stack on
 ``spec.augmented()`` prices the continuous-time cost of the optimal, the
 perturbed and the zero law, and two exact expectations of the Euler
 scheme (:func:`regimelq.sim._expected_values`), on the problem and on
-``spec.homogeneous()``, price every other law.  The rows are pure
-functions of the law and the priced slices.  Without a closed-loop
-optimal law, :func:`not_regular_report` gives the failed range test and
-the probe.
+``spec.homogeneous()``, price every other law.  A law is one Θ̄ = [Θ | v]
+on x̄ = [x, 1]: ``ric.Theta_bar`` for the optimal one, [0 | u] for an
+open-loop control u.  The rows are pure functions of the law and the
+priced slices.  Without a closed-loop optimal law,
+:func:`not_regular_report` gives the failed range test and the probe.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import AffineSolution, value_function
 from .model import ProblemSpec
 from .riccati import DEFAULT_RANGE_TOL, RiccatiSolution, solve_lyapunov
 from .sim import (
     MCEstimate,
     _cell_transitions,
+    _check_regime,
     _closed_loop_tables,
     _expected_values,
     _open_loop_table,
@@ -149,15 +150,13 @@ def _stationarity_row(ric: RiccatiSolution, k0: int) -> VerificationReport:
     return VerificationReport().add("stationarity_max_residual", scaled.max(), DEFAULT_RANGE_TOL)
 
 
-def _perturbed_laws(
-    spec: ProblemSpec, ric: RiccatiSolution, aff: AffineSolution, seed: int,
-) -> np.ndarray:
+def _perturbed_laws(spec: ProblemSpec, ric: RiccatiSolution, seed: int) -> np.ndarray:
     """The optimal law Theta_bar = [Theta, v*] and ``N_PERTURBATIONS``
     perturbed ones, (1 + N_PERTURBATIONS, N + 1, D, m, n + 1).  Each law
     moves the gain and the offset by ``PERTURBATION_SCALE`` times the
     largest gain and offset norms, drawn from the stream ``(seed, 777)``."""
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
-    scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
+    scale_v = float(np.linalg.norm(ric.Theta_bar[..., -1], axis=-1).max())
     prng = np.random.default_rng([seed, 777])
     laws = [ric.Theta_bar]
     for _ in range(N_PERTURBATIONS):
@@ -288,7 +287,6 @@ def _frechet_rows(eps: np.ndarray, costs: np.ndarray, j0: float) -> Verification
 def certify(
     spec: ProblemSpec,
     ric: RiccatiSolution,
-    aff: AffineSolution,
     t0: float,
     i0: int,
     x0,
@@ -297,7 +295,8 @@ def certify(
     controls: int,
     threads: int = 1,
 ) -> VerificationReport:
-    """Every row of the report on a regular solution from (t0, x0, i0).
+    """Every row of the report on a regular solution from (t0, x0, i0),
+    with the value function x̄ᵀ P̄ x̄ read at node k0 of t0.
 
     Sampled: the Monte-Carlo value, and the Fréchet direction v, noise
     from the stream ``(seed, 3)``.  The stationarity row reads the law
@@ -309,32 +308,28 @@ def certify(
     k0 = spec.grid.node_index(t0)
     n, h, n_nodes = spec.n, spec.grid.h, spec.grid.steps + 1
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    v_fn = value_function(ric, aff, t0, i0, x0)
-
-    est = mc_value(spec, ric, aff, t0, i0, x0, paths, seed, threads)
+    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)  # checks i0
+    v_fn = float(x_bar @ ric.P_bar[k0, i0] @ x_bar)
     v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
     probes = _probe_controls(spec, k0, controls, seed)
 
     # continuous time: the optimal and perturbed laws, then the zero law
-    laws = _perturbed_laws(spec, ric, aff, seed)
+    laws = _perturbed_laws(spec, ric, seed)
     p_bar = solve_lyapunov(spec.augmented(), np.concatenate([laws, np.zeros_like(laws[:1])]))
     p_bar = p_bar[:, k0, i0]
 
     # Euler scheme: the optimal law, then the eps-laws eps v (no gain)
     trans = _cell_transitions(spec.gen, spec.grid)
     eps = np.array(FRECHET_EPSILONS)
-    theta = np.zeros((1 + eps.size, *ric.Theta.shape))
-    theta[0] = ric.Theta
-    offsets = np.concatenate(
-        [aff.v_star[None], _open_loop_table(spec, eps[:, None, None] * v_dir)])
-    vals = _expected_values(_closed_loop_tables(spec, theta, offsets), trans, k0)[:, i0]
+    euler_laws = np.concatenate([laws[:1], _open_loop_table(spec, eps[:, None, None] * v_dir)])
+    vals = _expected_values(_closed_loop_tables(spec, euler_laws), trans, k0)[:, i0]
 
     # homogeneous Euler scheme from zero state: the zero law, the probe
     # controls, then v
     hspec = spec.homogeneous()
     h_controls = np.concatenate([np.zeros((1, n_nodes, spec.m)), probes, v_dir[None]])
     h_vals = _expected_values(
-        _closed_loop_tables(hspec, None, _open_loop_table(hspec, h_controls)), trans, k0)
+        _closed_loop_tables(hspec, _open_loop_table(hspec, h_controls)), trans, k0)
     h_vals = h_vals[:, i0]
 
     report = _stationarity_row(ric, k0)
@@ -355,10 +350,11 @@ def convexity_probe(
     """Uniform-convexity probe of the homogeneous cost at zero state, on
     its own: the controls of :func:`_probe_controls` as the laws of one
     exact expectation of the Euler scheme."""
+    _check_regime(i0, spec.n_regimes)
     k0 = spec.grid.node_index(t0)
     u = _probe_controls(spec, k0, n_controls, rng_seed)
     hspec = spec.homogeneous()
-    tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u))
+    tables = _closed_loop_tables(hspec, _open_loop_table(hspec, u))
     vals = _expected_values(tables, _cell_transitions(hspec.gen, hspec.grid), k0)
     return _probe_row(vals[:, i0, -1, -1], rng_seed)  # zero state: x̄ = [0, 1]
 

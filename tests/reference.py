@@ -3,7 +3,7 @@
 import numpy as np
 
 from regimelq import matcore, verify
-from regimelq.affine import value_function
+from regimelq.affine import solve_eta, value_function
 from regimelq.model import _hats
 from regimelq.riccati import (
     DEFAULT_PINV_TOL,
@@ -69,25 +69,26 @@ def stationarity_residual(spec, ric, aff, chain, path):
     return res
 
 
-def _euler_values(spec, theta, v, trans, k0, i0):
-    """Exact expected Euler cost matrix of the one law (theta, v) from
+def _euler_values(spec, theta_bar, trans, k0, i0):
+    """Exact expected Euler cost matrix of the one law theta_bar from
     node k0 and regime i0: one law per recursion."""
-    (vals,) = _expected_values(_closed_loop_tables(spec, theta, v), trans, k0)
+    (vals,) = _expected_values(_closed_loop_tables(spec, theta_bar), trans, k0)
     return vals[i0]
 
 
-def certify_one_law_per_call(spec, ric, aff, t0, i0, x0, paths, seed, controls, threads=1):
+def certify_one_law_per_call(spec, ric, t0, i0, x0, paths, seed, controls, threads=1):
     """The rows of :func:`regimelq.verify.certify` with every law priced in
     a call of its own: one Lyapunov solve per law, M0's backward side from
     the zero-gain solve of the problem itself (not of the problem in
     x_bar = [x, 1]), and one Euler recursion per law, each with its own
     transition table and homogeneous copy.  The stationarity row is the
     range residual of the law, as :func:`regimelq.matcore.outside_range`
-    takes it.  The draws and the rows are certify's."""
+    takes it.  The value function is the affine module's.  The draws and
+    the rows are certify's."""
     k0, n, h = spec.grid.node_index(t0), spec.n, spec.grid.h
     n_nodes = spec.grid.steps + 1
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    v_fn = value_function(ric, aff, t0, i0, x0)
+    v_fn = value_function(ric, solve_eta(spec, ric), t0, i0, x0)
     report = verify.VerificationReport()
 
     s_bar, r_hat = ric.S_bar[k0:], ric.R_hat[k0:]
@@ -95,21 +96,21 @@ def certify_one_law_per_call(spec, ric, aff, t0, i0, x0, paths, seed, controls, 
                                      DEFAULT_RANGE_TOL)
     scale = np.maximum(1.0, np.linalg.norm(s_bar, axis=(-2, -1)))
     report.add("stationarity_max_residual", (resid / scale).max(), DEFAULT_RANGE_TOL)
-    est = mc_value(spec, ric, aff, t0, i0, x0, paths, seed, threads)
+    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)
     v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
 
     aug = spec.augmented()
     p_bar = np.stack([solve_lyapunov(aug, law)[k0, i0]
-                      for law in verify._perturbed_laws(spec, ric, aff, seed)])
+                      for law in verify._perturbed_laws(spec, ric, seed)])
     report.extend(verify._value_rows(est, v_fn, p_bar @ x_bar @ x_bar, h))
 
     trans = _cell_transitions(spec.gen, spec.grid)
-    e_h = float(x_bar @ _euler_values(spec, ric.Theta, aff.v_star, trans, k0, i0) @ x_bar)
+    e_h = float(x_bar @ _euler_values(spec, ric.Theta_bar, trans, k0, i0) @ x_bar)
     report.extend(verify._euler_bias_row(e_h, v_fn, h))
 
     hspec = spec.homogeneous()
-    zero = np.zeros((n_nodes, spec.n_regimes, spec.m))
-    m0_h = _euler_values(hspec, None, zero, _cell_transitions(spec.gen, spec.grid), k0, i0)
+    zero = np.zeros((n_nodes, spec.n_regimes, spec.m, n + 1))
+    m0_h = _euler_values(hspec, zero, _cell_transitions(spec.gen, spec.grid), k0, i0)
     report.extend(verify._m0_row(m0_h[:n, :n], solve_lyapunov(spec)[k0, i0], h))
 
     probes = verify._probe_controls(spec, k0, controls, seed)
@@ -124,7 +125,7 @@ def homogeneous_cost(spec, u, k0, i0):
     homogeneous problem from zero state, x_bar = [0, 1]."""
     hspec = spec.homogeneous()
     trans = _cell_transitions(hspec.gen, hspec.grid)
-    return _euler_values(hspec, None, _open_loop_table(hspec, u), trans, k0, i0)[-1, -1]
+    return _euler_values(hspec, _open_loop_table(hspec, u), trans, k0, i0)[-1, -1]
 
 
 def frechet_rows(spec, k0, i0, x0, u, v, sizes):
@@ -134,7 +135,7 @@ def frechet_rows(spec, k0, i0, x0, u, v, sizes):
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
     trans = _cell_transitions(spec.gen, spec.grid)
     vals = np.stack([
-        _euler_values(spec, None, _open_loop_table(spec, u + e * v), trans, k0, i0)
+        _euler_values(spec, _open_loop_table(spec, u + e * v), trans, k0, i0)
         for e in eps
     ])
     j0 = float(homogeneous_cost(spec, v, k0, i0))

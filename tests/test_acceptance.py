@@ -104,8 +104,8 @@ def test_criterion_04_feynman_kac_crosscheck():
     # must meet the backward solve within the bias budget
     spec = benchmarks.two_regime_standard(steps=500)
     start = time.perf_counter()
-    zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m))
-    tables = _closed_loop_tables(spec.homogeneous(), None, zero)
+    zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n + 1))
+    tables = _closed_loop_tables(spec.homogeneous(), zero)
     m0_h = _expected_values(tables, _cell_transitions(spec.gen, spec.grid))[0, 0, :2, :2]
     rng = np.random.default_rng(2024)
     alpha = _sample_regime_paths(spec.gen, spec.grid, 0, 10000, rng)
@@ -139,8 +139,8 @@ def test_criterion_05_value_consistency_with_perturbations():
     )
     all_ok, metrics = True, []
     for label, spec, x0, i0 in cases:
-        ric, aff = _solved(spec)
-        report = certify(spec, ric, aff, spec.grid.t0, i0, x0, 10000, 515, 2)
+        ric, _ = _solved(spec)
+        report = certify(spec, ric, spec.grid.t0, i0, x0, 10000, 515, 2)
         value_rows = [c for c in report.checks if c.name.startswith("value_")]
         all_ok = all_ok and len(value_rows) == 6 and all(c.passed for c in value_rows)
         main_check = report["value_mc_vs_function"]
@@ -164,7 +164,7 @@ def test_criterion_06_stationarity_residual():
     for spec in instances:
         ric, aff = _solved(spec)
         chain, path = simulate_closed_loop(
-            spec, ric, aff, 0, np.full(spec.n, 0.8), np.random.default_rng(66)
+            spec, ric, 0, np.full(spec.n, 0.8), np.random.default_rng(66)
         )
         res = float(
             np.linalg.norm(
@@ -179,10 +179,10 @@ def test_criterion_06_stationarity_residual():
 
 def test_criterion_07_quadratic_expansion():
     spec = benchmarks.state_decoupled(steps=400)
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     x0 = np.array([0.5])
     _, path = simulate_closed_loop(
-        spec, ric, aff, 0, x0, np.random.default_rng(77)
+        spec, ric, 0, x0, np.random.default_rng(77)
     )
     v_dir = np.random.default_rng(78).normal(size=(spec.grid.steps + 1, spec.m))
     report = frechet_rows(spec, 0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2))

@@ -331,11 +331,11 @@ def test_closed_loop_zero_feedback_matches_uncontrolled():
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
         S=np.zeros_like(spec.S),
     )
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     assert not np.any(ric.Theta)
     seed = 123
     chain, closed = simulate_closed_loop(
-        spec, ric, aff, 0, np.array([1.0, -0.5]), np.random.default_rng(seed)
+        spec, ric, 0, np.array([1.0, -0.5]), np.random.default_rng(seed)
     )
     rng = np.random.default_rng(seed)
     chain2 = simulate_chain(spec.gen, spec.grid, 0, rng)
@@ -348,10 +348,10 @@ def test_closed_loop_zero_feedback_matches_uncontrolled():
 
 def test_closed_loop_zero_initial_state_homogeneous():
     spec = benchmarks.two_regime_standard(steps=40)
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     spec_nonoise = dataclasses.replace(spec, sigma=np.zeros_like(spec.sigma))
     _, path = simulate_closed_loop(
-        spec_nonoise, ric, aff, 0, np.zeros(2), np.random.default_rng(4)
+        spec_nonoise, ric, 0, np.zeros(2), np.random.default_rng(4)
     )
     assert not np.any(path.X)
     assert not np.any(path.u)
@@ -359,9 +359,9 @@ def test_closed_loop_zero_initial_state_homogeneous():
 
 def test_closed_loop_scalar_monotone_decay():
     spec = benchmarks.scalar_benchmark(steps=200)
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     _, path = simulate_closed_loop(
-        spec, ric, aff, 0, np.array([1.0]), np.random.default_rng(0)
+        spec, ric, 0, np.array([1.0]), np.random.default_rng(0)
     )
     assert np.all(np.diff(path.X[:, 0]) < 0)
     assert path.X[-1, 0] > 0
@@ -412,17 +412,17 @@ def test_mc_value_zero_weight_problem():
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
         S=np.zeros_like(spec.S), R=np.zeros_like(spec.R),
     )
-    ric, aff = _solved(spec)
-    est = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0, 1.0]), 50, 0)
+    ric, _ = _solved(spec)
+    est = mc_value(spec, ric, 0.0, 0, np.array([1.0, 1.0]), 50, 0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_mc_value_deterministic_problem_zero_se():
     spec = benchmarks.scalar_benchmark(steps=100)
-    ric, aff = _solved(spec)
-    est = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 64, 12)
+    ric, _ = _solved(spec)
+    est = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 64, 12)
     chain, path = simulate_closed_loop(
-        spec, ric, aff, 0, np.array([1.0]), np.random.default_rng(1)
+        spec, ric, 0, np.array([1.0]), np.random.default_rng(1)
     )
     assert est.std_error <= 1e-14
     assert est.mean == pytest.approx(evaluate_cost(spec, chain, path), abs=1e-12)
@@ -430,32 +430,40 @@ def test_mc_value_deterministic_problem_zero_se():
 
 def test_mc_value_scalar_oracle():
     spec = benchmarks.scalar_benchmark(steps=500)
-    ric, aff = _solved(spec)
-    est = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 10000, 31)
+    ric, _ = _solved(spec)
+    est = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 10000, 31)
     assert abs(est.mean - 0.5) <= 3.0 * est.std_error + 5.0 * spec.grid.h
 
 
 def test_mc_value_reproducible():
     spec = benchmarks.two_regime_inhomogeneous(steps=60)
-    ric, aff = _solved(spec)
-    e1 = mc_value(spec, ric, aff, 0.0, 1, np.array([0.4]), 3000, 77)
-    e2 = mc_value(spec, ric, aff, 0.0, 1, np.array([0.4]), 3000, 77)
+    ric, _ = _solved(spec)
+    e1 = mc_value(spec, ric, 0.0, 1, np.array([0.4]), 3000, 77)
+    e2 = mc_value(spec, ric, 0.0, 1, np.array([0.4]), 3000, 77)
     assert e1.mean == e2.mean and e1.std_error == e2.std_error
 
 
 def test_mc_value_threads_match_serial():
     spec = benchmarks.two_regime_inhomogeneous(steps=40)
-    ric, aff = _solved(spec)
-    serial = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
-    pooled = mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
+    ric, _ = _solved(spec)
+    serial = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
+    pooled = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
     assert serial.mean == pooled.mean
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_mc_value_rejects_fewer_than_one_path(n_paths):
+    spec = benchmarks.scalar_benchmark(steps=20)
+    ric, _ = _solved(spec)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        mc_value(spec, ric, 0.0, 0, np.array([1.0]), n_paths, 0)
 
 
 def test_mc_value_raises_on_exploding_state():
     spec = benchmarks.state_blowup()
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     with pytest.raises(DivergenceError, match="diverged at node"):
-        mc_value(spec, ric, aff, 0.0, 0, np.array([1.0]), 8, 0)
+        mc_value(spec, ric, 0.0, 0, np.array([1.0]), 8, 0)
 
 
 # ------------------------------------------------ fused loop vs path form
@@ -472,12 +480,13 @@ def _tail(spec, k0):
     )
 
 
-def _reference_states(spec, alpha, theta, v, x0, dw, k0):
-    """Plain per-node Euler-Maruyama of one path under u = theta x + v."""
+def _reference_states(spec, alpha, law, x0, dw, k0):
+    """Plain per-node Euler-Maruyama of one path under u = Θx + v, with
+    law = [Θ | v]."""
     xs = [np.asarray(x0, dtype=float)]
     for k in range(k0, spec.grid.steps):
         i, x = alpha[k], xs[-1]
-        u = v[k, i] + (0.0 if theta is None else theta[k, i] @ x)
+        u = law[k, i, :, :-1] @ x + law[k, i, :, -1]
         drift = spec.A[k, i] @ x + spec.B[k, i] @ u + spec.b[k, i]
         diff = spec.C[k, i] @ x + spec.D[k, i] @ u + spec.sigma[k, i]
         xs.append(x + spec.grid.h * drift + dw[k] * diff)
@@ -490,12 +499,11 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
     spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
     n_steps = spec.grid.steps
     if closed_loop:
-        ric, aff = _solved(spec)
-        theta, v = ric.Theta, aff.v_star
+        law = _solved(spec)[0].Theta_bar
     else:
         u = np.random.default_rng(4).normal(size=(n_steps + 1, spec.m))
-        theta, v = None, _open_loop_table(spec, u)
-    tables = _closed_loop_tables(spec, theta, v)
+        law = _open_loop_table(spec, u)
+    tables = _closed_loop_tables(spec, law)
     x0 = np.linspace(0.8, -0.6, spec.n)
     n_paths = 6
     for k0 in (0, n_steps // 3, n_steps):
@@ -509,11 +517,10 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
             np.testing.assert_allclose(loop, want, rtol=1e-12, atol=0)
             continue
         tail = _tail(spec, k0)
-        tail_theta = None if theta is None else theta[k0:]
         for p in range(n_paths):
             chain = SimpleNamespace(alpha=alpha[p, k0:])
-            path = simulate_policy(tail, chain, tail_theta, v[k0:], x0, dw=dw[p, k0:])
-            ref = _reference_states(spec, alpha[p], theta, v, x0, dw[p], k0)
+            path = simulate_policy(tail, chain, law[k0:], x0, dw=dw[p, k0:])
+            ref = _reference_states(spec, alpha[p], law, x0, dw[p], k0)
             assert np.abs(path.X - ref).max() <= 1e-12 * np.abs(ref).max()
             want = evaluate_cost(tail, chain, path)
             assert abs(loop[p] - want) <= 1e-12 * abs(want)
@@ -523,16 +530,15 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
 
 
 def _three_laws(spec, closed_loop):
-    """Three laws as stacked (theta, v): perturbations of the optimal
-    feedback law, or three open-loop controls."""
+    """Three stacked laws [Θ | v]: perturbations of the optimal feedback
+    law, or three open-loop controls [0 | u]."""
     rng = np.random.default_rng(17)
     if closed_loop:
-        ric, aff = _solved(spec)
         d_theta = 0.3 * rng.uniform(-1.0, 1.0, (3, 1, 1, spec.m, spec.n))
-        d_v = 0.3 * rng.uniform(-1.0, 1.0, (3, 1, 1, spec.m))
-        return ric.Theta + d_theta, aff.v_star + d_v
+        d_v = 0.3 * rng.uniform(-1.0, 1.0, (3, 1, 1, spec.m, 1))
+        return _solved(spec)[0].Theta_bar + np.concatenate([d_theta, d_v], axis=-1)
     u = rng.normal(size=(3, spec.grid.steps + 1, spec.m))
-    return None, _open_loop_table(spec, u)
+    return _open_loop_table(spec, u)
 
 
 @pytest.mark.parametrize("problem", ["standard", "two_regime"])
@@ -542,15 +548,15 @@ def test_stacked_laws_match_one_law_calls(problem, closed_loop):
     # one-law call would; only the Euler loop is limited to one law
     spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
     n_steps = spec.grid.steps
-    theta, v = _three_laws(spec, closed_loop)
-    stacked = _closed_loop_tables(spec, theta, v)
+    laws = _three_laws(spec, closed_loop)
+    stacked = _closed_loop_tables(spec, laws)
     assert stacked.W.shape[:2] == (n_steps + 1, 3)
     trans = _cell_transitions(spec.gen, spec.grid)
     for k0 in (0, n_steps // 3, n_steps):
         got = _expected_values(stacked, trans, k0)
         assert got.shape == (3, spec.n_regimes, spec.n + 1, spec.n + 1)
         for law in range(3):
-            one = _closed_loop_tables(spec, None if theta is None else theta[law], v[law])
+            one = _closed_loop_tables(spec, laws[law])
             (want,) = _expected_values(one, trans, k0)
             np.testing.assert_allclose(got[law], want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
     alpha = np.zeros((2, n_steps + 1), dtype=np.int8)
@@ -564,11 +570,10 @@ def test_closed_loop_tables_stay_blocked():
     # copy of the tables; node chunks hold one chunk's coefficients
     spec = benchmarks.two_regime_inhomogeneous(steps=20000)
     rng = np.random.default_rng(5)
-    shape = (spec.grid.steps + 1, spec.n_regimes, spec.m)
-    theta, v = rng.normal(size=(*shape, spec.n)), rng.normal(size=shape)
+    law = rng.normal(size=(spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n + 1))
     tracemalloc.start()
     try:
-        tables = _closed_loop_tables(spec, theta, v)
+        tables = _closed_loop_tables(spec, law)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,7 +586,7 @@ def test_value_consistency_matches_one_law_per_call():
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
     ric, aff = _solved(spec)
     x0, seed, i0 = np.full(spec.n, 0.9), 23, 1
-    report = certify(spec, ric, aff, 0.0, i0, x0, 150, seed, 2)
+    report = certify(spec, ric, 0.0, i0, x0, 150, seed, 2)
     aug = spec.augmented()
     x_bar = np.append(x0, 1.0)
 
@@ -608,22 +613,22 @@ def test_frechet_check_matches_one_law_per_call():
     # certify expands about the zero control along the direction v, noise
     # from the stream (seed, 3), so its eps-laws are the controls eps v
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     x0, seed = np.array([1.0, -0.5]), 5
-    report = certify(spec, ric, aff, 0.0, 0, x0, 1, seed, 1)
+    report = certify(spec, ric, 0.0, 0, x0, 1, seed, 1)
     v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
     trans = _cell_transitions(spec.gen, spec.grid)
     x_bar = np.append(x0, 1.0)
     eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
     costs = np.array([
         x_bar @ _expected_values(
-            _closed_loop_tables(spec, None, _open_loop_table(spec, e * v)), trans)[0, 0]
+            _closed_loop_tables(spec, _open_loop_table(spec, e * v)), trans)[0, 0]
         @ x_bar
         for e in eps_grid
     ])
     hspec = spec.homogeneous()
     j0 = _expected_values(
-        _closed_loop_tables(hspec, None, _open_loop_table(hspec, v)), trans)[0, 0, -1, -1]
+        _closed_loop_tables(hspec, _open_loop_table(hspec, v)), trans)[0, 0, -1, -1]
     c2, c1, c0 = np.polyfit(eps_grid, costs, 2)
     want = dict(c0=c0, c1=c1, c2=c2, j0=j0, c1_centered=(costs[4] - costs[0]) / 0.2)
     got = {**report["frechet_fit_residual"].details,
@@ -640,7 +645,8 @@ def _zero_law_tables(spec):
     """Tables of the zero control on the homogeneous problem, whose state
     from x0 = e_j is column j of the fundamental matrix Φ."""
     hspec = spec.homogeneous()
-    return _closed_loop_tables(hspec, None, np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m)))
+    return _closed_loop_tables(
+        hspec, np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n + 1)))
 
 
 def test_feynman_kac_identity_case():
@@ -766,9 +772,9 @@ def test_cell_transitions_substep_with_large_rates():
     np.testing.assert_allclose(trans, np.broadcast_to(want, trans.shape), rtol=0, atol=1e-6)
 
 
-def _reference_costs(spec, theta, v, alpha, dw, x0, k0):
-    """Per-path Euler-Maruyama of u = Θx + v from the spec's coefficients,
-    trapezoidal running cost plus the terminal cost."""
+def _reference_costs(spec, law, alpha, dw, x0, k0):
+    """Per-path Euler-Maruyama of u = Θx + v, law = [Θ | v], from the
+    spec's coefficients, trapezoidal running cost plus the terminal cost."""
     h, n_steps = spec.grid.h, spec.grid.steps
     out = []
     for a, w in zip(alpha, dw):
@@ -776,7 +782,7 @@ def _reference_costs(spec, theta, v, alpha, dw, x0, k0):
         run = []
         for k in range(k0, n_steps + 1):
             r = a[k]
-            u = theta[k, r] @ x + v[k, r]
+            u = law[k, r, :, :-1] @ x + law[k, r, :, -1]
             run.append(x @ spec.Q[k, r] @ x + 2.0 * u @ spec.S[k, r] @ x + u @ spec.R[k, r] @ u
                        + 2.0 * spec.q[k, r] @ x + 2.0 * spec.rho[k, r] @ u)
             if k < n_steps:
@@ -802,23 +808,23 @@ def _exact_test_spec(steps, noise=True):
                                    sigma=np.zeros_like(spec.sigma))
     rng = np.random.default_rng(8)
     theta = rng.uniform(-1.0, 1.0, (spec.grid.steps + 1, 2, spec.m, spec.n))
-    v = rng.uniform(-1.0, 1.0, (spec.grid.steps + 1, 2, spec.m))
-    return spec, theta, v
+    v = rng.uniform(-1.0, 1.0, (spec.grid.steps + 1, 2, spec.m, 1))
+    return spec, np.concatenate([theta, v], axis=-1)
 
 
 def test_expected_values_match_regime_sequence_enumeration():
     # without noise the cost is a function of the regime sequence, whose
     # law is the product of the cell transitions
-    spec, theta, v = _exact_test_spec(steps=4, noise=False)
+    spec, law = _exact_test_spec(steps=4, noise=False)
     trans = _cell_transitions(spec.gen, spec.grid)
-    vals = _expected_values(_closed_loop_tables(spec, theta, v), trans)
+    vals = _expected_values(_closed_loop_tables(spec, law), trans)
     seqs = np.array(list(itertools.product(range(2), repeat=4)))
     for i0 in range(2):
         alpha = np.column_stack([np.full(len(seqs), i0), seqs])
         weight = np.prod(trans[np.arange(4), alpha[:, :-1], alpha[:, 1:]], axis=1)
         assert weight.sum() == pytest.approx(1.0, abs=1e-14)
         for x0 in ([0.0], [1.3], [-0.4]):
-            costs = _reference_costs(spec, theta, v, alpha, np.zeros((len(seqs), 4)), x0, 0)
+            costs = _reference_costs(spec, law, alpha, np.zeros((len(seqs), 4)), x0, 0)
             x_bar = np.append(x0, 1.0)
             assert x_bar @ vals[0, i0] @ x_bar == pytest.approx(weight @ costs, rel=1e-12)
 
@@ -843,8 +849,8 @@ def test_expected_values_match_closed_form_second_moment():
 
 @pytest.mark.parametrize("k0", [0, 4, 12])
 def test_expected_values_match_monte_carlo(k0):
-    spec, theta, v = _exact_test_spec(steps=12)
-    tables = _closed_loop_tables(spec, theta, v)
+    spec, law = _exact_test_spec(steps=12)
+    tables = _closed_loop_tables(spec, law)
     vals = _expected_values(tables, _cell_transitions(spec.gen, spec.grid), k0)
     x0, n_paths = np.array([0.8]), 100_000
     x_bar = np.append(x0, 1.0)
@@ -889,8 +895,7 @@ def test_tiled_policy_product_matches_untiled(tile, n_paths):
     # 10 and 11 paths leave a partial last tile or a lone row
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     n_steps = spec.grid.steps
-    theta, v = _three_laws(spec, closed_loop=True)
-    tables = _closed_loop_tables(spec, theta[0], v[0])
+    tables = _closed_loop_tables(spec, _three_laws(spec, closed_loop=True)[0])
     x0 = np.linspace(0.8, -0.6, spec.n)
     for k0 in (0, n_steps // 3):
         rng = np.random.default_rng([12, k0, n_paths])
@@ -951,8 +956,7 @@ def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
     monkeypatch.setattr(sim, "TILE_ROWS", tile)
     monkeypatch.setattr(sim, "BATCH_PATHS", batch)
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
-    ric, aff = _solved(spec)
-    tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+    tables = _closed_loop_tables(spec, _solved(spec)[0].Theta_bar)
     x0, n_steps = np.linspace(0.8, -0.6, spec.n), spec.grid.steps
     for n_paths in (1, 2, tile, tile + 1, 2 * tile + 1, batch + 3):
         for k0 in (0, n_steps // 3, n_steps):
@@ -1000,10 +1004,10 @@ def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
     # one-byte regimes and 2 MiB of one tile's increments; int64 regimes
     # and a whole batch of increments would take 32 MiB
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     tracemalloc.start()
     try:
-        mc_value(spec, ric, aff, 0.0, 0, np.ones(spec.n), sim.BATCH_PATHS, 9)
+        mc_value(spec, ric, 0.0, 0, np.ones(spec.n), sim.BATCH_PATHS, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1019,8 +1023,8 @@ def test_euler_weak_error_scaling():
     biases = []
     for steps in (25, 50):
         spec = benchmarks.two_regime_inhomogeneous(steps=steps)
-        ric, aff = _solved(spec)
-        est = mc_value(spec, ric, aff, 0.0, 0, x0, 200000, 314)
+        ric, _ = _solved(spec)
+        est = mc_value(spec, ric, 0.0, 0, x0, 200000, 314)
         biases.append(est.mean - v_ref)
     ratio = biases[0] / biases[1]
     assert 1.3 < ratio < 3.5
@@ -1046,7 +1050,6 @@ def test_path_costs_hold_one_tile_of_increments(monkeypatch, diverging):
         with pytest.raises(DivergenceError):
             sim._path_costs(spec, _zero_law_tables(spec), np.ones(1), 0, 0, 10, (2,))
     else:
-        ric, aff = _solved(spec)
-        tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+        tables = _closed_loop_tables(spec, _solved(spec)[0].Theta_bar)
         sim._path_costs(spec, tables, np.ones(1), 0, 0, 10, (2,))
     assert len(draws) == 3

@@ -47,9 +47,9 @@ def _solved(spec):
 def _certified(spec, i0=0, x0=None, paths=50, seed=1, controls=2):
     """certify's report on ``spec`` from its first node, x0 all ones by
     default."""
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     x0 = np.ones(spec.n) if x0 is None else x0
-    return certify(spec, ric, aff, spec.grid.t0, i0, x0, paths, seed, controls)
+    return certify(spec, ric, spec.grid.t0, i0, x0, paths, seed, controls)
 
 
 def _rows(report, prefix):
@@ -63,9 +63,7 @@ def _rows(report, prefix):
 def test_stationarity_vanishes_on_closed_loop_path():
     spec = benchmarks.two_regime_inhomogeneous(steps=100)
     ric, aff = _solved(spec)
-    chain, path = simulate_closed_loop(
-        spec, ric, aff, 0, np.array([1.0]), np.random.default_rng(2)
-    )
+    chain, path = simulate_closed_loop(spec, ric, 0, np.array([1.0]), np.random.default_rng(2))
     res = stationarity_residual(spec, ric, aff, chain, path)
     assert np.abs(res).max() <= 1e-10
     assert _stationarity_row(ric, 0).all_passed
@@ -98,7 +96,7 @@ def test_path_residual_is_the_law_residual_at_the_path_state(which, shift):
     ric = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + shift)
     aff = dataclasses.replace(aff, v_star=ric.Theta_bar[..., -1])
     chain, path = simulate_closed_loop(
-        spec, ric, aff, 0, np.linspace(-0.8, 1.2, spec.n), np.random.default_rng(9))
+        spec, ric, 0, np.linspace(-0.8, 1.2, spec.n), np.random.default_rng(9))
     got = stationarity_residual(spec, ric, aff, chain, path)
     idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
     x_bar = np.column_stack([path.X, np.ones(idx.size)])
@@ -139,10 +137,8 @@ def test_frechet_deterministic_exact_quadratic():
 
 def test_frechet_linear_term_vanishes_at_feedback_optimum():
     spec = benchmarks.state_decoupled(steps=300)
-    ric, aff = _solved(spec)
-    _, path = simulate_closed_loop(
-        spec, ric, aff, 0, np.array([0.5]), np.random.default_rng(0)
-    )
+    ric, _ = _solved(spec)
+    _, path = simulate_closed_loop(spec, ric, 0, np.array([0.5]), np.random.default_rng(0))
     v = np.random.default_rng(10).normal(size=(301, 1))
     report = frechet_rows(spec, 0, 0, np.array([0.5]), path.u, v, (0.05, 0.1))
     assert abs(report["frechet_fit_residual"].details["c1"]) <= 1e-6
@@ -158,9 +154,9 @@ def test_frechet_quadratic_coefficient_stochastic():
     assert report.all_passed
 
 
-def _frechet_rows_of_verify(spec, ric, aff, seed):
+def _frechet_rows_of_verify(spec, ric, seed):
     """The Fréchet rows that ``verify --seed seed`` writes for ``spec``."""
-    report = certify(spec, ric, aff, 0.0, 0, np.ones(spec.n), 1, seed, 1)
+    report = certify(spec, ric, 0.0, 0, np.ones(spec.n), 1, seed, 1)
     return _rows(report, "frechet_")
 
 
@@ -169,15 +165,15 @@ def test_frechet_quadratic_coefficient_sees_offset_kept_in_homogeneous(monkeypat
     # sampled row's 3 SE allowance but far above the exact row's tolerance
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
     assert np.any(spec.rho)
-    ric, aff = _solved(spec)
-    assert _frechet_rows_of_verify(spec, ric, aff, 7).all_passed
+    ric, _ = _solved(spec)
+    assert _frechet_rows_of_verify(spec, ric, 7).all_passed
     drop_rho = type(spec).homogeneous
 
     def keep_rho(self):
         return dataclasses.replace(drop_rho(self), rho=self.rho)
 
     monkeypatch.setattr(type(spec), "homogeneous", keep_rho)
-    report = _frechet_rows_of_verify(spec, ric, aff, 7)
+    report = _frechet_rows_of_verify(spec, ric, 7)
     assert not report["frechet_quadratic_coefficient"].passed
     assert report["frechet_fit_residual"].passed
 
@@ -185,9 +181,9 @@ def test_frechet_quadratic_coefficient_sees_offset_kept_in_homogeneous(monkeypat
 @pytest.mark.parametrize("which", ["scalar", "standard", "two_regime", "dead_channel"])
 def test_frechet_rows_pass_at_their_exact_tolerances(which):
     spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     for seed in range(1, 31, 5):
-        report = _frechet_rows_of_verify(spec, ric, aff, seed)
+        report = _frechet_rows_of_verify(spec, ric, seed)
         assert report.all_passed, (seed, report.summary())
         scale = max(1.0, abs(report["frechet_fit_residual"].details["c0"]))
         assert [(c.name, c.tolerance) for c in report.checks] == [
@@ -246,7 +242,7 @@ def test_convexity_stacked_controls_match_per_control_runs(t0):
         u[k0:] = np.random.default_rng([21, 31337, c]).normal(size=(spec.grid.steps + 1, spec.m))[k0:]
         sq = np.einsum("ki,ki->k", u, u)
         energy = spec.grid.h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1]))
-        tables = _closed_loop_tables(hspec, None, _open_loop_table(hspec, u))
+        tables = _closed_loop_tables(hspec, _open_loop_table(hspec, u))
         single.append(_expected_values(tables, trans, k0)[0, 1, -1, -1] / energy)
     np.testing.assert_allclose(stacked.details["ratios"], single, rtol=1e-12, atol=0)
 
@@ -267,7 +263,7 @@ def test_homogeneous_cost_scales_quadratically_in_control():
     dw = brownian_increments(spec.grid, np.random.default_rng(8), 100)
     costs = []
     for scale in (1.0, 3.0):
-        tables = _closed_loop_tables(spec, None, _open_loop_table(spec, scale * u))
+        tables = _closed_loop_tables(spec, _open_loop_table(spec, scale * u))
         costs.append(_integrate_policy(tables, alpha, np.zeros(2), dw))
     assert np.abs(costs[1] - 9.0 * costs[0]).max() <= 1e-10 * np.abs(costs[1]).max()
 
@@ -298,13 +294,13 @@ def test_value_consistency_scalar_oracle():
 
 def test_value_perturbed_gain_costs_more():
     spec = benchmarks.scalar_benchmark(steps=200)
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
     dw = brownian_increments(spec.grid, np.random.default_rng(2))[0]
-    base = simulate_policy(spec, chain, ric.Theta, aff.v_star, np.array([1.0]), dw=dw)
-    pert = simulate_policy(
-        spec, chain, ric.Theta + 0.5, aff.v_star, np.array([1.0]), dw=dw
-    )
+    base = simulate_policy(spec, chain, ric.Theta_bar, np.array([1.0]), dw=dw)
+    law = ric.Theta_bar.copy()
+    law[..., :-1] += 0.5  # the gain alone
+    pert = simulate_policy(spec, chain, law, np.array([1.0]), dw=dw)
     gap = evaluate_cost(spec, chain, pert) - evaluate_cost(spec, chain, base)
     assert gap > 0.0
 
@@ -317,15 +313,16 @@ def test_value_consistency_inhomogeneous_two_regime():
 
 def test_value_perturbation_rows_catch_a_suboptimal_law():
     # the same seeded perturbations that the optimal law survives find a
-    # cheaper law around a shifted one
+    # cheaper law around a shifted one: gain and offset move together,
+    # and every row prices the one shifted law
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     rows = [f"value_no_improvement_perturbation_{p}" for p in range(1, 6)]
     x0, seed = np.ones(spec.n), 1
-    good = certify(spec, ric, aff, 0.0, 0, x0, 50, seed, 2)
+    good = certify(spec, ric, 0.0, 0, x0, 50, seed, 2)
     assert all(good[r].passed for r in rows)
     shifted = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + 0.2)
-    bad = certify(spec, shifted, aff, 0.0, 0, x0, 50, seed, 2)
+    bad = certify(spec, shifted, 0.0, 0, x0, 50, seed, 2)
     assert not all(bad[r].passed for r in rows)
 
 
@@ -349,8 +346,8 @@ def test_eta_certified_by_mc_value_differences():
     spec = benchmarks.two_regime_inhomogeneous(steps=200)
     ric, aff = _solved(spec)
     x = np.array([1.0])
-    plus = mc_value(spec, ric, aff, 0.0, 0, x, 20000, 41)
-    minus = mc_value(spec, ric, aff, 0.0, 0, -x, 20000, 42)
+    plus = mc_value(spec, ric, 0.0, 0, x, 20000, 41)
+    minus = mc_value(spec, ric, 0.0, 0, -x, 20000, 42)
     got = 0.25 * (plus.mean - minus.mean)
     want = float(aff.eta[0, 0] @ x)
     se = 0.25 * np.hypot(plus.std_error, minus.std_error)
@@ -421,9 +418,7 @@ def test_completion_of_squares_identity():
     u = rng.normal(size=(251, 1))
     x0 = np.array([0.8])
     path_u = simulate_state(spec, chain, u, x0, np.random.default_rng(1))
-    _, path_opt = simulate_closed_loop(
-        spec, ric, aff, 0, x0, np.random.default_rng(1)
-    )
+    _, path_opt = simulate_closed_loop(spec, ric, 0, x0, np.random.default_rng(1))
     gap = evaluate_cost(spec, chain, path_u) - evaluate_cost(spec, chain, path_opt)
 
     idx = np.arange(spec.grid.steps + 1)
@@ -453,6 +448,31 @@ def test_report_serialization_shape():
 # ------------------------------------------------------------ certify
 
 
+@pytest.mark.parametrize("i0", [-1, 2])
+def test_an_initial_regime_outside_the_chain_is_rejected(i0):
+    # i0 = -1 would start the chain in no regime, and the row take of the
+    # Euler loop would read another row's blocks; i0 = D indexes past the
+    # regimes
+    spec = benchmarks.two_regime_inhomogeneous(steps=100)
+    assert i0 in (-1, spec.n_regimes)
+    ric, _ = _solved(spec)
+    x0, rng = np.array([0.5]), np.random.default_rng(3)
+    calls = {
+        "simulate_chain": lambda: simulate_chain(spec.gen, spec.grid, i0, rng),
+        "mc_value": lambda: mc_value(spec, ric, 0.0, i0, x0, 2000, 3),
+        "certify": lambda: certify(spec, ric, 0.0, i0, x0, 50, 3, 2),
+        "convexity_probe": lambda: convexity_probe(spec, 0.0, i0, 2, 3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"i0 = {i0} is not in 0\.\.1"):
+            call()
+            pytest.fail(f"{name} accepted i0 = {i0}")
+    one = Generator.constant([[0.0]], spec.grid)  # no jump could leave regime 3
+    with pytest.raises(ValueError, match=r"i0 = 3 is not in 0\.\.0"):
+        simulate_chain(one, spec.grid, 3, rng)
+
+
+
 @pytest.mark.parametrize("which, third", [
     ("standard", False), ("two_regime", False), ("two_regime", True), ("dead_channel", False),
 ])
@@ -461,9 +481,9 @@ def test_certify_matches_one_law_per_call(which, third):
     # bit as one call per law, and the zero-law slice of the Lyapunov
     # stack as the zero-gain solve of the problem itself
     spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     t0 = spec.grid.nodes()[spec.grid.steps // 3 if third else 0]
-    args = (spec, ric, aff, t0, spec.n_regimes - 1, np.linspace(0.5, 1.5, spec.n), 300, 5, 4)
+    args = (spec, ric, t0, spec.n_regimes - 1, np.linspace(0.5, 1.5, spec.n), 300, 5, 4)
     got, want = certify(*args), certify_one_law_per_call(*args)
     assert [c.name for c in got.checks] == [c.name for c in want.checks]
     for row, ref in zip(got.checks, want.checks):
@@ -524,15 +544,16 @@ def test_per_node_expansion_gives_the_same_bits(which):
     rng = np.random.default_rng(31)
     shape = (3, const.grid.steps + 1, const.n_regimes, const.m)
     d_theta, d_v = rng.uniform(-0.3, 0.3, (*shape, const.n)), rng.uniform(-0.3, 0.3, shape)
+    d_bar = np.concatenate([d_theta, d_v[..., None]], axis=-1)
     results = []
     for spec in (const, expanded):
-        ric, aff = _solved(spec)
-        tables = _closed_loop_tables(spec, ric.Theta, aff.v_star)
+        ric, _ = _solved(spec)
+        tables = _closed_loop_tables(spec, ric.Theta_bar)
         h_tables = _closed_loop_tables(
-            spec.homogeneous(), None, _open_loop_table(spec, np.ones((spec.grid.steps + 1, spec.m))))
-        laws = _closed_loop_tables(spec, ric.Theta + d_theta, aff.v_star + d_v)
+            spec.homogeneous(), _open_loop_table(spec, np.ones((spec.grid.steps + 1, spec.m))))
+        laws = _closed_loop_tables(spec, ric.Theta_bar + d_bar)
         costs = sim._path_costs(spec, tables, x0, i0, 0, 700, (4,))
-        report = certify(spec, ric, aff, spec.grid.t0, i0, x0, 300, 5, 4)
+        report = certify(spec, ric, spec.grid.t0, i0, x0, 300, 5, 4)
         results.append([ric.P_bar, ric.Theta_bar, tables.W, h_tables.W, laws.W, costs,
                         report.to_csv().encode()])
     for got, want in zip(*results):
