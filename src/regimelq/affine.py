@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, TimeGrid, interp_nodes
+from .model import ProblemSpec, TimeGrid, _check_regime, interp_nodes
 from .riccati import RiccatiSolution
 
 __all__ = ["AffineSolution", "solve_eta", "feedback_at", "value_function"]
@@ -70,5 +70,6 @@ def value_function(
     ric: RiccatiSolution, aff: AffineSolution, t: float, i: int, x: np.ndarray
 ) -> float:
     """Optimal cost-to-go x_bar^T P_bar x_bar from (t, x, i), x_bar = [x, 1]."""
+    _check_regime(i, ric.P_bar.shape[1], "regime i")
     x_bar = np.append(np.asarray(x, dtype=float), 1.0)
     return float(x_bar @ interp_nodes(ric.P_bar, ric.grid, t)[i] @ x_bar)

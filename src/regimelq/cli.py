@@ -4,8 +4,9 @@ Problem files are YAML; the schema is documented in
 :mod:`regimelq.problemfile`.  ``verify`` writes the report of
 :func:`regimelq.verify.certify`, or of
 :func:`regimelq.verify.not_regular_report` when there is no closed-loop
-optimal law; the seed streams, epsilons and tolerances of its rows live
-in :mod:`regimelq.verify`.
+optimal law; the seed streams and tolerances of its rows live in
+:mod:`regimelq.verify`.  ``--x0`` and ``--i0`` reach only its Monte-Carlo
+row, ``value_mc_vs_function``; every other row reads every regime.
 
 Exit codes: 0 success, 1 problem-file/validation error, a usage error
 (an unknown flag, a missing ``--problem``, a value of the wrong type), a
@@ -277,7 +278,7 @@ def _cmd_verify(args) -> int:
     if code == EXIT_NOT_REGULAR:
         # no solution to certify, but the report still documents why
         _write_report(out, args, verify.not_regular_report(
-            spec, sol, t0, i0, args.controls, args.seed))
+            spec, sol, t0, args.controls, args.seed))
     if code != EXIT_OK:
         return code
     x0 = np.asarray(args.x0, dtype=float)

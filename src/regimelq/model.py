@@ -129,6 +129,12 @@ def interp_nodes(arr: np.ndarray, grid: TimeGrid, t: float) -> np.ndarray:
     return (1.0 - w) * arr[k] + w * arr[k + 1]
 
 
+def _check_regime(i: int, n_regimes: int, name: str = "initial regime i0") -> None:
+    """Raise ``ValueError`` unless ``i`` is in 0..D − 1 (−1 would read D − 1)."""
+    if not 0 <= i < n_regimes:
+        raise ValueError(f"{name} = {i} is not in 0..{n_regimes - 1}")
+
+
 @dataclass(frozen=True)
 class Generator:
     """Chain generator: per-node D x D transition intensities.

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import matcore
 from .matcore import symmetrize
-from .model import ProblemSpec, TimeGrid, _hats, interp_nodes
+from .model import ProblemSpec, TimeGrid, _check_regime, _hats, interp_nodes
 
 __all__ = [
     "DivergenceError",
@@ -169,6 +169,7 @@ class RiccatiSolution:
         return np.ascontiguousarray(self.Theta_bar[..., :-1])
 
     def gain_at(self, t: float, i: int) -> np.ndarray:
+        _check_regime(i, self.Theta_bar.shape[1], "regime i")
         return interp_nodes(self.Theta, self.grid, t)[i]
 
 
@@ -376,14 +377,7 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> np.nda
     slice's, for a stack).
     """
     want = (spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n)
-    if theta is None:
-        theta = np.broadcast_to(0.0, want)
-    theta = np.asarray(theta, dtype=float)
-    stacked = theta.ndim == len(want) + 1
-    gains = theta if stacked else theta[None]
-    if gains.shape[1:] != want or len(gains) == 0:
-        raise matcore.InvalidInputError(
-            f"theta shape {theta.shape} is neither {want} nor (L >= 1, *{want})")
+    gains = _law_stack(np.broadcast_to(0.0, want) if theta is None else theta, want, "theta")
     path, failed = _rk4_stack(
         _lyapunov_rhs, _lyapunov_tables, _sweep_coefs(spec), [spec.G] * len(gains),
         [(0, spec.grid.steps)] * len(gains), spec.grid.h,
@@ -393,7 +387,18 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> np.nda
         node = failed[min(failed)]
         raise DivergenceError(node, spec.grid.nodes()[node])
     p_path = np.moveaxis(path, 1, 0)
-    return p_path if stacked else p_path[0]
+    return p_path if np.ndim(theta) == len(want) + 1 else p_path[0]
+
+
+def _law_stack(theta, want: tuple, name: str) -> np.ndarray:
+    """One law of shape ``want``, or a stack (L >= 1, *want), as an (L, *want)
+    float stack; any other shape raises an error naming ``name``."""
+    theta = np.asarray(theta, dtype=float)
+    laws = theta if theta.ndim == len(want) + 1 else theta[None]
+    if laws.shape[1:] != want or len(laws) == 0:
+        raise matcore.InvalidInputError(
+            f"{name} shape {theta.shape} is neither {want} nor (L >= 1, *{want})")
+    return laws
 
 
 def _derived_tables(

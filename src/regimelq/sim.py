@@ -59,10 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Generator, ProblemSpec, TimeGrid
+from .model import Generator, ProblemSpec, TimeGrid, _check_regime
 from .riccati import (
-    _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _lyapunov_tables,
-    _sweep_coefs,
+    _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _law_stack,
+    _lyapunov_tables, _sweep_coefs,
 )
 
 __all__ = [
@@ -120,9 +120,12 @@ class MCEstimate:
     seed: int
 
 
-def _check_regime(i0: int, n_regimes: int) -> None:
-    if not 0 <= i0 < n_regimes:
-        raise ValueError(f"initial regime i0 = {i0} is not in 0..{n_regimes - 1}")
+def _initial_state(x0, n: int) -> np.ndarray:
+    """``x0`` as a float (n,) array; another shape raises, not broadcasts."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"initial state x0 has shape {x0.shape}, the problem has n = {n}")
+    return x0
 
 
 def simulate_chain(gen: Generator, grid: TimeGrid, i0: int, rng) -> ChainPath:
@@ -252,7 +255,8 @@ def _closed_loop_tables(spec: ProblemSpec, theta_bar) -> _Tables:
     chunk's are held beside the tables.
     """
     n, h = spec.n, spec.grid.h
-    theta_bar = np.reshape(theta_bar, (-1, *np.shape(theta_bar)[-4:]))  # (L, N + 1, D, m, n + 1)
+    theta_bar = _law_stack(
+        theta_bar, (spec.grid.steps + 1, spec.n_regimes, spec.m, n + 1), "theta_bar")
     n_laws, n_nodes, n_reg = theta_bar.shape[:3]
     aug = spec.augmented()
     coefs = _sweep_coefs(aug)
@@ -379,6 +383,7 @@ def simulate_policy(
 ) -> StatePath:
     """Integrate one state path under a node/regime-indexed affine law
     ``theta_bar`` = Θ̄, (N + 1, D, m, n + 1): u = Θ̄ x̄ with x̄ = [x, 1]."""
+    x0 = _initial_state(x0, spec.n)
     if dw is None:
         dw = brownian_increments(spec.grid, rng, 1)
     else:
@@ -390,7 +395,7 @@ def simulate_policy(
     # Θx + v: one sum over the n + 1 entries of x̄ may round otherwise
     u = np.einsum("kij,kj->ki", law[..., :-1], x) + law[..., -1]
     return StatePath(
-        grid=spec.grid, x0=np.asarray(x0, dtype=float), X=x, u=u, dw=dw[0],
+        grid=spec.grid, x0=x0, X=x, u=u, dw=dw[0],
     )
 
 
@@ -505,6 +510,7 @@ def mc_value(
     ``(rng_seed,)``."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    x0 = _initial_state(x0, spec.n)
     tables = _closed_loop_tables(spec, ric.Theta_bar)
     costs = _path_costs(
         spec, tables, x0, i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,

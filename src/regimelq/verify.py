@@ -3,22 +3,21 @@
 Each row of :func:`certify` compares a Monte-Carlo, exact discrete or
 continuous-time quantity against its solver-side counterpart, or reads
 the feedback law itself.  The one Monte-Carlo row, the closed-loop
-value, accepts at three standard errors plus a discretization-bias
-allowance ``BIAS_BUDGET_COEFF * h * scale`` (calibrated once on the
-closed-form scalar benchmark, recorded in every report that uses it);
-its paths come from the one seeded runner of :mod:`regimelq.sim`, so it
-does not depend on the thread count.  No other row draws a path.  The
-stationarity row is the law's own range residual S_bar + R_hat
-Theta_bar at every node and regime.  The rows that compare laws carry
-no standard error: one :func:`regimelq.riccati.solve_lyapunov` stack on
-``spec.augmented()`` prices the continuous-time cost of the optimal, the
-perturbed and the zero law, and two exact expectations of the Euler
-scheme (:func:`regimelq.sim._expected_values`), on the problem and on
-``spec.homogeneous()``, price every other law.  A law is one Θ̄ = [Θ | v]
-on x̄ = [x, 1]: ``ric.Theta_bar`` for the optimal one, [0 | u] for an
-open-loop control u.  The rows are pure functions of the law and the
-priced slices.  Without a closed-loop optimal law,
-:func:`not_regular_report` gives the failed range test and the probe.
+value from (t0, x0, i0), accepts at three standard errors plus a
+discretization-bias allowance ``BIAS_BUDGET_COEFF * h * scale``
+(calibrated once on the closed-form scalar benchmark, recorded in every
+report that uses it); its paths come from the one seeded runner of
+:mod:`regimelq.sim`, so it does not depend on the thread count.  No
+other row draws a path or reads (x0, i0): the paper's optimality and
+convexity hold from every initial state and regime, and the rows read
+matrices of every regime.  One :func:`regimelq.riccati.solve_lyapunov`
+stack on ``spec.augmented()`` prices P̄ of the optimal, the perturbed
+and the zero law at every node, and two exact expectations of the Euler
+scheme (:func:`regimelq.sim._expected_values`), of the optimal law and,
+on ``spec.homogeneous()``, of the zero law and the probe controls, give
+the scheme's cost matrices.  A law is one Θ̄ = [Θ | v] on x̄ = [x, 1]:
+``ric.Theta_bar`` for the optimal one, [0 | u] for an open-loop control
+u.  :func:`not_regular_report` gives the failed range test and the probe.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProblemSpec
+from .model import ProblemSpec, TimeGrid
 from .riccati import DEFAULT_RANGE_TOL, RiccatiSolution, solve_lyapunov
 from .sim import (
     MCEstimate,
     _cell_transitions,
-    _check_regime,
     _closed_loop_tables,
     _expected_values,
     _open_loop_table,
@@ -59,10 +57,6 @@ BIAS_BUDGET_COEFF = 5.0
 # this fraction of the largest optimal gain and offset norms.
 PERTURBATION_SCALE = 0.5
 N_PERTURBATIONS = 5
-
-# The Fréchet laws eps v about the zero control: eps = 0 and two sizes of
-# each sign.
-FRECHET_EPSILONS = (-0.1, -0.05, 0.0, 0.05, 0.1)
 
 
 def euler_bias_budget(h: float, scale: float = 1.0) -> float:
@@ -186,101 +180,99 @@ def _probe_controls(spec: ProblemSpec, k0: int, n_controls: int, seed: int) -> n
     return u
 
 
-def _value_rows(est: MCEstimate, v_fn: float, costs: np.ndarray, h: float) -> VerificationReport:
-    """Closed-loop value agreement plus no-improvement under perturbations.
-
-    (a) the Monte-Carlo closed-loop cost must meet the evaluated value
-    function within three standard errors plus the bias allowance;
-    (b) no perturbed law (:func:`_perturbed_laws`) may cost less than the
-    optimal one (tolerance 0).  ``costs`` holds the optimal law's cost,
-    then each perturbed law's: continuous-time and exact up to the RK4
-    error, since a frozen law Theta_bar costs x_bar^T P_bar x_bar, P_bar
-    its Lyapunov solution on ``spec.augmented()``.
-    """
+def _value_mc_row(est: MCEstimate, v_fn: float, h: float) -> VerificationReport:
+    """The Monte-Carlo closed-loop cost from (t0, x0, i0) must meet the
+    value function there within three standard errors plus the bias
+    allowance."""
     budget = euler_bias_budget(h, scale=v_fn)
-    report = VerificationReport().add(
+    return VerificationReport().add(
         "value_mc_vs_function", abs(est.mean - v_fn),
         3.0 * est.std_error + budget,
         mc_mean=est.mean, mc_se=est.std_error, value_function=v_fn,
         bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
         paths=est.paths, seed=est.seed,
     )
-    for p_id, cost in enumerate(costs[1:]):
-        gap = float(cost - costs[0])
-        report.add(
-            f"value_no_improvement_perturbation_{p_id + 1}", -gap, 0.0,
-            cost_gap=gap, optimal_cost_minus_value=float(costs[0] - v_fn),
-            seed=est.seed,
+
+
+def _no_improvement_rows(p_bar: np.ndarray, k0: int, grid: TimeGrid,
+                         seed: int) -> VerificationReport:
+    """No perturbed law (:func:`_perturbed_laws`) costs less than the
+    optimal one from any state, node and regime.
+
+    ``p_bar`` holds the Lyapunov slices of the optimal law, then of each
+    perturbed law.  A frozen law costs x̄ᵀP̄(k, i)x̄ from (t_k, x, i), so law
+    p loses nowhere iff every gap P̄_p(k, i) − P̄_0(k, i) is ⪰ 0, as the
+    R̂-weighted cost of Θ̄_p − Θ̄* is at an optimal law.  Row p's statistic
+    is −λ_min of the gap over k0 ≤ k < N and every regime (at N both are
+    Ḡ), and its tolerance a rounding bound: each of the N − k0 RK4 steps
+    ends in P̄ + (h/6)(k₁ + 2k₂ + 2k₃ + k₄), O(h) stage terms rounding each
+    entry by about ε|P̄|, the difference rounds once, and the symmetric
+    eigensolver is backward stable to (n + 1)ε‖gap‖.  So row p allows
+    (N − k0 + n + 2) ε max_{k, i} (‖P̄_p(k, i)‖_F + ‖P̄_0(k, i)‖_F).
+    """
+    n_steps, width = grid.steps, p_bar.shape[-1]
+    sweep = p_bar[:, k0:n_steps]
+    min_eig = np.linalg.eigvalsh(sweep[1:] - sweep[0])[..., 0]  # (N_PERTURBATIONS, N − k0, D)
+    norms = np.linalg.norm(sweep, axis=(-2, -1))
+    rounding = (n_steps - k0 + width + 1) * np.finfo(float).eps
+    report = VerificationReport()
+    for p_id, (eig, norm) in enumerate(zip(min_eig, norms[1:] + norms[0])):
+        k, i = np.unravel_index(eig.argmin(), eig.shape)
+        report.add(  # 0.0 - λ keeps a zero gap's statistic +0
+            f"value_no_improvement_perturbation_{p_id + 1}", 0.0 - eig[k, i],
+            rounding * norm.max(), min_eig=float(eig[k, i]), node=int(k0 + k),
+            t=float(grid.nodes()[k0 + k]), regime=int(i), seed=seed,
         )
     return report
 
 
-def _euler_bias_row(e_h: float, v_fn: float, h: float) -> VerificationReport:
-    """Exact expected closed-loop cost E_h of the Euler scheme against the
-    value function: the discretization bias that the Monte-Carlo value
-    row allows for, measured without sampling error."""
-    budget = euler_bias_budget(h, scale=v_fn)
+def _regime_bias_row(name: str, diff: np.ndarray, scale: np.ndarray, h: float,
+                     **details) -> VerificationReport:
+    """Regime i passes iff diff[i] <= ``euler_bias_budget(h, scale[i])``;
+    the row reports the regime nearest its budget, or furthest past it."""
+    budgets = np.array([euler_bias_budget(h, s) for s in scale])
+    i = int((diff / budgets).argmax())
     return VerificationReport().add(
-        "euler_bias", abs(e_h - v_fn), budget,
-        discrete_mean=e_h, value_function=v_fn, bias=e_h - v_fn,
-        bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
+        name, diff[i], budgets[i], regime=i, bias_budget=float(budgets[i]),
+        bias_coeff=BIAS_BUDGET_COEFF, **{k: float(v[i]) for k, v in details.items()},
     )
+
+
+def _euler_bias_row(v_h: np.ndarray, p_bar: np.ndarray, h: float) -> VerificationReport:
+    """The exact expected cost matrices V_h(i) of the Euler scheme under
+    the optimal law against the value function's P̄(k0, i): the bias that
+    the Monte-Carlo value row allows for, without sampling error.  Regime
+    i's ‖V_h(i) − P̄(k0, i)‖₂ bounds |E_h − V| over unit x̄."""
+    bias = np.linalg.norm(v_h - p_bar, ord=2, axis=(-2, -1))
+    value = np.linalg.norm(p_bar, ord=2, axis=(-2, -1))
+    return _regime_bias_row("euler_bias", bias, value, h, bias=bias, value_norm=value)
 
 
 def _m0_row(m0_h: np.ndarray, ode: np.ndarray, h: float) -> VerificationReport:
     """Euler-scheme vs backward-ODE form of the zero-control value matrix.
 
     M0_h is the quadratic block of the exact expected zero-control cost of
-    the homogeneous problem under the Euler scheme, for every initial state
-    at once; only the discretization bias separates it from the zero-gain
-    backward solve ``ode``.
+    the homogeneous problem under the Euler scheme, (D, n, n) for every
+    initial state and regime at once; only the discretization bias
+    separates it from the zero-gain backward solve ``ode``.  Regime i's
+    largest entry gap meets the bias allowance of ode(i)'s largest entry.
     """
-    budget = euler_bias_budget(h, scale=float(np.abs(ode).max()))
-    diff = float(np.abs(m0_h - ode).max())
-    return VerificationReport().add(
-        "m0_feynman_kac_vs_ode", diff, budget,
-        max_abs_diff=diff, bias_budget=budget, bias_coeff=BIAS_BUDGET_COEFF,
-    )
+    diff = np.abs(m0_h - ode).max(axis=(-2, -1))
+    return _regime_bias_row("m0_feynman_kac_vs_ode", diff, np.abs(ode).max(axis=(-2, -1)), h,
+                            max_abs_diff=diff)
 
 
 def _probe_row(ratios: np.ndarray, seed: int) -> VerificationReport:
-    """Uniform-convexity probe: ``ratios`` are the exact expected
-    homogeneous costs at zero state of the unit-energy controls of
-    :func:`_probe_controls`.  The smallest one is reported, and a negative
-    one flags the problem as non-convex."""
-    eps_hat = float(ratios.min())
+    """Uniform-convexity probe: ``ratios``, (n_controls, D), are the exact
+    expected homogeneous costs at zero state of the unit-energy controls of
+    :func:`_probe_controls`, from every regime.  The smallest one is
+    reported, and a negative one flags the problem as non-convex."""
+    c, i = np.unravel_index(ratios.argmin(), ratios.shape)
+    eps_hat = float(ratios[c, i])
     return VerificationReport().add(
         "convexity_nonnegative_ratios", -eps_hat, 0.0,
-        eps_hat=eps_hat, n_controls=len(ratios), seed=seed,
+        eps_hat=eps_hat, control=int(c), regime=int(i), n_controls=len(ratios), seed=seed,
         ratios=ratios.tolist(), flagged_nonconvex=bool(eps_hat < 0.0),
-    )
-
-
-def _frechet_rows(eps: np.ndarray, costs: np.ndarray, j0: float) -> VerificationReport:
-    """Quadratic-expansion rows of the cost along a control direction.
-
-    The state is affine in the control, so the exact expected cost of the
-    Euler scheme under u + eps v is J(u) + 2 eps <grad J(u), v> + eps^2
-    J0(v), with J0(v) the homogeneous cost of v from zero state.  ``eps``
-    is sorted and symmetric about 0, and ``costs`` holds the cost of each
-    eps-law.  The quadratic fitted through them must be exact, its
-    curvature must meet ``j0``, and its slope the centered difference at
-    the largest eps.
-    """
-    coef = np.polyfit(eps, costs, 2)
-    fit_resid = float(np.abs(np.polyval(coef, eps) - costs).max())
-    c2, c1, c0 = (float(c) for c in coef)
-    c1_centered = float((costs[-1] - costs[0]) / (2.0 * eps[-1]))
-
-    scale = max(1.0, abs(c0))
-    report = VerificationReport().add(
-        "frechet_fit_residual", fit_resid, 1e-9 * scale,
-        c0=c0, c1=c1, c2=c2, epsilons=eps.tolist(),
-    )
-    report.add("frechet_quadratic_coefficient", abs(c2 - j0), 1e-8 * scale, j0=j0, c2=c2)
-    return report.add(
-        "frechet_linear_vs_centered_difference", abs(c1 - c1_centered),
-        1e-8 * scale, c1=c1, c1_centered=c1_centered,
     )
 
 
@@ -295,75 +287,61 @@ def certify(
     controls: int,
     threads: int = 1,
 ) -> VerificationReport:
-    """Every row of the report on a regular solution from (t0, x0, i0),
-    with the value function x̄ᵀ P̄ x̄ read at node k0 of t0.
+    """Every row of the report on a regular solution from node k0 of t0.
 
-    Sampled: the Monte-Carlo value, and the Fréchet direction v, noise
-    from the stream ``(seed, 3)``.  The stationarity row reads the law
-    itself.  Every other row reads the three stacked calls of the module
-    docstring, which share one table of cell transitions.  The Fréchet
-    rows expand the cost about the zero control, so their eps-laws are
-    the open-loop controls eps v; the expansion holds at any control.
+    ``x0`` and ``i0`` reach only the Monte-Carlo value, which meets x̄ᵀP̄x̄
+    at (k0, x0, i0).  Every other row reads the law, or the three stacked
+    calls of the module docstring, which share one table of transitions.
     """
     k0 = spec.grid.node_index(t0)
     n, h, n_nodes = spec.n, spec.grid.h, spec.grid.steps + 1
+    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)  # checks i0 and x0
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
-    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)  # checks i0
     v_fn = float(x_bar @ ric.P_bar[k0, i0] @ x_bar)
-    v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
     probes = _probe_controls(spec, k0, controls, seed)
 
     # continuous time: the optimal and perturbed laws, then the zero law
     laws = _perturbed_laws(spec, ric, seed)
     p_bar = solve_lyapunov(spec.augmented(), np.concatenate([laws, np.zeros_like(laws[:1])]))
-    p_bar = p_bar[:, k0, i0]
 
-    # Euler scheme: the optimal law, then the eps-laws eps v (no gain)
+    # Euler scheme: the optimal law; on the homogeneous problem, the zero
+    # law, then the probe controls
     trans = _cell_transitions(spec.gen, spec.grid)
-    eps = np.array(FRECHET_EPSILONS)
-    euler_laws = np.concatenate([laws[:1], _open_loop_table(spec, eps[:, None, None] * v_dir)])
-    vals = _expected_values(_closed_loop_tables(spec, euler_laws), trans, k0)[:, i0]
-
-    # homogeneous Euler scheme from zero state: the zero law, the probe
-    # controls, then v
+    (v_h,) = _expected_values(_closed_loop_tables(spec, ric.Theta_bar), trans, k0)
     hspec = spec.homogeneous()
-    h_controls = np.concatenate([np.zeros((1, n_nodes, spec.m)), probes, v_dir[None]])
+    h_controls = np.concatenate([np.zeros((1, n_nodes, spec.m)), probes])
     h_vals = _expected_values(
         _closed_loop_tables(hspec, _open_loop_table(hspec, h_controls)), trans, k0)
-    h_vals = h_vals[:, i0]
 
     report = _stationarity_row(ric, k0)
-    report.extend(_value_rows(est, v_fn, p_bar[:-1] @ x_bar @ x_bar, h))
-    report.extend(_euler_bias_row(float(x_bar @ vals[0] @ x_bar), v_fn, h))
-    report.extend(_m0_row(h_vals[0, :n, :n], p_bar[-1, :n, :n], h))
-    report.extend(_probe_row(h_vals[1:-1, -1, -1], seed))
-    return report.extend(_frechet_rows(eps, vals[1:] @ x_bar @ x_bar, float(h_vals[-1, -1, -1])))
+    report.extend(_value_mc_row(est, v_fn, h))
+    report.extend(_no_improvement_rows(p_bar[:-1], k0, spec.grid, seed))
+    report.extend(_euler_bias_row(v_h, ric.P_bar[k0], h))
+    report.extend(_m0_row(h_vals[0, :, :n, :n], p_bar[-1, k0, :, :n, :n], h))
+    return report.extend(_probe_row(h_vals[1:, :, -1, -1], seed))  # zero state: x̄ = [0, 1]
 
 
 def convexity_probe(
     spec: ProblemSpec,
     t0: float,
-    i0: int,
     n_controls: int,
     rng_seed: int,
 ) -> VerificationReport:
-    """Uniform-convexity probe of the homogeneous cost at zero state, on
-    its own: the controls of :func:`_probe_controls` as the laws of one
-    exact expectation of the Euler scheme."""
-    _check_regime(i0, spec.n_regimes)
+    """Uniform-convexity probe of the homogeneous cost at zero state from
+    every regime, on its own: the controls of :func:`_probe_controls` as
+    the laws of one exact expectation of the Euler scheme."""
     k0 = spec.grid.node_index(t0)
     u = _probe_controls(spec, k0, n_controls, rng_seed)
     hspec = spec.homogeneous()
     tables = _closed_loop_tables(hspec, _open_loop_table(hspec, u))
     vals = _expected_values(tables, _cell_transitions(hspec.gen, hspec.grid), k0)
-    return _probe_row(vals[:, i0, -1, -1], rng_seed)  # zero state: x̄ = [0, 1]
+    return _probe_row(vals[..., -1, -1], rng_seed)  # zero state: x̄ = [0, 1]
 
 
 def not_regular_report(
     spec: ProblemSpec,
     ric: RiccatiSolution | None,
     t0: float,
-    i0: int,
     n_controls: int,
     seed: int,
 ) -> VerificationReport:
@@ -374,4 +352,4 @@ def not_regular_report(
     if ric is not None and ric.classification.residual is not None:
         cls = ric.classification
         report.add("offset_range_residual", cls.residual, cls.range_tol, reason=cls.reason)
-    return report.extend(convexity_probe(spec, t0, i0, n_controls, seed))
+    return report.extend(convexity_probe(spec, t0, n_controls, seed))

@@ -69,11 +69,11 @@ def stationarity_residual(spec, ric, aff, chain, path):
     return res
 
 
-def _euler_values(spec, theta_bar, trans, k0, i0):
-    """Exact expected Euler cost matrix of the one law theta_bar from
-    node k0 and regime i0: one law per recursion."""
+def _euler_values(spec, theta_bar, trans, k0):
+    """Exact expected Euler cost matrices of the one law theta_bar from
+    node k0, one per regime: one law per recursion."""
     (vals,) = _expected_values(_closed_loop_tables(spec, theta_bar), trans, k0)
-    return vals[i0]
+    return vals
 
 
 def certify_one_law_per_call(spec, ric, t0, i0, x0, paths, seed, controls, threads=1):
@@ -86,7 +86,6 @@ def certify_one_law_per_call(spec, ric, t0, i0, x0, paths, seed, controls, threa
     takes it.  The value function is the affine module's.  The draws and
     the rows are certify's."""
     k0, n, h = spec.grid.node_index(t0), spec.n, spec.grid.h
-    n_nodes = spec.grid.steps + 1
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
     v_fn = value_function(ric, solve_eta(spec, ric), t0, i0, x0)
     report = verify.VerificationReport()
@@ -97,46 +96,74 @@ def certify_one_law_per_call(spec, ric, t0, i0, x0, paths, seed, controls, threa
     scale = np.maximum(1.0, np.linalg.norm(s_bar, axis=(-2, -1)))
     report.add("stationarity_max_residual", (resid / scale).max(), DEFAULT_RANGE_TOL)
     est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)
-    v_dir = np.random.default_rng([seed, 3]).normal(size=(n_nodes, spec.m))
+    report.extend(verify._value_mc_row(est, float(x_bar @ ric.P_bar[k0, i0] @ x_bar), h))
 
     aug = spec.augmented()
-    p_bar = np.stack([solve_lyapunov(aug, law)[k0, i0]
-                      for law in verify._perturbed_laws(spec, ric, seed)])
-    report.extend(verify._value_rows(est, v_fn, p_bar @ x_bar @ x_bar, h))
+    p_bar = np.stack([solve_lyapunov(aug, law) for law in verify._perturbed_laws(spec, ric, seed)])
+    report.extend(verify._no_improvement_rows(p_bar, k0, spec.grid, seed))
 
     trans = _cell_transitions(spec.gen, spec.grid)
-    e_h = float(x_bar @ _euler_values(spec, ric.Theta_bar, trans, k0, i0) @ x_bar)
-    report.extend(verify._euler_bias_row(e_h, v_fn, h))
+    v_h = _euler_values(spec, ric.Theta_bar, trans, k0)
+    report.extend(verify._euler_bias_row(v_h, ric.P_bar[k0], h))
 
     hspec = spec.homogeneous()
-    zero = np.zeros((n_nodes, spec.n_regimes, spec.m, n + 1))
-    m0_h = _euler_values(hspec, zero, _cell_transitions(spec.gen, spec.grid), k0, i0)
-    report.extend(verify._m0_row(m0_h[:n, :n], solve_lyapunov(spec)[k0, i0], h))
+    zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m, n + 1))
+    m0_h = _euler_values(hspec, zero, _cell_transitions(spec.gen, spec.grid), k0)
+    report.extend(verify._m0_row(m0_h[:, :n, :n], solve_lyapunov(spec)[k0], h))
 
     probes = verify._probe_controls(spec, k0, controls, seed)
-    ratios = np.array([homogeneous_cost(spec, u, k0, i0) for u in probes])
-    report.extend(verify._probe_row(ratios, seed))
-    zero_u = np.zeros((n_nodes, spec.m))
-    return report.extend(frechet_rows(spec, k0, i0, x0, zero_u, v_dir, (0.05, 0.1)))
+    ratios = np.array([homogeneous_cost(spec, u, k0) for u in probes])
+    return report.extend(verify._probe_row(ratios, seed))
 
 
-def homogeneous_cost(spec, u, k0, i0):
+def homogeneous_cost(spec, u, k0):
     """Exact expected Euler cost of the open-loop control u on the
-    homogeneous problem from zero state, x_bar = [0, 1]."""
+    homogeneous problem from zero state, x_bar = [0, 1], from every
+    regime."""
     hspec = spec.homogeneous()
     trans = _cell_transitions(hspec.gen, hspec.grid)
-    return _euler_values(hspec, _open_loop_table(hspec, u), trans, k0, i0)[-1, -1]
+    return _euler_values(hspec, _open_loop_table(hspec, u), trans, k0)[:, -1, -1]
 
 
-def frechet_rows(spec, k0, i0, x0, u, v, sizes):
-    """The Fréchet rows of control u along direction v for eps = 0 and
-    +-each of ``sizes``, every eps-law priced in its own recursion."""
+def pointwise_rows(spec, ric, t0, i0, x0, seed):
+    """The law-reading rows as they were before they read every node and
+    regime: at (t0, x0, i0) only.  Perturbation p's statistic is
+    -(J_p - J_0), the gap of the continuous-time costs x_bar^T P_bar x_bar
+    of its law and the optimal one, against tolerance 0; ``euler_bias`` is
+    |E_h - V| against the bias allowance of V."""
+    k0, h = spec.grid.node_index(t0), spec.grid.h
+    x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
+    v_fn = float(x_bar @ ric.P_bar[k0, i0] @ x_bar)
+    aug = spec.augmented()
+    costs = [x_bar @ solve_lyapunov(aug, law)[k0, i0] @ x_bar
+             for law in verify._perturbed_laws(spec, ric, seed)]
+    report = verify.VerificationReport()
+    for p_id, cost in enumerate(costs[1:]):
+        report.add(f"value_no_improvement_perturbation_{p_id + 1}", costs[0] - cost, 0.0)
+    trans = _cell_transitions(spec.gen, spec.grid)
+    e_h = float(x_bar @ _euler_values(spec, ric.Theta_bar, trans, k0)[i0] @ x_bar)
+    return report.add("euler_bias", abs(e_h - v_fn), verify.euler_bias_budget(h, v_fn))
+
+
+def quadratic_expansion(spec, k0, i0, x0, u, v, sizes):
+    """The expected Euler cost J(u + eps v) from (k0, x0, i0) for eps = 0
+    and +-each of ``sizes``, every eps-law priced in its own recursion, and
+    the quadratic fitted through it.  The state is affine in the control,
+    so the cost is exactly J(u) + 2 eps <grad J(u), v> + eps^2 J0(v), with
+    J0(v) the homogeneous cost of v from zero state.  Returns the fit's
+    largest residual, its coefficients c0, c1, c2, the centered difference
+    at the largest eps, and J0(v)."""
     eps = np.array(sorted({0.0, *sizes, *(-e for e in sizes)}))
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
     trans = _cell_transitions(spec.gen, spec.grid)
-    vals = np.stack([
-        _euler_values(spec, _open_loop_table(spec, u + e * v), trans, k0, i0)
+    costs = np.array([
+        x_bar @ _euler_values(spec, _open_loop_table(spec, u + e * v), trans, k0)[i0] @ x_bar
         for e in eps
     ])
-    j0 = float(homogeneous_cost(spec, v, k0, i0))
-    return verify._frechet_rows(eps, vals @ x_bar @ x_bar, j0)
+    coef = np.polyfit(eps, costs, 2)
+    c2, c1, c0 = (float(c) for c in coef)
+    return dict(
+        fit_residual=float(np.abs(np.polyval(coef, eps) - costs).max()), c0=c0, c1=c1, c2=c2,
+        c1_centered=float((costs[-1] - costs[0]) / (2.0 * eps[-1])),
+        j0=float(homogeneous_cost(spec, v, k0)[i0]),
+    )

@@ -32,7 +32,7 @@ from regimelq.verify import (
     euler_bias_budget,
 )
 
-from reference import frechet_rows, iterate_one_by_one, stationarity_residual
+from reference import iterate_one_by_one, quadratic_expansion, stationarity_residual
 
 
 def _verdict(num: int, ok: bool, desc: str, metric: str) -> None:
@@ -146,7 +146,7 @@ def test_criterion_05_value_consistency_with_perturbations():
         main_check = report["value_mc_vs_function"]
         metrics.append(
             f"{label}: |mc-V| {main_check.statistic:.2e} <= {main_check.tolerance:.2e}, "
-            f"5 perturbation gaps >= 0"
+            f"no perturbation cheaper at any node or regime"
         )
     _verdict(5, all_ok, "closed-loop MC matches value; no perturbation wins",
              "; ".join(metrics))
@@ -185,11 +185,10 @@ def test_criterion_07_quadratic_expansion():
         spec, ric, 0, x0, np.random.default_rng(77)
     )
     v_dir = np.random.default_rng(78).normal(size=(spec.grid.steps + 1, spec.m))
-    report = frechet_rows(spec, 0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2))
-    fit_resid = report["frechet_fit_residual"].statistic
-    details = report["frechet_quadratic_coefficient"].details
-    rel_quad = abs(details["c2"] - details["j0"]) / abs(details["j0"])
-    lin = abs(report["frechet_fit_residual"].details["c1"])
+    fit = quadratic_expansion(spec, 0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2))
+    fit_resid = fit["fit_residual"]
+    rel_quad = abs(fit["c2"] - fit["j0"]) / abs(fit["j0"])
+    lin = abs(fit["c1"])
     ok = fit_resid <= 1e-10 and rel_quad <= 1e-6 and lin <= 1e-6
     _verdict(
         7, ok, "noise-free cost is exactly quadratic, stationary at optimum",
@@ -200,10 +199,10 @@ def test_criterion_07_quadratic_expansion():
 
 def test_criterion_08_convexity_probes():
     good = convexity_probe(
-        benchmarks.two_regime_standard(steps=200), 0.0, 0, 50, 88
+        benchmarks.two_regime_standard(steps=200), 0.0, 50, 88
     )["convexity_nonnegative_ratios"]
     bad = convexity_probe(
-        benchmarks.negative_r(steps=200), 0.0, 0, 10, 89
+        benchmarks.negative_r(steps=200), 0.0, 10, 89
     )["convexity_nonnegative_ratios"]
     ok = (
         good.passed

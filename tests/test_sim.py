@@ -12,6 +12,7 @@ import pytest
 
 from regimelq import benchmarks, sim
 from regimelq.affine import solve_eta, value_function
+from regimelq.matcore import InvalidInputError
 from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
 from regimelq.problemfile import parse_problem
 from regimelq.riccati import DivergenceError, solve_lyapunov, solve_riccati_direct
@@ -581,61 +582,42 @@ def test_closed_loop_tables_stay_blocked():
 
 
 def test_value_consistency_matches_one_law_per_call():
-    # every perturbation row's gap is the difference of the one-law
-    # Lyapunov costs of its law and the optimal one on the augmented problem
+    # every perturbation row's statistic is -lambda_min of the gap of the
+    # one-law Lyapunov solutions of its law and the optimal one on the
+    # augmented problem, over the nodes below N and every regime
     spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
-    ric, aff = _solved(spec)
+    ric, _ = _solved(spec)
     x0, seed, i0 = np.full(spec.n, 0.9), 23, 1
     report = certify(spec, ric, 0.0, i0, x0, 150, seed, 2)
     aug = spec.augmented()
-    x_bar = np.append(x0, 1.0)
-
-    def cost(theta_bar):
-        return x_bar @ solve_lyapunov(aug, theta_bar)[0, i0] @ x_bar
-
+    optimal = solve_lyapunov(aug, ric.Theta_bar)[:-1]
     scale_theta = float(np.linalg.norm(ric.Theta, axis=(-2, -1)).max())
-    scale_v = float(np.linalg.norm(aff.v_star, axis=-1).max())
+    scale_v = float(np.linalg.norm(ric.Theta_bar[..., -1], axis=-1).max())
     prng = np.random.default_rng([seed, 777])
-    optimal = cost(ric.Theta_bar)
-    v_fn = value_function(ric, aff, 0.0, i0, x0)
     for p_id in range(N_PERTURBATIONS):
         d_theta = 0.5 * scale_theta * prng.uniform(-1.0, 1.0, (spec.m, spec.n))
         d_v = 0.5 * scale_v * prng.uniform(-1.0, 1.0, spec.m)
         d_bar = np.concatenate([d_theta, d_v[:, None]], axis=1)
-        want = cost(ric.Theta_bar + d_bar) - optimal
+        gap = solve_lyapunov(aug, ric.Theta_bar + d_bar)[:-1] - optimal
+        min_eig = np.linalg.eigvalsh(gap)[..., 0]
+        k, i = np.unravel_index(min_eig.argmin(), min_eig.shape)
         row = report[f"value_no_improvement_perturbation_{p_id + 1}"]
-        assert row.tolerance == 0.0 and row.statistic == -row.details["cost_gap"]
-        np.testing.assert_allclose(row.details["cost_gap"], want, rtol=1e-12, atol=0)
-        assert abs(row.details["optimal_cost_minus_value"]) <= 1e-10 * abs(v_fn)
+        assert row.statistic == -row.details["min_eig"]
+        assert (row.details["node"], row.details["regime"]) == (k, i)
+        np.testing.assert_allclose(row.details["min_eig"], min_eig[k, i], rtol=1e-12, atol=0)
 
 
-def test_frechet_check_matches_one_law_per_call():
-    # certify expands about the zero control along the direction v, noise
-    # from the stream (seed, 3), so its eps-laws are the controls eps v
+def test_a_law_of_the_wrong_shape_is_rejected():
+    # the gain-only Theta lacks the offset column of Theta_bar = [Theta | v]
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     ric, _ = _solved(spec)
-    x0, seed = np.array([1.0, -0.5]), 5
-    report = certify(spec, ric, 0.0, 0, x0, 1, seed, 1)
-    v = np.random.default_rng([seed, 3]).normal(size=(spec.grid.steps + 1, spec.m))
-    trans = _cell_transitions(spec.gen, spec.grid)
-    x_bar = np.append(x0, 1.0)
-    eps_grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
-    costs = np.array([
-        x_bar @ _expected_values(
-            _closed_loop_tables(spec, _open_loop_table(spec, e * v)), trans)[0, 0]
-        @ x_bar
-        for e in eps_grid
-    ])
-    hspec = spec.homogeneous()
-    j0 = _expected_values(
-        _closed_loop_tables(hspec, _open_loop_table(hspec, v)), trans)[0, 0, -1, -1]
-    c2, c1, c0 = np.polyfit(eps_grid, costs, 2)
-    want = dict(c0=c0, c1=c1, c2=c2, j0=j0, c1_centered=(costs[4] - costs[0]) / 0.2)
-    got = {**report["frechet_fit_residual"].details,
-           **report["frechet_quadratic_coefficient"].details,
-           **report["frechet_linear_vs_centered_difference"].details}
-    for key, val in want.items():
-        assert abs(got[key] - val) <= 1e-12 * max(1.0, abs(c0)), key
+    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
+    want = r"\(501, 2, 1, 3\)"
+    for law in (ric.Theta, ric.Theta_bar[:-1], ric.Theta_bar[None, None], ric.Theta_bar[:0]):
+        with pytest.raises(InvalidInputError, match=rf"theta_bar shape .* is neither {want}"):
+            simulate_policy(spec, chain, law, np.ones(spec.n), 2)
+    with pytest.raises(InvalidInputError, match="theta_bar shape"):
+        _closed_loop_tables(spec, np.zeros((0, *ric.Theta_bar.shape)))
 
 
 # -------------------------------------------------- path functionals

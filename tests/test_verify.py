@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimelq import benchmarks, riccati, sim
-from regimelq.affine import solve_eta, value_function
+from regimelq import benchmarks, riccati, sim, verify
+from regimelq.affine import feedback_at, solve_eta, value_function
 from regimelq.cli import main
 from regimelq.model import _RUNNING_FIELDS, Generator, ProblemSpec
 from regimelq.problemfile import parse_problem
@@ -34,7 +34,12 @@ from regimelq.verify import (
     convexity_probe,
 )
 
-from reference import certify_one_law_per_call, frechet_rows, stationarity_residual
+from reference import (
+    certify_one_law_per_call,
+    pointwise_rows,
+    quadratic_expansion,
+    stationarity_residual,
+)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -109,17 +114,26 @@ def test_path_residual_is_the_law_residual_at_the_path_state(which, shift):
         assert np.abs(want).max() >= 0.01 * scale.max()
 
 
-# ---------------------------------------------------------- frechet
+# ------------------------------------ quadratic expansion of the cost
+
+
+def _assert_exact_quadratic(fit):
+    """The fit through the eps-laws is exact, its curvature is the
+    homogeneous cost of v and its slope the centered difference, each to
+    rounding of the cost's scale."""
+    scale = max(1.0, abs(fit["c0"]))
+    assert fit["fit_residual"] <= 1e-9 * scale
+    assert abs(fit["c2"] - fit["j0"]) <= 1e-8 * scale
+    assert abs(fit["c1"] - fit["c1_centered"]) <= 1e-8 * scale
 
 
 def test_frechet_zero_direction():
     spec = benchmarks.two_regime_standard(steps=40)
     u = np.zeros((41, 1))
-    report = frechet_rows(spec, 0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2))
-    res = report["frechet_fit_residual"]
-    assert abs(res.details["c1"]) <= 1e-9
-    assert abs(res.details["c2"]) <= 1e-9
-    assert report.all_passed
+    fit = quadratic_expansion(spec, 0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2))
+    assert abs(fit["c1"]) <= 1e-9
+    assert abs(fit["c2"]) <= 1e-9
+    _assert_exact_quadratic(fit)
 
 
 def test_frechet_deterministic_exact_quadratic():
@@ -127,12 +141,10 @@ def test_frechet_deterministic_exact_quadratic():
     rng = np.random.default_rng(21)
     u = rng.normal(size=(201, 1))
     v = rng.normal(size=(201, 1))
-    report = frechet_rows(spec, 0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2))
-    assert report["frechet_fit_residual"].statistic <= 1e-10
-    assert report.all_passed
-    c2 = report["frechet_quadratic_coefficient"].details["c2"]
-    j0 = report["frechet_quadratic_coefficient"].details["j0"]
-    assert abs(c2 - j0) <= 1e-6 * abs(j0)
+    fit = quadratic_expansion(spec, 0, 0, np.array([0.5]), u, v, (0.05, 0.1, 0.2))
+    assert fit["fit_residual"] <= 1e-10
+    _assert_exact_quadratic(fit)
+    assert abs(fit["c2"] - fit["j0"]) <= 1e-6 * abs(fit["j0"])
 
 
 def test_frechet_linear_term_vanishes_at_feedback_optimum():
@@ -140,9 +152,9 @@ def test_frechet_linear_term_vanishes_at_feedback_optimum():
     ric, _ = _solved(spec)
     _, path = simulate_closed_loop(spec, ric, 0, np.array([0.5]), np.random.default_rng(0))
     v = np.random.default_rng(10).normal(size=(301, 1))
-    report = frechet_rows(spec, 0, 0, np.array([0.5]), path.u, v, (0.05, 0.1))
-    assert abs(report["frechet_fit_residual"].details["c1"]) <= 1e-6
-    assert report["frechet_quadratic_coefficient"].details["c2"] >= 0.0
+    fit = quadratic_expansion(spec, 0, 0, np.array([0.5]), path.u, v, (0.05, 0.1))
+    assert abs(fit["c1"]) <= 1e-6
+    assert fit["c2"] >= 0.0
 
 
 def test_frechet_quadratic_coefficient_stochastic():
@@ -150,56 +162,14 @@ def test_frechet_quadratic_coefficient_stochastic():
     rng = np.random.default_rng(31)
     u = 0.3 * rng.normal(size=(81, 1))
     v = rng.normal(size=(81, 1))
-    report = frechet_rows(spec, 0, 1, np.array([0.7]), u, v, (0.1, 0.2))
-    assert report.all_passed
-
-
-def _frechet_rows_of_verify(spec, ric, seed):
-    """The Fréchet rows that ``verify --seed seed`` writes for ``spec``."""
-    report = certify(spec, ric, 0.0, 0, np.ones(spec.n), 1, seed, 1)
-    return _rows(report, "frechet_")
-
-
-def test_frechet_quadratic_coefficient_sees_offset_kept_in_homogeneous(monkeypatch):
-    # with rho kept, J0(v) gains the term 2 int rho^T v, a shift inside a
-    # sampled row's 3 SE allowance but far above the exact row's tolerance
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
-    assert np.any(spec.rho)
-    ric, _ = _solved(spec)
-    assert _frechet_rows_of_verify(spec, ric, 7).all_passed
-    drop_rho = type(spec).homogeneous
-
-    def keep_rho(self):
-        return dataclasses.replace(drop_rho(self), rho=self.rho)
-
-    monkeypatch.setattr(type(spec), "homogeneous", keep_rho)
-    report = _frechet_rows_of_verify(spec, ric, 7)
-    assert not report["frechet_quadratic_coefficient"].passed
-    assert report["frechet_fit_residual"].passed
-
-
-@pytest.mark.parametrize("which", ["scalar", "standard", "two_regime", "dead_channel"])
-def test_frechet_rows_pass_at_their_exact_tolerances(which):
-    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
-    ric, _ = _solved(spec)
-    for seed in range(1, 31, 5):
-        report = _frechet_rows_of_verify(spec, ric, seed)
-        assert report.all_passed, (seed, report.summary())
-        scale = max(1.0, abs(report["frechet_fit_residual"].details["c0"]))
-        assert [(c.name, c.tolerance) for c in report.checks] == [
-            ("frechet_fit_residual", 1e-9 * scale),
-            ("frechet_quadratic_coefficient", 1e-8 * scale),
-            ("frechet_linear_vs_centered_difference", 1e-8 * scale),
-        ]
+    _assert_exact_quadratic(quadratic_expansion(spec, 0, 1, np.array([0.7]), u, v, (0.1, 0.2)))
 
 
 # --------------------------------------------------------- convexity
 
 
 def test_convexity_standard_conditions_positive():
-    report = convexity_probe(
-        benchmarks.two_regime_standard(steps=80), 0.0, 0, 15, 13
-    )
+    report = convexity_probe(benchmarks.two_regime_standard(steps=80), 0.0, 15, 13)
     check = report["convexity_nonnegative_ratios"]
     assert check.passed
     assert check.details["eps_hat"] > 0.0
@@ -207,7 +177,7 @@ def test_convexity_standard_conditions_positive():
 
 
 def test_convexity_flags_negative_control_weight():
-    report = convexity_probe(benchmarks.negative_r(steps=80), 0.0, 0, 8, 14)
+    report = convexity_probe(benchmarks.negative_r(steps=80), 0.0, 8, 14)
     check = report["convexity_nonnegative_ratios"]
     assert not check.passed
     assert check.details["flagged_nonconvex"]
@@ -225,15 +195,15 @@ def test_convexity_flags_negative_control_weight():
 def test_convexity_probe_rejects_empty_inputs(t0, n_controls, message):
     spec = benchmarks.scalar_benchmark(steps=20)
     with pytest.raises(ValueError, match=message):
-        convexity_probe(spec, t0, 0, n_controls, 3)
+        convexity_probe(spec, t0, n_controls, 3)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 def test_convexity_stacked_controls_match_per_control_runs(t0):
     # the probe runs its controls as the laws of one recursion; each law
-    # must meet only its own blocks
+    # must meet only its own blocks, from every regime
     spec = benchmarks.two_regime_standard(steps=60)
-    stacked = convexity_probe(spec, t0, 1, 7, 21)["convexity_nonnegative_ratios"]
+    stacked = convexity_probe(spec, t0, 7, 21)["convexity_nonnegative_ratios"]
     hspec, k0 = spec.homogeneous(), spec.grid.node_index(t0)
     trans = _cell_transitions(spec.gen, spec.grid)
     u = np.zeros((spec.grid.steps + 1, spec.m))
@@ -243,7 +213,7 @@ def test_convexity_stacked_controls_match_per_control_runs(t0):
         sq = np.einsum("ki,ki->k", u, u)
         energy = spec.grid.h * (sq[k0:].sum() - 0.5 * (sq[k0] + sq[-1]))
         tables = _closed_loop_tables(hspec, _open_loop_table(hspec, u))
-        single.append(_expected_values(tables, trans, k0)[0, 1, -1, -1] / energy)
+        single.append(_expected_values(tables, trans, k0)[0, :, -1, -1] / energy)
     np.testing.assert_allclose(stacked.details["ratios"], single, rtol=1e-12, atol=0)
 
 
@@ -327,17 +297,93 @@ def test_value_perturbation_rows_catch_a_suboptimal_law():
 
 
 def test_value_perturbation_rows_pass_where_the_euler_gap_is_negative(tmp_path):
-    # at seed 249 perturbation 5 costs 2.9e-6 more than the optimal law in
-    # continuous time but 3.7e-6 less under the Euler scheme, for which the
-    # continuous-time optimal law is only O(h) optimal
+    # at seed 249 perturbation 5 costs 2.9e-6 more than the optimal law from
+    # verify's default state in continuous time but 3.7e-6 less under the
+    # Euler scheme, for which the continuous-time optimal law is only O(h)
+    # optimal; the rows read the continuous-time gap at every node and
+    # regime, and pass at their rounding tolerances
+    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
     out = tmp_path / "out"
     main(["verify", "--problem", str(PROBLEMS / "two_regime.yaml"), "--paths", "500",
           "--seed", "249", "--threads", "1", "--out", str(out)])
     rows = [line.split(",") for line in (out / "verification.csv").read_text().splitlines()
             if line.startswith("value_no_improvement_perturbation_")]
     assert len(rows) == 5
-    assert all(row[2] == "0" and row[3] == "true" for row in rows), rows
-    assert 0.0 < -float(rows[4][1]) < 1e-5
+    assert all(0.0 < float(row[2]) < 1e-12 and row[3] == "true" for row in rows), rows
+    ric, _ = _solved(spec)
+    x_bar = np.ones(2)
+    laws = verify._perturbed_laws(spec, ric, 249)[[0, 5]]
+    euler = _expected_values(_closed_loop_tables(spec, laws), _cell_transitions(spec.gen, spec.grid))
+    assert -1e-5 < x_bar @ (euler[1, 0] - euler[0, 0]) @ x_bar < 0.0
+    pointwise = pointwise_rows(spec, ric, 0.0, 0, np.ones(1), 249)
+    assert 0.0 < -pointwise["value_no_improvement_perturbation_5"].statistic < 1e-5
+
+
+_PERTURBATION_ROWS = [f"value_no_improvement_perturbation_{p}" for p in range(1, 6)]
+
+
+@pytest.mark.parametrize("which", ["scalar", "standard", "two_regime", "dead_channel"])
+def test_uniform_rows_pass_at_their_rounding_tolerances(which):
+    # every row but the Monte-Carlo value reads every regime, so it passes
+    # from every initial regime and state alike, and the no-improvement rows
+    # hold at rounding tolerances far below any cost gap
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    ric, _ = _solved(spec)
+    for seed in range(1, 31, 5):
+        reports = [
+            _rows_but_mc(certify(spec, ric, 0.0, i0, x0, 1, seed, 20))
+            for i0, x0 in [(0, np.ones(spec.n)), (spec.n_regimes - 1, np.full(spec.n, 0.3))]
+        ]
+        assert reports[0].all_passed, (seed, reports[0].summary())
+        assert reports[0].to_csv() == reports[1].to_csv()
+        assert [c.name for c in reports[0].checks] == [
+            "stationarity_max_residual", *_PERTURBATION_ROWS, "euler_bias",
+            "m0_feynman_kac_vs_ode", "convexity_nonnegative_ratios",
+        ]
+        for row in _PERTURBATION_ROWS:
+            assert 0.0 < reports[0][row].tolerance < 1e-11
+
+
+def _rows_but_mc(report):
+    return VerificationReport([c for c in report.checks if c.name != "value_mc_vs_function"])
+
+
+@pytest.mark.parametrize("which", ["scalar", "standard", "two_regime", "dead_channel"])
+def test_every_uniform_row_fails_at_a_shifted_law(which):
+    # a law 0.05 off the optimum in every entry is beaten by each seeded
+    # perturbation from some node, regime and state; on dead_channel R_hat
+    # is singular in regime 2, and a perturbation may then cost more at
+    # every node the grid resolves (7 of 150 rows at seeds 1-30), so there
+    # some row must fail
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    ric, _ = _solved(spec)
+    shifted = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + 0.05)
+    for seed in range(1, 31, 5):
+        report = certify(spec, shifted, 0.0, 0, np.ones(spec.n), 1, seed, 2)
+        failed = [not report[row].passed for row in _PERTURBATION_ROWS]
+        assert all(failed) if which != "dead_channel" else any(failed), (seed, report.summary())
+
+
+@pytest.mark.parametrize("which", ["standard", "two_regime", "dead_channel"])
+def test_a_law_wrong_late_in_one_regime_fails_only_the_uniform_rows(which):
+    # the law is off by 0.1 in regime 2 at the nodes from N/2 on; from
+    # verify's defaults (x0 all ones, regime 1, seed 12345, 20 controls,
+    # 10000 paths) every perturbation costs more and the Euler bias stays
+    # within budget, but some state at a late node in regime 2 is cheaper
+    # under each perturbation
+    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    ric, _ = _solved(spec)
+    law = ric.Theta_bar.copy()
+    law[spec.grid.steps // 2:, 1] += 0.1
+    wrong = dataclasses.replace(ric, Theta_bar=law)
+    x0, seed = np.ones(spec.n), 12345
+    assert pointwise_rows(spec, wrong, 0.0, 0, x0, seed).all_passed
+    report = certify(spec, wrong, 0.0, 0, x0, 10000, seed, 20)
+    assert report["value_mc_vs_function"].passed
+    for row in _PERTURBATION_ROWS:
+        assert not report[row].passed
+        assert report[row].details["regime"] == 1
+        assert report[row].details["node"] >= spec.grid.steps // 2
 
 
 def test_eta_certified_by_mc_value_differences():
@@ -461,7 +507,6 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
         "simulate_chain": lambda: simulate_chain(spec.gen, spec.grid, i0, rng),
         "mc_value": lambda: mc_value(spec, ric, 0.0, i0, x0, 2000, 3),
         "certify": lambda: certify(spec, ric, 0.0, i0, x0, 50, 3, 2),
-        "convexity_probe": lambda: convexity_probe(spec, 0.0, i0, 2, 3),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=rf"i0 = {i0} is not in 0\.\.1"):
@@ -471,6 +516,42 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
     with pytest.raises(ValueError, match=r"i0 = 3 is not in 0\.\.0"):
         simulate_chain(one, spec.grid, 3, rng)
 
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_a_regime_outside_the_chain_is_rejected_by_the_pointwise_api(i):
+    # regime -1 would read regime D - 1, and regime D index past the stack
+    spec = benchmarks.two_regime_inhomogeneous(steps=100)
+    ric, aff = _solved(spec)
+    x = np.array([0.5])
+    calls = {
+        "gain_at": lambda: ric.gain_at(0.3, i),
+        "value_function": lambda: value_function(ric, aff, 0.3, i, x),
+        "feedback_at": lambda: feedback_at(ric, aff, 0.3, i, x),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"regime i = {i} is not in 0\.\.1"):
+            call()
+            pytest.fail(f"{name} accepted regime {i}")
+
+
+def test_an_initial_state_of_the_wrong_length_is_rejected():
+    # a one-entry x0 on a problem with n = 2 would be broadcast to [x, x]
+    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    ric, _ = _solved(spec)
+    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
+    u = np.zeros((spec.grid.steps + 1, spec.m))
+    calls = {
+        "mc_value": lambda x0: mc_value(spec, ric, 0.0, 0, x0, 2000, 3),
+        "simulate_policy": lambda x0: simulate_policy(spec, chain, ric.Theta_bar, x0, 2),
+        "simulate_state": lambda x0: simulate_state(spec, chain, u, x0, 2),
+        "certify": lambda x0: certify(spec, ric, 0.0, 0, x0, 50, 3, 2),
+    }
+    for name, call in calls.items():
+        for x0 in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError, match=r"x0 has shape .*, the problem has n = 2"):
+                call(x0)
+                pytest.fail(f"{name} accepted x0 = {x0}")
 
 
 @pytest.mark.parametrize("which, third", [
