@@ -41,7 +41,10 @@ Q + S^T Theta + Theta^T S + Theta^T R Theta, the Riccati solve its
 pre-transposed factors.  An RK4
 stage then evaluates only the terms that depend on P; in the Riccati
 stage that includes the composites S_hat, R_hat and the pseudo-inverse
-of R_hat, taken by the symmetric eigensolver.
+of R_hat, taken by the symmetric eigensolver, or as 1/R_hat for a
+scalar control.  A stage that overflows is a divergence like any other:
+the driver runs with numpy's overflow and invalid warnings off, and its
+step guard ends the slice whose state went non-finite.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .matcore import symmetrize
 from .model import ProblemSpec, TimeGrid, _check_regime, _hats, interp_nodes
 
 __all__ = [
@@ -189,13 +191,15 @@ def _riccati_tables(coef):
 def _riccati_rhs(coef, p, pinv_tol):
     """Quadratic Riccati RHS over all regimes from one sample of the tables.
 
-    P is symmetric, so A^T P is taken as (P A)^T.  A non-finite P raises
-    ``InvalidInputError`` before any product can warn of it; with P and
-    the (validated) tables finite, so is R_hat, and the pseudo-inverse
-    skips its operand check.  ``pinv_tol`` is checked by the solver.
+    P is symmetric, so A^T P is taken as (P A)^T.  A P that is non-finite
+    in some regime, the input of a stage after one that overflowed, gives
+    a derivative that is non-finite there too, without raising, and its
+    non-finite R_hat runs no eigensolver (:func:`matcore._eigh_pinv_finite`);
+    so the driver's step guard ends its slice, and the slices beside it
+    keep their bits.  The products then warn unless numpy's overflow and
+    invalid warnings are off, as they are in :func:`_rk4_stack`.
+    ``pinv_tol`` is checked by the solver.
     """
-    if not np.isfinite(p).all():
-        raise matcore.InvalidInputError("P contains non-finite entries")
     a, b_t, c, c_t, d_t, d, q, s, r, lam = coef
     d_t_p = d_t @ p
     s_hat = b_t @ p + d_t_p @ c + s
@@ -203,7 +207,7 @@ def _riccati_rhs(coef, p, pinv_tol):
     out = s_hat.swapaxes(-1, -2) @ (r_pinv @ s_hat)
     pa = p @ a
     out -= pa + pa.swapaxes(-1, -2) + c_t @ p @ c + q + _coupling(lam, p)
-    return symmetrize(out)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def _lyapunov_tables(coef):
@@ -231,7 +235,7 @@ def _lyapunov_rhs(coef, p):
     a_cl, c_cl_t, c_cl, q_cl, lam = coef
     pa = p @ a_cl
     out = pa + pa.swapaxes(-1, -2) + c_cl_t @ p @ c_cl + q_cl + _coupling(lam, p)
-    return -symmetrize(out)
+    return -0.5 * (out + out.swapaxes(-1, -2))
 
 
 def _sweep_coefs(spec: ProblemSpec) -> list[np.ndarray]:
@@ -286,6 +290,7 @@ def _samples(table):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the step guard
 def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
     """Classic RK4 backward for a stack of slices, each over its own span.
 
@@ -307,7 +312,9 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
 
     Returns the path (S + 1, J, ...), row S - i holding slice p's state
     at node hi - i, and the node at which each diverged slice first had
-    a non-finite entry or one beyond ``BLOWUP_LIMIT``.  Below its span,
+    a non-finite entry or one beyond ``BLOWUP_LIMIT``; a stage that
+    overflows makes its step's new state non-finite, so the slice
+    diverges at that step's lower node.  Below its span,
     and from the step it diverged, a slice idles on zero tables, where
     the right-hand side is zero; the run ends once every slice diverged.
     """

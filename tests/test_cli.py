@@ -608,6 +608,23 @@ def test_dead_channel_exit_codes(tmp_path, capsys, cmd, problem, code):
     assert (out / "affine.csv").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("cmd", ["solve", "iterate", "simulate", "verify"])
+@pytest.mark.parametrize("field, old, new", [("B", "1.0", "1.0e+160"), ("A", "0.0", "1.0e+300")])
+def test_a_stage_that_overflows_is_a_divergence(tmp_path, capsys, cmd, field, old, new):
+    # scalar.yaml with B = 1e160 overflows the first RK4 step's first
+    # stage, with A = 1e300 its second: a divergence at node N - 1, told
+    # in one error line with no warning (which -W error would raise)
+    text = (PROBLEMS / "scalar.yaml").read_text()
+    problem = tmp_path / "overflow.yaml"
+    problem.write_text(text.replace(f"{field}:\n  - [{old}]", f"{field}:\n  - [{new}]"))
+    assert getattr(parse_problem(problem)[0], field).max() == float(new)
+    flags = {"paths": 500, "seed": 7, "threads": 1} if cmd in ("simulate", "verify") else {}
+    assert main(_args(cmd, problem, tmp_path / "out", **flags)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: integration diverged at node 999 (t=0.999); "
+                   "entry magnitude exceeded 1e+12"]
+
+
 def test_solve_eta_runs_no_sweep(monkeypatch):
     # the offsets are read off the augmented Riccati solution, so the
     # offset stage cannot diverge; main still maps a DivergenceError

@@ -3,8 +3,13 @@ and the stacked range test."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regimelq import matcore
+
+from reference import eigh_pinv
 
 
 def _pinv(m, rel_tol=matcore.DEFAULT_PINV_RTOL):
@@ -109,6 +114,31 @@ def test_pinv_returns_the_eigenvalues_of_eigh():
     # the minimum eigenvalues written to riccati.csv are eigh's, bit for bit
     m = _symmetric_stack(np.random.default_rng(13), "indefinite")
     assert np.array_equal(matcore.pinv(m)[0], np.linalg.eigh(m)[0])
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e308, -1e308, -3.5]
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3).map(lambda s: (*s, 1, 1)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(np.array(_EDGES).reshape(-1, 1, 1), 0.75)
+@example(np.array(_EDGES).reshape(-1, 1, 1), 0.5)
+@example(np.array(_EDGES).reshape(-1, 1, 1), 1e-12)
+def test_scalar_pinv_is_the_eigensolver_path_bit_for_bit(m, rel_tol):
+    # a 1 x 1 stack skips eigh; its eigenvalues and pseudo-inverse are
+    # still eigh's, bit for bit, signed zeros, subnormals (whose cutoff
+    # product can round up to them) and the infinite 1 / 5e-324 included
+    with np.errstate(over="ignore"):
+        want = eigh_pinv(m, rel_tol)
+        for got in (matcore.pinv(m, rel_tol), matcore._eigh_pinv_finite(m, rel_tol)):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

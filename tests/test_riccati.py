@@ -72,19 +72,33 @@ def test_rhs_reduces_to_linear_form_without_gain_channels():
         assert np.allclose(got[i], 0.5 * (want + want.T), atol=1e-13)
 
 
+def _finite_eigh(m, eigh=np.linalg.eigh):
+    """``np.linalg.eigh`` that fails on a non-finite operand."""
+    assert np.isfinite(m).all(), "eigh ran on a non-finite matrix"
+    return eigh(m)
+
+
 @pytest.mark.parametrize(
-    "make", [benchmarks.scalar_benchmark, benchmarks.two_regime_standard]
+    "make",
+    [benchmarks.scalar_benchmark, benchmarks.two_regime_standard, benchmarks.dead_channel],
 )
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_rhs_rejects_non_finite_p_in_each_regime(make, bad):
-    # an inf meets a zero of D^T P (D = 0 on the scalar problem): the
-    # kernel must reject it before a product warns of 0 * inf
+    # a non-finite P, the input of a stage after one that overflowed, is
+    # rejected by the derivative: non-finite in its regime, so the step
+    # guard ends the slice.  Nothing raises, and no eigensolver sees the
+    # non-finite R_hat (m = 1 takes the closed form, dead_channel's m = 2
+    # solves the finite regime alone).  An inf meets a zero of D^T P (D = 0
+    # on the scalar problem); the driver's errstate keeps 0 * inf quiet
     spec = make(steps=4)
     for i in range(spec.n_regimes):
         p = np.array(spec.G)
         p[i, -1, -1] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            _rhs(_node(spec, 2), p)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(np.linalg, "eigh", side_effect=_finite_eigh) as eigh:
+            got = _rhs(_node(spec, 2), p)
+        assert not np.isfinite(got[i]).all()
+        assert eigh.call_count == (spec.m > 1)
 
 
 def test_rhs_all_zero_data():
@@ -344,34 +358,51 @@ def test_rk4_backward_guards_every_sweep():
     assert err.value.node == grid.steps - 1
 
 
-def test_stacked_slices_match_their_one_slice_runs():
-    # Riccati slices from terminals 0.5 and 4.0 over the whole grid and a
-    # short span in between, stepped together in chunks of other sizes
-    # than their one-slice runs: every finished slice is its own run, bit
-    # for bit, and the escaping one names the node solve_riccati_direct does
-    aug = benchmarks.scalar_blowup(steps=1000).augmented()
+def _riccati_stack_runner(aug):
+    """``_rk4_stack`` on the Riccati system of ``aug``, with no eigensolver
+    on a non-finite matrix, and the terminal value with P[0, 0] = g."""
     tables, h = riccati._sweep_coefs(aug), aug.grid.h
 
     def run(tops, spans):
-        return riccati._rk4_stack(
-            lambda c, p: riccati._riccati_rhs(c, p, DEFAULT_PINV_TOL),
-            riccati._riccati_tables, tables, tops, spans, h,
-        )
+        with mock.patch.object(np.linalg, "eigh", side_effect=_finite_eigh):
+            return riccati._rk4_stack(
+                lambda c, p: riccati._riccati_rhs(c, p, DEFAULT_PINV_TOL),
+                riccati._riccati_tables, tables, tops, spans, h,
+            )
 
     def top(g):
         y = aug.G.copy()
         y[:, 0, 0] = g
         return y
 
-    tops, spans = [top(0.5), top(0.5), top(4.0)], [(0, 1000), (300, 370), (0, 1000)]
+    return run, top
+
+
+def test_stacked_slices_match_their_one_slice_runs():
+    # Riccati slices from terminals 0.5 and 4.0 over the whole grid and a
+    # short span in between, stepped together in chunks of other sizes
+    # than their one-slice runs: every finished slice is its own run, bit
+    # for bit, and the escaping one names the node solve_riccati_direct
+    # does.  A slice from 1e200 overflows in its first stage (P^2 = 1e400)
+    # and fails at the node below its top
+    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=1000).augmented())
+    tops = [top(0.5), top(0.5), top(4.0), top(1e200)]
+    spans = [(0, 1000), (300, 370), (0, 1000), (200, 640)]
     path, failed = run(tops, spans)
-    assert failed == {2: 749}
-    assert run(tops[2:], spans[2:])[1] == {0: 749}
+    assert failed == {2: 749, 3: 639}
+    assert run(tops[2:3], spans[2:3])[1] == {0: 749}
+    assert run(tops[3:], spans[3:])[1] == {0: 639}
     for p in (0, 1):
         lo, hi = spans[p]
         own, own_failed = run([tops[p]], [spans[p]])
         assert not own_failed
         assert np.array_equal(path[1000 - (hi - lo):, p], own[:, 0])
+    # m = 2: from 1e308 a stage's R_hat overflows; the eigensolver then
+    # runs on the finite slice's matrices alone, which keep their bits
+    run, top = _riccati_stack_runner(benchmarks.dead_channel(steps=200).augmented())
+    path, failed = run([top(0.5), top(1e308)], [(0, 200), (0, 200)])
+    assert failed == {1: 199}
+    assert np.array_equal(path[:, 0], run([top(0.5)], [(0, 200)])[0][:, 0])
 
 
 def test_stacked_lyapunov_slices_match_their_one_law_calls():
@@ -582,6 +613,17 @@ def test_iteration_rejects_nonconvex():
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+@pytest.mark.parametrize("name, eigh_runs", [("scalar", False), ("dead_channel", True)])
+def test_scalar_control_solve_runs_no_eigensolver(name, eigh_runs):
+    # a scalar control's R_hat is 1 x 1: its pseudo-inverse, in the RK4
+    # stages and at the nodes, is taken in closed form; m = 2 still runs eigh
+    spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
+    assert (spec.m == 1) != eigh_runs
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        solve_riccati_direct(spec)
+    assert eigh.called == eigh_runs
 
 
 @pytest.mark.parametrize(
