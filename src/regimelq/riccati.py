@@ -25,13 +25,14 @@ solution.  Its solves run staggered: the solve for P_(j+1) needs P_j
 only at the nodes of the block it runs, so it starts one block behind
 the solve for P_j, and every running solve moves back by one block per
 wave, all of them as the slices of one driver call over states
-(J, D, n, n).  Solve j + 1 starts once the running maximum of
-||P_j - P_(j-1)||_F over the nodes done reaches the convergence
-tolerance (P_1 always, and none beyond the iteration limit), which is
-when the loop doing one solve after another would certainly run it.
-Results, iteration trace and errors are those of that loop, bit for
-bit: an error of a later solve is held back until every earlier one has
-finished clean.
+(J, D, n, n).  Solve j + 1 starts as soon as the loop doing one solve
+after another would certainly run solve j: P_0 and P_1 always, P_j once
+the running maximum of ||P_(j-1) - P_(j-2)||_F over the nodes done
+reaches the convergence tolerance, and none beyond the iteration limit.
+So at most one solve runs speculatively; it is dropped, unraised, once
+its predecessor finishes below the tolerance.  Results, iteration trace
+and errors are those of that loop, bit for bit: an error of a later
+solve is held back until every earlier one has finished clean.
 
 The driver runs in chunks of at most ``_BLOCK_STEPS`` steps.  Per chunk
 it turns the node and midpoint samples of the coefficients, taken at
@@ -78,15 +79,23 @@ DEFAULT_RANGE_TOL = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Backward integration escaped (entry beyond the blow-up limit)."""
+    """Integration escaped: the state went non-finite, or an entry went
+    beyond the blow-up limit; the message names which."""
 
-    def __init__(self, node: int, t: float):
-        super().__init__(
-            f"integration diverged at node {node} (t={t:.6g}); "
-            f"entry magnitude exceeded {BLOWUP_LIMIT:.0e}"
-        )
+    def __init__(self, node: int, t: float, non_finite: bool = False):
+        cause = "the state went non-finite" if non_finite else (
+            f"an entry exceeded {BLOWUP_LIMIT:.0e}")
+        super().__init__(f"integration diverged at node {node} (t={t:.6g}); {cause}")
         self.node = node
         self.t = t
+        self.non_finite = non_finite
+
+    @classmethod
+    def at(cls, grid: TimeGrid, failure: tuple[int, bool]) -> DivergenceError:
+        """The error of a step guard's ``(node, non_finite)`` failure on
+        ``grid``, as :func:`_rk4_stack` reports it per slice."""
+        node, non_finite = failure
+        return cls(node, grid.nodes()[node], non_finite)
 
 
 class NotStronglyRegularError(RuntimeError):
@@ -311,10 +320,11 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
     ``coef`` holds one sample of each (derived) table.
 
     Returns the path (S + 1, J, ...), row S - i holding slice p's state
-    at node hi - i, and the node at which each diverged slice first had
-    a non-finite entry or one beyond ``BLOWUP_LIMIT``; a stage that
-    overflows makes its step's new state non-finite, so the slice
-    diverges at that step's lower node.  Below its span,
+    at node hi - i, and for each diverged slice a pair (node, non_finite):
+    the node at which it first had a non-finite entry or one beyond
+    ``BLOWUP_LIMIT``, and whether a non-finite entry was the cause; a
+    stage that overflows makes its step's new state non-finite, so the
+    slice diverges at that step's lower node.  Below its span,
     and from the step it diverged, a slice idles on zero tables, where
     the right-hand side is zero; the run ends once every slice diverged.
     """
@@ -348,7 +358,8 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
             size = np.abs(y).reshape(n_slices, -1).max(axis=1)
             for p in np.flatnonzero(~(size <= BLOWUP_LIMIT)):
                 if i0 + done < lengths[p]:
-                    failed.setdefault(int(p), int(his[p]) - 1 - i0 - done)
+                    node = int(his[p]) - 1 - i0 - done
+                    failed.setdefault(int(p), (node, not np.isfinite(size[p])))
                 y[p] = 0.0
                 for a in coef:
                     a[:, p] = 0.0
@@ -363,11 +374,12 @@ def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarr
     """Classic RK4 from ``terminal`` at T back to t0 over every grid step:
     one slice of :func:`_rk4_stack`, whose path it returns, shape
     ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
-    ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node.
+    ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node and
+    the cause.
     """
     path, failed = _rk4_stack(rhs, derive, tables, [terminal], [(0, grid.steps)], grid.h)
     if failed:
-        raise DivergenceError(failed[0], grid.nodes()[failed[0]])
+        raise DivergenceError.at(grid, failed[0])
     return path[:, 0]
 
 
@@ -391,8 +403,7 @@ def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> np.nda
         per_slice=(np.moveaxis(gains, 0, 1),),
     )
     if failed:
-        node = failed[min(failed)]
-        raise DivergenceError(node, spec.grid.nodes()[node])
+        raise DivergenceError.at(spec.grid, failed[min(failed)])
     p_path = np.moveaxis(path, 1, 0)
     return p_path if np.ndim(theta) == len(want) + 1 else p_path[0]
 
@@ -525,8 +536,9 @@ def iterate_strongly_regular(
 
     It runs on ``spec.augmented()``, so iterates and trace are of P_bar.
     The linear solves run staggered, one block apart, as in
-    :class:`_Sweep`; results, trace and errors are those of solving them
-    one after another.
+    :class:`_Sweep`, with at most one solve beyond those the loop solving
+    them one after another is known to need; results, trace and errors
+    are those of that loop.
     """
     _check_tols(pinv_tol, strong_tol)
     if not max_iter >= 1:
@@ -538,11 +550,22 @@ def iterate_strongly_regular(
     aug = spec.augmented()
     bounds = _blocks(aug.grid.steps)
     sweeps = [_Sweep(0, aug.G)]
+
+    def passed(s):  # P_j is not the result, so the loop solves for P_(j+1)
+        return s.j == 0 or s.delta >= conv_tol
+
     while any(s.done < len(bounds) for s in sweeps):
         _wave(aug, sweeps, bounds, pinv_tol)
+        for s, nxt in zip(sweeps, sweeps[1:]):
+            if not passed(s):  # nxt is speculative, and s may be the result
+                if s.done == len(bounds):
+                    del sweeps[s.j + 1:]  # it is: s converged
+                break
+            s.blocks[:nxt.done] = [None] * nxt.done  # nxt has used them
         last = sweeps[-1]
-        needed = last.j == 0 or last.delta >= conv_tol
-        if needed and last.j < max_iter and not last.halted:
+        needed = last.j == 0 or passed(sweeps[last.j - 1])
+        converged = last.done == len(bounds) and not passed(last)
+        if needed and not converged and not last.halted and last.j < max_iter:
             sweeps.append(_Sweep(last.j + 1, aug.G))
     # the first exit of the loop solving the sweeps one after another
     for s in sweeps:
@@ -567,15 +590,19 @@ class _Sweep:
 
     Sweep j + 1 needs P_j only at the nodes of the block it runs, so it
     starts one block behind sweep j and every running sweep moves back
-    by one block per wave of :func:`_wave`.  It starts as soon as the
-    sweep before would be followed in the one-after-another loop: P_0
-    always, P_j (j >= 1) once its running ``delta`` reaches ``conv_tol``,
-    and never beyond ``max_iter``.  A sweep that diverges, or whose gain
-    check is bound to fail, halts: it stops stepping, every later sweep
-    is dropped, and it goes on only taking gains, so that the check sees
-    every node.  A path block is freed once the next sweep has used it;
-    a sweep without a successor may still be the result and keeps all of
-    its blocks.
+    by one block per wave of :func:`_wave`.  It starts as soon as sweep j
+    is needed by the one-after-another loop, without waiting for sweep
+    j's own ``delta``: sweeps 0 and 1 are always needed, and sweep j >= 2
+    once the running ``delta`` of sweep j - 1 reaches ``conv_tol``; none
+    starts beyond ``max_iter``.  So at most one sweep runs speculatively.
+    When sweep j finishes with ``delta`` below ``conv_tol``, it is the
+    result and its speculative successor is dropped at once, unraised
+    and outside the trace.  A sweep that diverges, or whose gain check is
+    bound to fail, halts: it stops stepping, every later sweep is
+    dropped, and it goes on only taking gains, so that the check sees
+    every node.  A path block is freed once the next sweep has used it
+    and that sweep is needed; until then the sweep may still be the
+    result and keeps all of its blocks.
     """
 
     j: int
@@ -594,7 +621,9 @@ class _Sweep:
 def _wave(spec, sweeps, bounds, pinv_tol) -> None:
     """Move every unfinished sweep back by one block: first take the
     gains of the block from the predecessors' path blocks, then step the
-    running sweeps together as the slices of one :func:`_rk4_stack`."""
+    running sweeps together as the slices of one :func:`_rk4_stack`, the
+    speculative one among them.  It frees no block; the caller does, once
+    the predecessor cannot be the result."""
     run = []  # (sweep, gain block or None for P_0, predecessor's path block)
     for s in list(sweeps):
         if s.j >= len(sweeps):
@@ -606,7 +635,6 @@ def _wave(spec, sweeps, bounds, pinv_tol) -> None:
         if s.j > 0:
             pred = sweeps[s.j - 1]
             pred_blk = pred.blocks[s.done]
-            pred.blocks[s.done] = None
             nodes = slice(lo, hi + 1)
             *_, theta, min_eig = _derived_tables(spec, pred_blk, pinv_tol, nodes)
             s.gain_min = min(s.gain_min, float(min_eig.min()))
@@ -632,7 +660,7 @@ def _wave(spec, sweeps, bounds, pinv_tol) -> None:
         if s.j >= len(sweeps):
             break
         if p in failed:
-            s.error = DivergenceError(failed[p], spec.grid.nodes()[failed[p]])
+            s.error = DivergenceError.at(spec.grid, failed[p])
             del sweeps[s.j + 1:]
             continue
         blk = path[steps - (hi - lo):, p].copy()

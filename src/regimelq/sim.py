@@ -324,7 +324,7 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
         blocks = sel[:, :2 * n].reshape(n_paths, 2, n)
         np.einsum("pj,pjn->pn", coef, blocks, out=x)
         if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
-            raise DivergenceError(k + 1, tables.grid.nodes()[k + 1])
+            raise DivergenceError.at(tables.grid, (k + 1, not np.isfinite(x).all()))
         if states is not None:
             states[:, k + 1] = x
     if k0 < n_steps:
@@ -368,7 +368,7 @@ def _expected_values(tables: _Tables, trans, k0=0) -> np.ndarray:
             moments = sd @ mixed[:, :, None] @ sd.swapaxes(-1, -2)
             vals = moments[:, :, 0] + h * moments[:, :, 1] + blk[..., 2 * n:]
             if not np.isfinite(vals).all():
-                raise DivergenceError(k, tables.grid.nodes()[k])
+                raise DivergenceError.at(tables.grid, (k, True))
     return vals - 0.5 * blocks(k0)[..., 2 * n:]
 
 

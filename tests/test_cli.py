@@ -489,6 +489,58 @@ def test_node_csv_rows_match_csv_writer(tmp_path):
         assert ",-" in got and "e-300," in got
 
 
+def _random_n3(steps=60):
+    """A uniformly convex problem with n = 3, m = 2, D = 2 and A varying
+    along the grid."""
+    rng = np.random.default_rng(11)
+    grid = TimeGrid(0.0, 1.0, steps)
+
+    def normal(scale, *shape):
+        return list(scale * rng.normal(size=(2, *shape)))
+
+    def gram(dim):
+        f = rng.normal(size=(2, dim, dim))
+        return list(f @ np.swapaxes(f, -1, -2) / dim)
+
+    spec = ProblemSpec.from_regimes(
+        grid, Generator.constant([[-1.0, 1.0], [2.0, -2.0]], grid),
+        A=normal(0.3, 3, 3), B=normal(0.5, 3, 2), C=normal(0.1, 3, 3), D=normal(0.1, 3, 2),
+        Q=gram(3), S=[np.zeros((2, 3))] * 2, R=[np.eye(2) + r for r in gram(2)], G=gram(3),
+        b=normal(0.3, 3), q=normal(0.3, 3), rho=normal(0.3, 2), g=normal(0.3, 3),
+    )
+    ramp = np.linspace(0.0, 1.0, steps + 1)[:, None, None, None]
+    return dataclasses.replace(spec, A=spec.A * (1.0 + ramp))
+
+
+@pytest.mark.parametrize("cmd", ["solve", "iterate"])
+@pytest.mark.parametrize("which", ["standard", "random_n3"])
+def test_riccati_csv_mirror_entries_have_the_same_text(tmp_path, cmd, which):
+    # riccati.csv formats P's upper triangle once and writes it twice;
+    # the solution it reads is symmetric bit for bit, so every P_a_b and
+    # P_b_a must read the same, signed zeros included, and the body is
+    # that of the plain writer given every entry of P
+    problem = PROBLEMS / "standard.yaml"
+    if which == "random_n3":
+        problem = tmp_path / "random_n3.yaml"
+        write_problem(problem, _random_n3())
+    assert main(_args(cmd, problem, tmp_path / "out")) == 0
+    lines = (tmp_path / "out" / "riccati.csv").read_text().splitlines()
+    col = {name: k for k, name in enumerate(lines[1].split(","))}
+    spec = parse_problem(problem)[0]
+    pairs = [(col[f"P_{a}_{b}"], col[f"P_{b}_{a}"]) for a in range(spec.n) for b in range(a)]
+    rows = [line.split(",") for line in lines[2:]]
+    assert all(row[i] == row[j] for row in rows for i, j in pairs)
+    assert any(float(row[i]) != 0.0 for row in rows for i, _ in pairs)
+    solve = riccati.solve_riccati_direct if cmd == "solve" else riccati.iterate_strongly_regular
+    sol = solve(spec)
+    want = [
+        [float(t), i + 1, *sol.P[k, i].ravel().tolist(), float(sol.min_eig_R_hat[k, i])]
+        for k, t in enumerate(spec.grid.nodes()) for i in range(spec.n_regimes)
+    ]
+    cli._write_csv(tmp_path / "ref.csv", "# ref\n", lines[1].split(","), want)
+    assert "\n".join(lines[1:]) == _non_comment_bytes(tmp_path / "ref.csv")
+
+
 def test_node_csv_formats_one_node_at_a_time(tmp_path):
     # a table the size of riccati.csv on the bench's wide problem (N = 500,
     # D = 4, n = 8): formatting it whole held 4.2 MiB of Python floats,
@@ -622,7 +674,18 @@ def test_a_stage_that_overflows_is_a_divergence(tmp_path, capsys, cmd, field, ol
     assert main(_args(cmd, problem, tmp_path / "out", **flags)) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: integration diverged at node 999 (t=0.999); "
-                   "entry magnitude exceeded 1e+12"]
+                   "the state went non-finite"]
+
+
+@pytest.mark.parametrize("cmd", ["solve", "simulate", "verify"])
+def test_a_finite_blowup_names_the_limit(capsys, tmp_path, cmd):
+    # blowup.yaml escapes in finite time, through entries beyond 1e12
+    # that are all finite; iterate rejects it before any escape (exit 2)
+    flags = {"paths": 500, "seed": 7, "threads": 1} if cmd in ("simulate", "verify") else {}
+    assert main(_args(cmd, PROBLEMS / "blowup.yaml", tmp_path / "out", **flags)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: integration diverged at node 749 (t=0.749); "
+                   "an entry exceeded 1e+12"]
 
 
 def test_solve_eta_runs_no_sweep(monkeypatch):

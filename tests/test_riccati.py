@@ -383,15 +383,16 @@ def test_stacked_slices_match_their_one_slice_runs():
     # short span in between, stepped together in chunks of other sizes
     # than their one-slice runs: every finished slice is its own run, bit
     # for bit, and the escaping one names the node solve_riccati_direct
-    # does.  A slice from 1e200 overflows in its first stage (P^2 = 1e400)
-    # and fails at the node below its top
+    # does, an entry beyond 1e12 its cause.  A slice from 1e200 overflows
+    # in its first stage (P^2 = 1e400) and fails at the node below its
+    # top, its state non-finite
     run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=1000).augmented())
     tops = [top(0.5), top(0.5), top(4.0), top(1e200)]
     spans = [(0, 1000), (300, 370), (0, 1000), (200, 640)]
     path, failed = run(tops, spans)
-    assert failed == {2: 749, 3: 639}
-    assert run(tops[2:3], spans[2:3])[1] == {0: 749}
-    assert run(tops[3:], spans[3:])[1] == {0: 639}
+    assert failed == {2: (749, False), 3: (639, True)}
+    assert run(tops[2:3], spans[2:3])[1] == {0: (749, False)}
+    assert run(tops[3:], spans[3:])[1] == {0: (639, True)}
     for p in (0, 1):
         lo, hi = spans[p]
         own, own_failed = run([tops[p]], [spans[p]])
@@ -401,7 +402,7 @@ def test_stacked_slices_match_their_one_slice_runs():
     # runs on the finite slice's matrices alone, which keep their bits
     run, top = _riccati_stack_runner(benchmarks.dead_channel(steps=200).augmented())
     path, failed = run([top(0.5), top(1e308)], [(0, 200), (0, 200)])
-    assert failed == {1: 199}
+    assert failed == {1: (199, True)}
     assert np.array_equal(path[:, 0], run([top(0.5)], [(0, 200)])[0][:, 0])
 
 
@@ -712,17 +713,34 @@ def _error_race(case):
     return _time_varying(spec)
 
 
-@pytest.mark.parametrize("max_iter", [50, 4, 1])
-def test_iteration_starts_only_the_sweeps_it_needs(monkeypatch, max_iter):
-    # P_0 .. P_5 when the sixth sweep converges, P_0 .. P_max_iter otherwise
-    started = []
+def _counted_sweeps(monkeypatch):
+    """Every sweep the iteration makes, and a one-item list counting its
+    waves."""
+    made, waves = [], [0]
 
     class Counted(riccati._Sweep):
         def __init__(self, j, y):
             super().__init__(j, y)
-            started.append(j)
+            made.append(self)
 
+    def wave(*args):
+        waves[0] += 1
+        return run_wave(*args)
+
+    run_wave = riccati._wave
     monkeypatch.setattr(riccati, "_Sweep", Counted)
+    monkeypatch.setattr(riccati, "_wave", wave)
+    return made, waves
+
+
+@pytest.mark.parametrize("max_iter", [50, 4, 1])
+def test_iteration_starts_only_the_sweeps_it_needs(monkeypatch, max_iter):
+    # the loop solving one sweep after another runs P_0 .. P_5 when the
+    # sixth sweep converges, P_0 .. P_max_iter otherwise; the staggered
+    # one starts at most one sweep beyond those, none beyond max_iter,
+    # each one block behind the last it needs, so the 25 blocks and the
+    # iterations take 25 + iterations waves
+    made, waves = _counted_sweeps(monkeypatch)
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", 8)
     spec = benchmarks.scalar_benchmark(steps=200)
     try:
@@ -730,7 +748,46 @@ def test_iteration_starts_only_the_sweeps_it_needs(monkeypatch, max_iter):
     except NonConvergenceError as exc:
         iterations = exc.iterations
     assert iterations == min(max_iter, 5)
-    assert started == list(range(iterations + 1))
+    assert [s.j for s in made] == list(range(min(iterations + 2, max_iter + 1)))
+    assert len(riccati._blocks(200)) == 25
+    assert waves[0] == 25 + iterations
+
+
+def _speculative_failure(case):
+    """Problems where P_1 converges at ``conv_tol`` 10 while the
+    speculative solve for P_2 fails: "divergence", its gain from P_1 is
+    large enough for it to escape 1e12; "gain_check", R_hat(P_1) has a
+    negative eigenvalue.  Neither ever runs in the one-by-one loop."""
+    grid, (a, b, c, d, q, s, r, g) = {
+        "divergence": (TimeGrid(0.0, 4.0, 10),
+                       (-2.25, -0.63, -0.12, 0.01, 0.17, -0.16, 0.122, 0.87)),
+        "gain_check": (TimeGrid(0.0, 0.5, 8), (0.12, 0.9, 0.87, 0.43, 0.53, 0.16, 0.011, 0.04)),
+    }[case]
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant([[0.0]], grid), A=[[[a]]], B=[[[b]]], C=[[[c]]],
+        D=[[[d]]], Q=[[[q]]], S=[[[s]]], R=[[[r]]], G=[[[g]]],
+    )
+
+
+@pytest.mark.parametrize("case, block", [("divergence", 2), ("gain_check", 3)])
+def test_iteration_drops_a_speculative_sweep_that_fails(monkeypatch, case, block):
+    # the speculative sweep halts while its predecessor runs on; the
+    # predecessor then converges, so the result and trace are the loop's
+    # and the speculative sweep's failure is never raised
+    made, _ = _counted_sweeps(monkeypatch)
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
+    spec = _speculative_failure(case)
+    want = _outcome(lambda: iterate_one_by_one(spec, 4, 10.0))
+    got = _outcome(lambda: _staggered(spec, max_iter=4, conv_tol=10.0))
+    assert got == want
+    assert len(want[1]) == 1
+    speculative = made[-1]
+    assert speculative.j == 2 and speculative.halted
+    if case == "divergence":
+        assert isinstance(speculative.error, DivergenceError)
+        assert speculative.gain_min > 0.0
+    else:
+        assert speculative.error is None and speculative.gain_min < 0.0
 
 
 @pytest.mark.parametrize(
@@ -757,3 +814,64 @@ def test_iteration_property_equals_one_by_one(spec, max_iter, conv_tol, block):
         want = _outcome(lambda: iterate_one_by_one(spec, max_iter, conv_tol))
         got = _outcome(lambda: _staggered(spec, max_iter=max_iter, conv_tol=conv_tol))
     assert got == want
+
+
+def _wide(seed):
+    """The bench's generated wide problem for ``seed``: n = 8, m = 3,
+    D = 4, N = 500, uniformly convex, constant random coefficients."""
+    rng = np.random.default_rng([seed, 0x57DE])
+    n, m, d = 8, 3, 4
+    grid = TimeGrid(0.0, 1.0, 500)
+    rates = rng.uniform(0.5, 2.0, (d, d))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+
+    def normal(scale, *shape):
+        return list(scale * rng.normal(size=(d, *shape)))
+
+    def gram(scale, dim):
+        f = rng.normal(size=(d, dim, dim))
+        return list(scale * f @ np.swapaxes(f, -1, -2) / dim)
+
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant(rates, grid),
+        A=normal(0.4 / np.sqrt(n), n, n), B=normal(0.8 / np.sqrt(n), n, m),
+        C=normal(0.2 / np.sqrt(n), n, n), D=normal(0.2 / np.sqrt(m), n, m),
+        Q=gram(1.0, n), S=[np.zeros((m, n))] * d, R=[np.eye(m) + r for r in gram(0.5, m)],
+        G=gram(1.0, n), b=normal(0.3, n), sigma=normal(0.3, n), q=normal(0.3, n),
+        rho=normal(0.3, m), g=normal(0.3, n),
+    )
+
+
+def _assert_bitwise_symmetric(p_bar):
+    # array_equal takes -0.0 for 0.0; the bits tell them apart
+    bits = p_bar.view(np.int64)
+    assert np.array_equal(bits, np.swapaxes(bits, -1, -2))
+
+
+_SOLVES = [(name, "direct") for name in
+           ("scalar", "standard", "two_regime", "negative_r", "dead_channel", "dead_offset")]
+_SOLVES += [(name, "iterate") for name in ("scalar", "standard", "two_regime")]
+_SOLVES += [(f"wide-{seed}", route) for seed in (1, 2, 3) for route in ("direct", "iterate")]
+
+
+@pytest.mark.parametrize("name, route", _SOLVES)
+def test_solution_is_symmetric_bit_for_bit(name, route):
+    # riccati.csv formats only P's upper triangle; blowup diverges, and
+    # iterate rejects the other bundled problems
+    if name.startswith("wide"):
+        spec = _wide(int(name[5:]))
+    else:
+        spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    solve = solve_riccati_direct if route == "direct" else iterate_strongly_regular
+    _assert_bitwise_symmetric(solve(spec).P_bar)
+
+
+@given(_small_specs(), st.booleans())
+@settings(max_examples=100)
+def test_solution_property_symmetric_bit_for_bit(spec, direct):
+    try:
+        sol = solve_riccati_direct(spec) if direct else iterate_strongly_regular(spec)
+    except (DivergenceError, NotStronglyRegularError, NonConvergenceError):
+        return
+    _assert_bitwise_symmetric(sol.P_bar)

@@ -856,6 +856,20 @@ def test_expected_values_name_the_node_where_they_overflow():
     with pytest.raises(DivergenceError) as err:
         _expected_values(_zero_law_tables(spec), _cell_transitions(spec.gen, spec.grid))
     assert 0 < err.value.node < 100
+    assert err.value.non_finite and str(err.value).endswith("the state went non-finite")
+
+
+@pytest.mark.parametrize("x0, non_finite", [(1.0, False), (1e10, True)])
+def test_policy_divergence_names_its_cause(x0, non_finite):
+    # the first step multiplies x0 by 1 + hA = 1e304: from 1 an entry
+    # beyond 1e12, from 1e10 an overflow to inf
+    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = dataclasses.replace(spec, A=np.full_like(spec.A, 1e306))
+    alpha, dw = np.zeros((2, 101), dtype=int), np.zeros((2, 100))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        _integrate_policy(_zero_law_tables(spec), alpha, np.array([x0]), dw)
+    assert err.value.node == 1
+    assert err.value.non_finite == non_finite
 
 
 # ------------------------------------------------------------- row tiles
