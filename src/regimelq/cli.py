@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import affine, riccati, sim, verify
+from . import riccati, sim, verify
 from .problemfile import ProblemFileError, build_spec, parse_problem, write_problem
 
 __all__ = ["main", "ProblemFileError", "parse_problem", "write_problem", "build_spec"]
@@ -136,11 +136,14 @@ def _write_riccati_csv(out: Path, args, spec, sol) -> None:
         out / "riccati.csv", _meta_line(args), header, spec.grid.nodes(), values, mirror)
 
 
-def _write_affine_csv(out: Path, args, spec, aff) -> None:
+def _write_affine_csv(out: Path, args, spec, sol) -> None:
+    """``affine.csv``: the offset eta and the minimum-norm control offset
+    v*, the last columns of ``sol.P_bar``'s P block row and of
+    ``sol.Theta_bar``."""
     header = ["t", "regime"]
     header += [f"eta_{a}" for a in range(spec.n)]
     header += [f"v_star_{a}" for a in range(spec.m)]
-    values = np.concatenate((aff.eta, aff.v_star), axis=-1)
+    values = np.concatenate((sol.P_bar[..., :-1, -1], sol.Theta_bar[..., -1]), axis=-1)
     _write_node_csv(out / "affine.csv", _meta_line(args), header, spec.grid.nodes(), values)
 
 
@@ -183,7 +186,7 @@ def _load_and_solve(args):
         print(f"classification: {sol.classification}", file=sys.stderr)
         return spec, sol, EXIT_NOT_REGULAR
 
-    _write_affine_csv(out, args, spec, affine.solve_eta(spec, sol))
+    _write_affine_csv(out, args, spec, sol)
     return spec, sol, EXIT_OK
 
 

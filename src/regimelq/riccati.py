@@ -7,9 +7,11 @@ classic fixed-step RK4 from the terminal data, all regimes advanced
 together because the generator couples them; the matrix right-hand
 sides are exactly symmetric, so the iterates stay symmetric from a
 symmetric terminal value.  The driver steps a stack of slices, each
-from its own top node over its own span; :func:`rk4_backward` is its
-one-slice call over the whole grid, and :func:`solve_lyapunov` runs one
-slice per frozen gain, its gain table a per-slice table of the driver.
+from its own top node over its own span, and every sweep calls it
+directly: :func:`solve_riccati_direct` as one slice over the whole grid,
+:func:`solve_lyapunov` with one slice per frozen gain, its gain table a
+per-slice table of the driver, and the fixed-point iteration with one
+slice per running solve.
 
 Both Riccati routes sweep the problem in x_bar = [x, 1]
 (:meth:`ProblemSpec.augmented`); its solution [[P, eta], [eta^T, w]]
@@ -43,9 +45,12 @@ pre-transposed factors.  An RK4
 stage then evaluates only the terms that depend on P; in the Riccati
 stage that includes the composites S_hat, R_hat and the pseudo-inverse
 of R_hat, taken by the symmetric eigensolver, or as 1/R_hat for a
-scalar control.  A stage that overflows is a divergence like any other:
-the driver runs with numpy's overflow and invalid warnings off, and its
-step guard ends the slice whose state went non-finite.
+scalar control.  The driver checks no step as it runs: after each
+chunk, one scan of the chunk's states finds each slice's first state
+with a non-finite entry or one beyond ``BLOWUP_LIMIT``.  A stage that
+overflows is a divergence like any other: the driver runs with numpy's
+overflow and invalid warnings off, and the scan names the slice whose
+state went non-finite.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ __all__ = [
     "Classification",
     "RiccatiSolution",
     "solve_lyapunov",
-    "rk4_backward",
     "solve_riccati_direct",
     "iterate_strongly_regular",
 ]
@@ -92,8 +96,8 @@ class DivergenceError(RuntimeError):
 
     @classmethod
     def at(cls, grid: TimeGrid, failure: tuple[int, bool]) -> DivergenceError:
-        """The error of a step guard's ``(node, non_finite)`` failure on
-        ``grid``, as :func:`_rk4_stack` reports it per slice."""
+        """The error of a ``(node, non_finite)`` failure on ``grid``: a
+        step guard's, or one that :func:`_rk4_stack` reports per slice."""
         node, non_finite = failure
         return cls(node, grid.nodes()[node], non_finite)
 
@@ -204,8 +208,8 @@ def _riccati_rhs(coef, p, pinv_tol):
     in some regime, the input of a stage after one that overflowed, gives
     a derivative that is non-finite there too, without raising, and its
     non-finite R_hat runs no eigensolver (:func:`matcore._eigh_pinv_finite`);
-    so the driver's step guard ends its slice, and the slices beside it
-    keep their bits.  The products then warn unless numpy's overflow and
+    so the driver's scan names its slice, and the slices beside it keep
+    their bits.  The products then warn unless numpy's overflow and
     invalid warnings are off, as they are in :func:`_rk4_stack`.
     ``pinv_tol`` is checked by the solver.
     """
@@ -265,28 +269,22 @@ def _blocks(n_steps: int) -> list[tuple[int, int]]:
     return [(max(hi - _BLOCK_STEPS, 0), hi) for hi in range(n_steps, 0, -_BLOCK_STEPS)]
 
 
-def _rk4_block(rhs, y, samples, h, out, start=0):
+def _rk4_block(rhs, y, samples, h, out):
     """Classic RK4 steps backward through one block of samples.
 
     Step i runs from the node sample ``samples[2i]`` at its upper end
     through the midpoint sample ``samples[2i + 1]`` to the node sample
-    ``samples[2i + 2]`` at its lower end.  Steps ``start`` to
-    ``len(out) - 1`` run from ``y``, storing each new state at
-    ``out[i]``.  Returns the number of steps stored and the last state;
-    a state with a non-finite entry or one beyond ``BLOWUP_LIMIT`` ends
-    the loop unstored.
+    ``samples[2i + 2]`` at its lower end.  Every step runs, from ``y``,
+    and stores its new state at ``out[i]``; returns the last state.
     """
-    for i in range(start, len(out)):
+    for i in range(len(out)):
         c_hi, c_mid, c_lo = samples[2 * i:2 * i + 3]
         k1 = rhs(c_hi, y)
         k2 = rhs(c_mid, y - 0.5 * h * k1)
         k3 = rhs(c_mid, y - 0.5 * h * k2)
         k4 = rhs(c_lo, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.abs(y).max() <= BLOWUP_LIMIT:  # also catches NaN
-            return i, y
-        out[i] = y
-    return len(out), y
+        y = out[i] = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def _samples(table):
@@ -299,7 +297,7 @@ def _samples(table):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the step guard
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the scan
 def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
     """Classic RK4 backward for a stack of slices, each over its own span.
 
@@ -324,15 +322,19 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
     the node at which it first had a non-finite entry or one beyond
     ``BLOWUP_LIMIT``, and whether a non-finite entry was the cause; a
     stage that overflows makes its step's new state non-finite, so the
-    slice diverges at that step's lower node.  Below its span,
-    and from the step it diverged, a slice idles on zero tables, where
-    the right-hand side is zero; the run ends once every slice diverged.
+    slice diverges at that step's lower node.  Every slice steps to the
+    end of each chunk, and one scan of the chunk's states then finds each
+    slice's first bad step within its span.  A slice that diverged steps
+    on, apart from the others, while any slice runs; so does a slice
+    below its span, on the tables of its own nodes and, past node 0, of
+    node 0.  Neither state is part of the result.  The run ends after the
+    chunk in which the last slice diverged.
     """
     y = np.array(tops, dtype=float)
     n_slices = len(y)
     his = np.array([hi for _, hi in spans])
-    lengths = [hi - lo for lo, hi in spans]
-    steps = max(lengths)
+    lengths = his - [lo for lo, _ in spans]
+    steps = int(lengths.max())
     path = np.empty((steps + 1, *y.shape))
     path[steps] = y
     out = path[-2::-1]  # step i of every slice at out[i]
@@ -346,41 +348,16 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
         coef += [_samples(a[steps - i1:steps - i0 + 1]) for a in per_slice]
         if derive is not None:
             coef = derive(coef)
-        for p, length in enumerate(lengths):
-            idle = 2 * (i1 - i0) + 1 if p in failed else 2 * (i1 - length)
-            if idle > 0:
-                for a in coef:
-                    a[:idle, p] = 0.0
         samples = [tuple(a[j] for a in coef) for j in range(2 * (i1 - i0), -1, -1)]
-        chunk_out = out[i0:i1]
-        done, y = _rk4_block(rhs, y, samples, h, chunk_out)
-        while done < i1 - i0:
-            size = np.abs(y).reshape(n_slices, -1).max(axis=1)
-            for p in np.flatnonzero(~(size <= BLOWUP_LIMIT)):
-                if i0 + done < lengths[p]:
-                    node = int(his[p]) - 1 - i0 - done
-                    failed.setdefault(int(p), (node, not np.isfinite(size[p])))
-                y[p] = 0.0
-                for a in coef:
-                    a[:, p] = 0.0
-            if len(failed) == n_slices:
-                return path, failed
-            chunk_out[done] = y
-            done, y = _rk4_block(rhs, y, samples, h, chunk_out, done + 1)
+        y = _rk4_block(rhs, y, samples, h, out[i0:i1])
+        size = np.abs(out[i0:i1]).reshape(i1 - i0, n_slices, -1).max(axis=2)
+        bad = ~(size <= BLOWUP_LIMIT) & (np.arange(i0, i1)[:, None] < lengths)  # also NaN
+        for p in np.flatnonzero(bad.any(axis=0)):
+            i = int(bad[:, p].argmax())
+            failed.setdefault(int(p), (int(his[p]) - 1 - i0 - i, not np.isfinite(size[i, p])))
+        if len(failed) == n_slices:
+            break
     return path, failed
-
-
-def rk4_backward(rhs, terminal, tables, grid: TimeGrid, derive=None) -> np.ndarray:
-    """Classic RK4 from ``terminal`` at T back to t0 over every grid step:
-    one slice of :func:`_rk4_stack`, whose path it returns, shape
-    ``(N + 1, *terminal.shape)``.  A non-finite entry or one beyond
-    ``BLOWUP_LIMIT`` raises :class:`DivergenceError` naming the node and
-    the cause.
-    """
-    path, failed = _rk4_stack(rhs, derive, tables, [terminal], [(0, grid.steps)], grid.h)
-    if failed:
-        raise DivergenceError.at(grid, failed[0])
-    return path[:, 0]
 
 
 def solve_lyapunov(spec: ProblemSpec, theta: np.ndarray | None = None) -> np.ndarray:
@@ -504,17 +481,21 @@ def solve_riccati_direct(
     """Backward RK4 solve of ``spec.augmented()`` with classification.
 
     The minimum-norm gain is taken at every node (the free complement of
-    the pseudo-inverse gain is fixed to zero).  Finite-time escape of
-    indefinite problems raises :class:`DivergenceError` rather than
-    propagating non-finite values into the classification.
+    the pseudo-inverse gain is fixed to zero).  The sweep is one slice of
+    :func:`_rk4_stack` over the whole grid.  Finite-time escape of
+    indefinite problems, a non-finite entry or one beyond
+    ``BLOWUP_LIMIT``, raises :class:`DivergenceError` naming the node and
+    the cause rather than propagating into the classification.
     """
     _check_tols(pinv_tol, strong_tol)
     aug = spec.augmented()
-    p_bar = rk4_backward(
-        lambda c, p: _riccati_rhs(c, p, pinv_tol),
-        aug.G, _sweep_coefs(aug), aug.grid, derive=_riccati_tables,
+    path, failed = _rk4_stack(
+        lambda c, p: _riccati_rhs(c, p, pinv_tol), _riccati_tables, _sweep_coefs(aug),
+        [aug.G], [(0, aug.grid.steps)], aug.grid.h,
     )
-    return _build_solution(aug, p_bar, pinv_tol, strong_tol)
+    if failed:
+        raise DivergenceError.at(aug.grid, failed[0])
+    return _build_solution(aug, path[:, 0], pinv_tol, strong_tol)
 
 
 def iterate_strongly_regular(

@@ -458,27 +458,24 @@ def test_meta_line_records_the_flags_the_command_ran_with(cmd, flags, files, tai
 def test_node_csv_rows_match_csv_writer(tmp_path):
     spec = benchmarks.two_regime_inhomogeneous(steps=6)
     ric = riccati.solve_riccati_direct(spec)
-    aff = affine.solve_eta(spec, ric)
     p_bar = ric.P_bar.copy()
     p_bar[2, 1, 0, 0] = -1.25e-7
     p_bar[3, 0, 0, 0] = 1.0000000000000001e-300
     p_bar[4, 1, 0, 0] = -0.0
+    p_bar[1, 0, 0, -1] = p_bar[1, 0, -1, 0] = -2.5e-300  # eta
     ric = dataclasses.replace(ric, P_bar=p_bar)
-    eta = aff.eta.copy()
-    eta[1, 0, 0] = -2.5e-300
-    aff = dataclasses.replace(aff, eta=eta)
     args = types.SimpleNamespace(
         command="solve", seed=1, steps=None, threads=1, pinv_tol=1e-12, strong_tol=1e-8,
     )
     cli._write_riccati_csv(tmp_path, args, spec, ric)
-    cli._write_affine_csv(tmp_path, args, spec, aff)
+    cli._write_affine_csv(tmp_path, args, spec, ric)
     t_nodes = spec.grid.nodes()
     ric_rows = [
         [float(t), i + 1, *ric.P[k, i].ravel().tolist(), float(ric.min_eig_R_hat[k, i])]
         for k, t in enumerate(t_nodes) for i in range(spec.n_regimes)
     ]
     aff_rows = [
-        [float(t), i + 1, *aff.eta[k, i].tolist(), *aff.v_star[k, i].tolist()]
+        [float(t), i + 1, *ric.P_bar[k, i, :-1, -1].tolist(), *ric.Theta_bar[k, i, :, -1].tolist()]
         for k, t in enumerate(t_nodes) for i in range(spec.n_regimes)
     ]
     for name, rows in (("riccati.csv", ric_rows), ("affine.csv", aff_rows)):
@@ -675,6 +672,7 @@ def test_a_stage_that_overflows_is_a_divergence(tmp_path, capsys, cmd, field, ol
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: integration diverged at node 999 (t=0.999); "
                    "the state went non-finite"]
+    _assert_divergence_record(tmp_path / "out", err)
 
 
 @pytest.mark.parametrize("cmd", ["solve", "simulate", "verify"])
@@ -686,6 +684,16 @@ def test_a_finite_blowup_names_the_limit(capsys, tmp_path, cmd):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: integration diverged at node 749 (t=0.749); "
                    "an entry exceeded 1e+12"]
+    _assert_divergence_record(tmp_path / "out", err)
+
+
+def _assert_divergence_record(out, err):
+    """classification.txt holds the one error line of a divergence,
+    after its verdict, and no solution table was written."""
+    assert (out / "classification.txt").read_text() == (
+        "divergent: " + err[0].removeprefix("error: ") + "\n")
+    assert not (out / "riccati.csv").exists()
+    assert not (out / "affine.csv").exists()
 
 
 def test_solve_eta_runs_no_sweep(monkeypatch):
@@ -698,7 +706,7 @@ def test_solve_eta_runs_no_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise riccati.DivergenceError(7, 0.25)
 
-    monkeypatch.setattr(riccati, "rk4_backward", no_sweep)
+    monkeypatch.setattr(riccati, "_rk4_stack", no_sweep)
     monkeypatch.setattr(riccati, "_rk4_block", no_sweep)
     aff = affine.solve_eta(spec, sol)
     np.testing.assert_array_equal(aff.eta, sol.P_bar[..., :-1, -1])

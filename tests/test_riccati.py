@@ -23,7 +23,6 @@ from regimelq.riccati import (
     NonConvergenceError,
     NotStronglyRegularError,
     iterate_strongly_regular,
-    rk4_backward,
     solve_lyapunov,
     solve_riccati_direct,
 )
@@ -346,16 +345,26 @@ def test_offset_and_value_integral_rk4_order(solver, steps, ref_steps):
     assert np.all((orders >= 3.7) & (orders <= 4.3)), orders.T
 
 
-def test_rk4_backward_guards_every_sweep():
+def test_rk4_stack_guards_every_sweep():
     grid = TimeGrid(0.0, 1.0, 200)
-    # dy/dt = -y^2 from y(T) = 4 escapes backward at t = T - 1/4
-    with pytest.raises(DivergenceError) as err:
-        rk4_backward(lambda c, y: -y * y, np.array([4.0]), [], grid)
-    assert abs(err.value.t - 0.75) < 0.01
+
+    def failure(rhs, top):
+        _, failed = riccati._rk4_stack(rhs, None, [], [top], [(0, grid.steps)], grid.h)
+        assert list(failed) == [0]
+        return DivergenceError.at(grid, failed[0])
+
+    # dy/dt = -y^2 from y(T) = 4 escapes backward at t = T - 1/4, through
+    # a finite entry beyond 1e12
+    err = failure(lambda c, y: -y * y, np.array([4.0]))
+    assert abs(err.t - 0.75) < 0.01
+    assert not err.non_finite
     # a non-finite derivative is caught on the first step
-    with pytest.raises(DivergenceError) as err:
-        rk4_backward(lambda c, y: np.full_like(y, np.nan), np.zeros(3), [], grid)
-    assert err.value.node == grid.steps - 1
+    err = failure(lambda c, y: np.full_like(y, np.nan), np.zeros(3))
+    assert err.node == grid.steps - 1
+    assert err.non_finite
+
+
+BLOCK = riccati._BLOCK_STEPS
 
 
 def _riccati_stack_runner(aug):
@@ -406,6 +415,50 @@ def test_stacked_slices_match_their_one_slice_runs():
     assert np.array_equal(path[:, 0], run([top(0.5)], [(0, 200)])[0][:, 0])
 
 
+@st.composite
+def _stacks(draw):
+    """Grid steps, tops from {0.5, 4.0, 1e200} (finite, finite escape,
+    first-stage overflow) and spans inside the grid of 1..4 slices."""
+    steps = draw(st.integers(40, 120))
+    slices = draw(st.lists(
+        st.tuples(st.sampled_from([0.5, 4.0, 1e200]),
+                  st.lists(st.integers(0, steps), min_size=2, max_size=2, unique=True)),
+        min_size=1, max_size=4))
+    return steps, [g for g, _ in slices], [tuple(sorted(ends)) for _, ends in slices]
+
+
+@given(_stacks(), st.sampled_from([1, 3, 8, 64]))
+@settings(max_examples=150)
+def test_stack_property_slices_are_their_one_slice_runs(stack, block):
+    # in chunks of every size, each slice that did not fail is its own
+    # run, bit for bit over its span, and each failed one fails at the
+    # node and for the cause its own run names
+    steps, gs, spans = stack
+    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=steps).augmented())
+    tops = [top(g) for g in gs]
+    with mock.patch.object(riccati, "_BLOCK_STEPS", block):
+        path, failed = run(tops, spans)
+    longest = max(hi - lo for lo, hi in spans)
+    for p, (lo, hi) in enumerate(spans):
+        own, own_failed = run([tops[p]], [(lo, hi)])
+        if p in failed:
+            assert own_failed == {0: failed[p]}
+        else:
+            assert not own_failed
+            assert np.array_equal(path[longest - (hi - lo):, p], own[:, 0])
+
+
+def test_stack_ignores_an_escape_below_a_span():
+    # a slice from 4.0 over nodes 800..1000 runs on below node 800 beside
+    # a full-span slice and escapes there, near node 749; outside its span
+    # that is no failure, and the full-span slice is its own run
+    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=1000).augmented())
+    path, failed = run([top(0.5), top(4.0)], [(0, 1000), (800, 1000)])
+    assert not failed
+    assert not np.abs(path[:800, 1]).max() <= riccati.BLOWUP_LIMIT
+    assert np.array_equal(path[:, 0], run([top(0.5)], [(0, 1000)])[0][:, 0])
+
+
 def test_stacked_lyapunov_slices_match_their_one_law_calls():
     # the optimal law on the augmented problem, a constant shift of it and
     # a node- and regime-varying law: each slice of the stacked solve is
@@ -421,17 +474,19 @@ def test_stacked_lyapunov_slices_match_their_one_law_calls():
         assert np.array_equal(p_law, solve_lyapunov(aug, law))
 
 
-def test_stacked_lyapunov_names_the_diverging_law():
+def test_stacked_lyapunov_names_the_diverging_law(monkeypatch):
     # the gain 50 makes P escape 1e12 within the horizon; the stack
-    # raises at the node the one-law solve names
+    # raises at the node the one-law solve names, whatever the chunks
     spec = benchmarks.scalar_benchmark(steps=1000)
     gains = np.stack([np.zeros((1001, 1, 1, 1)), np.full((1001, 1, 1, 1), 50.0)])
-    with pytest.raises(DivergenceError) as one:
-        solve_lyapunov(spec, gains[1])
-    with pytest.raises(DivergenceError) as stack:
-        solve_lyapunov(spec, gains)
-    assert stack.value.node == one.value.node
-    assert 0 < one.value.node < 1000
+    for block in (1, 7, BLOCK, 250, 251):
+        monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
+        with pytest.raises(DivergenceError) as one:
+            solve_lyapunov(spec, gains[1])
+        with pytest.raises(DivergenceError) as stack:
+            solve_lyapunov(spec, gains)
+        assert (stack.value.node, stack.value.non_finite) == (one.value.node, False)
+        assert one.value.node == 756
     with pytest.raises(InvalidInputError, match="theta shape"):
         solve_lyapunov(spec, gains[:0])
 
@@ -444,8 +499,6 @@ def _paths_by_block_size(monkeypatch, spec, block):
     return direct.P, lyap, aff.eta, aff.value_integral
 
 
-BLOCK = riccati._BLOCK_STEPS
-
 
 @pytest.mark.parametrize("steps", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_block_size_does_not_change_paths(monkeypatch, steps):
@@ -456,7 +509,9 @@ def test_block_size_does_not_change_paths(monkeypatch, steps):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("block", [1, BLOCK])
+# at 251 the escape, step 250 of the sweep, is a chunk's last step, and
+# at 250 a chunk's first
+@pytest.mark.parametrize("block", [1, 7, BLOCK, 250, 251])
 def test_blowup_node_independent_of_block_size(monkeypatch, block):
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
     with pytest.raises(DivergenceError) as err:
