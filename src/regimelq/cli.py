@@ -10,13 +10,13 @@ row, ``value_mc_vs_function``; every other row reads every regime.
 
 Exit codes: 0 success, 1 problem-file/validation error, a usage error
 (an unknown flag, a missing ``--problem``, a value of the wrong type), a
-run argument that does not fit the problem or the solver, a flag given
-to a command it does not apply to, a flag other than ``--out`` given to
-``report``, or a ``verification.csv`` that ``report`` cannot read, 2 no
-closed-loop optimal law: the
-solution is not regular, or its offset rho_hat leaves the range of the
-control weight composite, or the iteration certifies non-convexity, 3
-integration divergence, 4 verification failure.
+run argument that does not fit the problem or the solver, an output
+directory that cannot be made or written, a flag given to a command it
+does not apply to, a flag other than ``--out`` given to ``report``, or a
+``verification.csv`` that ``report`` cannot read, 2 no closed-loop
+optimal law: the solution is not regular, or its offset rho_hat leaves
+the range of the control weight composite, or the iteration certifies
+non-convexity, 3 integration divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ _VERB_FLAGS = {
     "--max-iter": (("iterate",), 50),
     "--conv-tol": (("iterate",), 1e-10),
 }
-# The entry of every coordinate of the initial state when --x0 is not given.
-_X0_FILL = {"simulate": 0.0, "verify": 1.0}
 
 
 def _meta_line(args) -> str:
@@ -154,14 +152,13 @@ def _load_and_solve(args):
     None.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec, _ = parse_problem(args.problem)
     bad = _run_args_error(args, spec)
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return spec, None, EXIT_PARSE
-    if args.x0 is None and args.command in _X0_FILL:
-        args.x0 = [_X0_FILL[args.command]] * spec.n
+    if args.x0 is None and args.command in ("simulate", "verify"):
+        args.x0 = [1.0] * spec.n  # the default start: every coordinate 1
     if args.steps:
         spec = spec.with_steps(args.steps)
 
@@ -199,6 +196,18 @@ def _verb_flag_error(args) -> str | None:
             setattr(args, dest, default)
         elif args.command not in verbs:
             return f"{flag} applies to {' and '.join(verbs)} only, not to {args.command}"
+    return None
+
+
+def _out_error(out: Path) -> str | None:
+    """Why ``out`` cannot serve as the output directory, or None once it
+    exists and can be written."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return f"--out {out} cannot be made a directory: {exc.strerror}"
+    if not os.access(out, os.W_OK | os.X_OK):
+        return f"--out {out} is not writable"
     return None
 
 
@@ -396,7 +405,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    bad = args.command != "report" and _verb_flag_error(args)
+    bad = args.command != "report" and (_verb_flag_error(args) or _out_error(Path(args.out)))
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return EXIT_PARSE

@@ -24,17 +24,20 @@ closed-loop verdict (:func:`_classify`).
 A constructive fixed-point iteration (repeated Lyapunov solves through
 the current gain) provides an independent route to the strongly regular
 solution.  Its solves run staggered: the solve for P_(j+1) needs P_j
-only at the nodes of the block it runs, so it starts one block behind
-the solve for P_j, and every running solve moves back by one block per
-wave, all of them as the slices of one driver call over states
-(J, D, n, n).  Solve j + 1 starts as soon as the loop doing one solve
-after another would certainly run solve j: P_0 and P_1 always, P_j once
-the running maximum of ||P_(j-1) - P_(j-2)||_F over the nodes done
-reaches the convergence tolerance, and none beyond the iteration limit.
-So at most one solve runs speculatively; it is dropped, unraised, once
-its predecessor finishes below the tolerance.  Results, iteration trace
-and errors are those of that loop, bit for bit: an error of a later
-solve is held back until every earlier one has finished clean.
+and its gain only at the nodes of the block it runs, so it starts one
+block behind the solve for P_j, and every running solve moves back by
+one block per wave, all of them as the slices of one driver call over
+states (J, D, n, n).  Each solve takes its own gains, and its own gain
+check R_hat(P_j) > 0, on every block it steps.  Solve j + 1 starts as
+soon as the loop doing one solve after another would certainly run
+solve j: P_0 and P_1 always, P_j once the running maximum of
+||P_(j-1) - P_(j-2)||_F over the nodes done reaches the convergence
+tolerance, and none beyond the iteration limit.  So at most one solve
+runs speculatively.  One end rule gives the results, iteration trace
+and errors of that loop, bit for bit: a solve that diverged, failed its
+gain check or finished below the tolerance is final, drops every later
+solve and lets none start after it, so the loop ends at the last solve
+left.
 
 The driver runs in chunks of at most ``_BLOCK_STEPS`` steps.  Per chunk
 it turns the node and midpoint samples of the coefficients, taken at
@@ -310,7 +313,7 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
     The steps run in chunks of at most ``_BLOCK_STEPS``; per chunk the
     node samples of every table, interleaved with the midpoint averages
     of the steps, are stacked along a leading axis (:func:`_samples`),
-    and ``derive`` (if given) maps that tuple of stacks to the tuple of
+    and ``derive`` maps that tuple of stacks to the tuple of
     stacked tables the right-hand side reads, so everything that does
     not depend on the state is formed once per chunk.  Products are
     formed from averaged factors, never averaged themselves.
@@ -346,8 +349,7 @@ def _rk4_stack(rhs, derive, tables, tops, spans, h, per_slice=()):
         nodes = np.maximum(np.arange(i1 - i0 + 1)[:, None] + (his - i1), 0)  # bottom up
         coef = [_samples(a[nodes]) for a in tables]
         coef += [_samples(a[steps - i1:steps - i0 + 1]) for a in per_slice]
-        if derive is not None:
-            coef = derive(coef)
+        coef = derive(coef)
         samples = [tuple(a[j] for a in coef) for j in range(2 * (i1 - i0), -1, -1)]
         y = _rk4_block(rhs, y, samples, h, out[i0:i1])
         size = np.abs(out[i0:i1]).reshape(i1 - i0, n_slices, -1).max(axis=2)
@@ -531,125 +533,103 @@ def iterate_strongly_regular(
     aug = spec.augmented()
     bounds = _blocks(aug.grid.steps)
     sweeps = [_Sweep(0, aug.G)]
-
-    def passed(s):  # P_j is not the result, so the loop solves for P_(j+1)
-        return s.j == 0 or s.delta >= conv_tol
-
-    while any(s.done < len(bounds) for s in sweeps):
-        _wave(aug, sweeps, bounds, pinv_tol)
-        for s, nxt in zip(sweeps, sweeps[1:]):
-            if not passed(s):  # nxt is speculative, and s may be the result
-                if s.done == len(bounds):
-                    del sweeps[s.j + 1:]  # it is: s converged
-                break
-            s.blocks[:nxt.done] = [None] * nxt.done  # nxt has used them
+    while any(s.error is None and len(s.blocks) < len(bounds) for s in sweeps):
+        _wave(aug, sweeps, bounds, pinv_tol, conv_tol)
         last = sweeps[-1]
-        needed = last.j == 0 or passed(sweeps[last.j - 1])
-        converged = last.done == len(bounds) and not passed(last)
-        if needed and not converged and not last.halted and last.j < max_iter:
+        needed = last.j == 0 or _passed(sweeps[last.j - 1], conv_tol)
+        if needed and last.j < max_iter and not last.final(len(bounds), conv_tol):
             sweeps.append(_Sweep(last.j + 1, aug.G))
-    # the first exit of the loop solving the sweeps one after another
-    for s in sweeps:
-        if s.error is not None:
-            raise s.error
-        if s.j > 0 and s.delta < conv_tol:
-            p_bar, s.blocks = _joined(s.blocks), []  # hold the path once
-            return _build_solution(
-                aug, p_bar, pinv_tol, strong_tol,
-                trace=[r.delta for r in sweeps[1:s.j + 1]],
-            )
-        if s.j == max_iter:
-            raise NonConvergenceError(s.j, s.delta)
-        if sweeps[s.j + 1].gain_min <= 0.0:
-            raise NotStronglyRegularError(sweeps[s.j + 1].gain_min)
-        # otherwise the loop went on, so this sweep has a successor
+    # the loop solving the sweeps one after another went on past every
+    # sweep but the last, and ends at that one
+    s = sweeps[-1]
+    if s.error is not None:
+        raise s.error
+    if s.j > 0 and s.delta < conv_tol:
+        p_bar, s.blocks = _joined(s.blocks), []  # hold the path once
+        return _build_solution(
+            aug, p_bar, pinv_tol, strong_tol, trace=[r.delta for r in sweeps[1:]])
+    if s.j == max_iter:
+        raise NonConvergenceError(s.j, s.delta)
+    raise NotStronglyRegularError(s.gain_min)
+
+
+def _passed(s, conv_tol) -> bool:
+    """Whether P_j is certainly not the result, so that the loop solving
+    one sweep after another solves for P_(j+1) unless P_j fails."""
+    return s.j == 0 or s.delta >= conv_tol
 
 
 @dataclass(eq=False)
 class _Sweep:
     """The linear solve for P_j in the staggered fixed-point iteration.
 
-    Sweep j + 1 needs P_j only at the nodes of the block it runs, so it
-    starts one block behind sweep j and every running sweep moves back
-    by one block per wave of :func:`_wave`.  It starts as soon as sweep j
-    is needed by the one-after-another loop, without waiting for sweep
-    j's own ``delta``: sweeps 0 and 1 are always needed, and sweep j >= 2
-    once the running ``delta`` of sweep j - 1 reaches ``conv_tol``; none
-    starts beyond ``max_iter``.  So at most one sweep runs speculatively.
-    When sweep j finishes with ``delta`` below ``conv_tol``, it is the
-    result and its speculative successor is dropped at once, unraised
-    and outside the trace.  A sweep that diverges, or whose gain check is
-    bound to fail, halts: it stops stepping, every later sweep is
-    dropped, and it goes on only taking gains, so that the check sees
-    every node.  A path block is freed once the next sweep has used it
-    and that sweep is needed; until then the sweep may still be the
-    result and keeps all of its blocks.
+    Sweep j + 1 needs P_j and Theta_j only at the nodes of the block it
+    runs, so it starts one block behind sweep j, and every running sweep
+    moves back by one block per wave of :func:`_wave`.  It starts once
+    the one-after-another loop certainly runs sweep j: sweeps 0 and 1
+    always, sweep j >= 2 once the running ``delta`` of sweep j - 1
+    reaches ``conv_tol`` (:func:`_passed`), none beyond ``max_iter``; so
+    at most one sweep runs speculatively.  Each sweep takes its own
+    gains and gain check on every block it steps.  It is final once it
+    diverged, failed that check, or finished with ``delta`` below
+    ``conv_tol``: then it drops every later sweep, none starts after it,
+    and unless it diverged it steps on to the end, so that its check
+    sees every node.  A path block is freed once the next sweep has used
+    it and the sweep has passed; a gain block once the next sweep has
+    read it.
     """
 
     j: int
     y: np.ndarray  # the state at the top of the next block
-    done: int = 0  # blocks run, or once halted, blocks whose gain is taken
     blocks: list = field(default_factory=list)  # block b's path, nodes lo..hi
-    delta: float = 0.0  # max ||P_j - P_(j-1)||_F over the nodes done
-    gain_min: float = np.inf  # min eig of R_hat(P_(j-1)) over the gains taken
+    gains: list = field(default_factory=list)  # block b's Theta_j, until sweep j + 1 reads it
+    delta: float = 0.0  # max ||P_j - P_(j-1)||_F over the blocks run
+    gain_min: float = np.inf  # min eig of R_hat(P_j) over the blocks run
     error: DivergenceError | None = None
 
-    @property
-    def halted(self) -> bool:
-        return self.error is not None or self.gain_min <= 0.0
+    def final(self, n_blocks: int, conv_tol: float) -> bool:
+        converged = self.j > 0 and len(self.blocks) == n_blocks and self.delta < conv_tol
+        return self.error is not None or self.gain_min <= 0.0 or converged
 
 
-def _wave(spec, sweeps, bounds, pinv_tol) -> None:
-    """Move every unfinished sweep back by one block: first take the
-    gains of the block from the predecessors' path blocks, then step the
-    running sweeps together as the slices of one :func:`_rk4_stack`, the
-    speculative one among them.  It frees no block; the caller does, once
-    the predecessor cannot be the result."""
-    run = []  # (sweep, gain block or None for P_0, predecessor's path block)
-    for s in list(sweeps):
-        if s.j >= len(sweeps):
-            break  # dropped behind a sweep that halted in this wave
-        if s.done == len(bounds):
-            continue
-        lo, hi = bounds[s.done]
-        theta = pred_blk = None
-        if s.j > 0:
-            pred = sweeps[s.j - 1]
-            pred_blk = pred.blocks[s.done]
-            nodes = slice(lo, hi + 1)
-            *_, theta, min_eig = _derived_tables(spec, pred_blk, pinv_tol, nodes)
-            s.gain_min = min(s.gain_min, float(min_eig.min()))
-            if s.gain_min <= 0.0:
-                del sweeps[s.j + 1:]
-        s.done += 1
-        if not s.halted:
-            run.append((s, theta, pred_blk))
-    if not run:
-        return
-
-    spans = [bounds[s.done - 1] for s, _, _ in run]
+def _wave(spec, sweeps, bounds, pinv_tol, conv_tol) -> None:
+    """Move every running sweep back by one block, all of them as the
+    slices of one :func:`_rk4_stack`, the speculative one among them,
+    sweep j > 0 on the gains its predecessor took on that block.  Then
+    each sweep that stepped takes its own gains and gain check on the
+    block, and a sweep that is final drops every later one."""
+    run = [s for s in sweeps if s.error is None and len(s.blocks) < len(bounds)]
+    spans = [bounds[len(s.blocks)] for s in run]
     steps = max(hi - lo for lo, hi in spans)
     gains = np.zeros((steps + 1, len(run), spec.n_regimes, spec.m, spec.n))
-    for p, ((_, theta, _), (lo, hi)) in enumerate(zip(run, spans)):
-        if theta is not None:
-            gains[steps - (hi - lo):, p] = theta
+    for p, (s, (lo, hi)) in enumerate(zip(run, spans)):
+        if s.j > 0:
+            pred, b = sweeps[s.j - 1], len(s.blocks)
+            gains[steps - (hi - lo):, p], pred.gains[b] = pred.gains[b], None
     path, failed = _rk4_stack(
-        _lyapunov_rhs, _lyapunov_tables, _sweep_coefs(spec), [s.y for s, _, _ in run],
+        _lyapunov_rhs, _lyapunov_tables, _sweep_coefs(spec), [s.y for s in run],
         spans, spec.grid.h, per_slice=(gains,),
     )
-    for p, ((s, _, pred_blk), (lo, hi)) in enumerate(zip(run, spans)):
+    for p, (s, (lo, hi)) in enumerate(zip(run, spans)):
         if s.j >= len(sweeps):
-            break
+            break  # dropped behind a sweep that went final in this wave
         if p in failed:
             s.error = DivergenceError.at(spec.grid, failed[p])
+        else:
+            blk = path[steps - (hi - lo):, p].copy()
+            if s.j > 0:
+                pred, b = sweeps[s.j - 1], len(s.blocks)
+                diff = np.linalg.norm(blk - pred.blocks[b], axis=(-2, -1))
+                s.delta = max(s.delta, float(diff.max()))
+                if _passed(pred, conv_tol):
+                    pred.blocks[:b + 1] = [None] * (b + 1)  # this sweep has used them
+            s.y = blk[0]
+            s.blocks.append(blk)
+            *_, theta, min_eig = _derived_tables(spec, blk, pinv_tol, slice(lo, hi + 1))
+            s.gains.append(theta)
+            s.gain_min = min(s.gain_min, float(min_eig.min()))
+        if s.final(len(bounds), conv_tol):
             del sweeps[s.j + 1:]
-            continue
-        blk = path[steps - (hi - lo):, p].copy()
-        s.y = blk[0]
-        s.blocks.append(blk)
-        if pred_blk is not None:
-            diff = np.linalg.norm(blk - pred_blk, axis=(-2, -1))
-            s.delta = max(s.delta, float(diff.max()))
 
 
 def _joined(blocks) -> np.ndarray:

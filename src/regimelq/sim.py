@@ -62,7 +62,7 @@ import numpy as np
 from .model import Generator, ProblemSpec, TimeGrid, _check_regime
 from .riccati import (
     _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _law_stack,
-    _lyapunov_tables, _sweep_coefs,
+    _lyapunov_tables, _rk4_block, _sweep_coefs,
 )
 
 __all__ = [
@@ -200,22 +200,22 @@ def _cell_transitions(gen: Generator, grid: TimeGrid) -> np.ndarray:
 
     RK4 on the Kolmogorov forward equation dT/dt = T Q(t) from T = I,
     with Q linear over the cell (the law the sampler draws from), all
-    cells at once.  A cell takes 8 substeps, or more where h times the
-    largest exit rate is large, so that every substep stays well inside
-    RK4's stability region.
+    cells at once, by the stepper of the backward sweeps
+    (:func:`regimelq.riccati._rk4_block`) with a negative step.  A cell
+    takes 8 substeps, or more where h times the largest exit rate is
+    large, so that every substep stays well inside RK4's stability
+    region.
     """
     q0, q1 = gen.rates[:-1], gen.rates[1:]
     top_rate = float((-np.einsum("kii->ki", gen.rates)).max(initial=0.0))
     n_sub = max(8, int(np.ceil(8.0 * grid.h * top_rate)))
-    dt = grid.h / n_sub
-    trans = np.broadcast_to(np.eye(gen.n_regimes), q0.shape).copy()
+    trans = np.broadcast_to(np.eye(gen.n_regimes), q0.shape)
+    state = np.empty((1, *q0.shape))
+    # one substep per call, so that only its own samples of Q are held:
+    # at its start, midpoint and end, w half substeps into the cell
     for s in range(n_sub):
-        qa, qm, qb = (q0 + (w / n_sub) * (q1 - q0) for w in (s, s + 0.5, s + 1))
-        k1 = trans @ qa
-        k2 = (trans + 0.5 * dt * k1) @ qm
-        k3 = (trans + 0.5 * dt * k2) @ qm
-        k4 = (trans + dt * k3) @ qb
-        trans += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        samples = [q0 + (w / (2 * n_sub)) * (q1 - q0) for w in (2 * s, 2 * s + 1, 2 * s + 2)]
+        trans = _rk4_block(lambda q, t: t @ q, trans, samples, -grid.h / n_sub, state)
     return trans
 
 

@@ -21,6 +21,25 @@ from regimelq.sim import (
 )
 
 
+def cell_transitions_loop(gen, grid):
+    """The cell transitions of :func:`regimelq.sim._cell_transitions` by
+    its own forward RK4 loop, which sums k1 + 2 (k2 + k3) + k4 where the
+    shared stepper sums k1 + 2 k2 + 2 k3 + k4 left to right."""
+    q0, q1 = gen.rates[:-1], gen.rates[1:]
+    top_rate = float((-np.einsum("kii->ki", gen.rates)).max(initial=0.0))
+    n_sub = max(8, int(np.ceil(8.0 * grid.h * top_rate)))
+    dt = grid.h / n_sub
+    trans = np.broadcast_to(np.eye(gen.n_regimes), q0.shape).copy()
+    for s in range(n_sub):
+        qa, qm, qb = (q0 + (w / n_sub) * (q1 - q0) for w in (s, s + 0.5, s + 1))
+        k1 = trans @ qa
+        k2 = (trans + 0.5 * dt * k1) @ qm
+        k3 = (trans + 0.5 * dt * k2) @ qm
+        k4 = (trans + dt * k3) @ qb
+        trans += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return trans, n_sub
+
+
 def eigh_pinv(m, rel_tol):
     """Eigenvalues and pseudo-inverse of a symmetric stack from the
     eigensolver at every size: the path that :func:`regimelq.matcore.pinv`

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import os
 import tempfile
 import tracemalloc
 import types
@@ -277,6 +278,45 @@ def test_bad_solver_argument_exit_code(tmp_path, capsys, cmd, flags, message):
     assert main(_args(cmd, problem, tmp_path / "out", **flags)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("cmd", ["solve", "iterate", "simulate", "verify"])
+@pytest.mark.parametrize("where, reason", [
+    ("file", "File exists"), ("file/out", "Not a directory"),
+])
+def test_an_unusable_out_exits_1(tmp_path, capsys, cmd, where, reason):
+    # an output directory that cannot be made is a bad run argument: one
+    # error line naming it, exit 1, and the file in its way is untouched
+    (tmp_path / "file").write_text("keep\n")
+    out = tmp_path / where
+    assert main(_args(cmd, PROBLEMS / "scalar.yaml", out, steps=50)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out {out} cannot be made a directory: {reason}"]
+    assert (tmp_path / "file").read_text() == "keep\n"
+
+
+def test_an_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
+    # a directory the user may not write to (root may write anywhere, so
+    # the permission check is stubbed)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out = tmp_path / "out"
+    assert main(_args("solve", PROBLEMS / "scalar.yaml", out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out} is not writable"]
+    assert not any(out.iterdir())
+
+
+def test_simulate_starts_from_ones_by_default(tmp_path):
+    # at the zero state a homogeneous problem's value is exactly 0 +- 0;
+    # without --x0, simulate starts from every coordinate 1, as verify does
+    bodies = []
+    for flags in ({}, {"x0": [1.0, 1.0]}):
+        out = tmp_path / str(len(bodies))
+        args = _args("simulate", PROBLEMS / "standard.yaml", out, paths=200, seed=3,
+                     threads=1, **flags)
+        assert main(args) == 0
+        bodies.append(_non_comment_bytes(out / "value_mc.csv"))
+    assert bodies[0] == bodies[1]
+    assert float(bodies[0].splitlines()[1].split(",")[1]) > 0.0
 
 
 def test_simulate_state_divergence_exit_code(tmp_path, capsys):

@@ -34,6 +34,8 @@ from regimelq.sim import (
 )
 from regimelq.verify import N_PERTURBATIONS, certify
 
+from reference import cell_transitions_loop
+
 
 def _solved(spec):
     ric = solve_riccati_direct(spec)
@@ -644,6 +646,29 @@ def test_feynman_kac_identity_case():
     assert np.array_equal(trans, np.broadcast_to(np.eye(2), trans.shape))
     vals = _expected_values(_zero_law_tables(spec), trans)
     assert np.array_equal(vals[0, 0, :2, :2], np.eye(2))
+
+
+@pytest.mark.parametrize("source", ["scalar", "two_regime", "dead_channel", "random"])
+def test_cell_transitions_match_the_forward_loop(source):
+    # the shared RK4 stepper sums k1 + 2 k2 + 2 k3 + k4, the loop
+    # k1 + 2 (k2 + k3) + k4: on the bundled problems' rates the tables
+    # keep every bit; on random time-varying rates each of the n_sub
+    # substeps may round its sum and its update differently, so entries,
+    # all at most 1, may move by a few eps per substep
+    if source == "random":
+        rng = np.random.default_rng(11)
+        grid = TimeGrid(0.0, 2.0, 30)
+        rates = rng.uniform(0.0, 3.0, (31, 3, 3)) * (1.0 - np.eye(3))
+        gen = Generator(rates - rates.sum(axis=-1)[..., None] * np.eye(3))
+    else:
+        spec, _ = parse_problem(PROBLEMS / f"{source}.yaml")
+        gen, grid = spec.gen, spec.grid
+    want, n_sub = cell_transitions_loop(gen, grid)
+    got = _cell_transitions(gen, grid)
+    if source == "random":
+        assert np.abs(got - want).max() <= 4 * n_sub * np.finfo(float).eps
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_feynman_kac_scalar_exponential():
