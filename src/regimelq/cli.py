@@ -16,7 +16,10 @@ does not apply to, a flag other than ``--out`` given to ``report``, or a
 ``verification.csv`` that ``report`` cannot read, 2 no closed-loop
 optimal law: the solution is not regular, or its offset rho_hat leaves
 the range of the control weight composite, or the iteration certifies
-non-convexity, 3 integration divergence, 4 verification failure.
+non-convexity; also an iteration that does not converge within
+``--max-iter``, whose ``classification.txt`` reads ``not_converged``
+since it certifies nothing about the problem, 3 integration divergence,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -174,8 +177,10 @@ def _load_and_solve(args):
             )
     except riccati.DivergenceError as exc:
         return _solve_failed(out, spec, "divergent", exc, EXIT_DIVERGENCE)
-    except (riccati.NotStronglyRegularError, riccati.NonConvergenceError) as exc:
+    except riccati.NotStronglyRegularError as exc:
         return _solve_failed(out, spec, "not_regular", exc, EXIT_NOT_REGULAR)
+    except riccati.NonConvergenceError as exc:
+        return _solve_failed(out, spec, "not_converged", exc, EXIT_NOT_REGULAR)
 
     _write_riccati_csv(out, args, spec, sol)
     (out / "classification.txt").write_text(str(sol.classification) + "\n")

@@ -28,16 +28,18 @@ and its gain only at the nodes of the block it runs, so it starts one
 block behind the solve for P_j, and every running solve moves back by
 one block per wave, all of them as the slices of one driver call over
 states (J, D, n, n).  Each solve takes its own gains, and its own gain
-check R_hat(P_j) > 0, on every block it steps.  Solve j + 1 starts as
-soon as the loop doing one solve after another would certainly run
-solve j: P_0 and P_1 always, P_j once the running maximum of
-||P_(j-1) - P_(j-2)||_F over the nodes done reaches the convergence
-tolerance, and none beyond the iteration limit.  So at most one solve
-runs speculatively.  One end rule gives the results, iteration trace
-and errors of that loop, bit for bit: a solve that diverged, failed its
-gain check or finished below the tolerance is final, drops every later
-solve and lets none start after it, so the loop ends at the last solve
-left.
+check R_hat(P_j) > 0, on every block it steps, but the solve at the
+iteration limit only while it can still be the result; while a solve
+can, it keeps those blocks' derived tables, which join into the
+result's.  Solve j + 1 starts as soon as the loop doing one solve
+after another would certainly run solve j: P_0 and P_1 always, P_j
+once the running maximum of ||P_(j-1) - P_(j-2)||_F over the nodes
+done reaches the convergence tolerance, and none beyond the iteration
+limit.  So at most one solve runs speculatively.  One end rule gives
+the results, iteration trace and errors of that loop, bit for bit: a
+solve that diverged, failed its gain check or finished below the
+tolerance is final, drops every later solve and lets none start after
+it, so the loop ends at the last solve left.
 
 The driver runs in chunks of at most ``_BLOCK_STEPS`` steps.  Per chunk
 it turns the node and midpoint samples of the coefficients, taken at
@@ -463,10 +465,13 @@ def _check_tols(pinv_tol: float, strong_tol: float) -> None:
 
 
 def _build_solution(
-    aug, p_bar, pinv_tol, strong_tol, trace=None,
+    aug, p_bar, pinv_tol, strong_tol, trace=None, derived=None,
 ) -> RiccatiSolution:
-    """The solution, its feedback law and its verdict from the path of ``aug``."""
-    s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = _derived_tables(aug, p_bar, pinv_tol)
+    """The solution, its feedback law and its verdict from the path of
+    ``aug``; ``derived``, if given, is the path's :func:`_derived_tables`."""
+    if derived is None:
+        derived = _derived_tables(aug, p_bar, pinv_tol)
+    s_bar, r_hat, r_hat_pinv, theta_bar, min_eig = derived
     return RiccatiSolution(
         grid=aug.grid, P_bar=p_bar, S_bar=s_bar, R_hat=r_hat, Theta_bar=theta_bar,
         min_eig_R_hat=min_eig,
@@ -534,7 +539,7 @@ def iterate_strongly_regular(
     bounds = _blocks(aug.grid.steps)
     sweeps = [_Sweep(0, aug.G)]
     while any(s.error is None and len(s.blocks) < len(bounds) for s in sweeps):
-        _wave(aug, sweeps, bounds, pinv_tol, conv_tol)
+        _wave(aug, sweeps, bounds, pinv_tol, conv_tol, max_iter)
         last = sweeps[-1]
         needed = last.j == 0 or _passed(sweeps[last.j - 1], conv_tol)
         if needed and last.j < max_iter and not last.final(len(bounds), conv_tol):
@@ -546,8 +551,9 @@ def iterate_strongly_regular(
         raise s.error
     if s.j > 0 and s.delta < conv_tol:
         p_bar, s.blocks = _joined(s.blocks), []  # hold the path once
+        derived, s.derived = [_joined(blocks) for blocks in zip(*s.derived)], None
         return _build_solution(
-            aug, p_bar, pinv_tol, strong_tol, trace=[r.delta for r in sweeps[1:]])
+            aug, p_bar, pinv_tol, strong_tol, [r.delta for r in sweeps[1:]], derived)
     if s.j == max_iter:
         raise NonConvergenceError(s.j, s.delta)
     raise NotStronglyRegularError(s.gain_min)
@@ -570,19 +576,25 @@ class _Sweep:
     always, sweep j >= 2 once the running ``delta`` of sweep j - 1
     reaches ``conv_tol`` (:func:`_passed`), none beyond ``max_iter``; so
     at most one sweep runs speculatively.  Each sweep takes its own
-    gains and gain check on every block it steps.  It is final once it
-    diverged, failed that check, or finished with ``delta`` below
-    ``conv_tol``: then it drops every later sweep, none starts after it,
-    and unless it diverged it steps on to the end, so that its check
-    sees every node.  A path block is freed once the next sweep has used
-    it and the sweep has passed; a gain block once the next sweep has
-    read it.
+    gains and gain check on every block it steps, except a sweep at
+    ``max_iter`` once it cannot be the result, whose gains no sweep reads
+    and whose check decides nothing.  While a sweep can still be the
+    result (j > 0 and ``delta`` below ``conv_tol``), it keeps each
+    block's :func:`_derived_tables`, which join into the result's.  It
+    is final once it diverged, failed that check, or finished with
+    ``delta`` below ``conv_tol``: then it drops every later sweep, none
+    starts after it, and unless it diverged it steps on to the end, so
+    that its check sees every node.  A path block is freed once the next
+    sweep has used it and the sweep has passed; a gain block once the
+    next sweep has read it.
     """
 
     j: int
     y: np.ndarray  # the state at the top of the next block
     blocks: list = field(default_factory=list)  # block b's path, nodes lo..hi
     gains: list = field(default_factory=list)  # block b's Theta_j, until sweep j + 1 reads it
+    # block b's _derived_tables while P_j can still be the result, else None
+    derived: list | None = field(default_factory=list)
     delta: float = 0.0  # max ||P_j - P_(j-1)||_F over the blocks run
     gain_min: float = np.inf  # min eig of R_hat(P_j) over the blocks run
     error: DivergenceError | None = None
@@ -592,12 +604,14 @@ class _Sweep:
         return self.error is not None or self.gain_min <= 0.0 or converged
 
 
-def _wave(spec, sweeps, bounds, pinv_tol, conv_tol) -> None:
+def _wave(spec, sweeps, bounds, pinv_tol, conv_tol, max_iter) -> None:
     """Move every running sweep back by one block, all of them as the
     slices of one :func:`_rk4_stack`, the speculative one among them,
     sweep j > 0 on the gains its predecessor took on that block.  Then
     each sweep that stepped takes its own gains and gain check on the
-    block, and a sweep that is final drops every later one."""
+    block, unless it is at ``max_iter`` and cannot be the result, and
+    keeps them while it can; a sweep that is final drops every later
+    one."""
     run = [s for s in sweeps if s.error is None and len(s.blocks) < len(bounds)]
     spans = [bounds[len(s.blocks)] for s in run]
     steps = max(hi - lo for lo, hi in spans)
@@ -625,13 +639,20 @@ def _wave(spec, sweeps, bounds, pinv_tol, conv_tol) -> None:
                     pred.blocks[:b + 1] = [None] * (b + 1)  # this sweep has used them
             s.y = blk[0]
             s.blocks.append(blk)
-            *_, theta, min_eig = _derived_tables(spec, blk, pinv_tol, slice(lo, hi + 1))
-            s.gains.append(theta)
-            s.gain_min = min(s.gain_min, float(min_eig.min()))
+            result = s.j > 0 and s.delta < conv_tol  # P_j can still be the result
+            if not result:
+                s.derived = None
+            if result or s.j < max_iter:
+                *tables, min_eig = _derived_tables(spec, blk, pinv_tol, slice(lo, hi + 1))
+                s.gains.append(tables[-1])
+                s.gain_min = min(s.gain_min, float(min_eig.min()))
+                if result:  # min_eig is a view of every eigenvalue
+                    s.derived.append((*tables, min_eig.copy()))
         if s.final(len(bounds), conv_tol):
             del sweeps[s.j + 1:]
 
 
 def _joined(blocks) -> np.ndarray:
-    """A sweep's path (N + 1, D, n, n) from its blocks, top block first."""
+    """A node table (N + 1, ...) of a sweep, its path or one of its
+    derived tables, from its blocks, top block first."""
     return np.concatenate([b[:-1] for b in blocks[::-1]] + [blocks[0][-1:]])

@@ -80,6 +80,7 @@ __all__ = [
 
 BATCH_PATHS = 4096
 TILE_ROWS = 512
+_BLOWUP_SQUARE = BLOWUP_LIMIT ** 2  # fl(L²), the step guard's screen
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -295,6 +296,26 @@ def _regime_product(w, state, width):
     return select
 
 
+def _check_state(xbar, grid: TimeGrid, node: int) -> None:
+    """Raise :class:`DivergenceError` at ``node`` if the contiguous state
+    ``xbar`` = [x, 1], (P, n + 1), has a non-finite entry or one beyond
+    ``BLOWUP_LIMIT``.
+
+    One dot product screens it: if some |xᵢ| > L = ``BLOWUP_LIMIT``, its
+    rounded square is at least fl(L²), since rounding is monotone, and a
+    sum of non-negative terms never rounds below its largest term, with
+    or without fused multiply-adds and in any order.  So a sum of squares
+    below fl(L²) proves every entry within L; a non-finite entry or a
+    square that overflows leaves the sum non-finite.  Only a state that
+    fails the screen takes the exact test, which the column of ones
+    always passes.
+    """
+    if np.vdot(xbar, xbar) < _BLOWUP_SQUARE:
+        return
+    if not np.abs(xbar).max() <= BLOWUP_LIMIT:  # also catches NaN
+        raise DivergenceError.at(grid, (node, not np.isfinite(xbar).all()))
+
+
 def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
     """Euler-Maruyama of the one law in ``tables`` from node ``k0``, with
     the cost accumulated in the loop; returns the (P,) per-path costs.
@@ -302,7 +323,10 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
     ``alpha`` holds the regime indices, (P, N + 1), and ``dw`` the
     increments, (P, N).  The cost is the trapezoidal running cost plus
     the terminal term.  ``states``, if given as (P, N + 1, n), receives
-    the state at every node from k0.
+    the state at every node from k0.  Each step's state passes
+    :func:`_check_state`, whose screen is one dot product over the
+    contiguous x̄, not a pass over every entry; a diverging step raises
+    at its node, naming its cause.
     """
     (w,) = tables.W.swapaxes(0, 1)  # the loop runs one law
     n = w.shape[1] - 1
@@ -323,8 +347,7 @@ def _integrate_policy(tables: _Tables, alpha, x0, dw, k0=0, states=None):
         coef[:, 1] = dw[:, k]
         blocks = sel[:, :2 * n].reshape(n_paths, 2, n)
         np.einsum("pj,pjn->pn", coef, blocks, out=x)
-        if not np.abs(x).max() <= BLOWUP_LIMIT:  # also catches NaN
-            raise DivergenceError.at(tables.grid, (k + 1, not np.isfinite(x).all()))
+        _check_state(xbar, tables.grid, k + 1)
         if states is not None:
             states[:, k + 1] = x
     if k0 < n_steps:

@@ -212,6 +212,21 @@ def test_iterate_command(tmp_path):
     assert "strongly_regular" in (out / "classification.txt").read_text()
 
 
+@pytest.mark.parametrize("max_iter, delta", [(1, "1.582e+00"), (4, "2.270e-05")])
+def test_iterate_that_does_not_converge_is_not_converged(tmp_path, capsys, max_iter, delta):
+    # standard.yaml is strongly regular, but its iteration needs 5 solves:
+    # too few iterations certify nothing about the problem, so the verdict
+    # is not_converged, not not_regular, with exit 2 and no solution table
+    out = tmp_path / "out"
+    assert main(_args("iterate", PROBLEMS / "standard.yaml", out, max_iter=max_iter)) == 2
+    line = (f"no convergence after {max_iter} iterations "
+            f"(last sup-norm delta {delta})")
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert (out / "classification.txt").read_text() == f"not_converged: {line}\n"
+    assert not (out / "riccati.csv").exists()
+    assert not (out / "affine.csv").exists()
+
+
 def test_solve_not_regular_exit_code(tmp_path):
     problem = tmp_path / "negr.yaml"
     benchmarks.write_example(problem, "negative_r")

@@ -873,6 +873,49 @@ def test_iteration_property_equals_one_by_one(spec, max_iter, conv_tol, block):
     assert got == want
 
 
+def _assert_same_solution(got, want):
+    for f in dataclasses.fields(riccati.RiccatiSolution):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("name, block, max_iter", [
+    ("standard", 64, 50), ("standard", 7, 50), ("standard", 7, 5), ("wide-1", 64, 5),
+    ("wide-1", 9, 50),
+])
+def test_iteration_result_equals_a_full_path_build(monkeypatch, name, block, max_iter):
+    # the result sweep keeps the derived tables of each block it steps;
+    # joined, they are bit for bit those of one pass over its whole path,
+    # for a block that does not divide N = 500 too, and for a result at
+    # max_iter (both problems converge in 5 solves)
+    monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
+    spec = _wide(1) if name == "wide-1" else parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    sol = iterate_strongly_regular(spec, max_iter=max_iter)
+    assert len(sol.iteration_trace) == 5
+    want = riccati._build_solution(
+        spec.augmented(), sol.P_bar, sol.pinv_tol, sol.classification.strong_tol,
+        sol.iteration_trace)
+    _assert_same_solution(sol, want)
+
+
+def test_iteration_takes_no_gains_no_sweep_reads(monkeypatch):
+    # standard.yaml needs 5 solves: at max_iter = 4 the last sweep keeps
+    # its gains and tables only on the top blocks, while its running
+    # delta is below conv_tol, and none once it cannot be the result;
+    # every earlier sweep takes gains on every block, for the next to read
+    made, _ = _counted_sweeps(monkeypatch)
+    spec = parse_problem(PROBLEMS / "standard.yaml")[0]
+    with pytest.raises(NonConvergenceError):
+        iterate_strongly_regular(spec, max_iter=4)
+    n_blocks = len(riccati._blocks(spec.grid.steps))
+    assert [len(s.gains) for s in made[:4]] == [n_blocks] * 4
+    assert 0 < len(made[4].gains) < n_blocks == len(made[4].blocks)
+    assert all(s.derived is None for s in made)
+
+
 def _wide(seed):
     """The bench's generated wide problem for ``seed``: n = 8, m = 3,
     D = 4, N = 500, uniformly convex, constant random coefficients."""

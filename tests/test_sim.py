@@ -9,13 +9,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regimelq import benchmarks, sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.matcore import InvalidInputError
 from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
 from regimelq.problemfile import parse_problem
-from regimelq.riccati import DivergenceError, solve_lyapunov, solve_riccati_direct
+from regimelq.riccati import (
+    BLOWUP_LIMIT, DivergenceError, solve_lyapunov, solve_riccati_direct,
+)
 from regimelq.sim import (
     StatePath,
     _cell_transitions,
@@ -895,6 +900,74 @@ def test_policy_divergence_names_its_cause(x0, non_finite):
         _integrate_policy(_zero_law_tables(spec), alpha, np.array([x0]), dw)
     assert err.value.node == 1
     assert err.value.non_finite == non_finite
+
+
+# ------------------------------------------------------------- step guard
+
+_GUARD_GRID = TimeGrid(0.0, 1.0, 10)
+
+
+def _augmented(x):
+    """A contiguous state x̄ = [x, 1] with rows ``x``, as the Euler loop
+    holds it."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([x, np.ones(len(x))])
+
+
+def test_step_guard_passes_entries_at_the_limit():
+    # squares of 1e12 sum past fl(1e24): the screen fails, the exact test
+    # passes, and nothing is raised
+    xbar = _augmented(np.full((4, 3), BLOWUP_LIMIT) * [1.0, -1.0, 1.0])
+    assert not np.vdot(xbar, xbar) < BLOWUP_LIMIT ** 2
+    sim._check_state(xbar, _GUARD_GRID, 3)
+
+
+def test_step_guard_passes_a_tile_whose_squares_sum_past_the_screen():
+    # every entry is within the limit, but a tile of them sums past it
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (sim.TILE_ROWS, 8)) * BLOWUP_LIMIT
+    xbar = _augmented(x)
+    assert np.abs(x).max() <= BLOWUP_LIMIT and not np.vdot(xbar, xbar) < BLOWUP_LIMIT ** 2
+    sim._check_state(xbar, _GUARD_GRID, 3)
+
+
+@pytest.mark.parametrize(
+    "entry", [np.nextafter(BLOWUP_LIMIT, np.inf), -np.nextafter(BLOWUP_LIMIT, np.inf), 1e200])
+def test_step_guard_raises_beyond_the_limit(entry):
+    # one entry one ulp beyond 1e12, or whose square overflows, among zeros
+    x = np.zeros((3, 2))
+    x[1, 0] = entry
+    with pytest.raises(DivergenceError) as err:
+        sim._check_state(_augmented(x), _GUARD_GRID, 7)
+    assert err.value.node == 7 and not err.value.non_finite
+    assert str(err.value).endswith("an entry exceeded 1e+12")
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_step_guard_raises_on_a_non_finite_entry(entry):
+    x = np.full((3, 2), BLOWUP_LIMIT)
+    x[2, 1] = entry
+    with pytest.raises(DivergenceError) as err:
+        sim._check_state(_augmented(x), _GUARD_GRID, 4)
+    assert err.value.node == 4 and err.value.non_finite
+    assert str(err.value).endswith("the state went non-finite")
+
+
+_NEAR_LIMIT = st.sampled_from([
+    0.0, 1.0, -3.5, 1e11, BLOWUP_LIMIT, -BLOWUP_LIMIT, np.nextafter(BLOWUP_LIMIT, 0.0),
+    np.nextafter(BLOWUP_LIMIT, np.inf), 1e154, 1e300, np.inf, -np.inf, np.nan])
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=_NEAR_LIMIT | st.floats(-2e12, 2e12)))
+def test_step_guard_property_equals_the_exact_test(x):
+    # the screen only ever skips the exact test where it would pass
+    exceeded = not np.abs(x).max() <= BLOWUP_LIMIT
+    try:
+        sim._check_state(_augmented(x), _GUARD_GRID, 1)
+    except DivergenceError as err:
+        assert exceeded and err.non_finite == (not np.isfinite(x).all())
+    else:
+        assert not exceeded
 
 
 # ------------------------------------------------------------- row tiles
