@@ -25,17 +25,6 @@ from .riccati import (
     solve_lyapunov,
     solve_riccati_direct,
 )
-from .sim import (
-    ChainPath,
-    MCEstimate,
-    StatePath,
-    brownian_increments,
-    evaluate_cost,
-    mc_value,
-    simulate_chain,
-    simulate_closed_loop,
-    simulate_policy,
-    simulate_state,
-)
+from .sim import MCEstimate, mc_value
 
 __version__ = "0.1.0"

@@ -10,16 +10,18 @@ row, ``value_mc_vs_function``; every other row reads every regime.
 
 Exit codes: 0 success, 1 problem-file/validation error, a usage error
 (an unknown flag, a missing ``--problem``, a value of the wrong type), a
-run argument that does not fit the problem or the solver, an output
-directory that cannot be made or written, a flag given to a command it
-does not apply to, a flag other than ``--out`` given to ``report``, or a
-``verification.csv`` that ``report`` cannot read, 2 no closed-loop
-optimal law: the solution is not regular, or its offset rho_hat leaves
-the range of the control weight composite, or the iteration certifies
-non-convexity; also an iteration that does not converge within
-``--max-iter``, whose ``classification.txt`` reads ``not_converged``
-since it certifies nothing about the problem, 3 integration divergence,
-4 verification failure.
+run argument that does not fit the problem or the solver (a
+``--dump-paths`` above ``--paths`` among them), an output directory that
+cannot be made or written, a grid too large to allocate (``--steps`` or
+``grid.steps`` of 10**17; one ``error: out of memory`` line), a flag
+given to a command it does not apply to, a flag other than ``--out``
+given to ``report``, or a ``verification.csv`` that ``report`` cannot
+read, 2 no closed-loop optimal law: the solution is not regular, or its
+offset rho_hat leaves the range of the control weight composite, or the
+iteration certifies non-convexity; also an iteration that does not
+converge within ``--max-iter``, whose ``classification.txt`` reads
+``not_converged`` since it certifies nothing about the problem, 3
+integration divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -243,6 +245,8 @@ def _run_args_error(args, spec) -> str | None:
         return f"--paths must be at least 1, got {args.paths}"
     if args.dump_paths < 0:
         return f"--dump-paths must be non-negative, got {args.dump_paths}"
+    if args.dump_paths > args.paths:
+        return f"--dump-paths {args.dump_paths} exceeds --paths {args.paths}"
     if args.command == "verify" and args.controls < 1:
         return f"--controls must be at least 1, got {args.controls}"
     return None
@@ -271,7 +275,8 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     x0 = np.asarray(args.x0, dtype=float)
     i0 = args.i0 - 1
-    est = sim.mc_value(spec, sol, spec.grid.t0, i0, x0, args.paths, args.seed, args.threads)
+    est = sim.mc_value(spec, sol.Theta_bar, spec.grid.t0, i0, x0, args.paths, args.seed,
+                       args.threads, args.dump_paths)
     _write_csv(
         out / "value_mc.csv", _meta_line(args),
         ["mean", "std_error", "paths", "seed"],
@@ -279,20 +284,22 @@ def _cmd_simulate(args) -> int:
     )
     print(f"mc value: {est.mean:.8g} +- {est.std_error:.3g} ({est.paths} paths)")
     if args.dump_paths:
-        for p in range(args.dump_paths):
-            rng = np.random.default_rng([args.seed, 424242, p])
-            chain, path = sim.simulate_closed_loop(spec, sol, i0, x0, rng)
-            rows = []
-            for k, t in enumerate(spec.grid.nodes()):
-                rows.append(
-                    [float(t), int(chain.alpha[k]) + 1,
-                     *path.X[k].tolist(), *path.u[k].tolist()]
-                )
-            header = ["t", "regime"]
-            header += [f"x_{a}" for a in range(spec.n)]
-            header += [f"u_{a}" for a in range(spec.m)]
-            _write_csv(out / f"path_{p:04d}.csv", _meta_line(args), header, rows)
+        _write_kept_paths(out, args, spec, est.kept)
     return EXIT_OK
+
+
+def _write_kept_paths(out: Path, args, spec, kept) -> None:
+    """``path_NNNN.csv`` for each path the estimate kept, paths 0..K − 1
+    of ``value_mc.csv``, and ``path_costs.csv``, the cost of each."""
+    header = ["t", "regime"]
+    header += [f"x_{a}" for a in range(spec.n)]
+    header += [f"u_{a}" for a in range(spec.m)]
+    t_nodes = spec.grid.nodes().tolist()
+    for p, (alpha, x, u) in enumerate(zip(kept.alpha.tolist(), kept.X.tolist(), kept.u.tolist())):
+        rows = ([t, i + 1, *x_k, *u_k] for t, i, x_k, u_k in zip(t_nodes, alpha, x, u))
+        _write_csv(out / f"path_{p:04d}.csv", _meta_line(args), header, rows)
+    _write_csv(out / "path_costs.csv", _meta_line(args), ["path", "cost"],
+               enumerate(kept.cost.tolist()))
 
 
 def _write_report(out: Path, args, report) -> None:
@@ -398,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--controls", type=int,
                        help="random controls for the convexity probe")
         p.add_argument("--dump-paths", type=int,
-                       help="write this many closed-loop path CSVs")
+                       help="write paths 0..K-1 of the Monte-Carlo estimate as CSVs, "
+                            "with their costs")
     return parser
 
 
@@ -422,6 +430,9 @@ def main(argv=None) -> int:
     except riccati.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except MemoryError as exc:  # a grid too large to hold, say
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Monte-Carlo engine: chain sampling, Euler-Maruyama, cost evaluation,
 and the exact expectation of the Euler scheme.
 
-One node-aligned sampler serves single paths and batches alike.  It
+One node-aligned sampler draws the regimes of every batch.  It
 thins against a piecewise-constant dominating rate, with the
 intensities interpolated piecewise-linearly between grid nodes: each
 path's unit-rate stream is mapped through the cumulative dominating
@@ -30,10 +30,11 @@ more than one law; the Euler loop runs one.  There x̄ is (P, n + 1),
 and one Euler step is one product x̄ W[k], a row take on the path's
 regime, one einsum of [1, ΔWₖ] against the step and diffusion blocks,
 and the trapezoidal cost added in the loop.
-The estimators keep no trajectories, only per-path costs; states are
-recorded only for the single paths of :func:`simulate_policy`.  Since
-each step multiplies by every regime's block, its flops grow with the
-number of regimes D.  The unit of a batch is a tile of ``TILE_ROWS``
+The estimate keeps per-path costs; it records the states of its first
+K paths only when asked (``keep``), and then only on the tiles that
+hold them, which the loop writes as it steps.  Since each step
+multiplies by every regime's block, its flops grow with the number of
+regimes D.  The unit of a batch is a tile of ``TILE_ROWS``
 paths: the batch draws all its regimes, then each tile draws its
 increments from the batch's stream and runs the Euler loop, and drops
 them before the next tile draws, so only one tile's increments and
@@ -61,20 +62,13 @@ import numpy as np
 
 from .model import Generator, ProblemSpec, TimeGrid, _check_regime
 from .riccati import (
-    _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, RiccatiSolution, _law_stack,
+    _BLOCK_STEPS, BLOWUP_LIMIT, DivergenceError, _law_stack,
     _lyapunov_tables, _rk4_block, _sweep_coefs,
 )
 
 __all__ = [
-    "ChainPath",
-    "StatePath",
+    "KeptPaths",
     "MCEstimate",
-    "simulate_chain",
-    "brownian_increments",
-    "simulate_state",
-    "simulate_policy",
-    "simulate_closed_loop",
-    "evaluate_cost",
     "mc_value",
 ]
 
@@ -83,34 +77,16 @@ TILE_ROWS = 512
 _BLOWUP_SQUARE = BLOWUP_LIMIT ** 2  # fl(L²), the step guard's screen
 
 
-def as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 @dataclass(frozen=True)
-class ChainPath:
-    """One realized regime trajectory on the grid.
+class KeptPaths:
+    """Paths 0..K − 1 of an estimate at nodes k0..N: their regimes, their
+    states, their controls u = Θx + v and each path's cost, one of the
+    samples that the estimate averages."""
 
-    ``alpha`` holds the regime at each node; a jump inside a cell takes
-    effect at the cell's right node, as for every batched path.
-    """
-
-    grid: TimeGrid
-    i0: int
-    alpha: np.ndarray  # (N + 1,) int8 up to 128 regimes (see _sample_regime_paths)
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """One realized controlled state trajectory on the grid."""
-
-    grid: TimeGrid
-    x0: np.ndarray
-    X: np.ndarray    # (N + 1, n)
-    u: np.ndarray    # (N + 1, m)
-    dw: np.ndarray   # (N,)
+    alpha: np.ndarray  # (K, N + 1 − k0) regime indices
+    X: np.ndarray      # (K, N + 1 − k0, n)
+    u: np.ndarray      # (K, N + 1 − k0, m)
+    cost: np.ndarray   # (K,)
 
 
 @dataclass(frozen=True)
@@ -119,6 +95,7 @@ class MCEstimate:
     std_error: float
     paths: int
     seed: int
+    kept: KeptPaths
 
 
 def _initial_state(x0, n: int) -> np.ndarray:
@@ -129,15 +106,8 @@ def _initial_state(x0, n: int) -> np.ndarray:
     return x0
 
 
-def simulate_chain(gen: Generator, grid: TimeGrid, i0: int, rng) -> ChainPath:
-    """Sample one regime path: a one-path call of the batched sampler."""
-    alpha = _sample_regime_paths(gen, grid, i0, 1, rng)[0]
-    return ChainPath(grid=grid, i0=i0, alpha=alpha)
-
-
-def brownian_increments(grid: TimeGrid, rng, n_paths: int = 1, k0: int = 0) -> np.ndarray:
+def brownian_increments(grid: TimeGrid, rng, n_paths: int, k0: int = 0) -> np.ndarray:
     """N(0, h) increments, shape (n_paths, N); zeros before node k0."""
-    rng = as_rng(rng)
     draw = rng.normal(0.0, np.sqrt(grid.h), (n_paths, grid.steps - k0))
     if k0 == 0:
         return draw
@@ -160,7 +130,6 @@ def _sample_regime_paths(
     every active path.  A jump inside cell k takes effect at node k + 1.
     """
     _check_regime(i0, gen.n_regimes)
-    rng = as_rng(rng)
     alpha = np.zeros((n_paths, grid.steps + 1), dtype=np.min_scalar_type(-gen.n_regimes))
     alpha[:, 0] = i0
     exit_rates = -np.einsum("kii->ki", gen.rates[k0:])
@@ -395,79 +364,11 @@ def _expected_values(tables: _Tables, trans, k0=0) -> np.ndarray:
     return vals - 0.5 * blocks(k0)[..., 2 * n:]
 
 
-def simulate_state(spec: ProblemSpec, chain: ChainPath, u, x0, rng=None) -> StatePath:
-    """Integrate one state path under given control samples per node."""
-    u = np.asarray(u, dtype=float).reshape(spec.grid.steps + 1, spec.m)
-    return simulate_policy(spec, chain, _open_loop_table(spec, u), x0, rng)
-
-
-def simulate_policy(
-    spec: ProblemSpec, chain: ChainPath, theta_bar: np.ndarray, x0, rng=None, dw=None,
-) -> StatePath:
-    """Integrate one state path under a node/regime-indexed affine law
-    ``theta_bar`` = Θ̄, (N + 1, D, m, n + 1): u = Θ̄ x̄ with x̄ = [x, 1]."""
-    x0 = _initial_state(x0, spec.n)
-    if dw is None:
-        dw = brownian_increments(spec.grid, rng, 1)
-    else:
-        dw = np.asarray(dw, dtype=float).reshape(1, spec.grid.steps)
-    xs = np.zeros((1, spec.grid.steps + 1, spec.n))
-    tables = _closed_loop_tables(spec, theta_bar)
-    _integrate_policy(tables, chain.alpha[None, :], x0, dw, states=xs)
-    law, x = np.asarray(theta_bar)[np.arange(spec.grid.steps + 1), chain.alpha], xs[0]
-    # Θx + v: one sum over the n + 1 entries of x̄ may round otherwise
-    u = np.einsum("kij,kj->ki", law[..., :-1], x) + law[..., -1]
-    return StatePath(
-        grid=spec.grid, x0=x0, X=x, u=u, dw=dw[0],
-    )
-
-
-def simulate_closed_loop(
-    spec: ProblemSpec,
-    ric: RiccatiSolution,
-    i0: int,
-    x0,
-    rng,
-) -> tuple[ChainPath, StatePath]:
-    """Sample the closed-loop system under the synthesized feedback law.
-
-    Draws the chain, then the Brownian increments.  Returns the chain
-    together with the state path because cost evaluation needs the
-    realized regimes.
-    """
-    if not ric.classification.is_regular:
-        raise ValueError(
-            f"closed-loop simulation needs a regular solution, got "
-            f"{ric.classification}"
-        )
-    rng = as_rng(rng)
-    chain = simulate_chain(spec.gen, spec.grid, i0, rng)
-    return chain, simulate_policy(spec, chain, ric.Theta_bar, x0, rng)
-
-
-def evaluate_cost(spec: ProblemSpec, chain: ChainPath, path: StatePath) -> float:
-    """Quadratic cost of one realized (chain, state, control) trajectory:
-    the running cost xᵀQx + 2uᵀSx + uᵀRu + 2qᵀx + 2ρᵀu at every node at
-    once, trapezoidal in time, plus the terminal cost xᵀGx + 2gᵀx, each
-    read from the spec's fields, not from the Euler tables."""
-    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
-    x, u = path.X, path.u
-    q_xx, s_ux, r_uu, q_x, rho_u = (
-        f[idx, reg] for f in (spec.Q, spec.S, spec.R, spec.q, spec.rho))
-    integrand = (
-        np.einsum("ki,kij,kj->k", x, q_xx, x) + 2.0 * np.einsum("ki,kij,kj->k", u, s_ux, x)
-        + np.einsum("ki,kij,kj->k", u, r_uu, u)
-        + 2.0 * (np.einsum("ki,ki->k", q_x, x) + np.einsum("ki,ki->k", rho_u, u))
-    )
-    run = spec.grid.h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-    x_end, i_end = x[-1], reg[-1]
-    return float(run + x_end @ spec.G[i_end] @ x_end + 2.0 * spec.g[i_end] @ x_end)
-
-
 def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_paths: int,
-                stream, threads: int = 1) -> np.ndarray:
+                stream, threads: int = 1, keep: int = 0):
     """Per-path costs (n_paths,) of the one law in ``tables`` from state
-    ``x0``, node ``k0`` and regime ``i0``.
+    ``x0``, node ``k0`` and regime ``i0``, with the regimes, (keep, N + 1),
+    and the states, (keep, N + 1, n), of paths 0..keep − 1.
 
     Batch b of ``BATCH_PATHS`` paths draws its regimes, one byte per
     node, from ``default_rng([*stream, b])``, b its first path.  It then
@@ -477,11 +378,14 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
     tile's increments are dropped before the next tile draws, so only
     one tile's are held.  A lone last row joins the tile before,
     because numpy forms a one-row product as a matrix-vector product,
-    which rounds differently.  Every tile runs, and a diverging batch
-    raises the earliest node of its tiles.  Batches run on ``threads``
-    threads and join in batch order, so the costs do not depend on
-    ``threads``."""
+    which rounds differently.  Only a tile that holds a row below
+    ``keep`` is handed a states buffer, which changes none of its
+    arithmetic.  Every tile runs, and a diverging batch raises the
+    earliest node of its tiles.  Batches run on ``threads`` threads and
+    join in batch order, so the costs do not depend on ``threads``."""
     tile = max(TILE_ROWS, 2)
+    node_state = (spec.grid.steps + 1, spec.n)
+    states = np.empty((keep, *node_state))
 
     def batch(start):
         size = min(start + BATCH_PATHS, n_paths) - start
@@ -491,14 +395,18 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
         starts = list(range(0, max(size - 1, 1), tile))
         for a, b in zip(starts, starts[1:] + [size]):
             dw = brownian_increments(spec.grid, rng, b - a, k0)
+            held = min(b, keep - start) - a  # the tile's rows below keep
+            xs = np.empty((b - a, *node_state)) if held > 0 else None
             try:
-                costs[a:b] = _integrate_policy(tables, alpha[a:b], x0, dw, k0)
+                costs[a:b] = _integrate_policy(tables, alpha[a:b], x0, dw, k0, xs)
             except DivergenceError as err:
                 errors.append(err.with_traceback(None))  # whose frames hold dw
             del dw  # before the next tile draws its own
+            if held > 0:
+                states[start + a:start + a + held] = xs[:held]
         if errors:
             raise min(errors, key=lambda err: err.node)
-        return costs
+        return costs, alpha[:max(keep - start, 0)].copy()
 
     starts = range(0, n_paths, BATCH_PATHS)
     if threads <= 1 or len(starts) == 1:
@@ -506,7 +414,8 @@ def _path_costs(spec: ProblemSpec, tables: _Tables, x0, i0: int, k0: int, n_path
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(batch, starts))
-    return np.concatenate(parts)
+    costs, alpha = (np.concatenate(part) for part in zip(*parts))
+    return costs, alpha, states
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -520,23 +429,39 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 def mc_value(
     spec: ProblemSpec,
-    ric: RiccatiSolution,
+    theta_bar,
     t0: float,
     i0: int,
     x0,
     n_paths: int,
     rng_seed: int,
     threads: int = 1,
+    keep: int = 0,
 ) -> MCEstimate:
-    """Cost estimate of the law ``ric.Theta_bar`` from (t0, x0, i0) over
-    ``n_paths`` >= 1 independent paths, drawn from the stream
-    ``(rng_seed,)``."""
+    """Cost estimate of the law ``theta_bar`` = Θ̄ = [Θ | v], (N + 1, D,
+    m, n + 1), from (t0, x0, i0) over ``n_paths`` >= 1 independent paths,
+    drawn from the stream ``(rng_seed,)``.  The feedback law is
+    ``ric.Theta_bar``; an open-loop control u is the law [0 | u].
+
+    ``kept`` holds paths 0..``keep`` − 1 of the estimate itself, each
+    with the cost that the mean averages; recording them leaves every
+    cost as it is."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if not 0 <= keep <= n_paths:
+        raise ValueError(f"keep must lie in 0..{n_paths}, got {keep}")
     x0 = _initial_state(x0, spec.n)
-    tables = _closed_loop_tables(spec, ric.Theta_bar)
-    costs = _path_costs(
-        spec, tables, x0, i0, spec.grid.node_index(t0), n_paths, (rng_seed,), threads,
+    k0 = spec.grid.node_index(t0)
+    costs, alpha, x = _path_costs(
+        spec, _closed_loop_tables(spec, theta_bar), x0, i0, k0, n_paths, (rng_seed,),
+        threads, keep,
     )
     mean, se = _mean_se(costs)
-    return MCEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed)
+    alpha, x = alpha[:, k0:], x[:, k0:]
+    nodes, u = np.arange(k0, spec.grid.steps + 1), np.empty((keep, x.shape[1], spec.m))
+    for p in range(keep):  # one path's gathered law at a time
+        law = np.asarray(theta_bar)[nodes, alpha[p]]
+        # Θx + v: one sum over the n + 1 entries of x̄ may round otherwise
+        u[p] = np.einsum("kij,kj->ki", law[..., :-1], x[p]) + law[..., -1]
+    kept = KeptPaths(alpha=alpha, X=x, u=u, cost=costs[:keep].copy())
+    return MCEstimate(mean=mean, std_error=se, paths=n_paths, seed=rng_seed, kept=kept)

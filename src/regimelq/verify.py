@@ -295,7 +295,7 @@ def certify(
     """
     k0 = spec.grid.node_index(t0)
     n, h, n_nodes = spec.n, spec.grid.h, spec.grid.steps + 1
-    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)  # checks i0 and x0
+    est = mc_value(spec, ric.Theta_bar, t0, i0, x0, paths, seed, threads)  # checks i0 and x0
     x_bar = np.append(np.asarray(x0, dtype=float), 1.0)
     v_fn = float(x_bar @ ric.P_bar[k0, i0] @ x_bar)
     probes = _probe_controls(spec, k0, controls, seed)

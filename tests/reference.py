@@ -4,7 +4,7 @@ import numpy as np
 
 from regimelq import matcore, verify
 from regimelq.affine import solve_eta, value_function
-from regimelq.model import _hats
+from regimelq.model import Generator, ProblemSpec, TimeGrid, _hats
 from regimelq.riccati import (
     DEFAULT_PINV_TOL,
     DEFAULT_RANGE_TOL,
@@ -74,27 +74,49 @@ def iterate_one_by_one(spec, max_iter, conv_tol):
     raise NonConvergenceError(len(trace), trace[-1])
 
 
-def stationarity_residual(spec, ric, aff, chain, path):
+def evaluate_cost(spec, alpha, x, u):
+    """Quadratic cost of one realized path: regimes ``alpha``, (N + 1,),
+    states ``x``, (N + 1, n), and controls ``u``, (N + 1, m).  The running
+    cost xᵀQx + 2uᵀSx + uᵀRu + 2qᵀx + 2ρᵀu at every node at once,
+    trapezoidal in time, plus the terminal cost xᵀGx + 2gᵀx, each read
+    from the spec's fields, not from the Euler tables: the independent
+    check of the cost that :func:`regimelq.sim._integrate_policy`
+    accumulates in its loop."""
+    idx, reg = np.arange(spec.grid.steps + 1), alpha
+    q_xx, s_ux, r_uu, q_x, rho_u = (
+        f[idx, reg] for f in (spec.Q, spec.S, spec.R, spec.q, spec.rho))
+    integrand = (
+        np.einsum("ki,kij,kj->k", x, q_xx, x) + 2.0 * np.einsum("ki,kij,kj->k", u, s_ux, x)
+        + np.einsum("ki,kij,kj->k", u, r_uu, u)
+        + 2.0 * (np.einsum("ki,ki->k", q_x, x) + np.einsum("ki,ki->k", rho_u, u))
+    )
+    run = spec.grid.h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+    x_end, i_end = x[-1], reg[-1]
+    return float(run + x_end @ spec.G[i_end] @ x_end + 2.0 * spec.g[i_end] @ x_end)
+
+
+def stationarity_residual(spec, ric, aff, alpha, x, u):
     """First-order optimality residual B^T Y + D^T Z + S X + R u + rho
-    along a realized (chain, state, control) path, node by node, with the
-    adjoint pair Y = P x + eta, Z = P(C x + D u + sigma) of the feedback
-    law u = Theta x + v*: the path-wise form of the stationarity row of
+    along a realized path (regimes ``alpha``, states ``x``, controls
+    ``u``), node by node, with the adjoint pair Y = P x + eta,
+    Z = P(C x + D u + sigma) of the feedback law u = Theta x + v*: the
+    path-wise form of the stationarity row of
     :func:`regimelq.verify.certify`.  Shape (N + 1, m)."""
     idx = np.arange(spec.grid.steps + 1)
-    reg = chain.alpha
+    reg = alpha
     b_k = spec.B[idx, reg]
     d_k = spec.D[idx, reg]
     p_k = ric.P[idx, reg]
     theta_k = ric.Theta[idx, reg]
-    y = np.einsum("kij,kj->ki", p_k, path.X) + aff.eta[idx, reg]
+    y = np.einsum("kij,kj->ki", p_k, x) + aff.eta[idx, reg]
     c_eff = spec.C[idx, reg] + d_k @ theta_k
-    z_arg = np.einsum("kij,kj->ki", c_eff, path.X)
+    z_arg = np.einsum("kij,kj->ki", c_eff, x)
     z_arg += np.einsum("kij,kj->ki", d_k, aff.v_star[idx, reg])
     z_arg += spec.sigma[idx, reg]
     z = np.einsum("kij,kj->ki", p_k, z_arg)
     res = np.einsum("kji,kj->ki", b_k, y) + np.einsum("kji,kj->ki", d_k, z)
-    res += np.einsum("kij,kj->ki", spec.S[idx, reg], path.X)
-    res += np.einsum("kij,kj->ki", spec.R[idx, reg], path.u)
+    res += np.einsum("kij,kj->ki", spec.S[idx, reg], x)
+    res += np.einsum("kij,kj->ki", spec.R[idx, reg], u)
     res += spec.rho[idx, reg]
     return res
 
@@ -125,7 +147,7 @@ def certify_one_law_per_call(spec, ric, t0, i0, x0, paths, seed, controls, threa
                                      DEFAULT_RANGE_TOL)
     scale = np.maximum(1.0, np.linalg.norm(s_bar, axis=(-2, -1)))
     report.add("stationarity_max_residual", (resid / scale).max(), DEFAULT_RANGE_TOL)
-    est = mc_value(spec, ric, t0, i0, x0, paths, seed, threads)
+    est = mc_value(spec, ric.Theta_bar, t0, i0, x0, paths, seed, threads)
     report.extend(verify._value_mc_row(est, float(x_bar @ ric.P_bar[k0, i0] @ x_bar), h))
 
     aug = spec.augmented()
@@ -196,4 +218,31 @@ def quadratic_expansion(spec, k0, i0, x0, u, v, sizes):
         fit_residual=float(np.abs(np.polyval(coef, eps) - costs).max()), c0=c0, c1=c1, c2=c2,
         c1_centered=float((costs[-1] - costs[0]) / (2.0 * eps[-1])),
         j0=float(homogeneous_cost(spec, v, k0)[i0]),
+    )
+
+
+def wide_spec(seed):
+    """The bench's generated wide problem for ``seed``: n = 8, m = 3,
+    D = 4, N = 500, uniformly convex, constant random coefficients."""
+    rng = np.random.default_rng([seed, 0x57DE])
+    n, m, d = 8, 3, 4
+    grid = TimeGrid(0.0, 1.0, 500)
+    rates = rng.uniform(0.5, 2.0, (d, d))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+
+    def normal(scale, *shape):
+        return list(scale * rng.normal(size=(d, *shape)))
+
+    def gram(scale, dim):
+        f = rng.normal(size=(d, dim, dim))
+        return list(scale * f @ np.swapaxes(f, -1, -2) / dim)
+
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant(rates, grid),
+        A=normal(0.4 / np.sqrt(n), n, n), B=normal(0.8 / np.sqrt(n), n, m),
+        C=normal(0.2 / np.sqrt(n), n, n), D=normal(0.2 / np.sqrt(m), n, m),
+        Q=gram(1.0, n), S=[np.zeros((m, n))] * d, R=[np.eye(m) + r for r in gram(0.5, m)],
+        G=gram(1.0, n), b=normal(0.3, n), sigma=normal(0.3, n), q=normal(0.3, n),
+        rho=normal(0.3, m), g=normal(0.3, n),
     )

@@ -24,7 +24,7 @@ from regimelq.sim import (
     _integrate_policy,
     _sample_regime_paths,
     brownian_increments,
-    simulate_closed_loop,
+    mc_value,
 )
 from regimelq.verify import (
     certify,
@@ -163,12 +163,11 @@ def test_criterion_06_stationarity_residual():
     worst, all_ok = 0.0, True
     for spec in instances:
         ric, aff = _solved(spec)
-        chain, path = simulate_closed_loop(
-            spec, ric, 0, np.full(spec.n, 0.8), np.random.default_rng(66)
-        )
+        kept = mc_value(spec, ric.Theta_bar, 0.0, 0, np.full(spec.n, 0.8), 1, 66, keep=1).kept
         res = float(
             np.linalg.norm(
-                stationarity_residual(spec, ric, aff, chain, path), axis=1
+                stationarity_residual(spec, ric, aff, kept.alpha[0], kept.X[0], kept.u[0]),
+                axis=1,
             ).max()
         )
         worst = max(worst, res)
@@ -181,11 +180,9 @@ def test_criterion_07_quadratic_expansion():
     spec = benchmarks.state_decoupled(steps=400)
     ric, _ = _solved(spec)
     x0 = np.array([0.5])
-    _, path = simulate_closed_loop(
-        spec, ric, 0, x0, np.random.default_rng(77)
-    )
+    (u_opt,) = mc_value(spec, ric.Theta_bar, 0.0, 0, x0, 1, 77, keep=1).kept.u
     v_dir = np.random.default_rng(78).normal(size=(spec.grid.steps + 1, spec.m))
-    fit = quadratic_expansion(spec, 0, 0, x0, path.u, v_dir, (0.05, 0.1, 0.2))
+    fit = quadratic_expansion(spec, 0, 0, x0, u_opt, v_dir, (0.05, 0.1, 0.2))
     fit_resid = fit["fit_residual"]
     rel_quad = abs(fit["c2"] - fit["j0"]) / abs(fit["j0"])
     lin = abs(fit["c1"])

@@ -20,6 +20,8 @@ from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
 from regimelq.matcore import symmetrize
 from regimelq.model import Generator, ProblemSpec, TimeGrid
 
+from reference import evaluate_cost, wide_spec
+
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -265,6 +267,7 @@ def test_parse_error_exit_code(tmp_path):
         ("solve", {"i0": 1}, "--i0 applies to simulate and verify only"),
         ("verify", {"max_iter": 50}, "--max-iter applies to iterate only, not to verify"),
         ("simulate", {"conv_tol": 1e-9}, "--conv-tol applies to iterate only"),
+        ("simulate", {"dump_paths": 501, "paths": 500}, "--dump-paths 501 exceeds --paths 500"),
     ],
 )
 def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):
@@ -357,6 +360,57 @@ def test_simulate_writes_value_csv_and_paths(tmp_path):
     assert mean == pytest.approx(0.5, abs=1e-3)
     assert se == 0.0  # deterministic instance
     assert (out / "path_0000.csv").exists() and (out / "path_0001.csv").exists()
+    assert not (out / "path_0002.csv").exists()
+    costs = list(csv.DictReader(_non_comment_bytes(out / "path_costs.csv").splitlines()))
+    assert [row["path"] for row in costs] == ["0", "1"]
+
+
+@pytest.mark.parametrize("problem", ["standard", "two_regime", "wide-1"])
+def test_dumped_paths_are_paths_of_the_estimate(tmp_path, problem):
+    # path_NNNN.csv is path NNNN of value_mc.csv's estimate: path_costs.csv
+    # gives its cost, which meets the cost of the file's own rows read
+    # from the spec's fields, and the costs average to the estimate's
+    # mean bit for bit
+    if problem == "wide-1":
+        path = tmp_path / "wide.yaml"
+        write_problem(path, wide_spec(1))
+    else:
+        path = PROBLEMS / f"{problem}.yaml"
+    spec, _ = parse_problem(path)
+    out = tmp_path / "out"
+    assert main(_args("simulate", path, out, paths=7, dump_paths=7, seed=7, threads=1)) == 0
+    (value,) = csv.DictReader(_non_comment_bytes(out / "value_mc.csv").splitlines())
+    rows = list(csv.DictReader(_non_comment_bytes(out / "path_costs.csv").splitlines()))
+    assert [row["path"] for row in rows] == [str(p) for p in range(7)]
+    costs = np.array([float(row["cost"]) for row in rows])
+    assert costs.mean() == float(value["mean"])
+    for p, cost in enumerate(costs):
+        body = _non_comment_bytes(out / f"path_{p:04d}.csv").splitlines()[1:]
+        table = np.array([line.split(",") for line in body], dtype=float)
+        assert np.array_equal(table[:, 0], spec.grid.nodes())
+        alpha, x, u = table[:, 1].astype(int) - 1, table[:, 2:2 + spec.n], table[:, 2 + spec.n:]
+        want = evaluate_cost(spec, alpha, x, u)
+        assert abs(cost - want) <= 1e-12 * abs(want), p
+    assert not (out / "path_0007.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_a_grid_too_large_to_hold_exits_1(tmp_path, capsys, route):
+    # 10**17 nodes: the first table, of one byte or eight per node (88.8
+    # or 711 PiB), lies beyond the 2**56 bytes (64 PiB) that a 64-bit
+    # kernel lets a process address at most, so its allocation is refused
+    # at once whatever the memory overcommit setting
+    steps = 10 ** 17
+    problem = PROBLEMS / "scalar.yaml"
+    if route == "file":
+        text = problem.read_text().replace("steps: 1000", f"steps: {steps}")
+        assert f"steps: {steps}" in text
+        problem = tmp_path / "huge.yaml"
+        problem.write_text(text)
+    flags = {"steps": steps} if route == "flag" else {}
+    assert main(_args("solve", problem, tmp_path / "out", **flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
 
 
 def test_verify_scalar_passes(tmp_path):

@@ -27,7 +27,7 @@ from regimelq.riccati import (
     solve_riccati_direct,
 )
 
-from reference import iterate_one_by_one
+from reference import iterate_one_by_one, wide_spec
 
 
 # ---------------------------------------------------------------- rhs
@@ -892,7 +892,7 @@ def test_iteration_result_equals_a_full_path_build(monkeypatch, name, block, max
     # for a block that does not divide N = 500 too, and for a result at
     # max_iter (both problems converge in 5 solves)
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
-    spec = _wide(1) if name == "wide-1" else parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    spec = wide_spec(1) if name == "wide-1" else parse_problem(PROBLEMS / f"{name}.yaml")[0]
     sol = iterate_strongly_regular(spec, max_iter=max_iter)
     assert len(sol.iteration_trace) == 5
     want = riccati._build_solution(
@@ -916,33 +916,6 @@ def test_iteration_takes_no_gains_no_sweep_reads(monkeypatch):
     assert all(s.derived is None for s in made)
 
 
-def _wide(seed):
-    """The bench's generated wide problem for ``seed``: n = 8, m = 3,
-    D = 4, N = 500, uniformly convex, constant random coefficients."""
-    rng = np.random.default_rng([seed, 0x57DE])
-    n, m, d = 8, 3, 4
-    grid = TimeGrid(0.0, 1.0, 500)
-    rates = rng.uniform(0.5, 2.0, (d, d))
-    np.fill_diagonal(rates, 0.0)
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-
-    def normal(scale, *shape):
-        return list(scale * rng.normal(size=(d, *shape)))
-
-    def gram(scale, dim):
-        f = rng.normal(size=(d, dim, dim))
-        return list(scale * f @ np.swapaxes(f, -1, -2) / dim)
-
-    return ProblemSpec.from_regimes(
-        grid, Generator.constant(rates, grid),
-        A=normal(0.4 / np.sqrt(n), n, n), B=normal(0.8 / np.sqrt(n), n, m),
-        C=normal(0.2 / np.sqrt(n), n, n), D=normal(0.2 / np.sqrt(m), n, m),
-        Q=gram(1.0, n), S=[np.zeros((m, n))] * d, R=[np.eye(m) + r for r in gram(0.5, m)],
-        G=gram(1.0, n), b=normal(0.3, n), sigma=normal(0.3, n), q=normal(0.3, n),
-        rho=normal(0.3, m), g=normal(0.3, n),
-    )
-
-
 def _assert_bitwise_symmetric(p_bar):
     # array_equal takes -0.0 for 0.0; the bits tell them apart
     bits = p_bar.view(np.int64)
@@ -960,7 +933,7 @@ def test_solution_is_symmetric_bit_for_bit(name, route):
     # riccati.csv formats only P's upper triangle; blowup diverges, and
     # iterate rejects the other bundled problems
     if name.startswith("wide"):
-        spec = _wide(int(name[5:]))
+        spec = wide_spec(int(name[5:]))
     else:
         spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
     solve = solve_riccati_direct if route == "direct" else iterate_strongly_regular

@@ -5,7 +5,6 @@ import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from regimelq.riccati import (
     BLOWUP_LIMIT, DivergenceError, solve_lyapunov, solve_riccati_direct,
 )
 from regimelq.sim import (
-    StatePath,
     _cell_transitions,
     _closed_loop_tables,
     _expected_values,
@@ -30,16 +28,11 @@ from regimelq.sim import (
     _open_loop_table,
     _sample_regime_paths,
     brownian_increments,
-    evaluate_cost,
     mc_value,
-    simulate_chain,
-    simulate_closed_loop,
-    simulate_policy,
-    simulate_state,
 )
 from regimelq.verify import N_PERTURBATIONS, certify
 
-from reference import cell_transitions_loop
+from reference import cell_transitions_loop, evaluate_cost
 
 
 def _solved(spec):
@@ -53,15 +46,15 @@ def _solved(spec):
 def test_chain_absorbing_without_rates():
     grid = TimeGrid(0.0, 1.0, 20)
     gen = Generator.constant([[-0.0, 0.0], [0.0, 0.0]], grid)
-    ch = simulate_chain(gen, grid, 1, np.random.default_rng(0))
-    assert np.all(ch.alpha == 1)
+    alpha = _sample_regime_paths(gen, grid, 1, 1, np.random.default_rng(0))
+    assert np.all(alpha == 1)
 
 
 def test_chain_single_regime_never_jumps():
     grid = TimeGrid(0.0, 1.0, 10)
     gen = Generator.constant([[0.0]], grid)
-    ch = simulate_chain(gen, grid, 0, np.random.default_rng(1))
-    assert np.all(ch.alpha == 0)
+    alpha = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(1))
+    assert np.all(alpha == 0)
 
 
 def _transition_matrix(q_mat, h):
@@ -111,7 +104,7 @@ def test_chain_occupation_matches_matrix_exponential():
     n = 10000
     occ = np.empty(n, dtype=int)
     for p in range(n):
-        occ[p] = simulate_chain(gen, grid, 0, np.random.default_rng([23, p])).alpha[-1]
+        occ[p] = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng([23, p]))[0, -1]
     # oracle: truncated exponential series of the generator
     trans = np.eye(3)
     term = np.eye(3)
@@ -127,14 +120,11 @@ def test_chain_occupation_matches_matrix_exponential():
 def test_chain_invariants_and_reproducibility():
     grid = TimeGrid(0.0, 2.0, 40)
     gen = Generator.constant([[-2.0, 2.0], [3.0, -3.0]], grid)
-    a = simulate_chain(gen, grid, 0, np.random.default_rng(5))
-    b = simulate_chain(gen, grid, 0, np.random.default_rng(5))
-    assert np.array_equal(a.alpha, b.alpha)
-    assert a.alpha.dtype == np.int8 and a.alpha.shape == (grid.steps + 1,)
-    assert a.alpha[0] == 0 and set(a.alpha.tolist()) == {0, 1}
-    # one path of the batched sampler, drawn from the same stream
-    one = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(5))
-    assert np.array_equal(a.alpha, one[0])
+    (a,) = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(5))
+    (b,) = _sample_regime_paths(gen, grid, 0, 1, np.random.default_rng(5))
+    assert np.array_equal(a, b)
+    assert a.dtype == np.int8 and a.shape == (grid.steps + 1,)
+    assert a[0] == 0 and set(a.tolist()) == {0, 1}
 
 
 # ----------------------------------------------------- batched sampler
@@ -278,8 +268,10 @@ def test_batched_sampler_reproducible_given_seed():
 # ------------------------------------------------------------- state
 
 
-def _chain_for(spec, i0=0, seed=3):
-    return simulate_chain(spec.gen, spec.grid, i0, np.random.default_rng(seed))
+def _kept(spec, law, x0, seed, keep=1):
+    """The paths of a ``keep``-path estimate of ``law`` from x0 in regime 0."""
+    return mc_value(spec, law, spec.grid.t0, 0, np.asarray(x0, dtype=float), keep, seed,
+                    keep=keep).kept
 
 
 def test_state_all_zero_coefficients():
@@ -288,21 +280,15 @@ def test_state_all_zero_coefficients():
     zeroed = dataclasses.replace(
         spec, A=np.zeros_like(spec.A), C=np.zeros_like(spec.C)
     )
-    path = simulate_state(
-        zeroed, _chain_for(zeroed), np.zeros((17, 1)), np.array([2.5]),
-        np.random.default_rng(0),
-    )
-    assert np.all(path.X == 2.5)
+    kept = _kept(zeroed, _open_loop_table(zeroed, np.zeros((17, 1))), [2.5], 0)
+    assert np.all(kept.X == 2.5)
 
 
 def test_state_constant_drift_exact():
     spec = benchmarks.scalar_benchmark(steps=20)
     spec = dataclasses.replace(spec, b=np.ones_like(spec.b))
-    path = simulate_state(
-        spec, _chain_for(spec), np.zeros((21, 1)), np.array([0.0]),
-        np.random.default_rng(0),
-    )
-    assert np.abs(path.X[:, 0] - spec.grid.nodes()).max() < 1e-14
+    kept = _kept(spec, _open_loop_table(spec, np.zeros((21, 1))), [0.0], 0)
+    assert np.abs(kept.X[0, :, 0] - spec.grid.nodes()).max() < 1e-14
 
 
 def test_state_linear_drift_euler_error():
@@ -310,23 +296,20 @@ def test_state_linear_drift_euler_error():
     steps = 500
     spec = benchmarks.scalar_benchmark(steps=steps)
     spec = dataclasses.replace(spec, A=np.full_like(spec.A, a))
-    path = simulate_state(
-        spec, _chain_for(spec), np.zeros((steps + 1, 1)), np.array([1.0]),
-        np.random.default_rng(0),
-    )
+    kept = _kept(spec, _open_loop_table(spec, np.zeros((steps + 1, 1))), [1.0], 0)
     want = np.exp(a)
-    err = abs(path.X[-1, 0] - want)
+    err = abs(kept.X[0, -1, 0] - want)
     assert err < 2.0 * a * a * np.exp(a) * spec.grid.h  # first-order bound
 
 
 def test_state_reproducible_given_seed():
     spec = benchmarks.two_regime_inhomogeneous(steps=50)
-    ch = _chain_for(spec)
-    u = np.full((51, 1), 0.3)
-    p1 = simulate_state(spec, ch, u, np.array([1.0]), np.random.default_rng(8))
-    p2 = simulate_state(spec, ch, u, np.array([1.0]), np.random.default_rng(8))
-    assert np.array_equal(p1.X, p2.X)
-    assert np.array_equal(p1.dw, p2.dw)
+    law = _open_loop_table(spec, np.full((51, 1), 0.3))
+    p1 = _kept(spec, law, [1.0], 8, keep=3)
+    p2 = _kept(spec, law, [1.0], 8, keep=3)
+    for field in ("alpha", "X", "u", "cost"):
+        assert np.array_equal(getattr(p1, field), getattr(p2, field)), field
+    assert np.any(p1.alpha != p1.alpha[:, :1])  # the paths switch regime
 
 
 # ------------------------------------------------------- closed loop
@@ -341,50 +324,39 @@ def test_closed_loop_zero_feedback_matches_uncontrolled():
     )
     ric, _ = _solved(spec)
     assert not np.any(ric.Theta)
-    seed = 123
-    chain, closed = simulate_closed_loop(
-        spec, ric, 0, np.array([1.0, -0.5]), np.random.default_rng(seed)
-    )
-    rng = np.random.default_rng(seed)
-    chain2 = simulate_chain(spec.gen, spec.grid, 0, rng)
-    open_path = simulate_state(
-        spec, chain2, np.zeros((61, 1)), np.array([1.0, -0.5]), rng
-    )
-    assert np.array_equal(chain.alpha, chain2.alpha)
-    assert np.array_equal(closed.X, open_path.X)
+    x0 = np.array([1.0, -0.5])
+    closed = _kept(spec, ric.Theta_bar, x0, 123, keep=3)
+    open_loop = _kept(spec, _open_loop_table(spec, np.zeros((61, 1))), x0, 123, keep=3)
+    assert np.array_equal(closed.alpha, open_loop.alpha)
+    assert np.array_equal(closed.X, open_loop.X)
 
 
 def test_closed_loop_zero_initial_state_homogeneous():
     spec = benchmarks.two_regime_standard(steps=40)
     ric, _ = _solved(spec)
     spec_nonoise = dataclasses.replace(spec, sigma=np.zeros_like(spec.sigma))
-    _, path = simulate_closed_loop(
-        spec_nonoise, ric, 0, np.zeros(2), np.random.default_rng(4)
-    )
-    assert not np.any(path.X)
-    assert not np.any(path.u)
+    kept = _kept(spec_nonoise, ric.Theta_bar, np.zeros(2), 4, keep=2)
+    assert not np.any(kept.X)
+    assert not np.any(kept.u)
 
 
 def test_closed_loop_scalar_monotone_decay():
     spec = benchmarks.scalar_benchmark(steps=200)
     ric, _ = _solved(spec)
-    _, path = simulate_closed_loop(
-        spec, ric, 0, np.array([1.0]), np.random.default_rng(0)
-    )
-    assert np.all(np.diff(path.X[:, 0]) < 0)
-    assert path.X[-1, 0] > 0
+    kept = _kept(spec, ric.Theta_bar, [1.0], 0)
+    assert np.all(np.diff(kept.X[0, :, 0]) < 0)
+    assert kept.X[0, -1, 0] > 0
 
 
 # -------------------------------------------------------------- cost
 
 
 def _flat_path(spec, x_terminal, u_const):
+    """Regime 0 at every node, with a constant state and control."""
     n_nodes = spec.grid.steps + 1
     xs = np.tile(np.asarray(x_terminal, dtype=float), (n_nodes, 1))
     us = np.tile(np.asarray(u_const, dtype=float), (n_nodes, 1))
-    return StatePath(
-        grid=spec.grid, x0=xs[0], X=xs, u=us, dw=np.zeros(spec.grid.steps)
-    )
+    return np.zeros(n_nodes, dtype=int), xs, us
 
 
 def test_cost_zero_weights():
@@ -392,22 +364,19 @@ def test_cost_zero_weights():
     spec = dataclasses.replace(
         spec, G=np.zeros_like(spec.G), R=np.zeros_like(spec.R)
     )
-    path = _flat_path(spec, [3.0], [1.0])
-    assert evaluate_cost(spec, _chain_for(spec), path) == 0.0
+    assert evaluate_cost(spec, *_flat_path(spec, [3.0], [1.0])) == 0.0
 
 
 def test_cost_terminal_only():
     spec = benchmarks.scalar_benchmark(steps=10)
     spec = dataclasses.replace(spec, R=np.zeros_like(spec.R))
-    path = _flat_path(spec, [3.0], [0.0])
-    assert evaluate_cost(spec, _chain_for(spec), path) == pytest.approx(9.0)
+    assert evaluate_cost(spec, *_flat_path(spec, [3.0], [0.0])) == pytest.approx(9.0)
 
 
 def test_cost_running_control_energy():
     spec = benchmarks.scalar_benchmark(steps=10)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
-    path = _flat_path(spec, [0.0], [1.0])
-    assert evaluate_cost(spec, _chain_for(spec), path) == pytest.approx(1.0)
+    assert evaluate_cost(spec, *_flat_path(spec, [0.0], [1.0])) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------- mc_value
@@ -421,41 +390,40 @@ def test_mc_value_zero_weight_problem():
         S=np.zeros_like(spec.S), R=np.zeros_like(spec.R),
     )
     ric, _ = _solved(spec)
-    est = mc_value(spec, ric, 0.0, 0, np.array([1.0, 1.0]), 50, 0)
+    est = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0, 1.0]), 50, 0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_mc_value_deterministic_problem_zero_se():
     spec = benchmarks.scalar_benchmark(steps=100)
     ric, _ = _solved(spec)
-    est = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 64, 12)
-    chain, path = simulate_closed_loop(
-        spec, ric, 0, np.array([1.0]), np.random.default_rng(1)
-    )
+    est = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 64, 12, keep=1)
+    kept = est.kept
     assert est.std_error <= 1e-14
-    assert est.mean == pytest.approx(evaluate_cost(spec, chain, path), abs=1e-12)
+    want = evaluate_cost(spec, kept.alpha[0], kept.X[0], kept.u[0])
+    assert est.mean == pytest.approx(want, abs=1e-12)
 
 
 def test_mc_value_scalar_oracle():
     spec = benchmarks.scalar_benchmark(steps=500)
     ric, _ = _solved(spec)
-    est = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 10000, 31)
+    est = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 10000, 31)
     assert abs(est.mean - 0.5) <= 3.0 * est.std_error + 5.0 * spec.grid.h
 
 
 def test_mc_value_reproducible():
     spec = benchmarks.two_regime_inhomogeneous(steps=60)
     ric, _ = _solved(spec)
-    e1 = mc_value(spec, ric, 0.0, 1, np.array([0.4]), 3000, 77)
-    e2 = mc_value(spec, ric, 0.0, 1, np.array([0.4]), 3000, 77)
+    e1 = mc_value(spec, ric.Theta_bar, 0.0, 1, np.array([0.4]), 3000, 77)
+    e2 = mc_value(spec, ric.Theta_bar, 0.0, 1, np.array([0.4]), 3000, 77)
     assert e1.mean == e2.mean and e1.std_error == e2.std_error
 
 
 def test_mc_value_threads_match_serial():
     spec = benchmarks.two_regime_inhomogeneous(steps=40)
     ric, _ = _solved(spec)
-    serial = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
-    pooled = mc_value(spec, ric, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
+    serial = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
+    pooled = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
     assert serial.mean == pooled.mean
 
 
@@ -464,14 +432,22 @@ def test_mc_value_rejects_fewer_than_one_path(n_paths):
     spec = benchmarks.scalar_benchmark(steps=20)
     ric, _ = _solved(spec)
     with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
-        mc_value(spec, ric, 0.0, 0, np.array([1.0]), n_paths, 0)
+        mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), n_paths, 0)
+
+
+@pytest.mark.parametrize("keep", [-1, 9])
+def test_mc_value_keeps_only_its_own_paths(keep):
+    spec = benchmarks.scalar_benchmark(steps=20)
+    ric, _ = _solved(spec)
+    with pytest.raises(ValueError, match=f"keep must lie in 0..8, got {keep}"):
+        mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 8, 0, keep=keep)
 
 
 def test_mc_value_raises_on_exploding_state():
     spec = benchmarks.state_blowup()
     ric, _ = _solved(spec)
     with pytest.raises(DivergenceError, match="diverged at node"):
-        mc_value(spec, ric, 0.0, 0, np.array([1.0]), 8, 0)
+        mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 8, 0)
 
 
 # ------------------------------------------------ fused loop vs path form
@@ -518,20 +494,45 @@ def test_fused_loop_cost_matches_path_form(problem, closed_loop):
         rng = np.random.default_rng([9, k0])
         alpha = _sample_regime_paths(spec.gen, spec.grid, 1, n_paths, rng, k0)
         dw = brownian_increments(spec.grid, rng, n_paths, k0)
-        loop = _integrate_policy(tables, alpha, x0, dw, k0)
+        states = np.zeros((n_paths, n_steps + 1, spec.n))
+        loop = _integrate_policy(tables, alpha, x0, dw, k0, states)
         if k0 == n_steps:  # t0 = T: the terminal term alone
             g, g_lin = spec.G[alpha[:, -1]], spec.g[alpha[:, -1]]
             want = np.einsum("i,pij,j->p", x0, g, x0) + 2.0 * g_lin @ x0
             np.testing.assert_allclose(loop, want, rtol=1e-12, atol=0)
             continue
-        tail = _tail(spec, k0)
+        tail, nodes = _tail(spec, k0), np.arange(k0, n_steps + 1)
         for p in range(n_paths):
-            chain = SimpleNamespace(alpha=alpha[p, k0:])
-            path = simulate_policy(tail, chain, law[k0:], x0, dw=dw[p, k0:])
+            x = states[p, k0:]
             ref = _reference_states(spec, alpha[p], law, x0, dw[p], k0)
-            assert np.abs(path.X - ref).max() <= 1e-12 * np.abs(ref).max()
-            want = evaluate_cost(tail, chain, path)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            gain = law[nodes, alpha[p, k0:]]
+            u = np.einsum("kij,kj->ki", gain[..., :-1], x) + gain[..., -1]
+            want = evaluate_cost(tail, alpha[p, k0:], x, u)
             assert abs(loop[p] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("problem", ["standard", "two_regime"])
+def test_kept_paths_carry_their_own_cost(problem):
+    # each kept path is a path of the estimate: its cost is one of the
+    # samples the mean averages, and it meets the cost of its own regimes,
+    # states and controls read from the spec's fields; from a t0 inside
+    # the grid the kept paths start at its node
+    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    law = _solved(spec)[0].Theta_bar
+    x0, n_paths = np.linspace(0.8, -0.6, spec.n), 5
+    for k0 in (0, spec.grid.steps // 3):
+        est = mc_value(spec, law, spec.grid.nodes()[k0], 1, x0, n_paths, 3, keep=n_paths)
+        kept, tail = est.kept, _tail(spec, k0)
+        n_nodes = spec.grid.steps + 1 - k0
+        assert kept.alpha.shape == (n_paths, n_nodes)
+        assert kept.X.shape == (n_paths, n_nodes, spec.n)
+        assert kept.u.shape == (n_paths, n_nodes, spec.m)
+        assert np.all(kept.alpha[:, 0] == 1) and np.all(kept.X[:, 0] == x0)
+        assert est.mean == kept.cost.mean()
+        for p in range(n_paths):
+            want = evaluate_cost(tail, kept.alpha[p], kept.X[p], kept.u[p])
+            assert abs(kept.cost[p] - want) <= 1e-12 * abs(want)
 
 
 # ----------------------------------------------------------- law axis
@@ -618,11 +619,10 @@ def test_a_law_of_the_wrong_shape_is_rejected():
     # the gain-only Theta lacks the offset column of Theta_bar = [Theta | v]
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     ric, _ = _solved(spec)
-    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
     want = r"\(501, 2, 1, 3\)"
     for law in (ric.Theta, ric.Theta_bar[:-1], ric.Theta_bar[None, None], ric.Theta_bar[:0]):
         with pytest.raises(InvalidInputError, match=rf"theta_bar shape .* is neither {want}"):
-            simulate_policy(spec, chain, law, np.ones(spec.n), 2)
+            mc_value(spec, law, 0.0, 0, np.ones(spec.n), 2, 2)
     with pytest.raises(InvalidInputError, match="theta_bar shape"):
         _closed_loop_tables(spec, np.zeros((0, *ric.Theta_bar.shape)))
 
@@ -1029,23 +1029,25 @@ def test_tiled_fundamental_product_matches_untiled(tile, spec):
 
 
 def _batch_draw_costs(spec, tables, x0, i0, k0, n_paths, stream):
-    """The runner's costs as one draw per batch: each batch draws its
-    regimes and then all its increments, and integrates untiled."""
+    """The runner's costs, regimes and states as one draw per batch: each
+    batch draws its regimes and then all its increments, and integrates
+    untiled."""
     parts = []
     for start in range(0, n_paths, sim.BATCH_PATHS):
         size = min(start + sim.BATCH_PATHS, n_paths) - start
         rng = np.random.default_rng([*stream, start])
         alpha = _sample_regime_paths(spec.gen, spec.grid, i0, size, rng, k0)
         dw = brownian_increments(spec.grid, rng, size, k0)
-        parts.append(_integrate_policy(tables, alpha, x0, dw, k0))
-    return np.concatenate(parts)
+        states = np.zeros((size, spec.grid.steps + 1, spec.n))
+        parts.append((_integrate_policy(tables, alpha, x0, dw, k0, states), alpha, states))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
     # tiles of T = 3 rows in batches of B = 8: P in {1, 2, T, T + 1,
     # 2T + 1, B + 3} covers one row, a lone last row, a partial tile and
-    # a second batch
+    # a second batch; the kept paths end inside a tile, or take them all
     tile, batch = 3, 8
     monkeypatch.setattr(sim, "TILE_ROWS", tile)
     monkeypatch.setattr(sim, "BATCH_PATHS", batch)
@@ -1055,10 +1057,36 @@ def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
     for n_paths in (1, 2, tile, tile + 1, 2 * tile + 1, batch + 3):
         for k0 in (0, n_steps // 3, n_steps):
             stream = (5, n_paths, k0)
-            got = sim._path_costs(spec, tables, x0, 1, k0, n_paths, stream, threads)
-            want = _batch_draw_costs(spec, tables, x0, 1, k0, n_paths, stream)
-            assert got.shape == (n_paths,)
-            assert np.array_equal(got, want)
+            want, alpha, states = _batch_draw_costs(spec, tables, x0, 1, k0, n_paths, stream)
+            for keep in sorted({0, min(tile + 1, n_paths), n_paths}):
+                got, kept_alpha, kept_states = sim._path_costs(
+                    spec, tables, x0, 1, k0, n_paths, stream, threads, keep)
+                assert got.shape == (n_paths,)
+                assert np.array_equal(got, want)
+                assert np.array_equal(kept_alpha, alpha[:keep])
+                assert np.array_equal(kept_states[:, k0:], states[:keep, k0:])
+
+
+def test_keeping_paths_leaves_every_cost_as_it_is():
+    # 4097 kept paths of 4100 end one row into the second batch, whose
+    # one tile of 4 rows holds kept and dropped rows
+    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    law = _solved(spec)[0].Theta_bar
+    tables, x0, n_paths, keep = _closed_loop_tables(spec, law), np.array([1.0, -1.0]), 4100, 4097
+    assert keep > sim.BATCH_PATHS and keep % sim.TILE_ROWS
+    plain, none_alpha, none_states = sim._path_costs(spec, tables, x0, 0, 0, n_paths, (7,))
+    assert none_alpha.shape == (0, spec.grid.steps + 1) and none_states.shape[0] == 0
+    got, alpha, states = sim._path_costs(spec, tables, x0, 0, 0, n_paths, (7,), 1, keep)
+    assert np.array_equal(got, plain)
+    assert alpha.shape == (keep, spec.grid.steps + 1) and np.all(alpha[:, 0] == 0)
+    assert np.all(states[:, 0] == x0) and np.isfinite(states).all()
+    # the two batches write their kept rows from two threads
+    threaded = sim._path_costs(spec, tables, x0, 0, 0, n_paths, (7,), 2, keep)
+    for one, two in zip((got, alpha, states), threaded):
+        assert np.array_equal(one, two)
+    est = mc_value(spec, law, 0.0, 0, x0, n_paths, 7, keep=keep)
+    assert np.array_equal(est.kept.cost, plain[:keep])
+    assert np.array_equal(est.kept.alpha, alpha) and np.array_equal(est.kept.X, states)
 
 
 def test_path_costs_raise_the_earliest_diverging_node(monkeypatch):
@@ -1101,7 +1129,7 @@ def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
     ric, _ = _solved(spec)
     tracemalloc.start()
     try:
-        mc_value(spec, ric, 0.0, 0, np.ones(spec.n), sim.BATCH_PATHS, 9)
+        mc_value(spec, ric.Theta_bar, 0.0, 0, np.ones(spec.n), sim.BATCH_PATHS, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1118,7 +1146,7 @@ def test_euler_weak_error_scaling():
     for steps in (25, 50):
         spec = benchmarks.two_regime_inhomogeneous(steps=steps)
         ric, _ = _solved(spec)
-        est = mc_value(spec, ric, 0.0, 0, x0, 200000, 314)
+        est = mc_value(spec, ric.Theta_bar, 0.0, 0, x0, 200000, 314)
         biases.append(est.mean - v_ref)
     ratio = biases[0] / biases[1]
     assert 1.3 < ratio < 3.5

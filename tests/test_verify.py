@@ -19,13 +19,9 @@ from regimelq.sim import (
     _closed_loop_tables,
     _expected_values,
     _open_loop_table,
+    _sample_regime_paths,
     brownian_increments,
-    evaluate_cost,
     mc_value,
-    simulate_chain,
-    simulate_closed_loop,
-    simulate_policy,
-    simulate_state,
 )
 from regimelq.verify import (
     VerificationReport,
@@ -36,6 +32,7 @@ from regimelq.verify import (
 
 from reference import (
     certify_one_law_per_call,
+    evaluate_cost,
     pointwise_rows,
     quadratic_expansion,
     stationarity_residual,
@@ -57,6 +54,14 @@ def _certified(spec, i0=0, x0=None, paths=50, seed=1, controls=2):
     return certify(spec, ric, spec.grid.t0, i0, x0, paths, seed, controls)
 
 
+def _one_path(spec, law, x0, seed):
+    """The regimes, states and controls of the one path of a one-path
+    estimate of ``law`` from x0 in regime 0."""
+    kept = mc_value(spec, law, spec.grid.t0, 0, np.asarray(x0, dtype=float), 1, seed,
+                    keep=1).kept
+    return kept.alpha[0], kept.X[0], kept.u[0]
+
+
 def _rows(report, prefix):
     """The rows of ``report`` whose names start with ``prefix``."""
     return VerificationReport([c for c in report.checks if c.name.startswith(prefix)])
@@ -68,8 +73,8 @@ def _rows(report, prefix):
 def test_stationarity_vanishes_on_closed_loop_path():
     spec = benchmarks.two_regime_inhomogeneous(steps=100)
     ric, aff = _solved(spec)
-    chain, path = simulate_closed_loop(spec, ric, 0, np.array([1.0]), np.random.default_rng(2))
-    res = stationarity_residual(spec, ric, aff, chain, path)
+    alpha, x, u = _one_path(spec, ric.Theta_bar, [1.0], 2)
+    res = stationarity_residual(spec, ric, aff, alpha, x, u)
     assert np.abs(res).max() <= 1e-10
     assert _stationarity_row(ric, 0).all_passed
 
@@ -100,11 +105,10 @@ def test_path_residual_is_the_law_residual_at_the_path_state(which, shift):
     ric, aff = _solved(spec)
     ric = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + shift)
     aff = dataclasses.replace(aff, v_star=ric.Theta_bar[..., -1])
-    chain, path = simulate_closed_loop(
-        spec, ric, 0, np.linspace(-0.8, 1.2, spec.n), np.random.default_rng(9))
-    got = stationarity_residual(spec, ric, aff, chain, path)
-    idx, reg = np.arange(spec.grid.steps + 1), chain.alpha
-    x_bar = np.column_stack([path.X, np.ones(idx.size)])
+    alpha, x, u = _one_path(spec, ric.Theta_bar, np.linspace(-0.8, 1.2, spec.n), 9)
+    got = stationarity_residual(spec, ric, aff, alpha, x, u)
+    idx, reg = np.arange(spec.grid.steps + 1), alpha
+    x_bar = np.column_stack([x, np.ones(idx.size)])
     law = ric.S_bar + ric.R_hat @ ric.Theta_bar
     want = np.einsum("kij,kj->ki", law[idx, reg], x_bar)
     # relative to the size of the terms that cancel at the optimum
@@ -150,9 +154,9 @@ def test_frechet_deterministic_exact_quadratic():
 def test_frechet_linear_term_vanishes_at_feedback_optimum():
     spec = benchmarks.state_decoupled(steps=300)
     ric, _ = _solved(spec)
-    _, path = simulate_closed_loop(spec, ric, 0, np.array([0.5]), np.random.default_rng(0))
+    _, _, u = _one_path(spec, ric.Theta_bar, [0.5], 0)
     v = np.random.default_rng(10).normal(size=(301, 1))
-    fit = quadratic_expansion(spec, 0, 0, np.array([0.5]), path.u, v, (0.05, 0.1))
+    fit = quadratic_expansion(spec, 0, 0, np.array([0.5]), u, v, (0.05, 0.1))
     assert abs(fit["c1"]) <= 1e-6
     assert fit["c2"] >= 0.0
 
@@ -265,13 +269,12 @@ def test_value_consistency_scalar_oracle():
 def test_value_perturbed_gain_costs_more():
     spec = benchmarks.scalar_benchmark(steps=200)
     ric, _ = _solved(spec)
-    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
-    dw = brownian_increments(spec.grid, np.random.default_rng(2))[0]
-    base = simulate_policy(spec, chain, ric.Theta_bar, np.array([1.0]), dw=dw)
     law = ric.Theta_bar.copy()
     law[..., :-1] += 0.5  # the gain alone
-    pert = simulate_policy(spec, chain, law, np.array([1.0]), dw=dw)
-    gap = evaluate_cost(spec, chain, pert) - evaluate_cost(spec, chain, base)
+    # one seed: both laws meet the same regimes and increments
+    base, pert = (_one_path(spec, theta_bar, [1.0], 2) for theta_bar in (ric.Theta_bar, law))
+    assert np.array_equal(base[0], pert[0])
+    gap = evaluate_cost(spec, *pert) - evaluate_cost(spec, *base)
     assert gap > 0.0
 
 
@@ -392,8 +395,8 @@ def test_eta_certified_by_mc_value_differences():
     spec = benchmarks.two_regime_inhomogeneous(steps=200)
     ric, aff = _solved(spec)
     x = np.array([1.0])
-    plus = mc_value(spec, ric, 0.0, 0, x, 20000, 41)
-    minus = mc_value(spec, ric, 0.0, 0, -x, 20000, 42)
+    plus = mc_value(spec, ric.Theta_bar, 0.0, 0, x, 20000, 41)
+    minus = mc_value(spec, ric.Theta_bar, 0.0, 0, -x, 20000, 42)
     got = 0.25 * (plus.mean - minus.mean)
     want = float(aff.eta[0, 0] @ x)
     se = 0.25 * np.hypot(plus.std_error, minus.std_error)
@@ -459,19 +462,19 @@ def test_euler_bias_is_small_and_first_order(name):
 def test_completion_of_squares_identity():
     spec = benchmarks.state_decoupled(steps=250)
     ric, aff = _solved(spec)
-    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(0))
     rng = np.random.default_rng(33)
     u = rng.normal(size=(251, 1))
     x0 = np.array([0.8])
-    path_u = simulate_state(spec, chain, u, x0, np.random.default_rng(1))
-    _, path_opt = simulate_closed_loop(spec, ric, 0, x0, np.random.default_rng(1))
-    gap = evaluate_cost(spec, chain, path_u) - evaluate_cost(spec, chain, path_opt)
+    # one seed: the control u and the feedback law meet the same path
+    reg, x_u, u_u = _one_path(spec, _open_loop_table(spec, u), x0, 1)
+    opt = _one_path(spec, ric.Theta_bar, x0, 1)
+    assert np.array_equal(u_u, u)
+    gap = evaluate_cost(spec, reg, x_u, u_u) - evaluate_cost(spec, *opt)
 
     idx = np.arange(spec.grid.steps + 1)
-    reg = chain.alpha
     dev = (
-        path_u.u
-        - np.einsum("kij,kj->ki", ric.Theta[idx, reg], path_u.X)
+        u_u
+        - np.einsum("kij,kj->ki", ric.Theta[idx, reg], x_u)
         - aff.v_star[idx, reg]
     )
     quad = np.einsum(
@@ -504,8 +507,8 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
     ric, _ = _solved(spec)
     x0, rng = np.array([0.5]), np.random.default_rng(3)
     calls = {
-        "simulate_chain": lambda: simulate_chain(spec.gen, spec.grid, i0, rng),
-        "mc_value": lambda: mc_value(spec, ric, 0.0, i0, x0, 2000, 3),
+        "_sample_regime_paths": lambda: _sample_regime_paths(spec.gen, spec.grid, i0, 1, rng),
+        "mc_value": lambda: mc_value(spec, ric.Theta_bar, 0.0, i0, x0, 2000, 3),
         "certify": lambda: certify(spec, ric, 0.0, i0, x0, 50, 3, 2),
     }
     for name, call in calls.items():
@@ -514,7 +517,7 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
             pytest.fail(f"{name} accepted i0 = {i0}")
     one = Generator.constant([[0.0]], spec.grid)  # no jump could leave regime 3
     with pytest.raises(ValueError, match=r"i0 = 3 is not in 0\.\.0"):
-        simulate_chain(one, spec.grid, 3, rng)
+        _sample_regime_paths(one, spec.grid, 3, 1, rng)
 
 
 
@@ -539,12 +542,10 @@ def test_an_initial_state_of_the_wrong_length_is_rejected():
     # a one-entry x0 on a problem with n = 2 would be broadcast to [x, x]
     spec, _ = parse_problem(PROBLEMS / "standard.yaml")
     ric, _ = _solved(spec)
-    chain = simulate_chain(spec.gen, spec.grid, 0, np.random.default_rng(1))
-    u = np.zeros((spec.grid.steps + 1, spec.m))
+    open_loop = _open_loop_table(spec, np.zeros((spec.grid.steps + 1, spec.m)))
     calls = {
-        "mc_value": lambda x0: mc_value(spec, ric, 0.0, 0, x0, 2000, 3),
-        "simulate_policy": lambda x0: simulate_policy(spec, chain, ric.Theta_bar, x0, 2),
-        "simulate_state": lambda x0: simulate_state(spec, chain, u, x0, 2),
+        "mc_value": lambda x0: mc_value(spec, ric.Theta_bar, 0.0, 0, x0, 2000, 3),
+        "mc_value open loop": lambda x0: mc_value(spec, open_loop, 0.0, 0, x0, 2, 3, keep=2),
         "certify": lambda x0: certify(spec, ric, 0.0, 0, x0, 50, 3, 2),
     }
     for name, call in calls.items():
@@ -595,7 +596,6 @@ def test_verify_prices_every_row_in_three_stacked_calls(monkeypatch, tmp_path):
     count(sim, "_expected_values")
     count(sim, "_cell_transitions")
     count(ProblemSpec, "homogeneous")
-    count(sim, "simulate_closed_loop")
     count(sim, "_sample_regime_paths")
     code = main(["verify", "--problem", str(PROBLEMS / "standard.yaml"), "--paths", "500",
                  "--seed", "3", "--threads", "1", "--out", str(tmp_path)])
@@ -633,7 +633,7 @@ def test_per_node_expansion_gives_the_same_bits(which):
         h_tables = _closed_loop_tables(
             spec.homogeneous(), _open_loop_table(spec, np.ones((spec.grid.steps + 1, spec.m))))
         laws = _closed_loop_tables(spec, ric.Theta_bar + d_bar)
-        costs = sim._path_costs(spec, tables, x0, i0, 0, 700, (4,))
+        costs, _, _ = sim._path_costs(spec, tables, x0, i0, 0, 700, (4,))
         report = certify(spec, ric, spec.grid.t0, i0, x0, 300, 5, 4)
         results.append([ric.P_bar, ric.Theta_bar, tables.W, h_tables.W, laws.W, costs,
                         report.to_csv().encode()])
