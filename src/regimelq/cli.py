@@ -12,16 +12,18 @@ Exit codes: 0 success, 1 problem-file/validation error, a usage error
 (an unknown flag, a missing ``--problem``, a value of the wrong type), a
 run argument that does not fit the problem or the solver (a
 ``--dump-paths`` above ``--paths`` among them), an output directory that
-cannot be made or written, a grid too large to allocate (``--steps`` or
-``grid.steps`` of 10**17; one ``error: out of memory`` line), a flag
-given to a command it does not apply to, a flag other than ``--out``
-given to ``report``, or a ``verification.csv`` that ``report`` cannot
-read, 2 no closed-loop optimal law: the solution is not regular, or its
-offset rho_hat leaves the range of the control weight composite, or the
-iteration certifies non-convexity; also an iteration that does not
-converge within ``--max-iter``, whose ``classification.txt`` reads
-``not_converged`` since it certifies nothing about the problem, 3
-integration divergence, 4 verification failure.
+cannot be made or written, a grid or a count too large to allocate
+(``--steps`` or ``grid.steps`` of 10**17, or a ``--steps``,
+``--controls`` or ``--dump-paths`` of 10**19; one ``error: out of
+memory`` line), a flag given to a command it does not apply to, a flag
+other than ``--out`` given to ``report``, or a ``verification.csv`` that
+``report`` cannot read, 2 no closed-loop optimal law: the solution is not
+regular, or its offset rho_hat leaves the range of the control weight
+composite, or the iteration certifies non-convexity; also an iteration
+that does not converge within ``--max-iter``, whose
+``classification.txt`` reads ``not_converged`` since it certifies
+nothing about the problem, 3 integration divergence, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import riccati, sim, verify
+from . import matcore, riccati, sim, verify
 from .problemfile import ProblemFileError, build_spec, parse_problem, write_problem
 
 __all__ = ["main", "ProblemFileError", "parse_problem", "write_problem", "build_spec"]
@@ -47,6 +49,11 @@ EXIT_PARSE = 1
 EXIT_NOT_REGULAR = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
+
+# numpy refuses an array whose size its index type cannot hold with a
+# ValueError, not a MemoryError, and one of these messages
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
+            "Maximum allowed size exceeded")
 
 # Flags that apply to some commands only: the commands and the default.
 # Given to any other command, such a flag exits 1 instead of being
@@ -396,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int)
         p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--pinv-tol", type=float, default=riccati.DEFAULT_PINV_TOL)
+        p.add_argument("--pinv-tol", type=float, default=matcore.DEFAULT_PINV_TOL)
         p.add_argument("--strong-tol", type=float, default=riccati.DEFAULT_STRONG_TOL)
         p.add_argument("--conv-tol", type=float)
         p.add_argument("--max-iter", type=int)
@@ -430,7 +437,9 @@ def main(argv=None) -> int:
     except riccati.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except MemoryError as exc:  # a grid too large to hold, say
+    except (MemoryError, ValueError) as exc:  # a grid or a count too large to hold
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

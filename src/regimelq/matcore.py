@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = ["InvalidInputError", "symmetrize", "pinv", "outside_range"]
 
-DEFAULT_PINV_RTOL = 1e-12
+DEFAULT_PINV_TOL = 1e-12
 
 
 class InvalidInputError(ValueError):
@@ -31,7 +31,7 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def pinv(mat, rel_tol: float = DEFAULT_PINV_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def pinv(mat, rel_tol: float = DEFAULT_PINV_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and Moore-Penrose pseudo-inverse of a
     symmetric stack over the last two axes, from one eigendecomposition.
 

@@ -33,7 +33,7 @@ __all__ = [
 # sampled per node, so their arrays carry a leading node axis; the
 # terminal weights G and g do not.  The optional fields default to zero;
 # the symmetric fields are symmetrized on construction and on read.
-# validate, ProblemSpec, problemfile and benchmarks all walk this table.
+# validate, ProblemSpec and problemfile all walk this table.
 _FIELDS = {
     "A": "nn", "B": "nm", "C": "nn", "D": "nm",
     "Q": "nn", "S": "mn", "R": "mm",
@@ -114,6 +114,14 @@ def _is_node_constant(arr: np.ndarray) -> bool:
     return arr.strides[0] == 0
 
 
+def _one_sample(arr: np.ndarray) -> np.ndarray:
+    """``arr`` cut to its first sample along a leading axis of stride 0
+    ahead of its last two, which then holds every entry once; any other
+    array as it is.  A check of each entry, or of each trailing matrix,
+    of the cut array is a check of the whole."""
+    return arr[:1] if arr.ndim > 2 and _is_node_constant(arr) else arr
+
+
 def _frozen(arr) -> np.ndarray:
     """A read-only float view of ``arr``; the caller's array is untouched."""
     view = np.asarray(arr, dtype=float).view()
@@ -161,16 +169,16 @@ class Generator:
 
     def violations(self, atol: float = 1e-10) -> list[str]:
         out = []
-        if not np.all(np.isfinite(self.rates)):
+        rates = _one_sample(self.rates)
+        if not np.all(np.isfinite(rates)):
             out.append("generator has non-finite entries")
             return out
-        d = self.n_regimes
-        off = self.rates * (1.0 - np.eye(d))
+        off = rates * (1.0 - np.eye(self.n_regimes))
         if np.any(off < -atol):
             out.append("generator off-diagonal rate negative")
         with np.errstate(over="ignore"):  # an infinite sum is reported below
-            row_sums = self.rates.sum(axis=2)
-        scale = max(1.0, float(np.abs(self.rates).max(initial=0.0)))
+            row_sums = rates.sum(axis=2)
+        scale = max(1.0, float(np.abs(rates).max(initial=0.0)))
         if np.any(np.abs(row_sums) > atol * scale):
             worst = float(np.abs(row_sums).max())
             out.append(f"generator row sum nonzero (max |sum| = {worst:.3e})")
@@ -348,7 +356,8 @@ def validate(spec: ProblemSpec) -> list[str]:
     """Check admissibility; returns a list of violations (empty = admissible).
 
     Never raises: every problem found is reported as a human-readable
-    string naming the offending field.
+    string naming the offending field.  A node-constant field is checked
+    on its one sample, not on its N + 1 broadcast copies.
     """
     out: list[str] = []
     n, m, n_reg = spec.n, spec.m, spec.n_regimes
@@ -357,8 +366,9 @@ def validate(spec: ProblemSpec) -> list[str]:
     for name, tail in _field_shapes(n, m).items():
         arr = getattr(spec, name)
         want = (n_nodes, n_reg, *tail) if name in _RUNNING_FIELDS else (n_reg, *tail)
-        if arr.shape != want:
-            out.append(f"{name} shape {arr.shape} != {want}")
+        shape, arr = arr.shape, _one_sample(arr)
+        if shape != want:
+            out.append(f"{name} shape {shape} != {want}")
         elif not np.all(np.isfinite(arr)):
             out.append(f"{name} has non-finite entries")
         if name in _SYM_FIELDS and arr.ndim >= 2 and arr.shape[-1] == arr.shape[-2] and (

@@ -81,7 +81,6 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e12
 
-DEFAULT_PINV_TOL = 1e-12
 DEFAULT_STRONG_TOL = 1e-8
 DEFAULT_PSD_TOL = 1e-8
 DEFAULT_RANGE_TOL = 1e-8
@@ -482,7 +481,7 @@ def _build_solution(
 
 def solve_riccati_direct(
     spec: ProblemSpec,
-    pinv_tol: float = DEFAULT_PINV_TOL,
+    pinv_tol: float = matcore.DEFAULT_PINV_TOL,
     strong_tol: float = DEFAULT_STRONG_TOL,
 ) -> RiccatiSolution:
     """Backward RK4 solve of ``spec.augmented()`` with classification.
@@ -509,7 +508,7 @@ def iterate_strongly_regular(
     spec: ProblemSpec,
     max_iter: int = 50,
     conv_tol: float = 1e-10,
-    pinv_tol: float = DEFAULT_PINV_TOL,
+    pinv_tol: float = matcore.DEFAULT_PINV_TOL,
     strong_tol: float = DEFAULT_STRONG_TOL,
 ) -> RiccatiSolution:
     """Constructive fixed-point route to the strongly regular solution.

@@ -1,12 +1,17 @@
-"""Reference implementations that the tests compare the package against."""
+"""Reference implementations that the tests compare the package against,
+and the problems they run on: the bundled files of ``problems/`` and the
+test-only instances built here."""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from regimelq import matcore, verify
 from regimelq.affine import solve_eta, value_function
-from regimelq.model import Generator, ProblemSpec, TimeGrid, _hats
+from regimelq.model import _FIELDS, _RUNNING_FIELDS, Generator, ProblemSpec, TimeGrid, _hats
+from regimelq.problemfile import parse_problem
 from regimelq.riccati import (
-    DEFAULT_PINV_TOL,
     DEFAULT_RANGE_TOL,
     NonConvergenceError,
     NotStronglyRegularError,
@@ -19,6 +24,82 @@ from regimelq.sim import (
     _open_loop_table,
     mc_value,
 )
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def bundled(name, steps=None):
+    """The bundled problem ``problems/<name>.yaml``, resampled onto a grid
+    of ``steps`` steps when given."""
+    spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
+    return spec if steps is None else spec.with_steps(steps)
+
+
+def scalar_benchmark_solution(t, horizon=1.0):
+    """Closed form P(t) = 1 / (1 + (T - t)) of ``problems/scalar.yaml``:
+    unit control weight, input gain and terminal weight, everything else
+    zero; the feedback gain is -P and the optimal cost from (t, x) is
+    P(t) x^2."""
+    return 1.0 / (1.0 + (horizon - np.asarray(t)))
+
+
+def state_blowup(steps=100):
+    """Scalar instance whose state escapes in forward simulation.
+
+    No weight on the state, so the backward solve is exactly zero and
+    the optimal control is u = 0; the uncontrolled drift 40 x then
+    grows past the blow-up limit before T, and Monte-Carlo simulation
+    must abort with a divergence error naming the first bad node.
+    """
+    grid = TimeGrid(0.0, 1.0, steps)
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant([[0.0]], grid),
+        A=40.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=1.0, G=0.0,
+    )
+
+
+def three_regime_decoupled(steps=400):
+    """Three regimes with distinct data and a zero generator.
+
+    With no coupling the joint solve must reproduce three independent
+    single-regime solves exactly.
+    """
+    grid = TimeGrid(0.0, 1.0, steps)
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant(np.zeros((3, 3)), grid),
+        A=[0.5, -0.2, 0.0], B=[1.0, 0.8, 1.3], C=[0.2, 0.4, 0.0],
+        D=[0.1, 0.0, 0.2], Q=[1.0, 0.3, 0.7], S=[0.1, 0.0, -0.2],
+        R=[1.0, 2.0, 0.5], G=[1.0, 0.5, 2.0],
+    )
+
+
+def single_regime_of(spec, i):
+    """Regime i of a spec as an uncoupled single-regime problem."""
+    return replace(
+        spec,
+        gen=Generator.constant([[0.0]], spec.grid),
+        **{
+            name: getattr(spec, name)[:, i:i + 1] if name in _RUNNING_FIELDS
+            else getattr(spec, name)[i:i + 1]
+            for name in _FIELDS
+        },
+    )
+
+
+def state_decoupled(steps=400):
+    """Noise-free scalar instance whose control never feeds the state.
+
+    With zero input gains the running cost is minimized node-wise by the
+    feedback law, so the grid-sampled optimal control is stationary for
+    the discretized cost as well, to rounding; exact-identity checks
+    (quadratic expansion at the optimum, completion of squares) use it.
+    """
+    grid = TimeGrid(0.0, 1.0, steps)
+    return ProblemSpec.from_regimes(
+        grid, Generator.constant([[0.0]], grid),
+        A=0.4, B=0.0, C=0.0, D=0.0, Q=1.0, S=0.3, R=2.0, G=1.5,
+        b=0.2, q=0.1, rho=-0.3, g=0.5,
+    )
 
 
 def cell_transitions_loop(gen, grid):
@@ -62,7 +143,7 @@ def iterate_one_by_one(spec, max_iter, conv_tol):
     trace, iterates = [], [p_n]
     for _ in range(max_iter):
         s_hat, r_hat = _hats(spec.B, spec.D, spec.C, spec.S, spec.R, p_n)
-        eig, r_hat_pinv = matcore.pinv(r_hat, DEFAULT_PINV_TOL)
+        eig, r_hat_pinv = matcore.pinv(r_hat, matcore.DEFAULT_PINV_TOL)
         if eig[..., 0].min() <= 0.0:
             raise NotStronglyRegularError(float(eig[..., 0].min()))
         p_next = solve_lyapunov(spec, -(r_hat_pinv @ s_hat))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from regimelq import benchmarks, matcore
+from regimelq import matcore
 from regimelq.affine import solve_eta, value_function
 from regimelq.cli import main
 from regimelq.riccati import (
@@ -32,7 +32,17 @@ from regimelq.verify import (
     euler_bias_budget,
 )
 
-from reference import iterate_one_by_one, quadratic_expansion, stationarity_residual
+from reference import (
+    PROBLEMS,
+    bundled,
+    iterate_one_by_one,
+    quadratic_expansion,
+    scalar_benchmark_solution,
+    single_regime_of,
+    state_decoupled,
+    stationarity_residual,
+    three_regime_decoupled,
+)
 
 
 def _verdict(num: int, ok: bool, desc: str, metric: str) -> None:
@@ -46,12 +56,12 @@ def _solved(spec):
 
 
 def test_criterion_01_analytic_riccati_oracle():
-    spec = benchmarks.scalar_benchmark(steps=1000)
+    spec = bundled("scalar", 1000)
     start = time.perf_counter()
     sol = solve_riccati_direct(spec)
     elapsed = time.perf_counter() - start
     err = np.abs(
-        sol.P[:, 0, 0, 0] - benchmarks.scalar_benchmark_solution(spec.grid.nodes())
+        sol.P[:, 0, 0, 0] - scalar_benchmark_solution(spec.grid.nodes())
     ).max()
     ok = err <= 1e-8 and elapsed < 1.0
     _verdict(
@@ -63,8 +73,8 @@ def test_criterion_01_analytic_riccati_oracle():
 def test_criterion_02_iteration_equivalence_and_monotonicity():
     worst_gap, worst_eig, worst_iters, same = 0.0, 0.0, 0, True
     for spec in (
-        benchmarks.scalar_benchmark(steps=1000),
-        benchmarks.two_regime_standard(steps=500),
+        bundled("scalar", 1000),
+        bundled("standard", 500),
     ):
         direct = solve_riccati_direct(spec)
         iterated = iterate_strongly_regular(spec, max_iter=30, conv_tol=1e-9)
@@ -87,11 +97,11 @@ def test_criterion_02_iteration_equivalence_and_monotonicity():
 
 
 def test_criterion_03_regime_decoupling():
-    spec = benchmarks.three_regime_decoupled(steps=400)
+    spec = three_regime_decoupled(steps=400)
     joint = solve_riccati_direct(spec)
     gap = 0.0
     for i in range(3):
-        single = solve_riccati_direct(benchmarks.single_regime_of(spec, i))
+        single = solve_riccati_direct(single_regime_of(spec, i))
         gap = max(gap, float(np.abs(joint.P[:, i] - single.P[:, 0]).max()))
     ok = gap <= 1e-10
     _verdict(3, ok, "zero coupling reproduces single-regime solves",
@@ -102,7 +112,7 @@ def test_criterion_04_feynman_kac_crosscheck():
     # M0_h: the exact Euler-scheme expectation of the zero-control cost;
     # a zero-control Monte-Carlo run must meet its quadratic form, and it
     # must meet the backward solve within the bias budget
-    spec = benchmarks.two_regime_standard(steps=500)
+    spec = bundled("standard", 500)
     start = time.perf_counter()
     zero = np.zeros((spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n + 1))
     tables = _closed_loop_tables(spec.homogeneous(), zero)
@@ -129,10 +139,10 @@ def test_criterion_04_feynman_kac_crosscheck():
 
 def test_criterion_05_value_consistency_with_perturbations():
     cases = (
-        ("scalar", benchmarks.scalar_benchmark(steps=1000), np.array([1.0]), 0),
+        ("scalar", bundled("scalar", 1000), np.array([1.0]), 0),
         (
             "two-regime inhomogeneous",
-            benchmarks.two_regime_inhomogeneous(steps=500),
+            bundled("two_regime", 500),
             np.array([0.7]),
             1,
         ),
@@ -154,11 +164,11 @@ def test_criterion_05_value_consistency_with_perturbations():
 
 def test_criterion_06_stationarity_residual():
     instances = (
-        benchmarks.scalar_benchmark(steps=1000),
-        benchmarks.two_regime_standard(steps=500),
-        benchmarks.two_regime_inhomogeneous(steps=500),
-        benchmarks.three_regime_decoupled(steps=400),
-        benchmarks.state_decoupled(steps=400),
+        bundled("scalar", 1000),
+        bundled("standard", 500),
+        bundled("two_regime", 500),
+        three_regime_decoupled(steps=400),
+        state_decoupled(steps=400),
     )
     worst, all_ok = 0.0, True
     for spec in instances:
@@ -177,7 +187,7 @@ def test_criterion_06_stationarity_residual():
 
 
 def test_criterion_07_quadratic_expansion():
-    spec = benchmarks.state_decoupled(steps=400)
+    spec = state_decoupled(steps=400)
     ric, _ = _solved(spec)
     x0 = np.array([0.5])
     (u_opt,) = mc_value(spec, ric.Theta_bar, 0.0, 0, x0, 1, 77, keep=1).kept.u
@@ -196,10 +206,10 @@ def test_criterion_07_quadratic_expansion():
 
 def test_criterion_08_convexity_probes():
     good = convexity_probe(
-        benchmarks.two_regime_standard(steps=200), 0.0, 50, 88
+        bundled("standard", 200), 0.0, 50, 88
     )["convexity_nonnegative_ratios"]
     bad = convexity_probe(
-        benchmarks.negative_r(steps=200), 0.0, 10, 89
+        bundled("negative_r", 200), 0.0, 10, 89
     )["convexity_nonnegative_ratios"]
     ok = (
         good.passed
@@ -256,8 +266,7 @@ def test_criterion_09_kernel_properties():
 
 
 def test_criterion_10_reproducible_verification(tmp_path):
-    problem = tmp_path / "problem.yaml"
-    benchmarks.write_example(problem, "two_regime")
+    problem = PROBLEMS / "two_regime.yaml"
     bodies = []
     for run in ("first", "second"):
         out = tmp_path / run

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regimelq import benchmarks, matcore
+from regimelq import matcore
 from regimelq.affine import feedback_at, solve_eta, value_function
 from regimelq.model import Generator, GridRangeError, TimeGrid
 from regimelq.riccati import solve_riccati_direct
+
+from reference import bundled
 
 
 def _solved(spec):
@@ -17,7 +19,7 @@ def _solved(spec):
 
 
 def test_homogeneous_problem_has_zero_offsets():
-    ric, aff = _solved(benchmarks.two_regime_standard(steps=40))
+    ric, aff = _solved(bundled("standard", 40))
     assert not np.any(aff.eta)
     assert not np.any(aff.v_star)
     assert not np.any(aff.value_integral)
@@ -28,7 +30,7 @@ def test_pure_state_cost_offset_closed_form():
     steps = 200
     grid = TimeGrid(0.0, 1.0, steps)
     gen = Generator.constant([[0.0]], grid)
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     spec = dataclasses.replace(
         spec,
         G=np.zeros_like(spec.G),
@@ -43,7 +45,7 @@ def test_pure_state_cost_offset_closed_form():
 
 
 def test_identical_regimes_share_offsets():
-    base = benchmarks.two_regime_inhomogeneous(steps=60)
+    base = bundled("two_regime", 60)
     kw = {}
     for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho"):
         arr = getattr(base, name).copy()
@@ -59,13 +61,13 @@ def test_identical_regimes_share_offsets():
 
 
 def test_eta_terminal_condition_exact():
-    spec = benchmarks.two_regime_inhomogeneous(steps=30)
+    spec = bundled("two_regime", 30)
     _, aff = _solved(spec)
     assert np.array_equal(aff.eta[-1], spec.g)
 
 
 def test_superposition_in_affine_data():
-    spec = benchmarks.two_regime_inhomogeneous(steps=80)
+    spec = bundled("two_regime", 80)
     ric = solve_riccati_direct(spec)
     doubled = dataclasses.replace(
         spec,
@@ -80,7 +82,7 @@ def test_superposition_in_affine_data():
 
 
 def test_range_condition_holds_when_strongly_regular():
-    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    spec = bundled("two_regime", 50)
     ric, aff = _solved(spec)
     assert ric.classification.kind == "strongly_regular"
     _, r_hat_pinv = matcore.pinv(ric.R_hat, ric.pinv_tol)
@@ -91,7 +93,7 @@ def test_range_condition_holds_when_strongly_regular():
 
 
 def test_offsets_are_the_last_columns_of_the_augmented_law():
-    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    spec = bundled("two_regime", 50)
     ric, aff = _solved(spec)
     assert np.array_equal(aff.rho_hat, ric.S_bar[..., -1])
     assert np.array_equal(aff.v_star, ric.Theta_bar[..., -1])
@@ -110,20 +112,20 @@ def test_offsets_are_the_last_columns_of_the_augmented_law():
 
 
 def test_offsets_need_a_regular_solution():
-    spec = benchmarks.dead_offset(steps=40)
+    spec = bundled("dead_offset", 40)
     ric = solve_riccati_direct(spec)
     with pytest.raises(ValueError, match="regular solution"):
         solve_eta(spec, ric)
 
 
 def test_feedback_zero_state_homogeneous():
-    ric, aff = _solved(benchmarks.two_regime_standard(steps=40))
+    ric, aff = _solved(bundled("standard", 40))
     u = feedback_at(ric, aff, 0.3, 1, np.zeros(2))
     assert np.array_equal(u, np.zeros(1))
 
 
 def test_feedback_affine_in_state():
-    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    spec = bundled("two_regime", 50)
     ric, aff = _solved(spec)
     x = np.array([0.8])
     u1 = feedback_at(ric, aff, 0.37, 0, x)
@@ -133,14 +135,14 @@ def test_feedback_affine_in_state():
 
 
 def test_feedback_scalar_oracle_value():
-    spec = benchmarks.scalar_benchmark(steps=400)
+    spec = bundled("scalar", 400)
     ric, aff = _solved(spec)
     got = feedback_at(ric, aff, 0.0, 0, np.array([1.0]))
     assert got[0] == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_value_function_homogeneous_is_pure_quadratic():
-    spec = benchmarks.two_regime_standard(steps=60)
+    spec = bundled("standard", 60)
     ric, aff = _solved(spec)
     x = np.array([0.4, -1.1])
     want = float(x @ ric.P[0, 1] @ x)
@@ -149,7 +151,7 @@ def test_value_function_homogeneous_is_pure_quadratic():
 
 
 def test_value_scalar_oracle():
-    spec = benchmarks.scalar_benchmark(steps=500)
+    spec = bundled("scalar", 500)
     ric, aff = _solved(spec)
     assert value_function(ric, aff, 0.0, 0, np.array([2.0])) == pytest.approx(
         4.0 / 2.0, rel=1e-9
@@ -157,7 +159,7 @@ def test_value_scalar_oracle():
 
 
 def test_value_is_quadratic_polynomial_in_state():
-    spec = benchmarks.two_regime_inhomogeneous(steps=60)
+    spec = bundled("two_regime", 60)
     ric, aff = _solved(spec)
     rng = np.random.default_rng(4)
     x = rng.normal(size=1)
@@ -172,14 +174,14 @@ def test_value_is_quadratic_polynomial_in_state():
 
 
 def test_value_out_of_range():
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     ric, aff = _solved(spec)
     with pytest.raises(GridRangeError):
         value_function(ric, aff, 2.0, 0, np.array([1.0]))
 
 
 def test_scaling_covariance_of_homogeneous_value():
-    spec = benchmarks.two_regime_standard(steps=40)
+    spec = bundled("standard", 40)
     ric, aff = _solved(spec)
     x = np.array([0.3, 0.9])
     v1 = value_function(ric, aff, 0.1, 0, x)

@@ -15,35 +15,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regimelq import affine, benchmarks, cli, problemfile, riccati
+from regimelq import affine, cli, problemfile, riccati
 from regimelq.cli import ProblemFileError, main, parse_problem, write_problem
 from regimelq.matcore import symmetrize
 from regimelq.model import Generator, ProblemSpec, TimeGrid
 
-from reference import evaluate_cost, wide_spec
+from reference import PROBLEMS, bundled, evaluate_cost, state_blowup, wide_spec
 
 FIELDS = ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho", "G", "g")
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
-@pytest.mark.parametrize(
-    "which",
-    ["scalar", "two_regime", "standard", "blowup", "negative_r", "dead_channel", "dead_offset"],
-)
-def test_problem_file_round_trip(tmp_path, which):
-    path = tmp_path / f"{which}.yaml"
-    spec = benchmarks.write_example(path, which)
-    assert path.read_bytes() == (PROBLEMS / f"{which}.yaml").read_bytes()
-    parsed, _ = parse_problem(path)
-    for name in FIELDS:
-        assert np.array_equal(getattr(spec, name), getattr(parsed, name)), name
-    assert np.array_equal(spec.gen.rates, parsed.gen.rates)
-    assert parsed.grid == spec.grid
-
-
 def test_round_trip_time_varying_field(tmp_path):
-    spec = benchmarks.scalar_benchmark(steps=8)
+    spec = bundled("scalar", 8)
     a_var = spec.A.copy()
     a_var[:, 0, 0, 0] = np.linspace(0.0, 1.0, 9)
     spec = dataclasses.replace(spec, A=a_var)
@@ -105,7 +89,7 @@ def test_parser_uses_libyaml_when_built():
 
 
 def test_loaders_parse_identical_problems(tmp_path, monkeypatch):
-    spec = benchmarks.two_regime_inhomogeneous(steps=12)
+    spec = bundled("two_regime", 12)
     ramp = np.linspace(0.0, 1.0, 13)
     q_mat = np.array([[-1.0, 1.0], [2.0, -2.0]])
     spec = dataclasses.replace(
@@ -143,8 +127,7 @@ def test_malformed_yaml_exits_1_with_either_loader(tmp_path, monkeypatch, loader
 
 def test_parse_rejects_missing_field(tmp_path):
     path = tmp_path / "missing.yaml"
-    benchmarks.write_example(path, "scalar")
-    text = path.read_text().replace("  R:\n  - [1.0]\n", "")
+    text = (PROBLEMS / "scalar.yaml").read_text().replace("  R:\n  - [1.0]\n", "")
     assert "R:" not in text
     path.write_text(text)
     with pytest.raises(ProblemFileError, match="missing field R"):
@@ -164,8 +147,7 @@ def test_parse_symmetrizes_weights(tmp_path):
 
 def test_parse_rejects_bad_generator(tmp_path):
     path = tmp_path / "gen.yaml"
-    benchmarks.write_example(path, "two_regime")
-    text = path.read_text().replace("[-1.0, 1.0]", "[-1.0, 1.1]")
+    text = (PROBLEMS / "two_regime.yaml").read_text().replace("[-1.0, 1.0]", "[-1.0, 1.1]")
     path.write_text(text)
     with pytest.raises(ProblemFileError, match="row sum"):
         parse_problem(path)
@@ -182,8 +164,7 @@ def _args(cmd, problem, out, **kw):
 
 
 def test_solve_writes_outputs_and_exits_zero(tmp_path):
-    problem = tmp_path / "scalar.yaml"
-    benchmarks.write_example(problem, "scalar")
+    problem = PROBLEMS / "scalar.yaml"
     out = tmp_path / "out"
     assert main(_args("solve", problem, out)) == 0
     assert "strongly_regular" in (out / "classification.txt").read_text()
@@ -194,7 +175,7 @@ def test_solve_writes_outputs_and_exits_zero(tmp_path):
 
 
 def test_solve_zero_weight_problem_writes_zero_columns(tmp_path):
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
     problem = tmp_path / "zero.yaml"
     write_problem(problem, spec)
@@ -207,8 +188,7 @@ def test_solve_zero_weight_problem_writes_zero_columns(tmp_path):
 
 
 def test_iterate_command(tmp_path):
-    problem = tmp_path / "standard.yaml"
-    benchmarks.write_example(problem, "standard")
+    problem = PROBLEMS / "standard.yaml"
     out = tmp_path / "out"
     assert main(_args("iterate", problem, out, steps=100)) == 0
     assert "strongly_regular" in (out / "classification.txt").read_text()
@@ -230,14 +210,12 @@ def test_iterate_that_does_not_converge_is_not_converged(tmp_path, capsys, max_i
 
 
 def test_solve_not_regular_exit_code(tmp_path):
-    problem = tmp_path / "negr.yaml"
-    benchmarks.write_example(problem, "negative_r")
+    problem = PROBLEMS / "negative_r.yaml"
     assert main(_args("solve", problem, tmp_path / "out")) == 2
 
 
 def test_solve_divergence_exit_code(tmp_path):
-    problem = tmp_path / "blowup.yaml"
-    benchmarks.write_example(problem, "blowup")
+    problem = PROBLEMS / "blowup.yaml"
     assert main(_args("solve", problem, tmp_path / "out")) == 3
     text = (tmp_path / "out" / "classification.txt").read_text()
     assert "divergen" in text
@@ -271,7 +249,7 @@ def test_parse_error_exit_code(tmp_path):
     ],
 )
 def test_bad_run_argument_exit_code(tmp_path, capsys, cmd, flags, message):
-    problem = Path(__file__).resolve().parents[1] / "problems" / "standard.yaml"
+    problem = PROBLEMS / "standard.yaml"
     assert main(_args(cmd, problem, tmp_path / "out", steps=50, **flags)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
@@ -339,7 +317,7 @@ def test_simulate_starts_from_ones_by_default(tmp_path):
 
 def test_simulate_state_divergence_exit_code(tmp_path, capsys):
     problem = tmp_path / "exploding.yaml"
-    write_problem(problem, benchmarks.state_blowup())
+    write_problem(problem, state_blowup())
     assert main(_args("simulate", problem, tmp_path / "out", paths=16, x0=1.0)) == 3
     err = capsys.readouterr().err
     assert "error: integration diverged at node" in err
@@ -347,8 +325,7 @@ def test_simulate_state_divergence_exit_code(tmp_path, capsys):
 
 
 def test_simulate_writes_value_csv_and_paths(tmp_path):
-    problem = tmp_path / "scalar.yaml"
-    benchmarks.write_example(problem, "scalar")
+    problem = PROBLEMS / "scalar.yaml"
     out = tmp_path / "out"
     code = main(
         _args("simulate", problem, out, steps=100, paths=64, x0=1.0, dump_paths=2)
@@ -394,28 +371,35 @@ def test_dumped_paths_are_paths_of_the_estimate(tmp_path, problem):
     assert not (out / "path_0007.csv").exists()
 
 
-@pytest.mark.parametrize("route", ["flag", "file"])
+@pytest.mark.parametrize("route", ["flag", "file", "steps", "controls", "dump-paths"])
 def test_a_grid_too_large_to_hold_exits_1(tmp_path, capsys, route):
     # 10**17 nodes: the first table, of one byte or eight per node (88.8
     # or 711 PiB), lies beyond the 2**56 bytes (64 PiB) that a 64-bit
     # kernel lets a process address at most, so its allocation is refused
-    # at once whatever the memory overcommit setting
-    steps = 10 ** 17
+    # at once whatever the memory overcommit setting; a count of 10**19
+    # lies beyond numpy's index type, which refuses the grid, the probe
+    # controls or the kept paths with a ValueError, not a MemoryError
+    steps, huge = 10 ** 17, 10 ** 19
     problem = PROBLEMS / "scalar.yaml"
     if route == "file":
         text = problem.read_text().replace("steps: 1000", f"steps: {steps}")
         assert f"steps: {steps}" in text
         problem = tmp_path / "huge.yaml"
         problem.write_text(text)
-    flags = {"steps": steps} if route == "flag" else {}
-    assert main(_args("solve", problem, tmp_path / "out", **flags)) == 1
+    cmd, flags = {
+        "flag": ("solve", {"steps": steps}),
+        "file": ("solve", {}),
+        "steps": ("solve", {"steps": huge}),
+        "controls": ("verify", {"steps": 50, "paths": 100, "threads": 1, "controls": huge}),
+        "dump-paths": ("simulate", {"steps": 50, "paths": huge, "threads": 1, "dump_paths": huge}),
+    }[route]
+    assert main(_args(cmd, problem, tmp_path / "out", **flags)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
 
 
 def test_verify_scalar_passes(tmp_path):
-    problem = tmp_path / "scalar.yaml"
-    benchmarks.write_example(problem, "scalar")
+    problem = PROBLEMS / "scalar.yaml"
     out = tmp_path / "out"
     code = main(
         _args("verify", problem, out, steps=200, paths=400, controls=4, seed=5)
@@ -426,8 +410,7 @@ def test_verify_scalar_passes(tmp_path):
 
 
 def test_verify_nonconvex_flags_and_exit(tmp_path):
-    problem = tmp_path / "negr.yaml"
-    benchmarks.write_example(problem, "negative_r")
+    problem = PROBLEMS / "negative_r.yaml"
     out = tmp_path / "out"
     code = main(_args("verify", problem, out, paths=200, controls=4))
     assert code == 2  # classification gate comes first
@@ -449,8 +432,7 @@ def test_report_exit_code_on_failing_check(tmp_path):
 
 
 def test_report_regenerates_summary(tmp_path):
-    problem = tmp_path / "scalar.yaml"
-    benchmarks.write_example(problem, "scalar")
+    problem = PROBLEMS / "scalar.yaml"
     out = tmp_path / "out"
     main(_args("verify", problem, out, steps=100, paths=200, controls=3, seed=8))
     summary = (out / "summary.txt").read_text()
@@ -565,7 +547,7 @@ def test_meta_line_records_the_flags_the_command_ran_with(cmd, flags, files, tai
 
 
 def test_node_csv_rows_match_csv_writer(tmp_path):
-    spec = benchmarks.two_regime_inhomogeneous(steps=6)
+    spec = bundled("two_regime", 6)
     ric = riccati.solve_riccati_direct(spec)
     p_bar = ric.P_bar.copy()
     p_bar[2, 1, 0, 0] = -1.25e-7
@@ -673,8 +655,7 @@ def test_node_csv_formats_one_node_at_a_time(tmp_path):
 
 
 def test_verify_reproducible_bodies(tmp_path):
-    problem = tmp_path / "tworeg.yaml"
-    benchmarks.write_example(problem, "two_regime")
+    problem = PROBLEMS / "two_regime.yaml"
     outs = []
     for run in ("a", "b"):
         out = tmp_path / run
@@ -692,7 +673,7 @@ def test_verify_reproducible_bodies(tmp_path):
 
 def test_verify_threads_do_not_change_bodies(tmp_path):
     # 4200 paths is two batches, so threads=2 runs them concurrently
-    problem = Path(__file__).resolve().parents[1] / "problems" / "standard.yaml"
+    problem = PROBLEMS / "standard.yaml"
     codes, bodies = [], []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
@@ -809,7 +790,7 @@ def test_solve_eta_runs_no_sweep(monkeypatch):
     # the offsets are read off the augmented Riccati solution, so the
     # offset stage cannot diverge; main still maps a DivergenceError
     # from any later stage to exit 3
-    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    spec = bundled("two_regime", 50)
     sol = riccati.solve_riccati_direct(spec)
 
     def no_sweep(*args, **kwargs):

@@ -12,7 +12,7 @@ from regimelq import matcore
 from reference import eigh_pinv
 
 
-def _pinv(m, rel_tol=matcore.DEFAULT_PINV_RTOL):
+def _pinv(m, rel_tol=matcore.DEFAULT_PINV_TOL):
     return matcore.pinv(m, rel_tol)[1]
 
 

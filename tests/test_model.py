@@ -1,8 +1,8 @@
 """Spec construction, validation, interpolation, and the hat composites."""
 
 import dataclasses
+import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regimelq import benchmarks
 from regimelq.model import (
     _FIELDS,
     _RUNNING_FIELDS,
@@ -23,7 +22,8 @@ from regimelq.model import (
     interp_nodes,
     validate,
 )
-from regimelq.problemfile import parse_problem
+
+from reference import bundled, state_decoupled, three_regime_decoupled
 
 
 @pytest.mark.filterwarnings("error")
@@ -53,20 +53,20 @@ def test_grid_nodes_strictly_increasing():
 
 
 def test_validate_well_formed_two_regime():
-    assert validate(benchmarks.two_regime_standard(steps=10)) == []
+    assert validate(bundled("standard", 10)) == []
 
 
 def test_validate_flags_generator_row_sum():
     grid = TimeGrid(0.0, 1.0, 4)
     gen = Generator.constant([[-1.0, 1.1], [0.5, -0.5]], grid)
-    spec = benchmarks.two_regime_standard(steps=4)
+    spec = bundled("standard", 4)
     bad = dataclasses.replace(spec, gen=gen)
     problems = validate(bad)
     assert any("row sum" in p for p in problems)
 
 
 def test_validate_flags_asymmetric_weight():
-    spec = benchmarks.two_regime_standard(steps=4)
+    spec = bundled("standard", 4)
     q_bad = spec.Q.copy()
     q_bad[1, 0, 0, 1] += 1e-3
     bad = dataclasses.replace(spec, Q=q_bad)
@@ -90,14 +90,14 @@ def test_from_regimes_symmetrizes_weights():
 
 
 def test_validate_flags_nonfinite():
-    spec = benchmarks.scalar_benchmark(steps=4)
+    spec = bundled("scalar", 4)
     a_bad = spec.A.copy()
     a_bad[0, 0, 0, 0] = np.inf
     assert any("non-finite" in p for p in validate(dataclasses.replace(spec, A=a_bad)))
 
 
 def test_interp_nodes_exact_at_nodes_and_linear_between():
-    spec = benchmarks.two_regime_standard(steps=4)
+    spec = bundled("standard", 4)
     a_var = spec.A.copy()
     a_var[:, :, 0, 0] = np.arange(5, dtype=float)[:, None] * [1.0, -2.0]  # A(t_k) = k, -2k
     grid = spec.grid
@@ -109,14 +109,14 @@ def test_interp_nodes_exact_at_nodes_and_linear_between():
 
 
 def test_interp_nodes_constant_spec_everywhere():
-    spec = benchmarks.two_regime_standard(steps=8)
+    spec = bundled("standard", 8)
     for name in _RUNNING_FIELDS:
         arr = getattr(spec, name)
         assert np.array_equal(interp_nodes(arr, spec.grid, 0.3777), arr[0]), name
 
 
 def test_interp_nodes_node_exact_for_every_field():
-    spec = benchmarks.two_regime_inhomogeneous(steps=6)
+    spec = bundled("two_regime", 6)
     k = 4
     t_k = spec.grid.nodes()[k]
     for name in _RUNNING_FIELDS:
@@ -125,7 +125,7 @@ def test_interp_nodes_node_exact_for_every_field():
 
 
 def test_interp_nodes_out_of_range():
-    spec = benchmarks.scalar_benchmark(steps=4)
+    spec = bundled("scalar", 4)
     for t in (1.5, -0.1):
         with pytest.raises(GridRangeError):
             interp_nodes(spec.A, spec.grid, t)
@@ -136,21 +136,21 @@ def _hats_of(spec, p):
 
 
 def test_hats_at_zero_p():
-    spec = benchmarks.two_regime_inhomogeneous(steps=4)
+    spec = bundled("two_regime", 4)
     s_hat, r_hat = _hats_of(spec, np.zeros(spec.A.shape))
     assert np.array_equal(s_hat, spec.S)
     assert np.array_equal(r_hat, spec.R)
 
 
 def test_hats_scalar_substitution():
-    spec = benchmarks.scalar_benchmark(steps=4)  # B=1, D=0, S=0, R=1
+    spec = bundled("scalar", 4)  # B=1, D=0, S=0, R=1
     s_hat, r_hat = _hats_of(spec, np.full(spec.A.shape, 0.7))
     assert s_hat == pytest.approx(np.full(s_hat.shape, 0.7))
     assert r_hat == pytest.approx(np.ones(r_hat.shape))
 
 
 def test_hats_no_diffusion_gain():
-    spec = benchmarks.two_regime_standard(steps=4)
+    spec = bundled("standard", 4)
     d_zero = dataclasses.replace(spec, D=np.zeros_like(spec.D))
     rng = np.random.default_rng(1)
     p = rng.normal(size=spec.A.shape)
@@ -169,18 +169,14 @@ def test_hats_symmetric_output():
 
 
 def test_validate_accepts_own_constructors():
-    for build in (
-        benchmarks.scalar_benchmark,
-        benchmarks.two_regime_standard,
-        benchmarks.two_regime_inhomogeneous,
-        benchmarks.three_regime_decoupled,
-        benchmarks.state_decoupled,
-    ):
+    for name in ("scalar", "standard", "two_regime"):
+        assert validate(bundled(name, 6)) == []
+    for build in (three_regime_decoupled, state_decoupled):
         assert validate(build(steps=6)) == []
 
 
 def test_with_steps_resamples_exactly_for_constant_fields():
-    spec = benchmarks.two_regime_inhomogeneous(steps=10)
+    spec = bundled("two_regime", 10)
     fine = spec.with_steps(20)
     assert fine.grid.steps == 20
     assert np.allclose(fine.A[0], spec.A[0])
@@ -188,7 +184,7 @@ def test_with_steps_resamples_exactly_for_constant_fields():
 
 
 def test_homogeneous_zeroes_affine_data():
-    spec = benchmarks.two_regime_inhomogeneous(steps=6).homogeneous()
+    spec = bundled("two_regime", 6).homogeneous()
     for name in ("b", "sigma", "q", "rho", "g"):
         assert not np.any(getattr(spec, name))
     assert np.any(spec.A)
@@ -232,13 +228,13 @@ def test_augmented_is_the_affine_problem_in_x_bar():
 
 
 def _time_varying_two_regime(steps):
-    spec = benchmarks.two_regime_inhomogeneous(steps=steps)
+    spec = bundled("two_regime", steps)
     ramp = np.linspace(1.0, 2.0, steps + 1)[:, None, None]
     return dataclasses.replace(spec, b=spec.b * ramp, rho=spec.rho - ramp * spec.rho)
 
 
 def test_validate_reports_overflowing_generator_row():
-    spec = benchmarks.two_regime_standard(steps=2)
+    spec = bundled("standard", 2)
     rates = np.broadcast_to([[-1e308, 1e308], [1e308, 1e308]], (3, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning is not regimelq's
@@ -274,8 +270,33 @@ def test_validate_property_never_raises(spec):
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
-def _bundled(name):
-    return parse_problem(Path(__file__).resolve().parents[1] / "problems" / f"{name}.yaml")[0]
+@given(_any_specs())
+def test_validate_reports_a_broadcast_field_as_its_per_node_copy(spec):
+    # validate checks a field of stride 0 along its first axis on one
+    # sample; the same data held per node must give the same messages
+    def first_sample_everywhere(arr, copy):
+        if arr.ndim == 0 or len(arr) == 0:
+            return arr
+        one = np.broadcast_to(arr[:1], arr.shape)
+        return np.array(one) if copy else one
+
+    def variant(copy):
+        return dataclasses.replace(
+            spec, gen=Generator(first_sample_everywhere(spec.gen.rates, copy)),
+            **{name: first_sample_everywhere(getattr(spec, name), copy) for name in _FIELDS})
+
+    assert validate(variant(copy=False)) == validate(variant(copy=True))
+
+
+def test_validate_of_a_constant_problem_does_not_grow_with_the_grid():
+    spec = bundled("two_regime", 10 ** 6)
+    tracemalloc.start()
+    try:
+        assert validate(spec) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak  # a scan of every broadcast node takes 76 MiB
 
 
 def _spec_arrays(spec):
@@ -284,14 +305,14 @@ def _spec_arrays(spec):
 
 @pytest.mark.parametrize("name", ["scalar", "standard", "two_regime", "dead_channel"])
 def test_every_field_of_a_parsed_spec_is_read_only(name):
-    for label, arr in _spec_arrays(_bundled(name)).items():
+    for label, arr in _spec_arrays(bundled(name)).items():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
         assert not arr.flags.writeable, label
 
 
 def test_per_node_fields_are_read_only_and_the_callers_arrays_are_not():
-    base = benchmarks.two_regime_standard(steps=4)
+    base = bundled("standard", 4)
     a_var = np.array(base.A)
     rates = np.array(base.gen.rates)
     spec = dataclasses.replace(base, A=a_var, gen=Generator(rates))
@@ -304,9 +325,13 @@ def test_per_node_fields_are_read_only_and_the_callers_arrays_are_not():
 
 
 def test_node_constant_fields_keep_stride_zero_through_every_constructor():
-    parsed = _bundled("dead_channel")
-    built = benchmarks.dead_channel()
+    parsed = bundled("dead_channel")
     grid = parsed.grid
+    built = ProblemSpec.from_regimes(  # the file's data, regime by regime
+        grid, Generator.constant(parsed.gen.rates[0], grid),
+        **{name: list(getattr(parsed, name)[0] if name in _RUNNING_FIELDS else getattr(parsed, name))
+           for name in _FIELDS},
+    )
     made = {
         "parse_problem": parsed,
         "from_regimes": built,
@@ -347,7 +372,7 @@ def test_per_node_fields_stay_per_node_through_every_constructor():
 def test_with_steps_of_a_constant_field_equals_the_per_node_resample(steps):
     # np.interp turns a -0.0 sample into +0.0 between the old nodes, so a
     # sample holding -0.0 is resampled node by node
-    base = benchmarks.two_regime_standard(steps=8)
+    base = bundled("standard", 8)
     a_neg = np.array(base.A[0])
     a_neg[0, 0, 1] = -0.0
     spec = dataclasses.replace(base, A=np.broadcast_to(a_neg, base.A.shape))

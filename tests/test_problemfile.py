@@ -24,7 +24,8 @@ import regimelq
 from regimelq.model import _FIELDS, validate
 from regimelq.problemfile import ProblemFileError, parse_problem, write_problem
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+from reference import PROBLEMS
+
 TEXTS = {p.stem: p.read_bytes() for p in sorted(PROBLEMS.glob("*.yaml"))}
 BAD_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
 # Replacement nodes: no digits in the strings, so no mutation can ask

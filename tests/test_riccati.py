@@ -3,7 +3,6 @@
 import dataclasses
 import time
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,13 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regimelq import benchmarks, matcore, riccati
+from regimelq import matcore, riccati
 from regimelq.affine import solve_eta
-from regimelq.matcore import InvalidInputError, symmetrize
+from regimelq.matcore import DEFAULT_PINV_TOL, InvalidInputError, symmetrize
 from regimelq.model import Generator, ProblemSpec, TimeGrid, _hats
-from regimelq.problemfile import parse_problem
 from regimelq.riccati import (
-    DEFAULT_PINV_TOL,
     DivergenceError,
     NonConvergenceError,
     NotStronglyRegularError,
@@ -27,7 +24,15 @@ from regimelq.riccati import (
     solve_riccati_direct,
 )
 
-from reference import iterate_one_by_one, wide_spec
+from reference import (
+    PROBLEMS,
+    bundled,
+    iterate_one_by_one,
+    scalar_benchmark_solution,
+    single_regime_of,
+    three_regime_decoupled,
+    wide_spec,
+)
 
 
 # ---------------------------------------------------------------- rhs
@@ -44,14 +49,14 @@ def _node(spec, k):
 
 
 def test_rhs_scalar_quadratic_term():
-    spec = benchmarks.scalar_benchmark(steps=4)
+    spec = bundled("scalar", 4)
     for p in (0.3, 1.0, -2.0):
         got = _rhs(_node(spec, 2), np.array([[[p]]]))
         assert got[0, 0, 0] == pytest.approx(p * p, rel=1e-12)
 
 
 def test_rhs_reduces_to_linear_form_without_gain_channels():
-    spec = benchmarks.two_regime_standard(steps=4)
+    spec = bundled("standard", 4)
     spec = dataclasses.replace(
         spec,
         B=np.zeros_like(spec.B),
@@ -78,18 +83,18 @@ def _finite_eigh(m, eigh=np.linalg.eigh):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [benchmarks.scalar_benchmark, benchmarks.two_regime_standard, benchmarks.dead_channel],
+    "name", ["scalar", "standard", "dead_channel"],
+    ids=["scalar_benchmark", "two_regime_standard", "dead_channel"],
 )
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_rhs_rejects_non_finite_p_in_each_regime(make, bad):
+def test_rhs_rejects_non_finite_p_in_each_regime(name, bad):
     # a non-finite P, the input of a stage after one that overflowed, is
     # rejected by the derivative: non-finite in its regime, so the step
     # guard ends the slice.  Nothing raises, and no eigensolver sees the
     # non-finite R_hat (m = 1 takes the closed form, dead_channel's m = 2
     # solves the finite regime alone).  An inf meets a zero of D^T P (D = 0
     # on the scalar problem); the driver's errstate keeps 0 * inf quiet
-    spec = make(steps=4)
+    spec = bundled(name, 4)
     for i in range(spec.n_regimes):
         p = np.array(spec.G)
         p[i, -1, -1] = bad
@@ -101,7 +106,7 @@ def test_rhs_rejects_non_finite_p_in_each_regime(make, bad):
 
 
 def test_rhs_all_zero_data():
-    spec = benchmarks.scalar_benchmark(steps=4)
+    spec = bundled("scalar", 4)
     spec = dataclasses.replace(
         spec, B=np.zeros_like(spec.B), R=np.zeros_like(spec.R)
     )
@@ -171,9 +176,9 @@ def _time_varying(spec):
 
 @pytest.mark.parametrize("which", ["standard", "time_varying"])
 def test_lyapunov_table_rhs_matches_explicit_form(which):
-    spec = benchmarks.two_regime_standard(steps=8)
+    spec = bundled("standard", 8)
     if which == "time_varying":
-        spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=8))
+        spec = _time_varying(bundled("two_regime", 8))
     rng = np.random.default_rng(17)
     n_nodes, d, m, n = spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n
     theta = rng.normal(size=(n_nodes, d, m, n))
@@ -197,7 +202,7 @@ def test_lyapunov_table_rhs_matches_explicit_form(which):
 def test_lyapunov_constant_solution():
     grid = TimeGrid(0.0, 1.0, 16)
     gen = Generator.constant([[0.0]], grid)
-    spec = benchmarks.scalar_benchmark(steps=16)
+    spec = bundled("scalar", 16)
     spec = dataclasses.replace(spec, gen=gen, B=np.zeros_like(spec.B))
     p = solve_lyapunov(spec)
     assert np.array_equal(p, np.ones_like(p))
@@ -208,7 +213,7 @@ def test_lyapunov_exponential_closed_form():
     steps = 400
     grid = TimeGrid(0.0, 1.0, steps)
     gen = Generator.constant([[0.0]], grid)
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     a_arr = np.full_like(spec.A, a)
     spec = dataclasses.replace(spec, gen=gen, A=a_arr, B=np.zeros_like(spec.B))
     p = solve_lyapunov(spec)
@@ -220,7 +225,7 @@ def test_lyapunov_time_varying_closed_form():
     # dP/dt = -2 a(t) P with a(t) = 0.7 - 1.2 t: P(t) = exp(2 int_t^T a),
     # so a node or midpoint sample taken from the wrong place shows
     steps = 400
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     t = spec.grid.nodes()
     spec = dataclasses.replace(spec, A=(0.7 - 1.2 * t)[:, None, None, None])
     p = solve_lyapunov(spec)
@@ -229,7 +234,7 @@ def test_lyapunov_time_varying_closed_form():
 
 
 def test_lyapunov_identical_regimes_stay_identical():
-    base = benchmarks.two_regime_inhomogeneous(steps=50)
+    base = bundled("two_regime", 50)
     # duplicate regime 0's data into regime 1, keep nonzero coupling
     kw = {}
     for name in ("A", "B", "C", "D", "b", "sigma", "Q", "S", "R", "q", "rho"):
@@ -246,7 +251,7 @@ def test_lyapunov_identical_regimes_stay_identical():
 
 
 def test_lyapunov_terminal_condition_exact():
-    spec = benchmarks.two_regime_standard(steps=12)
+    spec = bundled("standard", 12)
     p = solve_lyapunov(spec)
     assert np.array_equal(p[-1], spec.G)
 
@@ -255,11 +260,11 @@ def test_lyapunov_terminal_condition_exact():
 
 
 def test_direct_scalar_analytic_oracle():
-    spec = benchmarks.scalar_benchmark(steps=1000)
+    spec = bundled("scalar", 1000)
     start = time.perf_counter()
     sol = solve_riccati_direct(spec)
     elapsed = time.perf_counter() - start
-    want = benchmarks.scalar_benchmark_solution(spec.grid.nodes())
+    want = scalar_benchmark_solution(spec.grid.nodes())
     assert np.abs(sol.P[:, 0, 0, 0] - want).max() <= 1e-8
     assert sol.classification.kind == "strongly_regular"
     assert elapsed < 1.0
@@ -272,7 +277,7 @@ def test_p_block_does_not_see_affine_data(solver):
     # the zero rows of B_bar, C_bar and D_bar keep eta and w out of P, S_hat
     # and Theta exactly (the iteration stops after as many solves on both),
     # and the last row and column of P_bar hold eta and w
-    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=70))
+    spec = _time_varying(bundled("two_regime", 70))
     affine, plain = solver(spec), solver(spec.homogeneous())
     for name in ("P", "S_hat", "R_hat", "Theta", "min_eig_R_hat"):
         assert np.array_equal(getattr(affine, name), getattr(plain, name)), name
@@ -285,7 +290,7 @@ def test_p_block_does_not_see_affine_data(solver):
 
 
 def test_direct_zero_weights_give_zero_solution():
-    spec = benchmarks.scalar_benchmark(steps=32)
+    spec = bundled("scalar", 32)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
     sol = solve_riccati_direct(spec)
     assert np.array_equal(sol.P, np.zeros_like(sol.P))
@@ -294,15 +299,15 @@ def test_direct_zero_weights_give_zero_solution():
 
 
 def test_direct_decoupled_matches_single_regime_solves():
-    spec = benchmarks.three_regime_decoupled(steps=200)
+    spec = three_regime_decoupled(steps=200)
     joint = solve_riccati_direct(spec)
     for i in range(3):
-        single = solve_riccati_direct(benchmarks.single_regime_of(spec, i))
+        single = solve_riccati_direct(single_regime_of(spec, i))
         assert np.abs(joint.P[:, i] - single.P[:, 0]).max() <= 1e-10
 
 
 def test_direct_terminal_and_symmetry():
-    spec = benchmarks.two_regime_standard(steps=64)
+    spec = bundled("standard", 64)
     sol = solve_riccati_direct(spec)
     assert np.array_equal(sol.P[-1], spec.G)
     assert np.array_equal(sol.P, np.swapaxes(sol.P, -1, -2))
@@ -313,9 +318,9 @@ def test_direct_rk4_order_on_oracle():
     # the sup-norm error by about 2^4 (observed order 4)
     errs = []
     for steps in (10, 20, 40, 80):
-        spec = benchmarks.scalar_benchmark(steps=steps)
+        spec = bundled("scalar", steps)
         sol = solve_riccati_direct(spec)
-        want = benchmarks.scalar_benchmark_solution(spec.grid.nodes())
+        want = scalar_benchmark_solution(spec.grid.nodes())
         errs.append(np.abs(sol.P[:, 0, 0, 0] - want).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all((orders >= 3.7) & (orders <= 4.3)), orders
@@ -335,7 +340,7 @@ def test_offset_and_value_integral_rk4_order(solver, steps, ref_steps):
     # eta and w are blocks of the augmented Riccati solution, so they
     # converge at the sweep's order 4, against a fine-grid reference at t0
     def at_t0(n):
-        spec = benchmarks.two_regime_inhomogeneous(steps=n)
+        spec = bundled("two_regime", n)
         aff = solve_eta(spec, solver(spec))
         return aff.eta[0], aff.value_integral[0]
 
@@ -395,7 +400,7 @@ def test_stacked_slices_match_their_one_slice_runs():
     # does, an entry beyond 1e12 its cause.  A slice from 1e200 overflows
     # in its first stage (P^2 = 1e400) and fails at the node below its
     # top, its state non-finite
-    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=1000).augmented())
+    run, top = _riccati_stack_runner(bundled("blowup", 1000).augmented())
     tops = [top(0.5), top(0.5), top(4.0), top(1e200)]
     spans = [(0, 1000), (300, 370), (0, 1000), (200, 640)]
     path, failed = run(tops, spans)
@@ -409,7 +414,7 @@ def test_stacked_slices_match_their_one_slice_runs():
         assert np.array_equal(path[1000 - (hi - lo):, p], own[:, 0])
     # m = 2: from 1e308 a stage's R_hat overflows; the eigensolver then
     # runs on the finite slice's matrices alone, which keep their bits
-    run, top = _riccati_stack_runner(benchmarks.dead_channel(steps=200).augmented())
+    run, top = _riccati_stack_runner(bundled("dead_channel", 200).augmented())
     path, failed = run([top(0.5), top(1e308)], [(0, 200), (0, 200)])
     assert failed == {1: (199, True)}
     assert np.array_equal(path[:, 0], run([top(0.5)], [(0, 200)])[0][:, 0])
@@ -434,7 +439,7 @@ def test_stack_property_slices_are_their_one_slice_runs(stack, block):
     # run, bit for bit over its span, and each failed one fails at the
     # node and for the cause its own run names
     steps, gs, spans = stack
-    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=steps).augmented())
+    run, top = _riccati_stack_runner(bundled("blowup", steps).augmented())
     tops = [top(g) for g in gs]
     with mock.patch.object(riccati, "_BLOCK_STEPS", block):
         path, failed = run(tops, spans)
@@ -452,7 +457,7 @@ def test_stack_ignores_an_escape_below_a_span():
     # a slice from 4.0 over nodes 800..1000 runs on below node 800 beside
     # a full-span slice and escapes there, near node 749; outside its span
     # that is no failure, and the full-span slice is its own run
-    run, top = _riccati_stack_runner(benchmarks.scalar_blowup(steps=1000).augmented())
+    run, top = _riccati_stack_runner(bundled("blowup", 1000).augmented())
     path, failed = run([top(0.5), top(4.0)], [(0, 1000), (800, 1000)])
     assert not failed
     assert not np.abs(path[:800, 1]).max() <= riccati.BLOWUP_LIMIT
@@ -463,7 +468,7 @@ def test_stacked_lyapunov_slices_match_their_one_law_calls():
     # the optimal law on the augmented problem, a constant shift of it and
     # a node- and regime-varying law: each slice of the stacked solve is
     # its one-law solve, bit for bit
-    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=150))
+    spec = _time_varying(bundled("two_regime", 150))
     aug, theta_bar = spec.augmented(), solve_riccati_direct(spec).Theta_bar
     rng = np.random.default_rng(3)
     laws = np.stack([theta_bar, theta_bar + 0.4,
@@ -477,7 +482,7 @@ def test_stacked_lyapunov_slices_match_their_one_law_calls():
 def test_stacked_lyapunov_names_the_diverging_law(monkeypatch):
     # the gain 50 makes P escape 1e12 within the horizon; the stack
     # raises at the node the one-law solve names, whatever the chunks
-    spec = benchmarks.scalar_benchmark(steps=1000)
+    spec = bundled("scalar", 1000)
     gains = np.stack([np.zeros((1001, 1, 1, 1)), np.full((1001, 1, 1, 1), 50.0)])
     for block in (1, 7, BLOCK, 250, 251):
         monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
@@ -502,7 +507,7 @@ def _paths_by_block_size(monkeypatch, spec, block):
 
 @pytest.mark.parametrize("steps", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_block_size_does_not_change_paths(monkeypatch, steps):
-    spec = _time_varying(benchmarks.two_regime_inhomogeneous(steps=steps))
+    spec = _time_varying(bundled("two_regime", steps))
     blocked = _paths_by_block_size(monkeypatch, spec, BLOCK)
     single = _paths_by_block_size(monkeypatch, spec, 1)
     for got, want in zip(single, blocked):
@@ -515,13 +520,13 @@ def test_block_size_does_not_change_paths(monkeypatch, steps):
 def test_blowup_node_independent_of_block_size(monkeypatch, block):
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
     with pytest.raises(DivergenceError) as err:
-        solve_riccati_direct(benchmarks.scalar_blowup(steps=1000, g_term=4.0))
+        solve_riccati_direct(bundled("blowup", 1000))
     assert err.value.node == 749
 
 
 def test_lyapunov_tables_stay_blocked():
     # tables over all N steps at once would hold several copies of the path
-    spec = benchmarks.two_regime_standard(steps=20000)
+    spec = bundled("standard", 20000)
     tracemalloc.start()
     try:
         p = solve_lyapunov(spec)
@@ -532,7 +537,7 @@ def test_lyapunov_tables_stay_blocked():
 
 
 def test_direct_blowup_reports_first_bad_node():
-    spec = benchmarks.scalar_blowup(steps=1000, g_term=4.0)
+    spec = bundled("blowup", 1000)
     with pytest.raises(DivergenceError) as err:
         solve_riccati_direct(spec)
     # escape is 1/G back from the horizon: t* = 1 - 0.25
@@ -540,7 +545,7 @@ def test_direct_blowup_reports_first_bad_node():
 
 
 def test_direct_indefinite_classification():
-    sol = solve_riccati_direct(benchmarks.negative_r(steps=50))
+    sol = solve_riccati_direct(bundled("negative_r", 50))
     assert sol.classification.kind == "not_regular"
     assert "indefinite" in sol.classification.reason
     # regimes are labelled from 1, as in the problem file and the CLI
@@ -553,8 +558,8 @@ def test_dead_channel_is_regular_and_dead_offset_is_not():
     # with S_hat inside its range: P is regular; a linear cost on the
     # dead control puts rho_hat outside that range, which leaves no
     # closed-loop optimal law
-    channel = solve_riccati_direct(benchmarks.dead_channel(steps=60))
-    offset = solve_riccati_direct(benchmarks.dead_offset(steps=60))
+    channel = solve_riccati_direct(bundled("dead_channel", 60))
+    offset = solve_riccati_direct(bundled("dead_offset", 60))
     assert str(channel.classification) == "regular"
     assert channel.classification.is_regular
     assert channel.min_eig_R_hat.min() == 0.0
@@ -567,7 +572,7 @@ def test_dead_channel_is_regular_and_dead_offset_is_not():
     # the offset data reaches neither P nor its gain
     assert np.array_equal(offset.P, channel.P)
     assert np.array_equal(offset.Theta, channel.Theta)
-    for spec in (benchmarks.dead_channel(steps=60), benchmarks.dead_offset(steps=60)):
+    for spec in (bundled("dead_channel", 60), bundled("dead_offset", 60)):
         with pytest.raises(NotStronglyRegularError):
             iterate_strongly_regular(spec)
 
@@ -583,7 +588,7 @@ def _reclassify(sol, s_bar=None, r_hat=None):
 
 
 def test_offset_range_failure_on_strongly_regular_solution_is_not_regular():
-    sol = solve_riccati_direct(benchmarks.two_regime_inhomogeneous(steps=50))
+    sol = solve_riccati_direct(bundled("two_regime", 50))
     assert sol.classification.kind == "strongly_regular"
     # a zero R_hat has the zero pseudo-inverse, so rho_hat leaves its
     # range; strong regularity skips the S_hat test, not the offset test
@@ -593,7 +598,7 @@ def test_offset_range_failure_on_strongly_regular_solution_is_not_regular():
 
 
 def test_range_failures_name_the_column_that_fails():
-    sol = solve_riccati_direct(benchmarks.dead_offset(steps=40))
+    sol = solve_riccati_direct(bundled("dead_offset", 40))
     s_bar = sol.S_bar.copy()
     s_bar[7, 1, 1, 0] = 0.25  # the dead control's S_hat entry in regime 2
     cls = _reclassify(sol, s_bar=s_bar)
@@ -609,23 +614,23 @@ def test_range_failures_name_the_column_that_fails():
 def test_solvers_reject_bad_strong_tol(solver, strong_tol):
     # at or below zero an indefinite problem would certify as strongly regular
     with pytest.raises(InvalidInputError, match="strong_tol"):
-        solver(benchmarks.negative_r(steps=50), strong_tol=strong_tol)
+        solver(bundled("negative_r", 50), strong_tol=strong_tol)
 
 
 @pytest.mark.parametrize("solver", [solve_riccati_direct, iterate_strongly_regular])
 @pytest.mark.parametrize("pinv_tol", [0.0, 1.0, -1e-12, np.nan])
 def test_solvers_reject_bad_pinv_tol(solver, pinv_tol):
     with pytest.raises(InvalidInputError, match="pinv_tol"):
-        solver(benchmarks.scalar_benchmark(steps=8), pinv_tol=pinv_tol)
+        solver(bundled("scalar", 8), pinv_tol=pinv_tol)
 
 
 # --------------------------------------------------------- iteration
 
 
 def test_iteration_scalar_matches_analytic():
-    spec = benchmarks.scalar_benchmark(steps=500)
+    spec = bundled("scalar", 500)
     sol = iterate_strongly_regular(spec, max_iter=30, conv_tol=1e-10)
-    want = benchmarks.scalar_benchmark_solution(spec.grid.nodes())
+    want = scalar_benchmark_solution(spec.grid.nodes())
     assert np.abs(sol.P[:, 0, 0, 0] - want).max() <= 1e-8
     deltas = sol.iteration_trace
     assert all(d1 > d2 for d1, d2 in zip(deltas, deltas[1:]))
@@ -634,7 +639,7 @@ def test_iteration_scalar_matches_analytic():
 
 
 def test_iteration_fixed_point_without_gain_channels():
-    spec = benchmarks.two_regime_standard(steps=32)
+    spec = bundled("standard", 32)
     spec = dataclasses.replace(
         spec,
         B=np.zeros_like(spec.B),
@@ -647,7 +652,7 @@ def test_iteration_fixed_point_without_gain_channels():
 
 
 def test_iteration_agrees_with_direct_on_standard_conditions():
-    spec = benchmarks.two_regime_standard(steps=300)
+    spec = bundled("standard", 300)
     direct = solve_riccati_direct(spec)
     iterated = iterate_strongly_regular(spec, max_iter=30, conv_tol=1e-9)
     assert np.abs(direct.P - iterated.P).max() <= 10 * 1e-9
@@ -655,7 +660,7 @@ def test_iteration_agrees_with_direct_on_standard_conditions():
 
 
 def test_iteration_monotone_decrease():
-    spec = benchmarks.two_regime_standard(steps=120)
+    spec = bundled("standard", 120)
     _, _, iterates = iterate_one_by_one(spec, 50, 1e-10)
     for p_prev, p_next in zip(iterates, iterates[1:]):
         diff = p_prev - p_next
@@ -665,17 +670,16 @@ def test_iteration_monotone_decrease():
 
 def test_iteration_rejects_nonconvex():
     with pytest.raises(NotStronglyRegularError):
-        iterate_strongly_regular(benchmarks.negative_r(steps=50))
+        iterate_strongly_regular(bundled("negative_r", 50))
 
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 @pytest.mark.parametrize("name, eigh_runs", [("scalar", False), ("dead_channel", True)])
 def test_scalar_control_solve_runs_no_eigensolver(name, eigh_runs):
     # a scalar control's R_hat is 1 x 1: its pseudo-inverse, in the RK4
     # stages and at the nodes, is taken in closed form; m = 2 still runs eigh
-    spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
+    spec = bundled(name)
     assert (spec.m == 1) != eigh_runs
     with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
         solve_riccati_direct(spec)
@@ -689,12 +693,12 @@ def test_scalar_control_solve_runs_no_eigensolver(name, eigh_runs):
 )
 def test_iteration_rejects_bad_arguments(arg, value):
     with pytest.raises(InvalidInputError, match=arg):
-        iterate_strongly_regular(benchmarks.scalar_benchmark(steps=8), **{arg: value})
+        iterate_strongly_regular(bundled("scalar", 8), **{arg: value})
 
 
 @pytest.mark.parametrize("name", ["negative_r", "blowup"])
 def test_iteration_rejects_bundled_nonconvex_at_first_iterate(name):
-    spec, _ = parse_problem(PROBLEMS / f"{name}.yaml")
+    spec = bundled(name)
     with pytest.raises(NotStronglyRegularError) as err:
         iterate_strongly_regular(spec)
     *_, min_eig = riccati._derived_tables(spec, solve_lyapunov(spec), DEFAULT_PINV_TOL)
@@ -797,7 +801,7 @@ def test_iteration_starts_only_the_sweeps_it_needs(monkeypatch, max_iter):
     # iterations take 25 + iterations waves
     made, waves = _counted_sweeps(monkeypatch)
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", 8)
-    spec = benchmarks.scalar_benchmark(steps=200)
+    spec = bundled("scalar", 200)
     try:
         iterations = len(iterate_strongly_regular(spec, max_iter=max_iter).iteration_trace)
     except NonConvergenceError as exc:
@@ -892,7 +896,7 @@ def test_iteration_result_equals_a_full_path_build(monkeypatch, name, block, max
     # for a block that does not divide N = 500 too, and for a result at
     # max_iter (both problems converge in 5 solves)
     monkeypatch.setattr(riccati, "_BLOCK_STEPS", block)
-    spec = wide_spec(1) if name == "wide-1" else parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    spec = wide_spec(1) if name == "wide-1" else bundled(name)
     sol = iterate_strongly_regular(spec, max_iter=max_iter)
     assert len(sol.iteration_trace) == 5
     want = riccati._build_solution(
@@ -907,7 +911,7 @@ def test_iteration_takes_no_gains_no_sweep_reads(monkeypatch):
     # delta is below conv_tol, and none once it cannot be the result;
     # every earlier sweep takes gains on every block, for the next to read
     made, _ = _counted_sweeps(monkeypatch)
-    spec = parse_problem(PROBLEMS / "standard.yaml")[0]
+    spec = bundled("standard")
     with pytest.raises(NonConvergenceError):
         iterate_strongly_regular(spec, max_iter=4)
     n_blocks = len(riccati._blocks(spec.grid.steps))
@@ -935,7 +939,7 @@ def test_solution_is_symmetric_bit_for_bit(name, route):
     if name.startswith("wide"):
         spec = wide_spec(int(name[5:]))
     else:
-        spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
+        spec = bundled(name)
     solve = solve_riccati_direct if route == "direct" else iterate_strongly_regular
     _assert_bitwise_symmetric(solve(spec).P_bar)
 

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regimelq import benchmarks, sim
+from regimelq import sim
 from regimelq.affine import solve_eta, value_function
 from regimelq.matcore import InvalidInputError
 from regimelq.model import _RUNNING_FIELDS, Generator, TimeGrid
-from regimelq.problemfile import parse_problem
 from regimelq.riccati import (
     BLOWUP_LIMIT, DivergenceError, solve_lyapunov, solve_riccati_direct,
 )
@@ -32,7 +30,7 @@ from regimelq.sim import (
 )
 from regimelq.verify import N_PERTURBATIONS, certify
 
-from reference import cell_transitions_loop, evaluate_cost
+from reference import PROBLEMS, bundled, cell_transitions_loop, evaluate_cost, state_blowup
 
 
 def _solved(spec):
@@ -275,7 +273,7 @@ def _kept(spec, law, x0, seed, keep=1):
 
 
 def test_state_all_zero_coefficients():
-    spec = benchmarks.scalar_benchmark(steps=16)
+    spec = bundled("scalar", 16)
     spec = dataclasses.replace(spec, B=np.zeros_like(spec.B))
     zeroed = dataclasses.replace(
         spec, A=np.zeros_like(spec.A), C=np.zeros_like(spec.C)
@@ -285,7 +283,7 @@ def test_state_all_zero_coefficients():
 
 
 def test_state_constant_drift_exact():
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     spec = dataclasses.replace(spec, b=np.ones_like(spec.b))
     kept = _kept(spec, _open_loop_table(spec, np.zeros((21, 1))), [0.0], 0)
     assert np.abs(kept.X[0, :, 0] - spec.grid.nodes()).max() < 1e-14
@@ -294,7 +292,7 @@ def test_state_constant_drift_exact():
 def test_state_linear_drift_euler_error():
     a = 0.8
     steps = 500
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     spec = dataclasses.replace(spec, A=np.full_like(spec.A, a))
     kept = _kept(spec, _open_loop_table(spec, np.zeros((steps + 1, 1))), [1.0], 0)
     want = np.exp(a)
@@ -303,7 +301,7 @@ def test_state_linear_drift_euler_error():
 
 
 def test_state_reproducible_given_seed():
-    spec = benchmarks.two_regime_inhomogeneous(steps=50)
+    spec = bundled("two_regime", 50)
     law = _open_loop_table(spec, np.full((51, 1), 0.3))
     p1 = _kept(spec, law, [1.0], 8, keep=3)
     p2 = _kept(spec, law, [1.0], 8, keep=3)
@@ -316,7 +314,7 @@ def test_state_reproducible_given_seed():
 
 
 def test_closed_loop_zero_feedback_matches_uncontrolled():
-    spec = benchmarks.two_regime_standard(steps=60)
+    spec = bundled("standard", 60)
     spec = dataclasses.replace(
         spec,
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
@@ -332,7 +330,7 @@ def test_closed_loop_zero_feedback_matches_uncontrolled():
 
 
 def test_closed_loop_zero_initial_state_homogeneous():
-    spec = benchmarks.two_regime_standard(steps=40)
+    spec = bundled("standard", 40)
     ric, _ = _solved(spec)
     spec_nonoise = dataclasses.replace(spec, sigma=np.zeros_like(spec.sigma))
     kept = _kept(spec_nonoise, ric.Theta_bar, np.zeros(2), 4, keep=2)
@@ -341,7 +339,7 @@ def test_closed_loop_zero_initial_state_homogeneous():
 
 
 def test_closed_loop_scalar_monotone_decay():
-    spec = benchmarks.scalar_benchmark(steps=200)
+    spec = bundled("scalar", 200)
     ric, _ = _solved(spec)
     kept = _kept(spec, ric.Theta_bar, [1.0], 0)
     assert np.all(np.diff(kept.X[0, :, 0]) < 0)
@@ -360,7 +358,7 @@ def _flat_path(spec, x_terminal, u_const):
 
 
 def test_cost_zero_weights():
-    spec = benchmarks.scalar_benchmark(steps=10)
+    spec = bundled("scalar", 10)
     spec = dataclasses.replace(
         spec, G=np.zeros_like(spec.G), R=np.zeros_like(spec.R)
     )
@@ -368,13 +366,13 @@ def test_cost_zero_weights():
 
 
 def test_cost_terminal_only():
-    spec = benchmarks.scalar_benchmark(steps=10)
+    spec = bundled("scalar", 10)
     spec = dataclasses.replace(spec, R=np.zeros_like(spec.R))
     assert evaluate_cost(spec, *_flat_path(spec, [3.0], [0.0])) == pytest.approx(9.0)
 
 
 def test_cost_running_control_energy():
-    spec = benchmarks.scalar_benchmark(steps=10)
+    spec = bundled("scalar", 10)
     spec = dataclasses.replace(spec, G=np.zeros_like(spec.G))
     assert evaluate_cost(spec, *_flat_path(spec, [0.0], [1.0])) == pytest.approx(1.0)
 
@@ -383,7 +381,7 @@ def test_cost_running_control_energy():
 
 
 def test_mc_value_zero_weight_problem():
-    spec = benchmarks.two_regime_standard(steps=30)
+    spec = bundled("standard", 30)
     spec = dataclasses.replace(
         spec,
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
@@ -395,7 +393,7 @@ def test_mc_value_zero_weight_problem():
 
 
 def test_mc_value_deterministic_problem_zero_se():
-    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = bundled("scalar", 100)
     ric, _ = _solved(spec)
     est = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 64, 12, keep=1)
     kept = est.kept
@@ -405,14 +403,14 @@ def test_mc_value_deterministic_problem_zero_se():
 
 
 def test_mc_value_scalar_oracle():
-    spec = benchmarks.scalar_benchmark(steps=500)
+    spec = bundled("scalar", 500)
     ric, _ = _solved(spec)
     est = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 10000, 31)
     assert abs(est.mean - 0.5) <= 3.0 * est.std_error + 5.0 * spec.grid.h
 
 
 def test_mc_value_reproducible():
-    spec = benchmarks.two_regime_inhomogeneous(steps=60)
+    spec = bundled("two_regime", 60)
     ric, _ = _solved(spec)
     e1 = mc_value(spec, ric.Theta_bar, 0.0, 1, np.array([0.4]), 3000, 77)
     e2 = mc_value(spec, ric.Theta_bar, 0.0, 1, np.array([0.4]), 3000, 77)
@@ -420,7 +418,7 @@ def test_mc_value_reproducible():
 
 
 def test_mc_value_threads_match_serial():
-    spec = benchmarks.two_regime_inhomogeneous(steps=40)
+    spec = bundled("two_regime", 40)
     ric, _ = _solved(spec)
     serial = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 9000, 5, threads=1)
     pooled = mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 9000, 5, threads=4)
@@ -429,7 +427,7 @@ def test_mc_value_threads_match_serial():
 
 @pytest.mark.parametrize("n_paths", [0, -1])
 def test_mc_value_rejects_fewer_than_one_path(n_paths):
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     ric, _ = _solved(spec)
     with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
         mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), n_paths, 0)
@@ -437,14 +435,14 @@ def test_mc_value_rejects_fewer_than_one_path(n_paths):
 
 @pytest.mark.parametrize("keep", [-1, 9])
 def test_mc_value_keeps_only_its_own_paths(keep):
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     ric, _ = _solved(spec)
     with pytest.raises(ValueError, match=f"keep must lie in 0..8, got {keep}"):
         mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 8, 0, keep=keep)
 
 
 def test_mc_value_raises_on_exploding_state():
-    spec = benchmarks.state_blowup()
+    spec = state_blowup()
     ric, _ = _solved(spec)
     with pytest.raises(DivergenceError, match="diverged at node"):
         mc_value(spec, ric.Theta_bar, 0.0, 0, np.array([1.0]), 8, 0)
@@ -452,7 +450,6 @@ def test_mc_value_raises_on_exploding_state():
 
 # ------------------------------------------------ fused loop vs path form
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def _tail(spec, k0):
@@ -480,7 +477,7 @@ def _reference_states(spec, alpha, law, x0, dw, k0):
 @pytest.mark.parametrize("problem", ["standard", "two_regime"])
 @pytest.mark.parametrize("closed_loop", [True, False])
 def test_fused_loop_cost_matches_path_form(problem, closed_loop):
-    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    spec = bundled(problem)
     n_steps = spec.grid.steps
     if closed_loop:
         law = _solved(spec)[0].Theta_bar
@@ -518,7 +515,7 @@ def test_kept_paths_carry_their_own_cost(problem):
     # samples the mean averages, and it meets the cost of its own regimes,
     # states and controls read from the spec's fields; from a t0 inside
     # the grid the kept paths start at its node
-    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    spec = bundled(problem)
     law = _solved(spec)[0].Theta_bar
     x0, n_paths = np.linspace(0.8, -0.6, spec.n), 5
     for k0 in (0, spec.grid.steps // 3):
@@ -555,7 +552,7 @@ def _three_laws(spec, closed_loop):
 def test_stacked_laws_match_one_law_calls(problem, closed_loop):
     # the exact expectation prices each law of stacked tables as a
     # one-law call would; only the Euler loop is limited to one law
-    spec, _ = parse_problem(PROBLEMS / f"{problem}.yaml")
+    spec = bundled(problem)
     n_steps = spec.grid.steps
     laws = _three_laws(spec, closed_loop)
     stacked = _closed_loop_tables(spec, laws)
@@ -577,7 +574,7 @@ def test_closed_loop_tables_stay_blocked():
     # the closed-loop coefficients of every node at once, or a per-node
     # [x, u, 1] map beside the tables, would hold more than one further
     # copy of the tables; node chunks hold one chunk's coefficients
-    spec = benchmarks.two_regime_inhomogeneous(steps=20000)
+    spec = bundled("two_regime", 20000)
     rng = np.random.default_rng(5)
     law = rng.normal(size=(spec.grid.steps + 1, spec.n_regimes, spec.m, spec.n + 1))
     tracemalloc.start()
@@ -593,7 +590,7 @@ def test_value_consistency_matches_one_law_per_call():
     # every perturbation row's statistic is -lambda_min of the gap of the
     # one-law Lyapunov solutions of its law and the optimal one on the
     # augmented problem, over the nodes below N and every regime
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    spec = bundled("two_regime")
     ric, _ = _solved(spec)
     x0, seed, i0 = np.full(spec.n, 0.9), 23, 1
     report = certify(spec, ric, 0.0, i0, x0, 150, seed, 2)
@@ -617,7 +614,7 @@ def test_value_consistency_matches_one_law_per_call():
 
 def test_a_law_of_the_wrong_shape_is_rejected():
     # the gain-only Theta lacks the offset column of Theta_bar = [Theta | v]
-    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    spec = bundled("standard")
     ric, _ = _solved(spec)
     want = r"\(501, 2, 1, 3\)"
     for law in (ric.Theta, ric.Theta_bar[:-1], ric.Theta_bar[None, None], ric.Theta_bar[:0]):
@@ -639,7 +636,7 @@ def _zero_law_tables(spec):
 
 
 def test_feynman_kac_identity_case():
-    spec = benchmarks.two_regime_standard(steps=20)
+    spec = bundled("standard", 20)
     spec = dataclasses.replace(
         spec,
         A=np.zeros_like(spec.A), C=np.zeros_like(spec.C),
@@ -666,7 +663,7 @@ def test_cell_transitions_match_the_forward_loop(source):
         rates = rng.uniform(0.0, 3.0, (31, 3, 3)) * (1.0 - np.eye(3))
         gen = Generator(rates - rates.sum(axis=-1)[..., None] * np.eye(3))
     else:
-        spec, _ = parse_problem(PROBLEMS / f"{source}.yaml")
+        spec = bundled(source)
         gen, grid = spec.gen, spec.grid
     want, n_sub = cell_transitions_loop(gen, grid)
     got = _cell_transitions(gen, grid)
@@ -679,7 +676,7 @@ def test_cell_transitions_match_the_forward_loop(source):
 def test_feynman_kac_scalar_exponential():
     a = 0.4
     steps = 400
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     spec = dataclasses.replace(
         spec, A=np.full_like(spec.A, a), Q=np.zeros_like(spec.Q)
     )
@@ -691,7 +688,7 @@ def test_feynman_kac_scalar_exponential():
 
 
 def _varying_fk_spec(steps=60):
-    spec = benchmarks.two_regime_standard(steps=steps)
+    spec = bundled("standard", steps)
     ramp = spec.grid.nodes()[:, None, None, None]
     q_mat = np.array([[-1.0, 1.0], [2.0, -2.0]])
     return dataclasses.replace(
@@ -808,7 +805,7 @@ def _reference_costs(spec, law, alpha, dw, x0, k0):
 
 def _exact_test_spec(steps, noise=True):
     """Two regimes with asymmetric, time-varying rates and a full law."""
-    spec = benchmarks.two_regime_inhomogeneous(steps=steps)
+    spec = bundled("two_regime", steps)
     ramp = spec.grid.nodes()[:, None, None, None]
     q_mat = np.array([[-3.0, 3.0], [0.7, -0.7]])
     spec = dataclasses.replace(
@@ -844,7 +841,7 @@ def test_expected_values_match_regime_sequence_enumeration():
 def test_expected_values_match_closed_form_second_moment():
     # one regime, dx = a x dt + c x dW: E x_(k+1)^2 = ((1 + ha)^2 + hc^2) E x_k^2
     a, c, q, g, steps = 0.7, 0.9, 1.6, 2.5, 50
-    spec = benchmarks.scalar_benchmark(steps=steps)
+    spec = bundled("scalar", steps)
     spec = dataclasses.replace(spec, A=np.full_like(spec.A, a), C=np.full_like(spec.C, c),
                                Q=np.full_like(spec.Q, q), G=np.full_like(spec.G, g))
     h = spec.grid.h
@@ -881,7 +878,7 @@ def test_expected_values_match_monte_carlo(k0):
 
 
 def test_expected_values_name_the_node_where_they_overflow():
-    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = bundled("scalar", 100)
     spec = dataclasses.replace(spec, A=np.full_like(spec.A, 1e4))
     with pytest.raises(DivergenceError) as err:
         _expected_values(_zero_law_tables(spec), _cell_transitions(spec.gen, spec.grid))
@@ -893,7 +890,7 @@ def test_expected_values_name_the_node_where_they_overflow():
 def test_policy_divergence_names_its_cause(x0, non_finite):
     # the first step multiplies x0 by 1 + hA = 1e304: from 1 an entry
     # beyond 1e12, from 1e10 an overflow to inf
-    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = bundled("scalar", 100)
     spec = dataclasses.replace(spec, A=np.full_like(spec.A, 1e306))
     alpha, dw = np.zeros((2, 101), dtype=int), np.zeros((2, 100))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
@@ -987,7 +984,7 @@ def _in_tiles(n_rows, tile, run):
 def test_tiled_policy_product_matches_untiled(tile, n_paths):
     # a tile's rows run alone give the bits they have in the whole batch;
     # 10 and 11 paths leave a partial last tile or a lone row
-    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    spec = bundled("standard")
     n_steps = spec.grid.steps
     tables = _closed_loop_tables(spec, _three_laws(spec, closed_loop=True)[0])
     x0 = np.linspace(0.8, -0.6, spec.n)
@@ -1008,7 +1005,7 @@ def test_tiled_policy_product_matches_untiled(tile, n_paths):
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
 @pytest.mark.parametrize(
-    "spec", [_varying_fk_spec(), benchmarks.two_regime_inhomogeneous(steps=60)],
+    "spec", [_varying_fk_spec(), bundled("two_regime", 60)],
     ids=["n2", "n1"])
 def test_tiled_fundamental_product_matches_untiled(tile, spec):
     # n rows per path (one per basis vector), on time-varying tables
@@ -1051,7 +1048,7 @@ def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
     tile, batch = 3, 8
     monkeypatch.setattr(sim, "TILE_ROWS", tile)
     monkeypatch.setattr(sim, "BATCH_PATHS", batch)
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    spec = bundled("two_regime")
     tables = _closed_loop_tables(spec, _solved(spec)[0].Theta_bar)
     x0, n_steps = np.linspace(0.8, -0.6, spec.n), spec.grid.steps
     for n_paths in (1, 2, tile, tile + 1, 2 * tile + 1, batch + 3):
@@ -1070,7 +1067,7 @@ def test_path_costs_tiles_draw_the_batch_stream(monkeypatch, threads):
 def test_keeping_paths_leaves_every_cost_as_it_is():
     # 4097 kept paths of 4100 end one row into the second batch, whose
     # one tile of 4 rows holds kept and dropped rows
-    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    spec = bundled("standard")
     law = _solved(spec)[0].Theta_bar
     tables, x0, n_paths, keep = _closed_loop_tables(spec, law), np.array([1.0, -1.0]), 4100, 4097
     assert keep > sim.BATCH_PATHS and keep % sim.TILE_ROWS
@@ -1094,7 +1091,7 @@ def test_path_costs_raise_the_earliest_diverging_node(monkeypatch):
     # steps after it first enters regime 1, so tiles diverge at different
     # nodes, and the batch names the earliest, not its first tile's
     monkeypatch.setattr(sim, "TILE_ROWS", 2)
-    base = benchmarks.two_regime_inhomogeneous(steps=100)
+    base = bundled("two_regime", 100)
     growth = np.where(np.arange(2) == 1, 300.0, 0.0)[None, :, None, None]
     spec = dataclasses.replace(base, A=np.broadcast_to(growth, base.A.shape).copy(),
                                C=np.zeros_like(base.C), b=np.zeros_like(base.b),
@@ -1125,7 +1122,7 @@ def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
     # one BATCH_PATHS batch on standard.yaml peaks near 5 MiB: 2 MiB of
     # one-byte regimes and 2 MiB of one tile's increments; int64 regimes
     # and a whole batch of increments would take 32 MiB
-    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    spec = bundled("standard")
     ric, _ = _solved(spec)
     tracemalloc.start()
     try:
@@ -1139,12 +1136,12 @@ def test_one_batch_holds_one_byte_regimes_and_one_tile_of_increments():
 def test_euler_weak_error_scaling():
     # first-order weak convergence: halving h roughly halves the bias
     x0 = np.array([0.7])
-    ref = benchmarks.two_regime_inhomogeneous(steps=3200)
+    ref = bundled("two_regime", 3200)
     ric_ref, aff_ref = _solved(ref)
     v_ref = value_function(ric_ref, aff_ref, 0.0, 0, x0)
     biases = []
     for steps in (25, 50):
-        spec = benchmarks.two_regime_inhomogeneous(steps=steps)
+        spec = bundled("two_regime", steps)
         ric, _ = _solved(spec)
         est = mc_value(spec, ric.Theta_bar, 0.0, 0, x0, 200000, 314)
         biases.append(est.mean - v_ref)
@@ -1166,7 +1163,7 @@ def test_path_costs_hold_one_tile_of_increments(monkeypatch, diverging):
         return out
 
     monkeypatch.setattr(sim, "brownian_increments", tracked)
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    spec = bundled("two_regime")
     if diverging:
         spec = dataclasses.replace(spec, A=np.full(spec.A.shape, 300.0))
         with pytest.raises(DivergenceError):

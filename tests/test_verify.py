@@ -3,16 +3,14 @@
 import collections
 import dataclasses
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regimelq import benchmarks, riccati, sim, verify
+from regimelq import riccati, sim, verify
 from regimelq.affine import feedback_at, solve_eta, value_function
 from regimelq.cli import main
 from regimelq.model import _RUNNING_FIELDS, Generator, ProblemSpec
-from regimelq.problemfile import parse_problem
 from regimelq.riccati import solve_riccati_direct
 from regimelq.sim import (
     _cell_transitions,
@@ -31,14 +29,16 @@ from regimelq.verify import (
 )
 
 from reference import (
+    PROBLEMS,
+    bundled,
     certify_one_law_per_call,
     evaluate_cost,
     pointwise_rows,
     quadratic_expansion,
     stationarity_residual,
+    state_decoupled,
 )
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def _solved(spec):
@@ -71,7 +71,7 @@ def _rows(report, prefix):
 
 
 def test_stationarity_vanishes_on_closed_loop_path():
-    spec = benchmarks.two_regime_inhomogeneous(steps=100)
+    spec = bundled("two_regime", 100)
     ric, aff = _solved(spec)
     alpha, x, u = _one_path(spec, ric.Theta_bar, [1.0], 2)
     res = stationarity_residual(spec, ric, aff, alpha, x, u)
@@ -80,7 +80,7 @@ def test_stationarity_vanishes_on_closed_loop_path():
 
 
 def test_stationarity_detects_off_optimal_gain():
-    spec = benchmarks.scalar_benchmark(steps=100)
+    spec = bundled("scalar", 100)
     ric, _ = _solved(spec)
     assert _stationarity_row(ric, 0).all_passed
     for nodes in (slice(None), 0, -1):  # every node, the first and the last alone
@@ -99,9 +99,9 @@ def test_path_residual_is_the_law_residual_at_the_path_state(which, shift):
     # stationarity row bounds at every node and regime; shift 0.1 moves the
     # gain and the offset off the optimal law
     if which == "dead_channel":
-        spec, _ = parse_problem(PROBLEMS / "dead_channel.yaml")
+        spec = bundled("dead_channel")
     else:
-        spec = benchmarks.two_regime_inhomogeneous(steps=200)
+        spec = bundled("two_regime", 200)
     ric, aff = _solved(spec)
     ric = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + shift)
     aff = dataclasses.replace(aff, v_star=ric.Theta_bar[..., -1])
@@ -132,7 +132,7 @@ def _assert_exact_quadratic(fit):
 
 
 def test_frechet_zero_direction():
-    spec = benchmarks.two_regime_standard(steps=40)
+    spec = bundled("standard", 40)
     u = np.zeros((41, 1))
     fit = quadratic_expansion(spec, 0, 0, np.array([1.0, 0.0]), u, np.zeros((41, 1)), (0.1, 0.2))
     assert abs(fit["c1"]) <= 1e-9
@@ -141,7 +141,7 @@ def test_frechet_zero_direction():
 
 
 def test_frechet_deterministic_exact_quadratic():
-    spec = benchmarks.state_decoupled(steps=200)
+    spec = state_decoupled(steps=200)
     rng = np.random.default_rng(21)
     u = rng.normal(size=(201, 1))
     v = rng.normal(size=(201, 1))
@@ -152,7 +152,7 @@ def test_frechet_deterministic_exact_quadratic():
 
 
 def test_frechet_linear_term_vanishes_at_feedback_optimum():
-    spec = benchmarks.state_decoupled(steps=300)
+    spec = state_decoupled(steps=300)
     ric, _ = _solved(spec)
     _, _, u = _one_path(spec, ric.Theta_bar, [0.5], 0)
     v = np.random.default_rng(10).normal(size=(301, 1))
@@ -162,7 +162,7 @@ def test_frechet_linear_term_vanishes_at_feedback_optimum():
 
 
 def test_frechet_quadratic_coefficient_stochastic():
-    spec = benchmarks.two_regime_inhomogeneous(steps=80)
+    spec = bundled("two_regime", 80)
     rng = np.random.default_rng(31)
     u = 0.3 * rng.normal(size=(81, 1))
     v = rng.normal(size=(81, 1))
@@ -173,7 +173,7 @@ def test_frechet_quadratic_coefficient_stochastic():
 
 
 def test_convexity_standard_conditions_positive():
-    report = convexity_probe(benchmarks.two_regime_standard(steps=80), 0.0, 15, 13)
+    report = convexity_probe(bundled("standard", 80), 0.0, 15, 13)
     check = report["convexity_nonnegative_ratios"]
     assert check.passed
     assert check.details["eps_hat"] > 0.0
@@ -181,7 +181,7 @@ def test_convexity_standard_conditions_positive():
 
 
 def test_convexity_flags_negative_control_weight():
-    report = convexity_probe(benchmarks.negative_r(steps=80), 0.0, 8, 14)
+    report = convexity_probe(bundled("negative_r", 80), 0.0, 8, 14)
     check = report["convexity_nonnegative_ratios"]
     assert not check.passed
     assert check.details["flagged_nonconvex"]
@@ -197,7 +197,7 @@ def test_convexity_flags_negative_control_weight():
     ],
 )
 def test_convexity_probe_rejects_empty_inputs(t0, n_controls, message):
-    spec = benchmarks.scalar_benchmark(steps=20)
+    spec = bundled("scalar", 20)
     with pytest.raises(ValueError, match=message):
         convexity_probe(spec, t0, n_controls, 3)
 
@@ -206,7 +206,7 @@ def test_convexity_probe_rejects_empty_inputs(t0, n_controls, message):
 def test_convexity_stacked_controls_match_per_control_runs(t0):
     # the probe runs its controls as the laws of one recursion; each law
     # must meet only its own blocks, from every regime
-    spec = benchmarks.two_regime_standard(steps=60)
+    spec = bundled("standard", 60)
     stacked = convexity_probe(spec, t0, 7, 21)["convexity_nonnegative_ratios"]
     hspec, k0 = spec.homogeneous(), spec.grid.node_index(t0)
     trans = _cell_transitions(spec.gen, spec.grid)
@@ -230,7 +230,7 @@ def test_homogeneous_cost_scales_quadratically_in_control():
         _sample_regime_paths,
     )
 
-    spec = benchmarks.two_regime_standard(steps=50).homogeneous()
+    spec = bundled("standard", 50).homogeneous()
     rng = np.random.default_rng(6)
     u = rng.normal(size=(51, 1))
     alpha = _sample_regime_paths(spec.gen, spec.grid, 0, 100, np.random.default_rng(7))
@@ -246,7 +246,7 @@ def test_homogeneous_cost_scales_quadratically_in_control():
 
 
 def test_value_consistency_zero_problem():
-    spec = benchmarks.two_regime_standard(steps=30)
+    spec = bundled("standard", 30)
     spec = dataclasses.replace(
         spec,
         G=np.zeros_like(spec.G), Q=np.zeros_like(spec.Q),
@@ -258,7 +258,7 @@ def test_value_consistency_zero_problem():
 
 
 def test_value_consistency_scalar_oracle():
-    spec = benchmarks.scalar_benchmark(steps=400)
+    spec = bundled("scalar", 400)
     report = _rows(_certified(spec, paths=2000, seed=16), "value_")
     assert report.all_passed
     assert report["value_mc_vs_function"].details["value_function"] == pytest.approx(
@@ -267,7 +267,7 @@ def test_value_consistency_scalar_oracle():
 
 
 def test_value_perturbed_gain_costs_more():
-    spec = benchmarks.scalar_benchmark(steps=200)
+    spec = bundled("scalar", 200)
     ric, _ = _solved(spec)
     law = ric.Theta_bar.copy()
     law[..., :-1] += 0.5  # the gain alone
@@ -279,7 +279,7 @@ def test_value_perturbed_gain_costs_more():
 
 
 def test_value_consistency_inhomogeneous_two_regime():
-    spec = benchmarks.two_regime_inhomogeneous(steps=200)
+    spec = bundled("two_regime", 200)
     report = _rows(_certified(spec, x0=np.array([0.7]), paths=4000, seed=17), "value_")
     assert report.all_passed
 
@@ -288,7 +288,7 @@ def test_value_perturbation_rows_catch_a_suboptimal_law():
     # the same seeded perturbations that the optimal law survives find a
     # cheaper law around a shifted one: gain and offset move together,
     # and every row prices the one shifted law
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    spec = bundled("two_regime")
     ric, _ = _solved(spec)
     rows = [f"value_no_improvement_perturbation_{p}" for p in range(1, 6)]
     x0, seed = np.ones(spec.n), 1
@@ -305,7 +305,7 @@ def test_value_perturbation_rows_pass_where_the_euler_gap_is_negative(tmp_path):
     # Euler scheme, for which the continuous-time optimal law is only O(h)
     # optimal; the rows read the continuous-time gap at every node and
     # regime, and pass at their rounding tolerances
-    spec, _ = parse_problem(PROBLEMS / "two_regime.yaml")
+    spec = bundled("two_regime")
     out = tmp_path / "out"
     main(["verify", "--problem", str(PROBLEMS / "two_regime.yaml"), "--paths", "500",
           "--seed", "249", "--threads", "1", "--out", str(out)])
@@ -330,7 +330,7 @@ def test_uniform_rows_pass_at_their_rounding_tolerances(which):
     # every row but the Monte-Carlo value reads every regime, so it passes
     # from every initial regime and state alike, and the no-improvement rows
     # hold at rounding tolerances far below any cost gap
-    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    spec = bundled(which)
     ric, _ = _solved(spec)
     for seed in range(1, 31, 5):
         reports = [
@@ -358,7 +358,7 @@ def test_every_uniform_row_fails_at_a_shifted_law(which):
     # is singular in regime 2, and a perturbation may then cost more at
     # every node the grid resolves (7 of 150 rows at seeds 1-30), so there
     # some row must fail
-    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    spec = bundled(which)
     ric, _ = _solved(spec)
     shifted = dataclasses.replace(ric, Theta_bar=ric.Theta_bar + 0.05)
     for seed in range(1, 31, 5):
@@ -374,7 +374,7 @@ def test_a_law_wrong_late_in_one_regime_fails_only_the_uniform_rows(which):
     # 10000 paths) every perturbation costs more and the Euler bias stays
     # within budget, but some state at a late node in regime 2 is cheaper
     # under each perturbation
-    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    spec = bundled(which)
     ric, _ = _solved(spec)
     law = ric.Theta_bar.copy()
     law[spec.grid.steps // 2:, 1] += 0.1
@@ -392,7 +392,7 @@ def test_a_law_wrong_late_in_one_regime_fails_only_the_uniform_rows(which):
 def test_eta_certified_by_mc_value_differences():
     # V(t, x) - V(t, -x) = 4 <eta(t, i), x>: isolates the offset from both
     # the quadratic term and the value constant
-    spec = benchmarks.two_regime_inhomogeneous(steps=200)
+    spec = bundled("two_regime", 200)
     ric, aff = _solved(spec)
     x = np.array([1.0])
     plus = mc_value(spec, ric.Theta_bar, 0.0, 0, x, 20000, 41)
@@ -407,7 +407,7 @@ def test_eta_certified_by_mc_value_differences():
 
 
 def test_m0_exact_identity_case():
-    spec = benchmarks.two_regime_standard(steps=20)
+    spec = bundled("standard", 20)
     spec = dataclasses.replace(
         spec,
         A=np.zeros_like(spec.A), C=np.zeros_like(spec.C),
@@ -421,7 +421,7 @@ def test_m0_exact_identity_case():
 
 def test_m0_scalar_exponential():
     a = 0.5
-    spec = benchmarks.scalar_benchmark(steps=300)
+    spec = bundled("scalar", 300)
     spec = dataclasses.replace(
         spec, A=np.full_like(spec.A, a), Q=np.zeros_like(spec.Q)
     )
@@ -434,7 +434,7 @@ def test_m0_scalar_exponential():
 
 
 def test_m0_two_regime_coupled():
-    report = _rows(_certified(benchmarks.two_regime_standard(steps=200), i0=1), "m0_")
+    report = _rows(_certified(bundled("standard", 200), i0=1), "m0_")
     assert report.all_passed
 
 
@@ -443,7 +443,7 @@ def test_m0_two_regime_coupled():
 
 @pytest.mark.parametrize("name", ["scalar", "standard", "two_regime", "dead_channel"])
 def test_euler_bias_is_small_and_first_order(name):
-    spec = parse_problem(PROBLEMS / f"{name}.yaml")[0]
+    spec = bundled(name)
     biases = []
     for steps in (spec.grid.steps, 2 * spec.grid.steps):
         check = _certified(spec.with_steps(steps), paths=1)["euler_bias"]
@@ -460,7 +460,7 @@ def test_euler_bias_is_small_and_first_order(name):
 
 
 def test_completion_of_squares_identity():
-    spec = benchmarks.state_decoupled(steps=250)
+    spec = state_decoupled(steps=250)
     ric, aff = _solved(spec)
     rng = np.random.default_rng(33)
     u = rng.normal(size=(251, 1))
@@ -486,7 +486,7 @@ def test_completion_of_squares_identity():
 
 
 def test_report_serialization_shape():
-    report = _certified(benchmarks.two_regime_standard(steps=40))
+    report = _certified(bundled("standard", 40))
     text = report.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "check,statistic,tolerance,pass"
@@ -502,7 +502,7 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
     # i0 = -1 would start the chain in no regime, and the row take of the
     # Euler loop would read another row's blocks; i0 = D indexes past the
     # regimes
-    spec = benchmarks.two_regime_inhomogeneous(steps=100)
+    spec = bundled("two_regime", 100)
     assert i0 in (-1, spec.n_regimes)
     ric, _ = _solved(spec)
     x0, rng = np.array([0.5]), np.random.default_rng(3)
@@ -524,7 +524,7 @@ def test_an_initial_regime_outside_the_chain_is_rejected(i0):
 @pytest.mark.parametrize("i", [-1, 2])
 def test_a_regime_outside_the_chain_is_rejected_by_the_pointwise_api(i):
     # regime -1 would read regime D - 1, and regime D index past the stack
-    spec = benchmarks.two_regime_inhomogeneous(steps=100)
+    spec = bundled("two_regime", 100)
     ric, aff = _solved(spec)
     x = np.array([0.5])
     calls = {
@@ -540,7 +540,7 @@ def test_a_regime_outside_the_chain_is_rejected_by_the_pointwise_api(i):
 
 def test_an_initial_state_of_the_wrong_length_is_rejected():
     # a one-entry x0 on a problem with n = 2 would be broadcast to [x, x]
-    spec, _ = parse_problem(PROBLEMS / "standard.yaml")
+    spec = bundled("standard")
     ric, _ = _solved(spec)
     open_loop = _open_loop_table(spec, np.zeros((spec.grid.steps + 1, spec.m)))
     calls = {
@@ -562,7 +562,7 @@ def test_certify_matches_one_law_per_call(which, third):
     # the three stacked pricings give every statistic and detail bit for
     # bit as one call per law, and the zero-law slice of the Lyapunov
     # stack as the zero-gain solve of the problem itself
-    spec, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    spec = bundled(which)
     ric, _ = _solved(spec)
     t0 = spec.grid.nodes()[spec.grid.steps // 3 if third else 0]
     args = (spec, ric, t0, spec.n_regimes - 1, np.linspace(0.5, 1.5, spec.n), 300, 5, 4)
@@ -618,7 +618,7 @@ def test_per_node_expansion_gives_the_same_bits(which):
     # a node-constant field is one stride-0 sample, a per-node one is not;
     # every product must round alike on both layouts, for one law and for
     # a stack of laws, as verify builds
-    const, _ = parse_problem(PROBLEMS / f"{which}.yaml")
+    const = bundled(which)
     expanded = _per_node(const)
     assert const.A.strides[0] == 0 and expanded.A.strides[0] != 0
     x0, i0 = np.linspace(0.5, 1.5, const.n), const.n_regimes - 1
